@@ -14,12 +14,11 @@ import sys
 import time
 
 from . import formulas, stats, verify
-from .engine import count_tilings, enumerate_tilings, matching_genfun, tiling_genfun_dp
+from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
 from .errors import AztecError
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
-    dual_graph,
     region_from_json,
     semihexagon_with_dents,
 )
@@ -59,8 +58,6 @@ def build_parser():
     p.add_argument("--b", type=int)
     p.add_argument("--dents", type=_positions)
     p.add_argument("--method", choices=("enumerate", "dp"), default="enumerate")
-    p.add_argument("--threads", type=int, default=1,
-                   help="split the matching sum across worker threads (same result)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=verify.SUITES + ("all",), required=True)
@@ -121,15 +118,13 @@ def cmd_genfun(args):
 
 def cmd_count(args, parser):
     region = _build_region(args, parser)
-    if args.threads > 1:
-        count = matching_genfun(dual_graph(region), threads=args.threads).evaluate(1, 1)
-    elif args.method == "dp":
+    if args.method == "dp":
         if region.lattice != "square":
             parser.error("--method dp applies to square-lattice regions")
         count = tiling_genfun_dp(region)
     else:
         count = count_tilings(region)
-    print(int(count))
+    print(count)
     return 0
 
 

@@ -1,10 +1,13 @@
-"""Enumeration kernels: exhaustive backtracking and a frontier-profile DP.
+"""The two tiling kernels: one backtracking oracle and a frontier-profile DP.
 
-The backtracking enumerators are the oracles: they branch on the
-lowest-indexed uncovered vertex and try partners in ascending index order,
-so repeated runs produce identical streams.  The dynamic program is the fast
-path; it must agree with the oracle exactly, and the test suite holds it to
-bit-identical polynomial equality.
+Every tiling is a perfect matching of the region's dual graph, so every
+exhaustive route here -- enumerating tilings, counting them, listing the
+matchings of a weighted graph, summing their weights -- runs the one search
+in :func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
+partners in ascending index order, so repeated runs produce identical
+streams.  The dynamic program is the fast path; it must agree with the
+oracle exactly, and the test suite holds it to bit-identical polynomial
+equality.
 
 The DP sweeps square-lattice cells in rotated column-major order (sorted by
 x + y, then y).  Every domino joins two consecutive antidiagonals, so the
@@ -18,7 +21,7 @@ bound, default 24 bits.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from operator import add, mul, or_
 
 from .errors import RegionTooWide
 from .poly import LaurentPoly2
@@ -85,23 +88,50 @@ class Tiling:
 
 
 # ---------------------------------------------------------------------------
-# region-level enumeration
+# the backtracking oracle
 
 
-@lru_cache(maxsize=None)
-def _region_adjacency(key_region):
-    """For each cell index, the sorted list of (neighbor index, domino index)."""
-    region = key_region
-    pool = region.all_dominoes
-    cindex = region.cell_index
-    adj = [[] for _ in region.sorted_cells]
-    for di, (c1, c2) in enumerate(pool):
-        i, j = cindex[c1], cindex[c2]
-        adj[i].append((j, di))
-        adj[j].append((i, di))
-    for row in adj:
-        row.sort()
-    return adj
+def _matchings(adj, unit, op):
+    """Yield the ``op``-fold of the edge labels of every perfect matching.
+
+    ``adj[i]`` lists ``(j, label)`` with partners ascending.  The search
+    branches on the lowest-indexed uncovered vertex and tries its partners in
+    ascending order, so the stream order is fixed by ``adj`` alone.  The
+    explicit stack keeps each yield O(1) however deep the search is; each
+    frame holds the vertex, its partner iterator, the fold before the vertex
+    was matched and its current partner (-1 before the first).
+    """
+    n = len(adj)
+    if n % 2:
+        return
+    covered = bytearray(n)
+    stack = []
+    v, acc = 0, unit
+    while True:
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
+            yield acc
+        else:
+            covered[v] = 1
+            stack.append([v, iter(adj[v]), acc, -1])
+        while stack:
+            frame = stack[-1]
+            if frame[3] >= 0:
+                covered[frame[3]] = 0
+            for j, label in frame[1]:
+                if not covered[j]:
+                    covered[j] = 1
+                    frame[3] = j
+                    v, acc = frame[0] + 1, op(frame[2], label)
+                    break
+            else:
+                covered[frame[0]] = 0
+                stack.pop()
+                continue
+            break
+        else:
+            return
 
 
 def enumerate_tilings(region: Region):
@@ -111,182 +141,39 @@ def enumerate_tilings(region: Region):
     is the image of :func:`enumerate_matchings` on the dual graph under the
     tiles-to-edges bijection, which the tests check directly.
     """
-    ncells = len(region.sorted_cells)
-    if ncells % 2:
-        return
-    adj = _region_adjacency(region)
-    covered = bytearray(ncells)
-
-    def rec(start, mask):
-        while start < ncells and covered[start]:
-            start += 1
-        if start == ncells:
-            yield mask
-            return
-        covered[start] = 1
-        for j, di in adj[start]:
-            if not covered[j]:
-                covered[j] = 1
-                yield from rec(start + 1, mask | (1 << di))
-                covered[j] = 0
-        covered[start] = 0
-
-    for mask in rec(0, 0):
+    for mask in _matchings(region.adjacency, 0, or_):
         yield Tiling(region, mask)
 
 
 def count_tilings(region: Region) -> int:
-    """Exact tiling count by exhaustive backtracking (no closed forms).
-
-    Degree-1 cells are forced without branching, and branching picks a cell
-    of minimum remaining degree, which prunes hard on thin regions.
-    """
-    adj = [[j for j, _ in row] for row in _region_adjacency(region)]
-    return _count_matchings_indexed(adj)
-
-
-def _count_matchings_indexed(adj) -> int:
-    n = len(adj)
-    if n % 2:
-        return 0
-    deg = [len(a) for a in adj]
-    alive = bytearray([1] * n)
-
-    def kill(v):
-        alive[v] = 0
-        touched = []
-        for u in adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                touched.append(u)
-        return touched
-
-    def revive(v, touched):
-        alive[v] = 1
-        for u in touched:
-            deg[u] += 1
-
-    def rec(remaining):
-        if remaining == 0:
-            return 1
-        # forced moves: any alive degree-0 vertex kills the branch, degree-1
-        # vertices have a unique partner
-        pivot = -1
-        pivot_deg = 1 << 30
-        for v in range(n):
-            if alive[v]:
-                d = deg[v]
-                if d == 0:
-                    return 0
-                if d < pivot_deg:
-                    pivot, pivot_deg = v, d
-                    if d == 1:
-                        break
-        total = 0
-        tv = kill(pivot)
-        for u in adj[pivot]:
-            if alive[u]:
-                tu = kill(u)
-                total += rec(remaining - 2)
-                revive(u, tu)
-        revive(pivot, tv)
-        return total
-
-    return rec(n)
-
-
-# ---------------------------------------------------------------------------
-# weighted-graph enumeration (the oracle side)
+    """Exact tiling count by exhaustive backtracking (no closed forms)."""
+    return sum(1 for _ in _matchings(region.adjacency, 0, or_))
 
 
 def enumerate_matchings(graph: WeightedGraph):
     """Yield each perfect matching of ``graph`` exactly once.
 
     A matching is a frozenset of vertex-label pairs, each pair ordered by
-    vertex index.  Branching is on the lowest-indexed uncovered vertex with
-    partners in ascending index order, so the stream is deterministic.
+    vertex index.  The search is the one :func:`enumerate_tilings` runs, so
+    the stream is deterministic.
     """
-    n = graph.n
-    if n % 2:
-        return
     verts = graph.vertices
-    adj = [[j for j, _ in row] for row in graph.adjacency_indexed()]
-    covered = bytearray(n)
-    chosen = []
-
-    def rec(start):
-        while start < n and covered[start]:
-            start += 1
-        if start == n:
-            yield frozenset(chosen)
-            return
-        covered[start] = 1
-        for j in adj[start]:
-            if not covered[j]:
-                covered[j] = 1
-                chosen.append((verts[start], verts[j]))
-                yield from rec(start + 1)
-                chosen.pop()
-                covered[j] = 0
-        covered[start] = 0
-
-    yield from rec(0)
+    adj = [[(j, ((verts[i], verts[j]),)) for j, _ in row]
+           for i, row in enumerate(graph.adjacency_indexed())]
+    for pairs in _matchings(adj, (), add):
+        yield frozenset(pairs)
 
 
-def matching_genfun(graph: WeightedGraph, threads: int = 1):
-    """Sum over perfect matchings of the product of edge weights, exact.
-
-    With ``threads > 1`` the branches at the first vertex are evaluated as
-    independent subtree sums and merged in branch order; exact addition is
-    commutative and associative, so the result is identical to sequential.
-    """
-    n = graph.n
-    if n == 0:
-        return LaurentPoly2.one()
-    if n % 2:
-        return LaurentPoly2.zero()
-    adj = graph.adjacency_indexed()
-
-    def subtree(start, covered, acc):
-        while start < n and covered[start]:
-            start += 1
-        if start == n:
-            return acc
-        total = LaurentPoly2.zero()
-        covered[start] = 1
-        for j, w in adj[start]:
-            if not covered[j]:
-                covered[j] = 1
-                total = total + subtree(start + 1, covered, acc * w)
-                covered[j] = 0
-        covered[start] = 0
-        return total
-
-    if threads <= 1:
-        return subtree(0, bytearray(n), LaurentPoly2.one())
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    first = 0
-    jobs = []
-    for j, w in adj[first]:
-        def job(j=j, w=w):
-            covered = bytearray(n)
-            covered[first] = 1
-            covered[j] = 1
-            return subtree(first + 1, covered, LaurentPoly2.one() * w)
-        jobs.append(job)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        partials = list(pool.map(lambda f: f(), jobs))
+def matching_genfun(graph: WeightedGraph):
+    """Sum over perfect matchings of the product of edge weights, exact."""
     total = LaurentPoly2.zero()
-    for p in partials:
-        total = total + p
+    for w in _matchings(graph.adjacency_indexed(), LaurentPoly2.one(), mul):
+        total = total + w
     return total
 
 
 def count_matchings(graph: WeightedGraph) -> int:
-    adj = [[j for j, _ in row] for row in graph.adjacency_indexed()]
-    return _count_matchings_indexed(adj)
+    return sum(1 for _ in _matchings(graph.adjacency_indexed(), None, lambda acc, w: acc))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +267,3 @@ def tiling_genfun_dp(region: Region, weight=None, max_frontier: int = 24):
 def _acc(d, key, val):
     cur = d.get(key)
     d[key] = val if cur is None else cur + val
-
-
-def tiling_count_dp(region: Region, max_frontier: int = 24) -> int:
-    return tiling_genfun_dp(region, None, max_frontier)

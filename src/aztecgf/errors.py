@@ -22,6 +22,10 @@ class NegativeExponent(AztecError):
     """A generating function that must be a genuine polynomial has a negative exponent."""
 
 
+class InvalidOrder(AztecError):
+    """An Aztec diamond order below 1."""
+
+
 class InvalidHoles(AztecError):
     """Hole positions violate 1 <= s_1 < ... < s_m <= n."""
 

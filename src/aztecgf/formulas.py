@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import InvalidHoles
 from .poly import LaurentPoly2, as_poly, falling_ratio, q_ratio_product
+from .regions import aztec_rectangle_with_holes, check_positions, semihexagon_with_dents
 
 
 def shifted_content_exponent(m: int, s) -> int:
@@ -60,9 +61,7 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     times the alpha=2 q-ratio product; checked to be a polynomial (a negative
     exponent surviving would mean a transcription bug, and raises).
     """
-    s = tuple(s)
-    if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
-        raise InvalidHoles(f"bad kept positions {s} for m={m}, n={n}")
+    s = check_positions(m, n, s, InvalidHoles)
     out = LaurentPoly2.term(1, q=prefactor_exponent(m, s))
     for k in range(m):
         out = out * (1 + LaurentPoly2.term(1, q=2 * k + 1, t=1)) ** (m - k)
@@ -133,7 +132,6 @@ def relation_check(m: int, n: int, s) -> RelationCheck:
     each by exhaustive enumeration (no product formulas involved).
     """
     from .engine import count_tilings
-    from .regions import aztec_rectangle_with_holes, semihexagon_with_dents
 
     s = tuple(s)
     lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))

@@ -30,11 +30,12 @@ Two path systems read a tiling:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .engine import Tiling, enumerate_matchings, enumerate_tilings
+from .engine import Tiling, enumerate_tilings
 from .errors import BijectionViolation
 from .poly import LaurentPoly2, as_poly
-from .regions import Region, WeightedGraph, cell_neighbors, dw, up
+from .regions import Region, dw, up
 
 LEFT = "left"
 RIGHT = "right"
@@ -272,32 +273,14 @@ def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
         if ptr != len(ascending) or r != i:
             raise BijectionViolation(f"dent path {dent} could not be replayed")
 
-    remaining = sorted(region.cells - used)
-    if remaining:
-        sub = WeightedGraph(
-            remaining,
-            {
-                (c1, c2): LaurentPoly2.one()
-                for k1, c1 in enumerate(remaining)
-                for c2 in remaining[k1 + 1:]
-                if _tri_adjacent(c1, c2)
-            },
+    remainder = Region(region.lattice, ("remainder", region.key), region.cells - used)
+    completions = list(islice(enumerate_tilings(remainder), 2))
+    if len(completions) != 1:
+        raise BijectionViolation(
+            f"remainder admits {len(completions)} completions, expected exactly 1"
         )
-        completions = []
-        for matching in enumerate_matchings(sub):
-            completions.append(matching)
-            if len(completions) > 1:
-                break
-        if len(completions) != 1:
-            raise BijectionViolation(
-                f"remainder admits {len(completions)} completions, expected exactly 1"
-            )
-        pairs.extend(tuple(sorted(e)) for e in completions[0])
+    pairs.extend(completions[0].dominoes)
     tiling = Tiling.from_dominoes(region, pairs)
     if not tiling.is_valid():
         raise BijectionViolation("replayed lozenges do not tile the region")
     return tiling
-
-
-def _tri_adjacent(c1, c2):
-    return c2 in cell_neighbors(c1)

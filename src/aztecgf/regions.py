@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InconsistentBoundary, InvalidDents, InvalidHoles
+from .errors import InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder
 from .poly import LaurentPoly2, as_poly
 
 SQUARE = "sq"
@@ -140,6 +140,20 @@ class Region:
     def domino_index(self) -> dict:
         return {d: i for i, d in enumerate(self.all_dominoes)}
 
+    @cached_property
+    def adjacency(self) -> list:
+        """For each cell index, the ascending list of (neighbor index, domino
+        bit ``1 << domino index``): the dual graph as the oracle searches it."""
+        cindex = self.cell_index
+        adj = [[] for _ in self.sorted_cells]
+        for di, (c1, c2) in enumerate(self.all_dominoes):
+            i, j = cindex[c1], cindex[c2]
+            adj[i].append((j, 1 << di))
+            adj[j].append((i, 1 << di))
+        for row in adj:
+            row.sort()
+        return adj
+
     def rows(self) -> dict:
         """Square-lattice rows: y -> sorted list of x values present."""
         if self.lattice != "square":
@@ -181,6 +195,19 @@ def cell_neighbors(c: Cell):
     return (up(c.x, c.y), up(c.x + 1, c.y), up(c.x, c.y - 1))
 
 
+def check_positions(m: int, n: int, s, error) -> tuple:
+    """``s`` as a tuple, after checking 1 <= m <= n and 1 <= s_1 < ... < s_m <= n.
+
+    Raises ``error`` (an :class:`AztecError` subclass) on any violation.
+    """
+    s = tuple(s)
+    if not 1 <= m <= n:
+        raise error(f"need 1 <= m <= n, got m={m}, n={n}")
+    if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
+        raise error(f"s must be strictly increasing in [1, {n}] with {m} entries, got {s}")
+    return s
+
+
 def aztec_diamond(n: int) -> Region:
     """The Aztec diamond of order n: unit squares inside |x| + |y| = n + 1.
 
@@ -189,7 +216,7 @@ def aztec_diamond(n: int) -> Region:
     (1, ..., n))`` up to translation.
     """
     if n < 1:
-        raise ValueError("order must be >= 1")
+        raise InvalidOrder(f"order must be >= 1, got {n}")
     cells = frozenset(
         sq(x, y)
         for x in range(-n, n)
@@ -208,11 +235,7 @@ def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
     The full rectangle has 2mn + m + n cells; each of the n - m removed
     southeast squares ("holes") drops one.
     """
-    s = tuple(s)
-    if not (1 <= m <= n):
-        raise InvalidHoles(f"need 1 <= m <= n, got m={m}, n={n}")
-    if len(s) != m or any(a >= b for a, b in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
-        raise InvalidHoles(f"s must be strictly increasing in [1, {n}] with {m} entries, got {s}")
+    s = check_positions(m, n, s, InvalidHoles)
     cells = set()
     for i in range(1, m + 1):
         for j in range(1, n + 1):
@@ -238,11 +261,9 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     up-triangles at base positions s are removed.  The remaining cell count
     is always even.
     """
-    s = tuple(s)
     if a < 1 or b < 0:
         raise InvalidDents(f"need a >= 1 and b >= 0, got a={a}, b={b}")
-    if len(s) != a or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= a + b for x in s):
-        raise InvalidDents(f"s must be strictly increasing in [1, {a + b}] with {a} entries, got {s}")
+    s = check_positions(a, a + b, s, InvalidDents)
     cells = set()
     for y in range(1, a + 1):
         for x in range(1, b + y + 1):
@@ -279,18 +300,19 @@ class WeightedGraph:
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
-        self._adj = {v: {} for v in self.vertices}
+        self._adj = adj = {v: {} for v in self.vertices}
         for (u, v), w in edges.items():
+            au, av = adj.get(u), adj.get(v)
+            if au is None or av is None:
+                raise ValueError(f"edge endpoint not a vertex: {(u, v)!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            if u not in self.index or v not in self.index:
-                raise ValueError(f"edge endpoint not a vertex: {(u, v)!r}")
-            if v in self._adj[u]:
+            if v in au:
                 raise ValueError(f"duplicate edge {(u, v)!r}")
             if not w:
                 raise ValueError(f"zero weight on edge {(u, v)!r}")
-            self._adj[u][v] = w
-            self._adj[v][u] = w
+            au[v] = w
+            av[u] = w
         self.marked = tuple(marked)
 
     @property
@@ -311,10 +333,10 @@ class WeightedGraph:
 
     def edge_items(self):
         """Each undirected edge once, as ((u, v), w), deterministic order."""
-        for u in self.vertices:
-            iu = self.index[u]
+        index = self.index
+        for u, iu in index.items():
             for v, w in self._adj[u].items():
-                if self.index[v] > iu:
+                if index[v] > iu:
                     yield (u, v), w
 
     def edge_count(self):
@@ -388,38 +410,46 @@ def ar_face_cells(m: int, n: int):
     return faces
 
 
-def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
-    """Dual graph of AR_{m,n} with the four-parameter face weights, holes removed.
+def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
+    """The m-row, n-column weighted rectangle graph, no vertices removed.
 
     The diamond face in row i, column j carries edge weights a (northwest
     edge), b (northeast), d*q^(i+j-2) (southeast), c*q^(i+j-2) (southwest),
-    with q symbolic.  Hole removal happens at graph level: the southeast-side
-    vertices whose positions are not in s are deleted with their edges.
+    with q symbolic; the parameters may be rationals or Laurent polynomials.
+    The marked list holds the n bottommost vertices left to right.  (Unlike
+    the region builder this allows m > n, which the row reduction's
+    right-hand side needs.)
     """
-    s = tuple(s)
-    if not 1 <= m <= n:
-        raise InvalidHoles(f"need 1 <= m <= n, got m={m}, n={n}")
-    if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
-        raise InvalidHoles(f"bad hole positions {s}")
-    for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not as_poly(val):
-            raise ValueError(f"weight {name} must be nonzero")
+    faces = ar_face_cells(m, n)
     edges = {}
-    for (i, j), (w_cell, s_cell, e_cell, n_cell) in ar_face_cells(m, n).items():
+    for (i, j), (w_cell, s_cell, e_cell, n_cell) in faces.items():
         qshift = i + j - 2
         edges[_edge(w_cell, n_cell)] = as_poly(a)                      # northwest
         edges[_edge(n_cell, e_cell)] = as_poly(b)                      # northeast
         edges[_edge(s_cell, e_cell)] = as_poly(d).shift(dq=qshift)     # southeast
         edges[_edge(w_cell, s_cell)] = as_poly(c).shift(dq=qshift)     # southwest
-    cells = sorted({cell for quad in ar_face_cells(m, n).values() for cell in quad})
-    graph = WeightedGraph(cells, edges, marked=tuple(sq(h, h - 1) for h in range(1, n + 1)))
-    holes = [sq(h, h - 1) for h in range(1, n + 1) if h not in set(s)]
-    graph = graph.without_vertices(holes)
-    return WeightedGraph(graph.vertices, graph.edge_dict(), marked=tuple(sq(h, h - 1) for h in s))
+    cells = sorted({cell for quad in faces.values() for cell in quad})
+    return WeightedGraph(cells, edges, marked=tuple(sq(h, h - 1) for h in range(1, n + 1)))
 
 
 def _edge(u, v):
     return (u, v) if u < v else (v, u)
+
+
+def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
+    """Dual graph of AR_{m,n} with the four-parameter face weights, holes removed.
+
+    The face weights are those of :func:`full_weighted_rectangle`.  Hole
+    removal happens at graph level: the southeast-side vertices whose
+    positions are not in s are deleted with their edges, and the marked list
+    keeps the southeast-side vertices that remain.
+    """
+    s = check_positions(m, n, s, InvalidHoles)
+    for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
+        if not as_poly(val):
+            raise ValueError(f"weight {name} must be nonzero")
+    holes = [sq(h, h - 1) for h in range(1, n + 1) if h not in s]
+    return full_weighted_rectangle(m, n, a, b, c, d).without_vertices(holes)
 
 
 def checkerboard_coloring(region: Region) -> dict:

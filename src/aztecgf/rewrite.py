@@ -28,7 +28,10 @@ from fractions import Fraction
 
 from .errors import InexactDivision, InvalidPartition, PatternMismatch, ZeroDelta
 from .poly import LaurentPoly2, as_poly
-from .regions import WeightedGraph, ar_face_cells, sq
+from .regions import WeightedGraph, ar_face_cells, full_weighted_rectangle, sq
+
+
+_ONE = LaurentPoly2.one()
 
 
 class FracWeight:
@@ -38,7 +41,7 @@ class FracWeight:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = LaurentPoly2.one()
+            den = _ONE
         if isinstance(num, FracWeight):
             num, den = num.num, den * num.den
         if isinstance(den, FracWeight):
@@ -48,11 +51,11 @@ class FracWeight:
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            den = LaurentPoly2.one()
-        else:
+            den = _ONE
+        elif den != _ONE:
             try:
                 num = num.exact_div(den)
-                den = LaurentPoly2.one()
+                den = _ONE
             except InexactDivision:
                 pass
         self.num = num
@@ -60,10 +63,10 @@ class FracWeight:
 
     @classmethod
     def one(cls):
-        return cls(LaurentPoly2.one())
+        return cls(_ONE)
 
     def is_polynomial(self) -> bool:
-        return self.den == LaurentPoly2.one()
+        return self.den == _ONE
 
     def to_poly(self) -> LaurentPoly2:
         if not self.is_polynomial():
@@ -293,33 +296,7 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
 
 
 # ---------------------------------------------------------------------------
-# the weighted rectangle graph and its row reduction
-
-
-def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
-    """The m-row, n-column weighted rectangle graph, no vertices removed.
-
-    Face (i, j) carries northwest a, northeast b, southeast d*q^(i+j-2),
-    southwest c*q^(i+j-2); the parameters may be rationals or Laurent
-    polynomials.  The marked list holds the n bottommost vertices left to
-    right.  (Unlike the region builder this allows m > n, which the row
-    reduction's right-hand side needs.)
-    """
-    faces = ar_face_cells(m, n)
-    edges = {}
-    for (i, j), (w_, s_, e_, n_) in faces.items():
-        qs = i + j - 2
-        edges[_ekey(w_, n_)] = as_poly(a)
-        edges[_ekey(n_, e_)] = as_poly(b)
-        edges[_ekey(s_, e_)] = as_poly(d).shift(dq=qs)
-        edges[_ekey(w_, s_)] = as_poly(c).shift(dq=qs)
-    cells = sorted({cell for quad in faces.values() for cell in quad})
-    bottoms = tuple(sq(h, h - 1) for h in range(1, n + 1))
-    return WeightedGraph(cells, edges, marked=bottoms)
-
-
-def _ekey(u, v):
-    return (u, v) if u < v else (v, u)
+# the row reduction
 
 
 def _path_gadget(count: int, parity_pad: bool) -> WeightedGraph:

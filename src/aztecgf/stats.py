@@ -180,17 +180,24 @@ def minimal_tiling(m: int, n: int, s) -> Tiling:
                 raise ConstructionFailed(f"strip collision at hole {h}, piece {l}")
             used.update((lo, hi))
             dominoes.append((lo, hi))
+    return _fill_rows(region, used, dominoes, ConstructionFailed)
+
+
+def _fill_rows(region: Region, used, dominoes, error) -> Tiling:
+    """Cover the cells not in ``used`` row by row with horizontal dominoes,
+    add them to ``dominoes`` and return the tiling; raise ``error`` when a row
+    leftover is odd or gapped or the result does not tile the region."""
     for y, xs in sorted(region.rows().items()):
         rest = [x for x in xs if sq(x, y) not in used]
         if len(rest) % 2:
-            raise ConstructionFailed(f"odd leftover in row {y}")
+            raise error(f"odd leftover in row {y}")
         for k in range(0, len(rest), 2):
             if rest[k + 1] != rest[k] + 1:
-                raise ConstructionFailed(f"gap in row {y} at x={rest[k]}")
+                raise error(f"leftover gap in row {y} at x={rest[k]}")
             dominoes.append((sq(rest[k], y), sq(rest[k + 1], y)))
     tiling = Tiling.from_dominoes(region, dominoes)
     if not tiling.is_valid():
-        raise ConstructionFailed("minimal tiling does not cover the region")
+        raise error("dominoes do not tile the region")
     return tiling
 
 
@@ -380,19 +387,7 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
                 y -= 1
         if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(f"replayed path {i} exits at {(x, y)}")
-
-    for y, xs in sorted(region.rows().items()):
-        rest = [x for x in xs if sq(x, y) not in used]
-        if len(rest) % 2:
-            raise BijectionViolation(f"odd leftover in row {y}")
-        for k in range(0, len(rest), 2):
-            if rest[k + 1] != rest[k] + 1:
-                raise BijectionViolation(f"leftover gap in row {y}")
-            dominoes.append((sq(rest[k], y), sq(rest[k + 1], y)))
-    tiling = Tiling.from_dominoes(region, dominoes)
-    if not tiling.is_valid():
-        raise BijectionViolation("replayed dominoes do not tile the region")
-    return tiling
+    return _fill_rows(region, used, dominoes, BijectionViolation)
 
 
 def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecgf.engine import (
     Tiling,
@@ -17,11 +19,13 @@ from aztecgf.engine import (
 from aztecgf.errors import RegionTooWide
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import (
+    Region,
     WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
     dual_graph,
     semihexagon_with_dents,
+    sq,
 )
 
 
@@ -56,7 +60,7 @@ def test_tiling_counts():
 
 
 def test_full_rectangle_without_holes_has_no_matchings():
-    from aztecgf.rewrite import full_weighted_rectangle
+    from aztecgf.regions import full_weighted_rectangle
 
     # the full rectangle with m < n is untileable before holes are cut
     g = full_weighted_rectangle(3, 6, 1, 1, 1, 1)
@@ -107,14 +111,6 @@ def test_dp_frontier_bound():
         tiling_genfun_dp(aztec_diamond(6), max_frontier=4)
 
 
-def test_threaded_reduction_identical():
-    region = aztec_rectangle_with_holes(3, 4, (1, 3, 4))
-    g = dual_graph(region)
-    sequential = matching_genfun(g)
-    assert matching_genfun(g, threads=4) == sequential
-    assert matching_genfun(g, threads=2) == sequential
-
-
 def test_tiling_object_roundtrip():
     region = aztec_diamond(1)
     t = next(iter(enumerate_tilings(region)))
@@ -125,8 +121,6 @@ def test_tiling_object_roundtrip():
 def test_dp_equals_oracle_on_random_ragged_regions():
     # the DP makes no shape assumptions beyond the lattice; throw random
     # subsets of a 4x4 box at it (holes, dents, disconnections included)
-    from aztecgf.regions import Region, sq
-
     rng = random.Random(8128)
     for case in range(40):
         cells = frozenset(
@@ -136,3 +130,21 @@ def test_dp_equals_oracle_on_random_ragged_regions():
         dp = tiling_genfun_dp(region)
         oracle = sum(1 for _ in enumerate_tilings(region))
         assert dp == oracle
+
+
+@st.composite
+def ragged_regions(draw):
+    # a box of up to 5x6 cells with up to 8 cells cut out: odd, untileable
+    # and disconnected regions included
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    box = [(x, y) for x in range(w) for y in range(h)]
+    cut = draw(st.sets(st.sampled_from(box), max_size=8))
+    cells = frozenset(sq(x, y) for x, y in box if (x, y) not in cut)
+    return Region("square", ("ragged", cells), cells)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(ragged_regions())
+def test_backtracker_equals_dp_on_random_ragged_regions(region):
+    # the DP shares no code with the backtracking search
+    assert count_tilings(region) == tiling_genfun_dp(region)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecgf.engine import count_tilings
 from aztecgf.errors import BijectionViolation
@@ -37,6 +39,21 @@ def test_counts_match_ratio_product():
     for m, n, s in ((2, 5, (2, 4)), (3, 6, (1, 4, 6)), (4, 6, (1, 2, 5, 6))):
         region = semihexagon_with_dents(m, n - m, s)
         assert count_tilings(region) == falling_ratio(s)
+
+
+@st.composite
+def dents(draw):
+    a = draw(st.integers(1, 4))
+    b = draw(st.integers(0, 3))
+    s = draw(st.lists(st.integers(1, a + b), min_size=a, max_size=a, unique=True))
+    return a, b, tuple(sorted(s))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(dents())
+def test_semihexagon_count_equals_ratio_product_on_random_dents(case):
+    a, b, s = case
+    assert count_tilings(semihexagon_with_dents(a, b, s)) == falling_ratio(s)
 
 
 def test_enumerate_cspp_small():
@@ -82,6 +99,7 @@ def test_bijection_roundtrip_exhaustive():
             )
             assert left_total == pi.size
         assert len(seen) == count_tilings(region)
+        assert len(seen) == falling_ratio(s)
 
 
 def test_shape_of_large_instance():

@@ -75,7 +75,7 @@ def test_semihexagon_counts():
 
 
 def test_dual_graph_counts():
-    from aztecgf.rewrite import full_weighted_rectangle
+    from aztecgf.regions import full_weighted_rectangle
 
     g = dual_graph(aztec_diamond(1))
     assert g.n == 4 and g.edge_count() == 4  # a 4-cycle

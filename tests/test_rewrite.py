@@ -9,12 +9,16 @@ from aztecgf.engine import matching_genfun
 from aztecgf.errors import InvalidPartition, PatternMismatch, ZeroDelta
 from aztecgf.lozenge import weighted_sh_genfun
 from aztecgf.poly import LaurentPoly2
-from aztecgf.regions import WeightedGraph, semihexagon_with_dents, weighted_ar_graph
+from aztecgf.regions import (
+    WeightedGraph,
+    full_weighted_rectangle,
+    semihexagon_with_dents,
+    weighted_ar_graph,
+)
 from aztecgf.rewrite import (
     FracWeight,
     SpiderPattern,
     connected_sum,
-    full_weighted_rectangle,
     reduce_rectangle_to_semihexagon,
     remove_forced,
     row_reduction_check,
