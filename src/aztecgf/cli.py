@@ -15,7 +15,7 @@ import time
 
 from . import formulas, stats, verify
 from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError
+from .errors import AztecError, InvalidRegionFile
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
@@ -84,8 +84,12 @@ def build_parser():
 
 def _build_region(args, parser):
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return region_from_json(json.load(fh))
+        try:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InvalidRegionFile(f"cannot read region from {args.infile}: {exc}") from None
+        return region_from_json(obj)
     kind = args.region
     if kind is None:
         parser.error("either --region or --in is required")
@@ -118,12 +122,7 @@ def cmd_genfun(args):
 
 def cmd_count(args, parser):
     region = _build_region(args, parser)
-    if args.method == "dp":
-        if region.lattice != "square":
-            parser.error("--method dp applies to square-lattice regions")
-        count = tiling_genfun_dp(region)
-    else:
-        count = count_tilings(region)
+    count = tiling_genfun_dp(region) if args.method == "dp" else count_tilings(region)
     print(count)
     return 0
 

@@ -9,23 +9,28 @@ streams.  The dynamic program is the fast path; it must agree with the
 oracle exactly, and the test suite holds it to bit-identical polynomial
 equality.
 
-The DP sweeps square-lattice cells in rotated column-major order (sorted by
-x + y, then y).  Every domino joins two consecutive antidiagonals, so the
-pending-vertex frontier stays at most one antidiagonal wide: about n + 1
-bits on an order-n Aztec diamond, which is what makes order 12 instant.  A
-bounding-box column sweep would be correct too, but its profile is as wide
-as the region is tall (24 bits at order 12), which is out of reach for an
-exact big-number DP.  The frontier width is still guarded by a configurable
-bound, default 24 bits.
+The DP sweeps cells in :func:`~aztecgf.regions.sweep_key` order: squares by
+antidiagonal (x + y, then y), triangles by slanted column (x - y, then row,
+then kind).  Every tile joins two nearby diagonals, so the frontier of
+pending cells stays about one diagonal wide: n + 1 bits on an order-n Aztec
+diamond (which makes order 12 instant) and at most a + 1 bits on an a-row
+semihexagon.  A bounding-box column sweep would be correct too, but its
+profile is as wide as the region is tall (24 bits at order 12), out of reach
+for an exact big-number DP.  The sweep order fixes the frontier width, so it
+is computed up front and a region wider than ``MAX_FRONTIER`` bits is
+refused before any state is swept.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import add, mul, or_
 
 from .errors import RegionTooWide
 from .poly import LaurentPoly2
-from .regions import Region, WeightedGraph, cell_neighbors
+from .regions import Region, WeightedGraph, cell_neighbors, sweep_key
+
+MAX_FRONTIER = 24  # bits; 2^24 states of big-number polynomials is out of reach
 
 
 class Tiling:
@@ -180,27 +185,25 @@ def count_matchings(graph: WeightedGraph) -> int:
 # frontier-profile dynamic programming
 
 
-def tiling_genfun_dp(region: Region, weight=None, max_frontier: int = 24):
-    """Generating function of all tilings with per-domino weights, by DP.
+def tiling_genfun_dp(region: Region, weight=None):
+    """Generating function of all tilings with per-tile weights, by DP.
 
-    ``weight`` maps a domino (an ordered cell pair from the region's pool)
-    to a weight; ``None`` counts tilings with integer arithmetic.  The state
-    is the set of swept cells still awaiting a partner, encoded as a bit
-    profile; cells outside the region never enter the sweep, which is how
-    ragged boundaries are handled.  Raises :class:`RegionTooWide` when the
-    profile would exceed ``max_frontier`` bits.
+    ``weight`` maps a tile (an ordered cell pair from the region's pool) to
+    a weight; ``None`` counts tilings with integer arithmetic.  Cells are
+    swept in :func:`~aztecgf.regions.sweep_key` order on either lattice.  The
+    state is the set of swept cells still awaiting a partner, encoded as a
+    bit profile; cells outside the region never enter the sweep, which is
+    how ragged boundaries are handled.  Raises :class:`RegionTooWide` before
+    sweeping when the profile could exceed ``MAX_FRONTIER`` bits.
 
     The result is exactly ``matching_genfun(dual_graph(region))`` with the
     matching edge weights; the acceptance suite asserts that equality.
     """
-    if region.lattice != "square":
-        raise ValueError("the profile DP sweeps square-lattice regions only")
-    cells = sorted(region.cells, key=lambda c: (c.x + c.y, c.y))
+    zero, one = (0, 1) if weight is None else (LaurentPoly2.zero(), LaurentPoly2.one())
+    cells = sorted(region.cells, key=sweep_key)
     n = len(cells)
-    if n == 0:
-        return 1 if weight is None else LaurentPoly2.one()
     if n % 2:
-        return 0 if weight is None else LaurentPoly2.zero()
+        return zero
     pos = {c: k for k, c in enumerate(cells)}
 
     nbr_earlier = [[] for _ in range(n)]  # (earlier position, weight)
@@ -213,20 +216,22 @@ def tiling_genfun_dp(region: Region, weight=None, max_frontier: int = 24):
                 if p > max_nbr[k]:
                     max_nbr[k] = p
                 if p < k:
-                    if weight is None:
-                        w = 1
-                    else:
-                        dom = tuple(sorted((c, d)))
-                        w = weight(dom)
+                    w = 1 if weight is None else weight(tuple(sorted((c, d))))
                     nbr_earlier[k].append((p, w))
         nbr_earlier[k].sort(key=lambda t: t[0])
 
     last_mask = [0] * n  # bits of vertices whose final chance to match is cell k
+    opened = [0] * n  # +1 where a cell joins the frontier, -1 where it must leave
     for p in range(n):
-        if 0 <= max_nbr[p] < n and max_nbr[p] > p:
+        if max_nbr[p] > p:
             last_mask[max_nbr[p]] |= 1 << p
+            opened[p] += 1
+            opened[max_nbr[p]] -= 1
+    width = max(accumulate(opened), default=0)
+    if width > MAX_FRONTIER:
+        raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
 
-    states = {0: 1 if weight is None else LaurentPoly2.one()}
+    states = {0: one}
     for k in range(n):
         if not states:
             break
@@ -250,18 +255,10 @@ def tiling_genfun_dp(region: Region, weight=None, max_frontier: int = 24):
                     if s & pb:
                         _acc(nxt, s ^ pb, val * w)
                 if can_defer:
-                    ns = s | bit_k
-                    if ns.bit_count() > max_frontier:
-                        raise RegionTooWide(
-                            f"DP frontier exceeded {max_frontier} bits at cell {cells[k]}"
-                        )
-                    _acc(nxt, ns, val)
+                    _acc(nxt, s | bit_k, val)
         states = nxt
 
-    out = states.get(0)
-    if out is None:
-        return 0 if weight is None else LaurentPoly2.zero()
-    return out
+    return states.get(0, zero)
 
 
 def _acc(d, key, val):

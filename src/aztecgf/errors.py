@@ -30,8 +30,16 @@ class InvalidHoles(AztecError):
     """Hole positions violate 1 <= s_1 < ... < s_m <= n."""
 
 
-class InvalidDents(AztecError):
+class InvalidDents(AztecError, ValueError):
     """Dent positions violate 1 <= s_1 < ... < s_a <= a + b."""
+
+
+class InvalidWeight(AztecError, ValueError):
+    """A face weight of the weighted rectangle graph is zero."""
+
+
+class InvalidRegionFile(AztecError, ValueError):
+    """A serialized region cannot be read, is not JSON, or names an unknown kind."""
 
 
 class InconsistentBoundary(AztecError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidHoles
+from .errors import InvalidDents, InvalidHoles
 from .poly import LaurentPoly2, as_poly, falling_ratio, q_ratio_product
 from .regions import aztec_rectangle_with_holes, check_positions, semihexagon_with_dents
 
@@ -98,7 +98,7 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
     """
     s = tuple(s)
     if len(s) != m:
-        raise ValueError(f"need exactly m={m} positions, got {s}")
+        raise InvalidDents(f"need exactly m={m} positions, got {s}")
     return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s, 1)).require_polynomial()
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .engine import Tiling, enumerate_tilings
+from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation
 from .poly import LaurentPoly2, as_poly
 from .regions import Region, dw, up
@@ -65,22 +65,17 @@ def weighted_sh_genfun(region: Region, left_weight, right_weight, vertical_weigh
     """Sum over tilings of the product of per-lozenge weights, exact.
 
     Each weight argument is either a constant or a callable level -> weight.
+    The sum is computed by the weighted frontier DP, :func:`tiling_genfun_dp`.
     """
-    a, b, s = region.semihex_params
+    a = region.semihex_params[0]
+    weights = {LEFT: left_weight, RIGHT: right_weight, VERTICAL: vertical_weight}
 
-    def norm(w):
-        return w if callable(w) else (lambda _k, w=w: w)
+    def weight(pair):
+        kind, level = classify_lozenge(pair, a)
+        w = weights[kind]
+        return as_poly(w(level) if callable(w) else w)
 
-    wl, wr, wv = norm(left_weight), norm(right_weight), norm(vertical_weight)
-    total = LaurentPoly2.zero()
-    for tiling in enumerate_lozenge_tilings(region):
-        prod = LaurentPoly2.one()
-        for pair in tiling.dominoes:
-            kind, level = classify_lozenge(pair, a)
-            w = {LEFT: wl, RIGHT: wr, VERTICAL: wv}[kind](level)
-            prod = prod * as_poly(w)
-        total = total + prod
-    return total
+    return tiling_genfun_dp(region, weight)
 
 
 def semihex_q_genfun(region: Region) -> LaurentPoly2:

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder
+from .errors import (InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder,
+                     InvalidRegionFile, InvalidWeight)
 from .poly import LaurentPoly2, as_poly
 
 SQUARE = "sq"
@@ -183,7 +184,7 @@ def region_from_json(obj) -> Region:
         return aztec_rectangle_with_holes(*params)
     if kind == "semihexagon":
         return semihexagon_with_dents(*params)
-    raise ValueError(f"unknown region kind {kind!r}")
+    raise InvalidRegionFile(f"unknown region kind {kind!r}")
 
 
 def cell_neighbors(c: Cell):
@@ -193,6 +194,14 @@ def cell_neighbors(c: Cell):
     if c.kind == TRI_UP:
         return (dw(c.x - 1, c.y), dw(c.x, c.y), dw(c.x, c.y + 1))
     return (up(c.x, c.y), up(c.x + 1, c.y), up(c.x, c.y - 1))
+
+
+def sweep_key(c: Cell):
+    """Sort key of the frontier DP's sweep: square cells by antidiagonal,
+    triangles by slanted column, so each cell's neighbors sort close to it."""
+    if c.kind == SQUARE:
+        return (c.x + c.y, c.y)
+    return (c.x - c.y, c.y, c.kind)
 
 
 def check_positions(m: int, n: int, s, error) -> tuple:
@@ -447,7 +456,7 @@ def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
     s = check_positions(m, n, s, InvalidHoles)
     for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not as_poly(val):
-            raise ValueError(f"weight {name} must be nonzero")
+            raise InvalidWeight(f"weight {name} must be nonzero")
     holes = [sq(h, h - 1) for h in range(1, n + 1) if h not in s]
     return full_weighted_rectangle(m, n, a, b, c, d).without_vertices(holes)
 

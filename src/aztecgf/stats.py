@@ -234,7 +234,7 @@ def vstat(tiling: Tiling) -> int:
     return downs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _flip_blocks(region: Region):
     """Masks (horizontal pair, vertical pair) for every 2x2 block in the region."""
     cells = region.cells
@@ -262,7 +262,7 @@ def elementary_moves(tiling: Tiling):
     return [Tiling(tiling.region, m) for m in sorted(out)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # each holds every tiling mask of its region
 def rank_distances(region: Region) -> dict:
     """BFS distances in the flip graph from the minimal tiling, by mask."""
     m, n, s = region.rect_params

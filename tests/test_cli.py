@@ -43,6 +43,8 @@ def test_genfun_json():
 def test_count_commands():
     assert run_cli("count", "--region", "rect", "--m", "3", "--n", "6", "--holes", "1,4,6").stdout == b"960\n"
     assert run_cli("count", "--region", "semihex", "--a", "3", "--b", "2", "--dents", "2,3,5").stdout == b"3\n"
+    assert run_cli("count", "--region", "semihex", "--a", "3", "--b", "2", "--dents", "2,3,5",
+                   "--method", "dp").stdout == b"3\n"
     assert run_cli("count", "--region", "aztec", "--order", "4", "--method", "dp").stdout == b"1024\n"
 
 
@@ -86,7 +88,7 @@ def test_bench_table():
     assert text.count("\n") == 4  # header plus one row per order
 
 
-def test_invalid_flags_exit_2():
+def test_invalid_flags_exit_2(tmp_path):
     assert run_cli("count", "--region", "rect", check=False).returncode == 2
     assert run_cli("genfun", "--m", "2", "--n", "2", check=False).returncode == 2
     assert run_cli("verify", "--suite", "nonsense", check=False).returncode == 2
@@ -96,6 +98,12 @@ def test_invalid_flags_exit_2():
     assert run_cli("count", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,9", check=False).returncode == 2
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
     assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
+    # unreadable serialized regions: missing, not JSON, unknown kind
+    (tmp_path / "bad.json").write_text("not json")
+    (tmp_path / "kind.json").write_text(json.dumps({"kind": "blob", "params": []}))
+    for name in ("missing.json", "bad.json", "kind.json"):
+        out = run_cli("render", "--in", str(tmp_path / name), check=False)
+        assert out.returncode == 2 and out.stderr.startswith(b"error: ")
 
 
 def test_verify_suite_exits_zero():

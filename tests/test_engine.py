@@ -17,15 +17,17 @@ from aztecgf.engine import (
     tiling_genfun_dp,
 )
 from aztecgf.errors import RegionTooWide
-from aztecgf.poly import LaurentPoly2
+from aztecgf.poly import LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
     WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
     dual_graph,
+    dw,
     semihexagon_with_dents,
     sq,
+    up,
 )
 
 
@@ -107,8 +109,15 @@ def test_dp_counts_diamonds():
 
 
 def test_dp_frontier_bound():
+    # the sweep order fixes the frontier width (n + 1 bits on an order-n
+    # diamond, a + 1 on an a-row semihexagon), so a region that is too wide
+    # is refused before any state is swept
     with pytest.raises(RegionTooWide):
-        tiling_genfun_dp(aztec_diamond(6), max_frontier=4)
+        tiling_genfun_dp(aztec_diamond(24))
+    with pytest.raises(RegionTooWide):
+        tiling_genfun_dp(semihexagon_with_dents(24, 1, tuple(range(2, 26))))
+    dents = tuple(x for x in range(1, 25) if x != 12)
+    assert tiling_genfun_dp(semihexagon_with_dents(23, 1, dents)) == falling_ratio(dents)
 
 
 def test_tiling_object_roundtrip():
@@ -134,16 +143,23 @@ def test_dp_equals_oracle_on_random_ragged_regions():
 
 @st.composite
 def ragged_regions(draw):
-    # a box of up to 5x6 cells with up to 8 cells cut out: odd, untileable
-    # and disconnected regions included
-    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    box = [(x, y) for x in range(w) for y in range(h)]
+    # a box of up to 5x6 squares, or a patch of up to 5 triangle rows, with
+    # up to 8 cells cut out: odd, untileable and disconnected regions included
+    if draw(st.booleans()):
+        w, h = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+        box = [sq(x, y) for x in range(w) for y in range(h)]
+        lattice = "square"
+    else:
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        box = [up(x, y) for y in range(1, h + 1) for x in range(1, w + y + 1)]
+        box += [dw(x, y) for y in range(1, h + 1) for x in range(1, w + y)]
+        lattice = "triangular"
     cut = draw(st.sets(st.sampled_from(box), max_size=8))
-    cells = frozenset(sq(x, y) for x, y in box if (x, y) not in cut)
-    return Region("square", ("ragged", cells), cells)
+    cells = frozenset(c for c in box if c not in cut)
+    return Region(lattice, ("ragged", cells), cells)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ragged_regions())
 def test_backtracker_equals_dp_on_random_ragged_regions(region):
     # the DP shares no code with the backtracking search

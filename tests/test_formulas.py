@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import NegativeExponent
+from aztecgf.errors import InvalidDents, NegativeExponent
 from aztecgf.formulas import (
     aztec_diamond_genfun,
     count_product,
@@ -74,6 +74,8 @@ def test_cspp_product_examples():
     q = LaurentPoly2.term(1, q=1)
     assert cspp_genfun_product((1, 3), 2) == q + q * q
     assert cspp_genfun_product((2,), 1) == q
+    with pytest.raises(InvalidDents):
+        cspp_genfun_product((1, 2), 3)
 
 
 def test_relation_examples():

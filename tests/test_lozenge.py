@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf.engine import count_tilings
+from aztecgf.engine import count_tilings, tiling_genfun_dp
 from aztecgf.errors import BijectionViolation
 from aztecgf.formulas import cspp_genfun_product
 from aztecgf.lozenge import (
@@ -53,7 +53,9 @@ def dents(draw):
 @given(dents())
 def test_semihexagon_count_equals_ratio_product_on_random_dents(case):
     a, b, s = case
-    assert count_tilings(semihexagon_with_dents(a, b, s)) == falling_ratio(s)
+    region = semihexagon_with_dents(a, b, s)
+    assert count_tilings(region) == falling_ratio(s)
+    assert tiling_genfun_dp(region) == falling_ratio(s)
 
 
 def test_enumerate_cspp_small():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidDents, InvalidHoles
+from aztecgf.errors import InvalidDents, InvalidHoles, InvalidRegionFile, InvalidWeight
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import (
     aztec_diamond,
@@ -104,6 +104,8 @@ def test_weighted_graph_single_diamond():
     a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
     g = weighted_ar_graph(1, 1, (1,), a, b, c, d)
     assert matching_genfun(g) == LaurentPoly2.const(a * d + b * c)
+    with pytest.raises(InvalidWeight):
+        weighted_ar_graph(1, 1, (1,), 0, b, c, d)
 
 
 def test_weighted_graph_all_ones_pure_q():
@@ -140,3 +142,5 @@ def test_region_json_roundtrip():
         semihexagon_with_dents(2, 1, (1, 3)),
     ):
         assert region_from_json(region.to_json_obj()) == region
+    with pytest.raises(InvalidRegionFile):
+        region_from_json({"kind": "blob", "params": []})
