@@ -28,7 +28,7 @@ from operator import add, mul, or_
 
 from .errors import RegionTooWide
 from .poly import LaurentPoly2
-from .regions import Region, WeightedGraph, cell_neighbors, sweep_key
+from .regions import Region, WeightedGraph, sweep_key
 
 MAX_FRONTIER = 24  # bits; 2^24 states of big-number polynomials is out of reach
 
@@ -208,17 +208,15 @@ def tiling_genfun_dp(region: Region, weight=None):
 
     nbr_earlier = [[] for _ in range(n)]  # (earlier position, weight)
     max_nbr = [-1] * n
-    cellset = region.cells
-    for k, c in enumerate(cells):
-        for d in cell_neighbors(c):
-            if d in cellset:
-                p = pos[d]
-                if p > max_nbr[k]:
-                    max_nbr[k] = p
-                if p < k:
-                    w = 1 if weight is None else weight(tuple(sorted((c, d))))
-                    nbr_earlier[k].append((p, w))
-        nbr_earlier[k].sort(key=lambda t: t[0])
+    for tile in region.all_dominoes:
+        p, k = pos[tile[0]], pos[tile[1]]
+        if p > k:
+            p, k = k, p
+        if k > max_nbr[p]:
+            max_nbr[p] = k
+        nbr_earlier[k].append((p, 1 if weight is None else weight(tile)))
+    for row in nbr_earlier:
+        row.sort(key=lambda t: t[0])
 
     last_mask = [0] * n  # bits of vertices whose final chance to match is cell k
     opened = [0] * n  # +1 where a cell joins the frontier, -1 where it must leave

@@ -96,9 +96,7 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
     entries at most m; the product form is q^D * prod (q^s_j - q^s_i)/(q^j -
     q^i) with D = sum(s_i - i).
     """
-    s = tuple(s)
-    if len(s) != m:
-        raise InvalidDents(f"need exactly m={m} positions, got {s}")
+    s = check_positions(m, max((m, *s)), s, InvalidDents)  # the positions have no upper bound
     return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s, 1)).require_polynomial()
 
 

@@ -176,15 +176,22 @@ class Region:
 
 
 def region_from_json(obj) -> Region:
-    kind = obj["kind"]
-    params = [tuple(p) if isinstance(p, list) else p for p in obj["params"]]
-    if kind == "aztec_diamond":
-        return aztec_diamond(*params)
-    if kind == "aztec_rectangle":
-        return aztec_rectangle_with_holes(*params)
-    if kind == "semihexagon":
-        return semihexagon_with_dents(*params)
-    raise InvalidRegionFile(f"unknown region kind {kind!r}")
+    """Rebuild a region from :meth:`Region.to_json_obj` output (only ``kind``
+    and ``params`` are read); a malformed object raises InvalidRegionFile."""
+    if not isinstance(obj, dict) or "kind" not in obj or not isinstance(obj.get("params"), list):
+        raise InvalidRegionFile("a region file must hold a JSON object with 'kind' and a 'params' list")
+    builders = {
+        "aztec_diamond": aztec_diamond,
+        "aztec_rectangle": aztec_rectangle_with_holes,
+        "semihexagon": semihexagon_with_dents,
+    }
+    kind, params = obj["kind"], [tuple(p) if isinstance(p, list) else p for p in obj["params"]]
+    if not isinstance(kind, str) or kind not in builders:
+        raise InvalidRegionFile(f"unknown region kind {kind!r}")
+    try:
+        return builders[kind](*params)
+    except TypeError as exc:  # wrong number or type of parameters
+        raise InvalidRegionFile(f"bad parameters {obj['params']!r} for region kind {kind!r}: {exc}") from None
 
 
 def cell_neighbors(c: Cell):
@@ -395,12 +402,7 @@ def dual_graph(region: Region) -> WeightedGraph:
     For Aztec regions the ordered southeast-side cells are recorded as the
     marked list (the bottommost vertices of the rotated drawing).
     """
-    cells = region.cells
-    edges = {}
-    for c in region.sorted_cells:
-        for d in cell_neighbors(c):
-            if d in cells and c < d:
-                edges[(c, d)] = LaurentPoly2.one()
+    edges = {domino: LaurentPoly2.one() for domino in region.all_dominoes}
     return WeightedGraph(region.sorted_cells, edges, marked=region.se_side)
 
 

@@ -1,21 +1,23 @@
 """Matching-preserving graph rewrites and the rectangle-to-semihexagon pipeline.
 
-Every rewrite returns a fresh graph together with any multiplicative factor
-it produces, so a chain of rewrites accumulates an ordinary product:
+Every rewrite applies a whole batch of local moves, builds one fresh graph
+and returns it with any multiplicative factor the batch produces, so a chain
+of rewrites accumulates an ordinary product:
 
-* ``vertex_split``:   M(result) = M(g)
-* ``star_scale``:     M(result) = factor * M(g)
-* ``spider_replace``: M(g) = delta * M(result)   (urban renewal)
-* ``remove_forced``:  M(g) = factor * M(result)
+* ``vertex_split(g, splits)``:     M(result) = M(g)
+* ``star_scale(g, factors)``:      M(result) = (product of factors) * M(g)
+* ``spider_replace(g, patterns)``: M(g) = (product of deltas) * M(result)   (urban renewal)
+* ``remove_forced(g)``:            M(g) = factor * M(result)
 
 The pipeline at the bottom peels a weighted Aztec rectangle graph one
-diamond row at a time: split every face corner, renew every face, trim the
-forced boundary chains, then rescale the surviving column vertices back to
-canonical weights.  Renewal divides weights by delta = x*z + y*t, which for
-rows past the first is a genuine binomial in q, so mid-round weights live in
-:class:`FracWeight` (a quotient of Laurent polynomials); the round's star
-rescalings clear every denominator, and the result is asserted to be
-polynomial again before the next round.  The accumulated factor reduces to
+diamond row at a time, each round one call per step: split every face
+corner, renew every face, trim the forced boundary chains, then rescale the
+surviving column vertices back to canonical weights.  Renewal divides
+weights by delta = x*z + y*t, which for rows past the first is a genuine
+binomial in q, so mid-round weights live in :class:`FracWeight` (a quotient
+of Laurent polynomials); the round's star rescalings clear every
+denominator, and the result is asserted to be polynomial again before the
+next round.  The accumulated factor reduces to
 q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1) with Delta_k = a*d*q^(k-1) + b*c,
 and the final graph has the matching generating function of the weighted
 dented semihexagon, both of which the acceptance suite asserts.
@@ -139,44 +141,52 @@ def _wdiv(wnum, wden):
 # elementary rewrites
 
 
-def vertex_split(graph: WeightedGraph, v, half, rest) -> WeightedGraph:
-    """Replace v by v' (keeping edges to ``half``), v'' (edges to ``rest``)
-    and a middle vertex x adjacent to both by weight-1 edges; M is unchanged.
+def vertex_split(graph: WeightedGraph, splits) -> WeightedGraph:
+    """Split every v in ``splits`` (v -> (half, rest)) at once; M is unchanged.
 
-    ``half`` and ``rest`` must partition the neighborhood of v; ``rest`` may
-    be empty, in which case v'' dangles from x.
+    Each v becomes v' (keeping its edges to ``half``), v'' (its edges to
+    ``rest``) and a middle vertex x adjacent to both by weight-1 edges.
+    Neighbors are named by their labels in ``graph``; ``half`` and ``rest``
+    must partition the neighborhood of v, and ``rest`` may be empty, in which
+    case v'' dangles from x.  The v'' and x vertices are appended in the
+    iteration order of ``splits``.
     """
-    half, rest = set(half), set(rest)
-    nbrs = set(graph.neighbors(v))
-    if half | rest != nbrs or half & rest:
-        raise InvalidPartition(f"sets do not partition the neighborhood of {v!r}")
-    vh, vk, x = ("vh", v), ("vk", v), ("x", v)
-    verts = [vh if u == v else u for u in graph.vertices] + [vk, x]
-    edges = {}
-    for (a_, b_), w in graph.edge_items():
-        if v in (a_, b_):
-            other = b_ if a_ == v else a_
-            edges[(vh if other in half else vk, other)] = w
-        else:
-            edges[(a_, b_)] = w
-    edges[(vh, x)] = LaurentPoly2.one()
-    edges[(vk, x)] = LaurentPoly2.one()
-    marked = tuple(u for u in graph.marked if u != v)
+    halves = {}
+    for v, (half, rest) in splits.items():
+        half, rest = set(half), set(rest)
+        if half | rest != set(graph.neighbors(v)) or half & rest:
+            raise InvalidPartition(f"sets do not partition the neighborhood of {v!r}")
+        halves[v] = half
+
+    def end(v, other):  # the label of v's copy that keeps the edge to ``other``
+        return v if v not in halves else ("vh" if other in halves[v] else "vk", v)
+
+    verts = [("vh", u) if u in halves else u for u in graph.vertices]
+    edges = {(end(a_, b_), end(b_, a_)): w for (a_, b_), w in graph.edge_items()}
+    for v in halves:
+        verts += [("vk", v), ("x", v)]
+        edges[(("vh", v), ("x", v))] = LaurentPoly2.one()
+        edges[(("vk", v), ("x", v))] = LaurentPoly2.one()
+    marked = tuple(u for u in graph.marked if u not in halves)
     return WeightedGraph(verts, edges, marked)
 
 
-def star_scale(graph: WeightedGraph, v, factor) -> WeightedGraph:
-    """Multiply every edge at v by ``factor``; M(result) = factor * M(graph).
+def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
+    """Multiply every edge at each v in ``factors`` (v -> factor) by its
+    factor; M(result) = (product of the factors) * M(graph).
 
-    ``factor`` may be any nonzero rational or Laurent polynomial (the
-    underlying identity holds for any invertible weight).
+    A factor may be any nonzero rational or Laurent polynomial (the
+    underlying identity holds for any invertible weight); an edge between
+    two scaled vertices takes both factors.
     """
-    nonzero = bool(factor) if isinstance(factor, (FracWeight, LaurentPoly2)) else bool(as_poly(factor))
-    if not nonzero:
+    if not all(factors.values()):
         raise ValueError("scale factor must be nonzero")
     edges = {}
     for (a_, b_), w in graph.edge_items():
-        edges[(a_, b_)] = w * factor if v in (a_, b_) else w
+        for v in (a_, b_):
+            if v in factors:
+                w = w * factors[v]
+        edges[(a_, b_)] = w
     return WeightedGraph(graph.vertices, edges, graph.marked)
 
 
@@ -190,48 +200,48 @@ class SpiderPattern:
     inner: tuple
 
 
-def spider_replace(graph: WeightedGraph, pattern: SpiderPattern):
-    """Urban renewal: collapse the inner 4-cycle onto the outer plugs.
+def spider_replace(graph: WeightedGraph, patterns):
+    """Urban renewal at every site in ``patterns`` at once.
 
-    With inner cycle weights x = w(i0,i1), y = w(i1,i2), z = w(i2,i3),
-    t = w(i3,i0), the inner vertices disappear and the outer cycle gains
-    edges z/delta, t/delta, x/delta, y/delta (each new edge takes the
-    opposite old weight), where delta = x*z + y*t.  Returns (new graph,
-    delta); M(old) = delta * M(new).
+    At each site, with inner cycle weights x = w(i0,i1), y = w(i1,i2),
+    z = w(i2,i3), t = w(i3,i0), the inner vertices disappear and the outer
+    cycle gains edges z/delta, t/delta, x/delta, y/delta (each new edge takes
+    the opposite old weight), where delta = x*z + y*t.  Sites may share outer
+    plugs but no inner vertex, and no two may add the same edge.  Returns
+    (new graph, product of the deltas); M(old) = product * M(new).
     """
-    outer, inner = pattern.outer, pattern.inner
-    if len(outer) != 4 or len(inner) != 4 or len(set(outer) | set(inner)) != 8:
-        raise PatternMismatch("need 8 distinct vertices")
     one = LaurentPoly2.one()
-    for o, i in zip(outer, inner):
-        if not graph.has_edge(o, i) or graph.weight(o, i) != one:
-            raise PatternMismatch(f"missing weight-1 leg {o!r} - {i!r}")
-    cyc = []
-    for k in range(4):
-        u, v = inner[k], inner[(k + 1) % 4]
-        if not graph.has_edge(u, v):
-            raise PatternMismatch(f"missing inner cycle edge {u!r} - {v!r}")
-        cyc.append(graph.weight(u, v))
-    for i, o in zip(inner, outer):
-        if set(graph.neighbors(i)) != {o, inner[(inner.index(i) + 1) % 4], inner[(inner.index(i) - 1) % 4]}:
-            raise PatternMismatch(f"inner vertex {i!r} has outside neighbors")
-    x, y, z, t = cyc
-    delta = x * z + y * t
-    if not delta:
-        raise ZeroDelta("x*z + y*t = 0")
-    new_edges = {
-        (outer[0], outer[1]): _wdiv(z, delta),
-        (outer[1], outer[2]): _wdiv(t, delta),
-        (outer[2], outer[3]): _wdiv(x, delta),
-        (outer[3], outer[0]): _wdiv(y, delta),
-    }
-    for (u, v) in new_edges:
-        if graph.has_edge(u, v):
-            raise PatternMismatch(f"replacement edge {u!r} - {v!r} already exists")
-    g = graph.without_vertices(inner)
+    new_edges = {}
+    product = one
+    for pattern in patterns:
+        outer, inner = pattern.outer, pattern.inner
+        if len(outer) != 4 or len(inner) != 4 or len(set(outer) | set(inner)) != 8:
+            raise PatternMismatch("need 8 distinct vertices")
+        for o, i in zip(outer, inner):
+            if not graph.has_edge(o, i) or graph.weight(o, i) != one:
+                raise PatternMismatch(f"missing weight-1 leg {o!r} - {i!r}")
+        for k, (i, o) in enumerate(zip(inner, outer)):
+            if set(graph.neighbors(i)) != {o, inner[(k + 1) % 4], inner[k - 1]}:
+                raise PatternMismatch(f"inner vertex {i!r} must neighbor exactly {o!r} and its cycle neighbors")
+        x, y, z, t = (graph.weight(inner[k], inner[(k + 1) % 4]) for k in range(4))
+        delta = x * z + y * t
+        if not delta:
+            raise ZeroDelta("x*z + y*t = 0")
+        for k, w in enumerate((z, t, x, y)):
+            u, v = outer[k], outer[(k + 1) % 4]
+            if graph.has_edge(u, v):
+                raise PatternMismatch(f"replacement edge {u!r} - {v!r} already exists")
+            if (u, v) in new_edges or (v, u) in new_edges:
+                raise PatternMismatch(f"two patterns add the edge {u!r} - {v!r}")
+            new_edges[(u, v)] = _wdiv(w, delta)
+        product = product * delta
+    inner_all = [i for p in patterns for i in p.inner]
+    if len(set(inner_all)) != len(inner_all) or set(inner_all) & {o for p in patterns for o in p.outer}:
+        raise PatternMismatch("an inner vertex belongs to more than one pattern")
+    g = graph.without_vertices(inner_all)
     edges = g.edge_dict()
     edges.update(new_edges)
-    return WeightedGraph(g.vertices, edges, g.marked), delta
+    return WeightedGraph(g.vertices, edges, g.marked), product
 
 
 def remove_forced(graph: WeightedGraph, weight_one_only: bool = False):
@@ -400,52 +410,42 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
             edges[(sq(h, h - 1), peg)] = LaurentPoly2.one()
     g = WeightedGraph(verts, edges)
 
-    faces = {key: list(quad) for key, quad in ar_face_cells(m, n).items()}
+    faces = ar_face_cells(m, n)
     factor = FracWeight.one()
     spiders = 0
     for r in range(1, m + 1):
         mu, nu = m - r + 1, n - r + 1
-        orig = {key: tuple(quad) for key, quad in faces.items()}
-        corner_owner = {}
-        for key in sorted(faces):
-            for ci, v in enumerate(faces[key]):
-                corner_owner.setdefault(v, []).append((key, ci))
-        order = sorted(corner_owner, key=lambda u: g.index[u])
-        xlab = {}
-        for v in order:
-            memb = corner_owner[v]
-            fkey, ci = memb[0]
-            quad = faces[fkey]
-            half = {quad[(ci + 1) % 4], quad[(ci - 1) % 4]}
-            rest = set(g.neighbors(v)) - half
-            g = vertex_split(g, v, half, rest)
-            xlab[v] = ("x", v)
-            faces[fkey][ci] = ("vh", v)
-            for k2, c2 in memb[1:]:
-                faces[k2][c2] = ("vk", v)
-        for key in sorted(faces):
-            inner = tuple(faces[key])
-            outer = tuple(xlab[v] for v in orig[key])
-            g, delta = spider_replace(g, SpiderPattern(outer, inner))
-            factor = factor * delta
-            spiders += 1
+        # corner -> (face, corner index) in the first sorted face holding it: the reversed sweep lets it win
+        first_face = {v: (key, ci) for key in sorted(faces, reverse=True) for ci, v in enumerate(faces[key])}
+        splits = {}
+        for v in g.vertices:
+            if v in first_face:
+                key, ci = first_face[v]
+                half = {faces[key][(ci + 1) % 4], faces[key][ci - 1]}
+                splits[v] = (half, set(g.neighbors(v)) - half)
+        g = vertex_split(g, splits)
+        patterns = [SpiderPattern(tuple(("x", v) for v in quad),
+                                  tuple(("vh" if first_face[v] == (key, ci) else "vk", v) for ci, v in enumerate(quad)))
+                    for key, quad in sorted(faces.items())]
+        g, delta = spider_replace(g, patterns)
+        factor = factor * delta
+        spiders += len(patterns)
         g, forced = remove_forced(g, weight_one_only=True)
         factor = factor * forced
         delta_r = LaurentPoly2.term(a * d, q=r - 1) + LaurentPoly2.const(b * c)
-        for i in range(1, mu + 1):
-            for j in range(1, nu):
-                v = xlab[orig[(i, j)][2]]  # east corner of face (i, j)
-                lam = LaurentPoly2.term(1, q=i + j + r - 2) * delta_r
-                g = star_scale(g, v, lam)
-                factor = factor / lam
+        scales = {("x", faces[(i, j)][2]): LaurentPoly2.term(1, q=i + j + r - 2) * delta_r  # east corners
+                  for i in range(1, mu + 1) for j in range(1, nu)}
+        g = star_scale(g, scales)
+        for lam in scales.values():
+            factor = factor / lam
         g = g.map_weights(lambda w: w.to_poly() if isinstance(w, FracWeight) else w)
         faces = {
-            (bi, bj): [
-                xlab[orig[(bi, bj)][3]],      # west  <- x of the north corner
-                xlab[orig[(bi, bj)][2]],      # south <- x of the east corner
-                xlab[orig[(bi, bj + 1)][3]],  # east  <- x of the next north corner
-                xlab[orig[(bi + 1, bj)][2]],  # north <- x of the upper east corner
-            ]
+            (bi, bj): (
+                ("x", faces[(bi, bj)][3]),      # west  <- x of the north corner
+                ("x", faces[(bi, bj)][2]),      # south <- x of the east corner
+                ("x", faces[(bi, bj + 1)][3]),  # east  <- x of the next north corner
+                ("x", faces[(bi + 1, bj)][2]),  # north <- x of the upper east corner
+            )
             for bi in range(1, mu)
             for bj in range(1, nu)
         }

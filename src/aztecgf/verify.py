@@ -255,7 +255,7 @@ def suite_rewrite(cases: int = 50):
         v = rng.choice(g.vertices)
         nbrs = sorted(g.neighbors(v))
         half = {u for u in nbrs if rng.random() < 0.5}
-        split = rewrite.vertex_split(g, v, half, set(nbrs) - half)
+        split = rewrite.vertex_split(g, {v: (half, set(nbrs) - half)})
         ok = matching_genfun(split) == matching_genfun(g)
         ok_all = ok_all and ok
         yield f"rewrite vertex_split case {case:02d}", ok
@@ -263,14 +263,14 @@ def suite_rewrite(cases: int = 50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
         factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = rewrite.star_scale(g, v, factor)
+        scaled = rewrite.star_scale(g, {v: factor})
         yield (
             f"rewrite star_scale case {case:02d}",
             matching_genfun(scaled) == matching_genfun(g) * factor,
         )
     for case in range(cases):
         g, pattern = _random_spider_host(rng)
-        replaced, delta = rewrite.spider_replace(g, pattern)
+        replaced, delta = rewrite.spider_replace(g, [pattern])
         yield (
             f"rewrite spider case {case:02d}",
             matching_genfun(g) == delta * matching_genfun(replaced),

@@ -101,7 +101,13 @@ def test_invalid_flags_exit_2(tmp_path):
     # unreadable serialized regions: missing, not JSON, unknown kind
     (tmp_path / "bad.json").write_text("not json")
     (tmp_path / "kind.json").write_text(json.dumps({"kind": "blob", "params": []}))
-    for name in ("missing.json", "bad.json", "kind.json"):
+    (tmp_path / "nokind.json").write_text(json.dumps({"params": []}))
+    (tmp_path / "noparams.json").write_text(json.dumps({"kind": "aztec_diamond"}))
+    (tmp_path / "array.json").write_text(json.dumps([1, 2]))
+    (tmp_path / "arity.json").write_text(json.dumps({"kind": "aztec_diamond", "params": [1, 2]}))
+    (tmp_path / "type.json").write_text(json.dumps({"kind": "aztec_rectangle", "params": [2, 3, 5]}))
+    for name in ("missing.json", "bad.json", "kind.json", "nokind.json", "noparams.json", "array.json",
+                 "arity.json", "type.json"):
         out = run_cli("render", "--in", str(tmp_path / name), check=False)
         assert out.returncode == 2 and out.stderr.startswith(b"error: ")
 

@@ -76,6 +76,10 @@ def test_cspp_product_examples():
     assert cspp_genfun_product((2,), 1) == q
     with pytest.raises(InvalidDents):
         cspp_genfun_product((1, 2), 3)
+    with pytest.raises(InvalidDents):
+        cspp_genfun_product((2, 1), 2)
+    with pytest.raises(InvalidDents):
+        cspp_genfun_product((0, 1), 2)
 
 
 def test_relation_examples():

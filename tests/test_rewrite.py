@@ -26,6 +26,7 @@ from aztecgf.rewrite import (
     star_scale,
     vertex_split,
 )
+from aztecgf.verify import _random_graph, _random_weight
 
 ONE = LaurentPoly2.one()
 
@@ -52,7 +53,7 @@ def spider_host(x, y, z, t):
 
 def test_vertex_split_single_edge():
     g = WeightedGraph([0, 1], {(0, 1): LaurentPoly2.const(7)})
-    split = vertex_split(g, 0, {1}, set())
+    split = vertex_split(g, {0: ({1}, set())})
     assert matching_genfun(split) == matching_genfun(g)
     # empty "rest" side leaves v'' dangling from x
     assert split.degree(("vk", 0)) == 1
@@ -61,26 +62,26 @@ def test_vertex_split_single_edge():
 def test_vertex_split_bad_partition():
     g = WeightedGraph([0, 1, 2], {(0, 1): ONE, (0, 2): ONE})
     with pytest.raises(InvalidPartition):
-        vertex_split(g, 0, {1}, set())
+        vertex_split(g, {0: ({1}, set())})
     with pytest.raises(InvalidPartition):
-        vertex_split(g, 0, {1, 2}, {2})
+        vertex_split(g, {0: ({1, 2}, {2})})
 
 
 def test_star_scale():
     g = WeightedGraph([0, 1], {(0, 1): LaurentPoly2.const(5)})
-    assert matching_genfun(star_scale(g, 0, 1)) == matching_genfun(g)
-    assert matching_genfun(star_scale(g, 0, 3)) == LaurentPoly2.const(15)
-    scaled = star_scale(g, 1, LaurentPoly2.term(1, q=2))
+    assert matching_genfun(star_scale(g, {0: 1})) == matching_genfun(g)
+    assert matching_genfun(star_scale(g, {0: 3})) == LaurentPoly2.const(15)
+    scaled = star_scale(g, {1: LaurentPoly2.term(1, q=2)})
     assert matching_genfun(scaled) == LaurentPoly2.term(5, q=2)
 
 
 def test_spider_delta_values():
     g, pattern = spider_host(1, 1, 1, 1)
-    replaced, delta = spider_replace(g, pattern)
+    replaced, delta = spider_replace(g, [pattern])
     assert delta == LaurentPoly2.const(2)
     assert matching_genfun(g) == delta * matching_genfun(replaced)
     g, pattern = spider_host(1, 2, 3, 4)
-    replaced, delta = spider_replace(g, pattern)
+    replaced, delta = spider_replace(g, [pattern])
     assert delta == LaurentPoly2.const(11)
     assert matching_genfun(g) == delta * matching_genfun(replaced)
     # each new edge takes the opposite old weight over delta
@@ -91,11 +92,11 @@ def test_spider_delta_values():
 def test_spider_zero_delta_and_mismatch():
     g, pattern = spider_host(1, 1, -1, 1)
     with pytest.raises(ZeroDelta):
-        spider_replace(g, pattern)
+        spider_replace(g, [pattern])
     g, pattern = spider_host(1, 1, 1, 1)
     bad = SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "A2"))
     with pytest.raises(PatternMismatch):
-        spider_replace(g, bad)
+        spider_replace(g, [bad])
 
 
 def test_remove_forced():
@@ -180,3 +181,97 @@ def test_pipeline_diamond_degenerates_to_empty_graph():
     res = reduce_rectangle_to_semihexagon(1, 1, (1,), 1, 1, 1, 1)
     assert res.factor == LaurentPoly2.const(2)
     assert matching_genfun(res.graph) == LaurentPoly2.one()
+
+
+def _original(label):
+    """The vertex of the input graph behind a split copy ("vh"/"vk", v)."""
+    return label[1] if isinstance(label, tuple) else label
+
+
+def _spider_sites(rng, count):
+    """A random graph with ``count`` renewal sites whose plug rings share no edge."""
+    base = _random_graph(rng, 8)
+    verts, edges, patterns, rings = list(base.vertices), base.edge_dict(), [], set()
+    while len(patterns) < count:
+        outer = rng.sample(base.vertices, 4)
+        ring = [(outer[k], outer[(k + 1) % 4]) for k in range(4)]
+        if rings & {frozenset(e) for e in ring}:
+            continue
+        rings |= {frozenset(e) for e in ring}
+        inner = [("inner", len(patterns), k) for k in range(4)]
+        verts += inner
+        for u, v in ring:
+            edges.pop((u, v), None)
+            edges.pop((v, u), None)
+        for k in range(4):
+            edges[(outer[k], inner[k])] = ONE
+            edges[(inner[k], inner[(k + 1) % 4])] = _random_weight(rng)
+        patterns.append(SpiderPattern(tuple(outer), tuple(inner)))
+    return WeightedGraph(verts, edges), patterns
+
+
+def test_batched_rewrites_equal_one_at_a_time():
+    rng = random.Random(2718281)
+    for _ in range(6):
+        g = _random_graph(rng, rng.randrange(6, 11, 2))
+        splits = {}
+        for v in rng.sample(g.vertices, rng.randint(2, 4)):
+            half = {u for u in g.neighbors(v) if rng.random() < 0.5}
+            splits[v] = (half, set(g.neighbors(v)) - half)
+        one_by_one = g
+        for v, (half, _) in splits.items():
+            nbrs = set(one_by_one.neighbors(v))
+            cur = {u for u in nbrs if _original(u) in half}
+            one_by_one = vertex_split(one_by_one, {v: (cur, nbrs - cur)})
+        batched = vertex_split(g, splits)
+        assert batched == one_by_one and batched.vertices == one_by_one.vertices
+        assert matching_genfun(batched) == matching_genfun(one_by_one) == matching_genfun(g)
+
+        factors = {v: _random_weight(rng) for v in rng.sample(g.vertices, rng.randint(2, 4))}
+        one_by_one = g
+        for v, factor in factors.items():
+            one_by_one = star_scale(one_by_one, {v: factor})
+        batched = star_scale(g, factors)
+        assert batched == one_by_one
+        assert matching_genfun(batched) == matching_genfun(one_by_one)
+
+        host, patterns = _spider_sites(rng, rng.randint(2, 4))
+        one_by_one, product = host, ONE
+        for pattern in patterns:
+            one_by_one, delta = spider_replace(one_by_one, [pattern])
+            product = product * delta
+        batched, batched_product = spider_replace(host, patterns)
+        assert batched == one_by_one and batched_product == product
+        assert matching_genfun(batched) == matching_genfun(one_by_one)
+        assert matching_genfun(host) == product * matching_genfun(batched)
+
+
+def test_spider_patterns_must_not_interfere():
+    g, first = spider_host(1, 2, 3, 4)
+    # a second site on the same plugs would add the edges A-B, ..., D-A again
+    verts = list(g.vertices) + ["ja", "jb", "jc", "jd"]
+    edges = g.edge_dict()
+    for o, i in zip("ABCD", ("ja", "jb", "jc", "jd")):
+        edges[(o, i)] = ONE
+    for k, (u, v) in enumerate((("ja", "jb"), ("jb", "jc"), ("jc", "jd"), ("jd", "ja"))):
+        edges[(u, v)] = LaurentPoly2.const(k + 1)
+    twin = SpiderPattern(first.outer, ("ja", "jb", "jc", "jd"))
+    doubled = WeightedGraph(verts, edges)
+    for pattern in (first, twin):
+        spider_replace(doubled, [pattern])
+    with pytest.raises(PatternMismatch):
+        spider_replace(doubled, [first, twin])
+    # a site whose plug "ia" is the first site's inner vertex and whose inner
+    # ring runs through the first site's plug "A"
+    verts = list(g.vertices) + ["p", "r", "s", "P", "R", "S"]
+    edges = g.edge_dict()
+    del edges[("A", "A2")]
+    verts.remove("A2")
+    edges.update({("A", "p"): ONE, ("p", "r"): ONE, ("r", "s"): ONE, ("s", "A"): ONE,
+                  ("p", "P"): ONE, ("r", "R"): ONE, ("s", "S"): ONE})
+    nested = SpiderPattern(("ia", "P", "R", "S"), ("A", "p", "r", "s"))
+    crossed = WeightedGraph(verts, edges)
+    for pattern in (first, nested):
+        spider_replace(crossed, [pattern])
+    with pytest.raises(PatternMismatch):
+        spider_replace(crossed, [first, nested])
