@@ -77,7 +77,7 @@ def build_parser():
     p.add_argument("--format", choices=("svg", "ascii"), default="svg")
     p.add_argument("--out", help="output file (stdout when omitted)")
 
-    p = sub.add_parser("bench", help="time the DP against brute-force enumeration")
+    p = sub.add_parser("bench", help="time the count DP against brute force, and the weighted DP")
     p.add_argument("--order", type=int, required=True)
     return parser
 
@@ -172,7 +172,8 @@ def cmd_render(args, parser):
 
 
 def cmd_bench(args):
-    print(f"{'order':>5}  {'dp count':>28}  {'dp ms':>10}  {'brute ms':>10}")
+    stats._ensure_calibrated()
+    print(f"{'order':>5}  {'dp count':>28}  {'dp ms':>10}  {'brute ms':>10}  {'weighted ms':>11}")
     for n in range(1, args.order + 1):
         region = aztec_diamond(n)
         t0 = time.perf_counter()
@@ -185,7 +186,14 @@ def cmd_bench(args):
             assert brute == count
         else:
             brute_ms = f"{'-':>10}"
-        print(f"{n:>5}  {count:>28}  {dp_ms:10.2f}  {brute_ms}")
+        if n <= 8:
+            t0 = time.perf_counter()
+            weighted = stats.genfun_via_weights(n, n, range(1, n + 1))
+            weighted_ms = f"{(time.perf_counter() - t0) * 1000:11.2f}"
+            assert weighted == formulas.aztec_diamond_genfun(n)
+        else:
+            weighted_ms = f"{'-':>11}"
+        print(f"{n:>5}  {count:>28}  {dp_ms:10.2f}  {brute_ms}  {weighted_ms}")
     return 0
 
 

@@ -16,21 +16,25 @@ pending cells stays about one diagonal wide: n + 1 bits on an order-n Aztec
 diamond (which makes order 12 instant) and at most a + 1 bits on an a-row
 semihexagon.  A bounding-box column sweep would be correct too, but its
 profile is as wide as the region is tall (24 bits at order 12), out of reach
-for an exact big-number DP.  The sweep order fixes the frontier width, so it
-is computed up front and a region wider than ``MAX_FRONTIER`` bits is
-refused before any state is swept.
+for an exact DP whose every state holds a polynomial.  The sweep order fixes
+the frontier width, so it is computed up front and a region wider than
+``MAX_FRONTIER`` bits is refused before any state is swept.  Weighted sweeps
+keep each state's polynomial Kronecker-packed (:class:`~aztecgf.poly.PackedPoly`):
+a monomial weight only updates the value's pending shift, and two states
+that merge cost one shift and one integer add per power of t.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from math import lcm
 from operator import add, mul, or_
 
-from .errors import RegionTooWide
-from .poly import LaurentPoly2
+from .errors import InvalidWeight, RegionTooWide
+from .poly import LaurentPoly2, PackedPoly, as_poly, packed_weight, slot_bits
 from .regions import Region, WeightedGraph, sweep_key
 
-MAX_FRONTIER = 24  # bits; 2^24 states of big-number polynomials is out of reach
+MAX_FRONTIER = 24  # bits; 2^24 states of packed polynomials is out of reach
 
 
 class Tiling:
@@ -189,32 +193,41 @@ def tiling_genfun_dp(region: Region, weight=None):
     """Generating function of all tilings with per-tile weights, by DP.
 
     ``weight`` maps a tile (an ordered cell pair from the region's pool) to
-    a weight; ``None`` counts tilings with integer arithmetic.  Cells are
+    an int, a ``Fraction`` or a ``LaurentPoly2`` with non-negative
+    coefficients; ``None`` counts tilings with integer arithmetic.  Cells are
     swept in :func:`~aztecgf.regions.sweep_key` order on either lattice.  The
     state is the set of swept cells still awaiting a partner, encoded as a
     bit profile; cells outside the region never enter the sweep, which is
     how ragged boundaries are handled.  Raises :class:`RegionTooWide` before
-    sweeping when the profile could exceed ``MAX_FRONTIER`` bits.
+    sweeping when the profile could exceed ``MAX_FRONTIER`` bits, and
+    :class:`InvalidWeight` for a weight with a negative coefficient.
+
+    A weighted sweep runs on :class:`~aztecgf.poly.PackedPoly` values, which
+    take Laurent exponents as they come.  Every tiling has ``len(cells) / 2``
+    tiles, so one common denominator L makes all coefficients integers and
+    the result is divided by L^(len(cells) / 2) on decoding.  The slot width
+    comes from a first, integer sweep with every weight at q = t = 1, whose
+    value bounds every coefficient of the result.
 
     The result is exactly ``matching_genfun(dual_graph(region))`` with the
     matching edge weights; the acceptance suite asserts that equality.
     """
-    zero, one = (0, 1) if weight is None else (LaurentPoly2.zero(), LaurentPoly2.one())
     cells = sorted(region.cells, key=sweep_key)
     n = len(cells)
     if n % 2:
-        return zero
+        return 0 if weight is None else LaurentPoly2.zero()
     pos = {c: k for k, c in enumerate(cells)}
+    tiles = region.all_dominoes
 
-    nbr_earlier = [[] for _ in range(n)]  # (earlier position, weight)
+    nbr_earlier = [[] for _ in range(n)]  # (earlier position, tile index)
     max_nbr = [-1] * n
-    for tile in region.all_dominoes:
+    for i, tile in enumerate(tiles):
         p, k = pos[tile[0]], pos[tile[1]]
         if p > k:
             p, k = k, p
         if k > max_nbr[p]:
             max_nbr[p] = k
-        nbr_earlier[k].append((p, 1 if weight is None else weight(tile)))
+        nbr_earlier[k].append((p, i))
     for row in nbr_earlier:
         row.sort(key=lambda t: t[0])
 
@@ -229,10 +242,39 @@ def tiling_genfun_dp(region: Region, weight=None):
     if width > MAX_FRONTIER:
         raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
 
+    def sweep(weights, one):
+        return _sweep(nbr_earlier, last_mask, max_nbr, weights, one)
+
+    if weight is None:
+        return sweep([1] * len(tiles), 1) or 0
+
+    polys = []
+    for tile in tiles:
+        w = as_poly(weight(tile))
+        if any(c.numerator < 0 for _, c in w.sorted_terms()):
+            raise InvalidWeight(f"weight of tile {tile} has a negative coefficient")
+        polys.append(w)
+    den = lcm(*(c.denominator for w in polys for _, c in w.sorted_terms()))
+    total = sweep([sum(c.numerator * den // c.denominator for _, c in w.sorted_terms())
+                   for w in polys], 1)
+    if not total:
+        return LaurentPoly2.zero()
+    bits = slot_bits(total)
+    packed = [packed_weight(w, bits, den) for w in polys]
+    return sweep(packed, PackedPoly.one()).decode(bits, den ** (n // 2))
+
+
+def _sweep(nbr_earlier, last_mask, max_nbr, weights, one):
+    """The frontier sweep itself; ``weights[i]`` multiplies tile ``i``.
+
+    Returns the value of the empty final profile, or None when no tiling
+    reaches it.
+    """
     states = {0: one}
-    for k in range(n):
+    for k, nbrs in enumerate(nbr_earlier):
         if not states:
             break
+        nbrs = [(p, weights[i]) for p, i in nbrs]
         nxt = {}
         lm = last_mask[k]
         bit_k = 1 << k
@@ -243,20 +285,19 @@ def tiling_genfun_dp(region: Region, weight=None):
                 if req & (req - 1):
                     continue  # two pending cells both need k: dead branch
                 p = req.bit_length() - 1
-                for pp, w in nbr_earlier[k]:
+                for pp, w in nbrs:
                     if pp == p:
                         _acc(nxt, s ^ req, val * w)
                         break
             else:
-                for p, w in nbr_earlier[k]:
+                for p, w in nbrs:
                     pb = 1 << p
                     if s & pb:
                         _acc(nxt, s ^ pb, val * w)
                 if can_defer:
                     _acc(nxt, s | bit_k, val)
         states = nxt
-
-    return states.get(0, zero)
+    return states.get(0)
 
 
 def _acc(d, key, val):

@@ -35,7 +35,8 @@ class InvalidDents(AztecError, ValueError):
 
 
 class InvalidWeight(AztecError, ValueError):
-    """A face weight of the weighted rectangle graph is zero."""
+    """A face weight of the weighted rectangle graph is zero, or a DP tile
+    weight has a negative coefficient."""
 
 
 class InvalidRegionFile(AztecError, ValueError):
@@ -48,6 +49,10 @@ class InconsistentBoundary(AztecError):
 
 class RegionTooWide(AztecError):
     """The dynamic-programming frontier exceeded the configured width bound."""
+
+
+class TooManyTilings(AztecError):
+    """A region has more tilings than brute-force enumeration is allowed to visit."""
 
 
 class ConstructionFailed(AztecError):

@@ -11,7 +11,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidDents, InvalidHoles
-from .poly import LaurentPoly2, as_poly, falling_ratio, q_ratio_product
+from .poly import (
+    LaurentPoly2,
+    PackedPoly,
+    as_poly,
+    falling_ratio,
+    packed_weight,
+    q_ratio_packed,
+    q_ratio_product,
+    slot_bits,
+)
 from .regions import aztec_rectangle_with_holes, check_positions, semihexagon_with_dents
 
 
@@ -46,11 +55,24 @@ def prefactor_exponent(m: int, s) -> int:
 def aztec_diamond_genfun(n: int) -> LaurentPoly2:
     """prod_{k=0}^{n-1} (1 + t*q^(2k+1))^(n-k), the order-n diamond's F(q, t).
 
-    At q = t = 1 this is 2^(n(n+1)/2), the plain tiling count.
+    At q = t = 1 this is 2^(n(n+1)/2), the plain tiling count, which bounds
+    every coefficient and so fixes the packed slot width.
     """
-    out = LaurentPoly2.one()
+    bits = slot_bits(2 ** (n * (n + 1) // 2))
+    return _diamond_product(n, bits).decode(bits)
+
+
+def _diamond_product(n: int, bits: int) -> PackedPoly:
+    """prod_{k=0}^{n-1} (1 + t*q^(2k+1))^(n-k), packed at ``bits``.
+
+    Each factor is one weight ``1 + t*q^(2k+1)``: the product so far plus
+    its rows moved up one power of t and shifted by 2k+1 slots.
+    """
+    out = PackedPoly.one()
     for k in range(n):
-        out = out * (1 + LaurentPoly2.term(1, q=2 * k + 1, t=1)) ** (n - k)
+        factor = packed_weight(1 + LaurentPoly2.term(1, q=2 * k + 1, t=1), bits)
+        for _ in range(n - k):
+            out = out * factor
     return out
 
 
@@ -58,15 +80,17 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     """Closed form of F(q, t) = sum over tilings of q^rank * t^vstat.
 
     Assembled as a single monomial prefactor times the diamond-style product
-    times the alpha=2 q-ratio product; checked to be a polynomial (a negative
-    exponent surviving would mean a transcription bug, and raises).
+    times the alpha=2 q-ratio product, all packed at the slot width of the
+    tiling count (the value at q = t = 1, which bounds every coefficient):
+    one big-int product per power of t, then one decode.  Checked to be a
+    polynomial (a negative exponent surviving would mean a transcription
+    bug, and raises).
     """
     s = check_positions(m, n, s, InvalidHoles)
-    out = LaurentPoly2.term(1, q=prefactor_exponent(m, s))
-    for k in range(m):
-        out = out * (1 + LaurentPoly2.term(1, q=2 * k + 1, t=1)) ** (m - k)
-    out = out * q_ratio_product(s, 2)
-    return out.require_polynomial()
+    bits = slot_bits(count_product(m, s))
+    prefactor = packed_weight(LaurentPoly2.term(1, q=prefactor_exponent(m, s)), bits)
+    out = _diamond_product(m, bits) * q_ratio_packed(s, 2, bits) * prefactor
+    return out.decode(bits).require_polynomial()
 
 
 def weighted_rectangle_matching_genfun(m: int, n: int, s, a, b, c, d) -> LaurentPoly2:

@@ -34,7 +34,7 @@ from itertools import islice
 
 from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation
-from .poly import LaurentPoly2, as_poly
+from .poly import LaurentPoly2
 from .regions import Region, dw, up
 
 LEFT = "left"
@@ -73,7 +73,7 @@ def weighted_sh_genfun(region: Region, left_weight, right_weight, vertical_weigh
     def weight(pair):
         kind, level = classify_lozenge(pair, a)
         w = weights[kind]
-        return as_poly(w(level) if callable(w) else w)
+        return w(level) if callable(w) else w
 
     return tiling_genfun_dp(region, weight)
 

@@ -1,26 +1,33 @@
-"""Exact sparse bivariate Laurent polynomials over the rationals.
+"""Exact polynomials in q and t: the sparse boundary type and its packed core.
 
 A ``LaurentPoly2`` is a finite map from exponent pairs ``(e_q, e_t)`` to
-nonzero ``Fraction`` coefficients.  It is the single value type used by every
-generating function in this package: ``q`` tracks the rank-like statistic and
+nonzero ``Fraction`` coefficients.  It is the value type every generating
+function in this package returns: ``q`` tracks the rank-like statistic and
 ``t`` the vertical-domino-like statistic, and weighted-graph computations keep
 ``q`` symbolic while soaking any other parameters into the coefficient field.
-
 Exponents may be negative (Laurent), which intermediate prefactor assembly
 needs, but user-facing generating functions are checked to be genuine
-polynomials via :meth:`LaurentPoly2.require_polynomial`.
+polynomials via :meth:`LaurentPoly2.require_polynomial`.  Its coefficients
+are ``fractions.Fraction`` (lowest terms, positive denominator); ``BigRat``
+is an alias for it.
 
-Coefficients are ``fractions.Fraction`` throughout (stored in lowest terms
-with positive denominator, arithmetic exact by construction).  ``BigRat`` is
-an alias for it.
+The hot paths -- the weighted frontier DP, the diamond product and the
+q-ratio product -- run on :class:`PackedPoly` instead: polynomials with
+non-negative integer coefficients, one big int per power of ``t`` holding the
+``q``-coefficients in fixed-width bit slots (Kronecker substitution,
+``q = 2**bits``).  Each result leaves through one :meth:`PackedPoly.decode`
+into a ``LaurentPoly2``.
 
-Values are immutable and hashable; they can be shared freely across threads.
+``LaurentPoly2`` values are immutable and hashable; they can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import prod
+from operator import add
 
 from .errors import InexactDivision, NegativeExponent, PoleAtZero
 
@@ -324,14 +331,6 @@ def _frac_text(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def q_power(k: int) -> LaurentPoly2:
-    return LaurentPoly2.term(1, q=k)
-
-
-def t_power(k: int) -> LaurentPoly2:
-    return LaurentPoly2.term(1, t=k)
-
-
 def as_poly(x) -> LaurentPoly2:
     """Coerce an int/Fraction/LaurentPoly2 into a LaurentPoly2."""
     if isinstance(x, LaurentPoly2):
@@ -339,28 +338,139 @@ def as_poly(x) -> LaurentPoly2:
     return LaurentPoly2.const(_coeff(x))
 
 
+def slot_bits(bound: int) -> int:
+    """The narrowest whole-byte slot width, in bits, that holds 0..bound."""
+    return 8 * max(1, -(-bound.bit_length() // 8))
+
+
+class PackedPoly:
+    """A polynomial in q and t with non-negative integer coefficients, packed.
+
+    ``rows`` maps each t-exponent to that row's value at q = 2**bits, so the
+    coefficient of q^k t^e sits in bits [k*bits, (k+1)*bits) of a row
+    (Kronecker substitution).  The whole value is
+    t^dt * 2**shift * sum(t^e * rows[e]): a monomial factor is kept in
+    ``shift`` and ``dt`` and only applied to the rows when two values with
+    different factors are added, so multiplying by a monomial weight costs
+    nothing per row.  Only differences of shifts are ever applied, so
+    negative exponents need no offset: ``shift`` and ``dt`` may be negative.
+    Adding is one shift and one int add per row, multiplying two rows one
+    big-int product.  These are ring operations on the values, so they stay
+    exact whatever the slots hold on the way; only :meth:`decode` needs
+    every coefficient of the final polynomial below 2**bits.  ``bits`` is
+    therefore not stored: the caller picks it once from a bound on those
+    coefficients (for non-negative ones, the value at q = t = 1) with
+    :func:`slot_bits`.
+
+    The right operand of ``*`` is another ``PackedPoly`` or a weight built by
+    :func:`packed_weight`.  A value enters as ``PackedPoly.one() * weight``
+    and leaves through :meth:`decode`.  Rows dicts may be shared between
+    values and are never mutated.
+    """
+
+    __slots__ = ("rows", "shift", "dt")
+
+    def __init__(self, rows, shift: int = 0, dt: int = 0):
+        self.rows = rows
+        self.shift = shift
+        self.dt = dt
+
+    @classmethod
+    def one(cls) -> "PackedPoly":
+        return cls({0: 1})
+
+    def decode(self, bits: int, den: int = 1) -> LaurentPoly2:
+        """This polynomial divided by ``den``, as a LaurentPoly2."""
+        width = bits // 8
+        low = self.shift // bits
+        terms = {}
+        for et, x in self.rows.items():
+            raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+            for k in range(0, len(raw), width):
+                c = int.from_bytes(raw[k:k + width], "little")
+                if c:
+                    terms[(k // width + low, et + self.dt)] = Fraction(c) if den == 1 else Fraction(c, den)
+        out = LaurentPoly2()
+        out._terms = terms
+        return out
+
+    def __add__(self, other: "PackedPoly") -> "PackedPoly":
+        lo, hi = (self, other) if self.shift <= other.shift else (other, self)
+        shift, dt = hi.shift - lo.shift, hi.dt - lo.dt
+        rows = lo.rows.copy()
+        for et, x in hi.rows.items():
+            et += dt
+            x <<= shift
+            rows[et] = rows[et] + x if et in rows else x
+        return PackedPoly(rows, lo.shift, lo.dt)
+
+    def __mul__(self, other) -> "PackedPoly":
+        if isinstance(other, PackedPoly):
+            out = {}
+            for ta, xa in self.rows.items():
+                for tb, xb in other.rows.items():
+                    out[ta + tb] = out.get(ta + tb, 0) + xa * xb
+            return PackedPoly(out, self.shift + other.shift, self.dt + other.dt)
+        terms = [
+            PackedPoly(self.rows if c == 1 else {et: x * c for et, x in self.rows.items()},
+                       self.shift + shift, self.dt + dt)
+            for dt, c, shift in other
+        ]
+        return reduce(add, terms) if terms else PackedPoly({})
+
+
+def packed_weight(poly: LaurentPoly2, bits: int, scale: int = 1) -> tuple:
+    """``scale * poly`` as a right operand of ``PackedPoly * ...`` at ``bits``.
+
+    The result is a tuple of ``(dt, c, shift)`` monomials, each
+    c * t^dt * q^(shift/bits).  ``scale * poly`` must have non-negative
+    integer coefficients; its exponents may be negative.
+    """
+    out = []
+    for (eq, et), c in poly.sorted_terms():
+        c, rem = divmod(c.numerator * scale, c.denominator)
+        if rem or c < 0:
+            raise ValueError(f"cannot pack {scale} * {poly} into integer slots")
+        out.append((et, c, eq * bits))
+    return tuple(out)
+
+
 def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i)).
 
     ``s`` must be strictly increasing with s_i >= i; the quotient is then a
     polynomial in q with non-negative integer coefficients (a q-analogue of
-    prod (s_j - s_i)/(j - i)).  Numerator and denominator are each expanded
-    fully and divided once; degrees stay at desk scale so this is cheap and
-    keeps the code obvious.
+    prod (s_j - s_i)/(j - i)), whose value at q = 1 is :func:`falling_ratio`.
+    That value bounds every coefficient, so one slot width suffices and the
+    quotient is a single big-int division (see :func:`q_ratio_packed`).
     """
     s = tuple(s)
     if any(x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise ValueError("s must be a strictly increasing sequence of positive integers")
     if any(x < i + 1 for i, x in enumerate(s)):
         raise ValueError("s must satisfy s_i >= i")
+    bits = slot_bits(int(falling_ratio(s)))
+    return q_ratio_packed(s, alpha, bits).decode(bits)
+
+
+def q_ratio_packed(s, alpha: int, bits: int) -> PackedPoly:
+    """The q-ratio product of a valid ``s`` (see :func:`q_ratio_product`),
+    packed at ``bits``, which must exceed every coefficient.
+
+    Each factor q^(alpha*b) - q^(alpha*a) is q^(alpha*a) (q^(alpha*(b-a)) - 1):
+    the powers of q collect into the value's shift and the rest is evaluated
+    at q = 2**bits, where the polynomial quotient is the exact integer
+    quotient.
+    """
     m = len(s)
-    num = LaurentPoly2.one()
-    den = LaurentPoly2.one()
-    for i in range(m):
-        for j in range(i + 1, m):
-            num = num * (q_power(alpha * s[j]) - q_power(alpha * s[i]))
-            den = den * (q_power(alpha * (j + 1)) - q_power(alpha * (i + 1)))
-    return num.exact_div(den)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    low = alpha * sum(s[i] - (i + 1) for i, _ in pairs)
+    num = prod((1 << bits * alpha * (s[j] - s[i])) - 1 for i, j in pairs)
+    den = prod((1 << bits * alpha * (j - i)) - 1 for i, j in pairs)
+    value, rem = divmod(num, den)
+    if rem:
+        raise InexactDivision("q-ratio numerator is not divisible by its denominator")
+    return PackedPoly({0: value}, low * bits)
 
 
 def falling_ratio(s) -> Fraction:

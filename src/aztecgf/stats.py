@@ -54,10 +54,11 @@ from .errors import (
     ConstructionFailed,
     NegativeRank,
     OddVerticalCount,
+    TooManyTilings,
     Unreachable,
 )
-from .formulas import displacement, shifted_content_exponent
-from .poly import LaurentPoly2, as_poly
+from .formulas import count_product, displacement, shifted_content_exponent
+from .poly import LaurentPoly2
 from .regions import Region, aztec_rectangle_with_holes, is_white, sq
 
 
@@ -422,14 +423,22 @@ def rank_via_paths(tiling: Tiling) -> int:
 # generating functions
 
 
+MAX_BRUTE_TILINGS = 2**18  # enumeration plus rank BFS costs tens of microseconds a tiling
+
+
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) by full enumeration, BFS rank, and the vertical statistic.
 
-    Raises Unreachable if any tiling is missing from the flip BFS (rank
-    would then be undefined; it never happens on these regions).
+    Raises TooManyTilings, before enumerating, when the region has more
+    than ``MAX_BRUTE_TILINGS`` tilings, and Unreachable if any tiling is
+    missing from the flip BFS (rank would then be undefined; it never
+    happens on these regions).
     """
     s = tuple(s)
     region = aztec_rectangle_with_holes(m, n, s)
+    tilings = count_product(m, s)
+    if tilings > MAX_BRUTE_TILINGS:
+        raise TooManyTilings(f"{tilings} tilings, over the brute-force limit of {MAX_BRUTE_TILINGS}")
     dist = rank_distances(region)
     counts = {}
     seen = 0
@@ -460,7 +469,7 @@ def domino_weight(dom) -> LaurentPoly2:
 def _genfun_via_weights_impl(m: int, n: int, s) -> LaurentPoly2:
     s = tuple(s)
     region = aztec_rectangle_with_holes(m, n, s)
-    weighted = as_poly(tiling_genfun_dp(region, domino_weight))
+    weighted = tiling_genfun_dp(region, domino_weight)
     shift_t = m * (m + 1) // 2
     shift_q = -shifted_content_exponent(m, s)
     return weighted.invert_t().shift(dq=shift_q, dt=shift_t).require_polynomial()

@@ -84,7 +84,7 @@ def test_render_from_serialized_region(tmp_path):
 def test_bench_table():
     out = run_cli("bench", "--order", "3")
     text = out.stdout.decode()
-    assert "dp ms" in text and "brute ms" in text
+    assert "dp ms" in text and "brute ms" in text and "weighted ms" in text
     assert text.count("\n") == 4  # header plus one row per order
 
 
@@ -96,6 +96,9 @@ def test_invalid_flags_exit_2(tmp_path):
     # semantically invalid values are rejected cleanly too
     assert run_cli("genfun", "--m", "2", "--n", "4", "--holes", "1,2,3", check=False).returncode == 2
     assert run_cli("count", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,9", check=False).returncode == 2
+    # too many tilings to enumerate: refused before the search starts
+    brute = run_cli("genfun", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7", "--method", "brute", check=False)
+    assert brute.returncode == 2 and brute.stderr.startswith(b"error: ")
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
     assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
     # unreadable serialized regions: missing, not JSON, unknown kind

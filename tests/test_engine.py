@@ -16,7 +16,7 @@ from aztecgf.engine import (
     matching_genfun,
     tiling_genfun_dp,
 )
-from aztecgf.errors import RegionTooWide
+from aztecgf.errors import InvalidWeight, RegionTooWide
 from aztecgf.poly import LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
@@ -84,22 +84,43 @@ def test_enumeration_is_deterministic_and_matches_dual_graph():
 
 
 def test_dp_equals_oracle_with_weights():
+    # the DP packs its weights into big ints; matching_genfun never does
     rng = random.Random(2024)
+
+    def monomial():
+        return LaurentPoly2.term(Fraction(rng.randint(1, 5)), q=rng.randint(0, 2), t=rng.randint(0, 1))
+
+    def polynomial():
+        # one to three terms, non-integer rational coefficients, negative exponents
+        return LaurentPoly2({
+            (rng.randint(-3, 2), rng.randint(-1, 1)): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 3))
+        })
+
     for region in (
         aztec_diamond(2),
         aztec_rectangle_with_holes(2, 4, (1, 3)),
         aztec_rectangle_with_holes(3, 4, (1, 2, 4)),
+        semihexagon_with_dents(3, 2, (2, 3, 5)),
     ):
-        weights = {
-            d: LaurentPoly2.term(Fraction(rng.randint(1, 5)), q=rng.randint(0, 2), t=rng.randint(0, 1))
-            for d in region.all_dominoes
-        }
-        dp = tiling_genfun_dp(region, lambda dom: weights[dom])
-        g = dual_graph(region)
-        weighted = WeightedGraph(
-            g.vertices, {e: weights[tuple(sorted(e))] for e in g.edge_dict()}
-        )
-        assert dp == matching_genfun(weighted)
+        for draw in (monomial, polynomial):
+            weights = {d: draw() for d in region.all_dominoes}
+            dp = tiling_genfun_dp(region, lambda dom: weights[dom])
+            g = dual_graph(region)
+            weighted = WeightedGraph(
+                g.vertices, {e: weights[tuple(sorted(e))] for e in g.edge_dict()}
+            )
+            assert dp == matching_genfun(weighted)
+
+
+def test_dp_weights_constants_and_negative_coefficients():
+    region = aztec_diamond(2)  # 8 tilings of 6 tiles each
+    assert tiling_genfun_dp(region, lambda dom: Fraction(3, 2)) == LaurentPoly2.const(8 * Fraction(3, 2) ** 6)
+    assert tiling_genfun_dp(region, lambda dom: 0) == LaurentPoly2.zero()
+    # the packing cannot represent a negative coefficient, so it is refused
+    for bad in (-1, LaurentPoly2.term(1, q=1) - 1):
+        with pytest.raises(InvalidWeight):
+            tiling_genfun_dp(region, lambda dom: bad)
 
 
 def test_dp_counts_diamonds():

@@ -5,12 +5,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecgf.errors import InexactDivision, PoleAtZero
-from aztecgf.poly import LaurentPoly2, falling_ratio, q_power, q_ratio_product, t_power
+from aztecgf.poly import (
+    LaurentPoly2,
+    PackedPoly,
+    falling_ratio,
+    packed_weight,
+    q_ratio_product,
+    slot_bits,
+)
+
+
+def q_power(k):
+    return LaurentPoly2.term(1, q=k)
+
 
 Q = q_power(1)
-T = t_power(1)
 TQ = LaurentPoly2.term(1, q=1, t=1)
 
 
@@ -106,6 +119,13 @@ def test_q_ratio_product_always_divides_with_integer_coefficients():
                     c.denominator == 1 and c.numerator >= 0 for _, c in p.sorted_terms()
                 )
                 assert p.evaluate(1, 1) == falling_ratio(s)
+                # the packed quotient times the sparse denominator is the
+                # sparse numerator
+                num = den = LaurentPoly2.one()
+                for i, j in combinations(range(length), 2):
+                    num = num * (q_power(alpha * s[j]) - q_power(alpha * s[i]))
+                    den = den * (q_power(alpha * (j + 1)) - q_power(alpha * (i + 1)))
+                assert p * den == num
 
 
 def test_q_ratio_product_rejects_bad_input():
@@ -141,3 +161,45 @@ def test_coefficients_always_reduced_fractions():
     p = LaurentPoly2({(0, 0): Fraction(2, 4)})
     ((e, c),) = p.sorted_terms()
     assert c == Fraction(1, 2) and c.denominator == 2
+
+
+def test_slot_bits():
+    assert [slot_bits(b) for b in (0, 1, 255, 256, 2**16 - 1, 2**16)] == [8, 8, 8, 16, 16, 24]
+
+
+@st.composite
+def nonnegative_laurent(draw):
+    # non-negative integer coefficients of any size, negative exponents allowed
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-5, 6), st.integers(-3, 4)),
+        st.integers(1, 2**40),
+        max_size=7,
+    ))
+    return LaurentPoly2(terms)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(nonnegative_laurent(), nonnegative_laurent())
+def test_packed_product_decodes_to_sparse_product(a, b):
+    bits = slot_bits(int((a.evaluate(1, 1) + 1) * (b.evaluate(1, 1) + 1)))  # inputs and product
+    pa, pb = (PackedPoly.one() * packed_weight(x, bits) for x in (a, b))
+    assert (pa * pb).decode(bits) == a * b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(nonnegative_laurent(), nonnegative_laurent(), st.integers(1, 6))
+def test_packed_weight_product_and_sum(a, weight, den):
+    # a scaled weight times a packed value, + on the rows, and / den
+    bits = slot_bits(int((a.evaluate(1, 1) + 1) * (weight.evaluate(1, 1) + 1)))
+    packed = PackedPoly.one() * packed_weight(a, bits)
+    out = packed * packed_weight(weight / den, bits, den) + packed
+    assert out.decode(bits, den) == (a * weight + a) / den
+
+
+def test_packed_weight_rejects_what_cannot_pack():
+    for poly, scale in ((LaurentPoly2.term(-1), 1), (LaurentPoly2.term(Fraction(1, 2)), 1),
+                        (LaurentPoly2.term(Fraction(1, 6)), 2)):
+        with pytest.raises(ValueError):
+            packed_weight(poly, 8, scale)
+    poly = LaurentPoly2.term(Fraction(1, 6), q=-2, t=3) + Fraction(1, 2)
+    assert packed_weight(poly, 8, 12) == ((3, 2, -16), (0, 6, 0))

@@ -6,7 +6,7 @@ import pytest
 
 from aztecgf.engine import Tiling, enumerate_tilings
 from aztecgf.errors import OddVerticalCount
-from aztecgf.formulas import aztec_diamond_genfun, shifted_content_exponent
+from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_rectangle_with_holes, sq
 from aztecgf.stats import (
@@ -147,6 +147,14 @@ def test_genfun_bruteforce_examples():
 def test_genfun_via_weights_matches_bruteforce():
     for m, n, s in ((1, 1, (1,)), (1, 3, (2,)), (2, 3, (1, 3)), (3, 3, (1, 2, 3)), (2, 4, (2, 4))):
         assert genfun_via_weights(m, n, s) == genfun_bruteforce(m, n, s)
+
+
+def test_genfun_via_weights_matches_closed_forms_at_frontier_scale():
+    # the weighted DP sweeps tiles and the closed forms multiply products;
+    # they share only the packed value type, which test_poly checks alone
+    for s in ((1, 3, 5, 7, 9, 11), (1, 2, 3, 10, 11, 12), (3, 4, 7, 8, 11, 12)):
+        assert genfun_via_weights(6, 12, s) == rectangle_genfun(6, 12, s)
+    assert genfun_via_weights(8, 8, range(1, 9)) == aztec_diamond_genfun(8)
 
 
 def test_minimal_weight_of_minimal_tiling():
