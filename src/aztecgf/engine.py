@@ -13,20 +13,22 @@ The DP sweeps cells in :func:`~aztecgf.regions.sweep_key` order: squares by
 antidiagonal (x + y, then y), triangles by slanted column (x - y, then row,
 then kind).  Every tile joins two nearby diagonals, so the frontier of
 pending cells stays about one diagonal wide: n + 1 bits on an order-n Aztec
-diamond (which makes order 12 instant) and at most a + 1 bits on an a-row
-semihexagon.  A bounding-box column sweep would be correct too, but its
-profile is as wide as the region is tall (24 bits at order 12), out of reach
-for an exact DP whose every state holds a polynomial.  The sweep order fixes
-the frontier width, so it is computed up front and a region wider than
-``MAX_FRONTIER`` bits is refused before any state is swept.  Weighted sweeps
-keep each state's polynomial Kronecker-packed (:class:`~aztecgf.poly.PackedPoly`):
-a monomial weight only updates the value's pending shift, and two states
-that merge cost one shift and one integer add per power of t.
+diamond and at most a + 1 bits on an a-row semihexagon.  A bounding-box
+column sweep would be correct too, but its profile is as wide as the region
+is tall (24 bits at order 12), out of reach for an exact DP whose every state
+holds a polynomial.  States are keyed by frontier slot, not by cell
+position: a cell that may defer holds the lowest free slot while it can
+still match, so keys stay small integers however large the region.  The
+sweep order fixes the slots, and their number is the frontier width, so a
+region wider than ``MAX_FRONTIER`` bits is refused before any state is
+swept.  Weighted sweeps keep each state's polynomial Kronecker-packed
+(:class:`~aztecgf.poly.PackedPoly`): a monomial weight only updates the
+value's pending shift, and two states that merge cost one shift and one
+integer add per power of t.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import lcm
 from operator import add, mul, or_
 
@@ -196,11 +198,11 @@ def tiling_genfun_dp(region: Region, weight=None):
     an int, a ``Fraction`` or a ``LaurentPoly2`` with non-negative
     coefficients; ``None`` counts tilings with integer arithmetic.  Cells are
     swept in :func:`~aztecgf.regions.sweep_key` order on either lattice.  The
-    state is the set of swept cells still awaiting a partner, encoded as a
-    bit profile; cells outside the region never enter the sweep, which is
-    how ragged boundaries are handled.  Raises :class:`RegionTooWide` before
-    sweeping when the profile could exceed ``MAX_FRONTIER`` bits, and
-    :class:`InvalidWeight` for a weight with a negative coefficient.
+    state is the set of swept cells awaiting a partner, as a mask of
+    frontier slots; cells outside the region never enter the sweep, which
+    is how ragged boundaries are handled.  Raises :class:`RegionTooWide`
+    before sweeping when the profile could exceed ``MAX_FRONTIER`` bits,
+    and :class:`InvalidWeight` for a weight with a negative coefficient.
 
     A weighted sweep runs on :class:`~aztecgf.poly.PackedPoly` values, which
     take Laurent exponents as they come.  Every tiling has ``len(cells) / 2``
@@ -228,22 +230,14 @@ def tiling_genfun_dp(region: Region, weight=None):
         if k > max_nbr[p]:
             max_nbr[p] = k
         nbr_earlier[k].append((p, i))
-    for row in nbr_earlier:
-        row.sort(key=lambda t: t[0])
 
-    last_mask = [0] * n  # bits of vertices whose final chance to match is cell k
-    opened = [0] * n  # +1 where a cell joins the frontier, -1 where it must leave
-    for p in range(n):
-        if max_nbr[p] > p:
-            last_mask[max_nbr[p]] |= 1 << p
-            opened[p] += 1
-            opened[max_nbr[p]] -= 1
-    width = max(accumulate(opened), default=0)
+    bit, last_mask, width = _frontier_slots(max_nbr)
     if width > MAX_FRONTIER:
         raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
+    nbr_earlier = [[(bit[p], i) for p, i in sorted(row)] for row in nbr_earlier]
 
     def sweep(weights, one):
-        return _sweep(nbr_earlier, last_mask, max_nbr, weights, one)
+        return _sweep(nbr_earlier, last_mask, bit, weights, one)
 
     if weight is None:
         return sweep([1] * len(tiles), 1) or 0
@@ -264,42 +258,61 @@ def tiling_genfun_dp(region: Region, weight=None):
     return sweep(packed, PackedPoly.one()).decode(bits, den ** (n // 2))
 
 
-def _sweep(nbr_earlier, last_mask, max_nbr, weights, one):
+def _frontier_slots(max_nbr):
+    """Give every cell that can defer a frontier slot: (bit, last_mask, width).
+
+    Cell p may wait for a partner over [p, max_nbr[p]).  In sweep order it
+    takes the lowest free slot, ``bit[p]`` (0 if it never defers), and frees
+    it at ``max_nbr[p]``: ``last_mask[k]`` holds the slots freed at k, whose
+    cells must match cell k.  This greedy colouring of intervals uses as many
+    slots as the most intervals that overlap, so ``width`` is the frontier
+    width in bits.
+    """
+    bit, last_mask = [0] * len(max_nbr), [0] * len(max_nbr)
+    busy = 0
+    for p, last in enumerate(max_nbr):
+        busy &= ~last_mask[p]
+        if last > p:
+            bit[p] = b = (busy + 1) & ~busy  # lowest free slot
+            busy |= b
+            last_mask[last] |= b
+    return bit, last_mask, max(bit, default=0).bit_length()
+
+
+def _sweep(nbr_earlier, last_mask, bit, weights, one):
     """The frontier sweep itself; ``weights[i]`` multiplies tile ``i``.
 
-    Returns the value of the empty final profile, or None when no tiling
-    reaches it.
+    A state is a mask of frontier slots (:func:`_frontier_slots`), so every
+    key is under ``MAX_FRONTIER`` bits.  ``nbr_earlier[k]`` lists (slot bit,
+    tile index) for cell k's earlier neighbours.  Returns the value of the
+    empty final profile, or None when no tiling reaches it.
     """
     states = {0: one}
     for k, nbrs in enumerate(nbr_earlier):
         if not states:
             break
-        nbrs = [(p, weights[i]) for p, i in nbrs]
+        nbrs = [(pb, weights[i]) for pb, i in nbrs]
         nxt = {}
+        get = nxt.get
         lm = last_mask[k]
-        bit_k = 1 << k
-        can_defer = max_nbr[k] > k
+        bit_k = bit[k]
         for s, val in states.items():
             req = s & lm
             if req:
                 if req & (req - 1):
                     continue  # two pending cells both need k: dead branch
-                p = req.bit_length() - 1
-                for pp, w in nbrs:
-                    if pp == p:
-                        _acc(nxt, s ^ req, val * w)
+                for pb, w in nbrs:
+                    if pb == req:
+                        cur = get(key := s ^ req)
+                        nxt[key] = val * w if cur is None else cur + val * w
                         break
             else:
-                for p, w in nbrs:
-                    pb = 1 << p
+                for pb, w in nbrs:
                     if s & pb:
-                        _acc(nxt, s ^ pb, val * w)
-                if can_defer:
-                    _acc(nxt, s | bit_k, val)
+                        cur = get(key := s ^ pb)
+                        nxt[key] = val * w if cur is None else cur + val * w
+                if bit_k:
+                    cur = get(key := s | bit_k)
+                    nxt[key] = val if cur is None else cur + val
         states = nxt
     return states.get(0)
-
-
-def _acc(d, key, val):
-    cur = d.get(key)
-    d[key] = val if cur is None else cur + val

@@ -289,20 +289,17 @@ class LaurentPoly2:
             return "0"
         pieces = []
         for (eq, et), c in self.sorted_terms():
-            parts = []
-            mag = abs(c)
-            if mag != 1 or (eq == 0 and et == 0):
-                parts.append(_frac_text(mag))
+            num, den = c.numerator, c.denominator
+            mag = -num if num < 0 else num
+            coeff = str(mag) if den == 1 else f"{mag}/{den}"
+            parts = [] if coeff == "1" and (eq or et) else [coeff]
             if et:
                 parts.append("t" if et == 1 else f"t^{et}")
             if eq:
                 parts.append("q" if eq == 1 else f"q^{eq}")
-            body = "*".join(parts)
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append((" + " if c > 0 else " - ") + body)
-        return "".join(pieces)
+            pieces.append((" - " if num < 0 else " + ") + "*".join(parts))
+        text = "".join(pieces)  # the first term's separator becomes its sign
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def to_json_obj(self) -> dict:
         """JSON form: {"terms": [{"q": .., "t": .., "coeff": ".."}, ...]}."""

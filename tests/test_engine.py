@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from aztecgf.engine import (
     Tiling,
+    _frontier_slots,
     count_matchings,
     count_tilings,
     enumerate_matchings,
@@ -27,6 +29,7 @@ from aztecgf.regions import (
     dw,
     semihexagon_with_dents,
     sq,
+    sweep_key,
     up,
 )
 
@@ -124,9 +127,9 @@ def test_dp_weights_constants_and_negative_coefficients():
 
 
 def test_dp_counts_diamonds():
-    assert tiling_genfun_dp(aztec_diamond(1)) == 2
-    assert tiling_genfun_dp(aztec_diamond(4)) == 2**10
-    assert tiling_genfun_dp(aztec_diamond(8)) == 2**36
+    # Elkies-Kuperberg-Larsen-Propp: an order-n diamond has 2^(n(n+1)/2) tilings
+    for n in range(1, 15):
+        assert tiling_genfun_dp(aztec_diamond(n)) == 2 ** (n * (n + 1) // 2)
 
 
 def test_dp_frontier_bound():
@@ -139,6 +142,50 @@ def test_dp_frontier_bound():
         tiling_genfun_dp(semihexagon_with_dents(24, 1, tuple(range(2, 26))))
     dents = tuple(x for x in range(1, 25) if x != 12)
     assert tiling_genfun_dp(semihexagon_with_dents(23, 1, dents)) == falling_ratio(dents)
+
+
+def last_neighbours(region):
+    # max_nbr[p]: the sweep position of cell p's last neighbour (-1 if none)
+    pos = {c: k for k, c in enumerate(sorted(region.cells, key=sweep_key))}
+    max_nbr = [-1] * len(pos)
+    for a, b in region.all_dominoes:
+        p, k = sorted((pos[a], pos[b]))
+        max_nbr[p] = max(max_nbr[p], k)
+    return max_nbr
+
+
+def check_frontier_slots(region):
+    max_nbr = last_neighbours(region)
+    bit, last_mask, width = _frontier_slots(max_nbr)
+    # reference width: the most intervals [p, max_nbr[p]) open at once
+    opened = [0] * len(max_nbr)
+    for p, last in enumerate(max_nbr):
+        if last > p:
+            opened[p] += 1
+            opened[last] -= 1
+    assert width == max(accumulate(opened), default=0)
+    for p, last in enumerate(max_nbr):
+        if last <= p:
+            assert bit[p] == 0
+            continue
+        assert bit[p] & (bit[p] - 1) == 0 and 0 < bit[p] < 1 << width
+        assert last_mask[last] & bit[p]
+        # the cells swept while p waits hold intervals that overlap p's
+        assert all(bit[r] != bit[p] for r in range(p + 1, last))
+    assert sum(m.bit_count() for m in last_mask) == sum(1 for b in bit if b)
+
+
+def test_frontier_slots_match_the_width_count():
+    for n in range(1, 17):
+        check_frontier_slots(aztec_diamond(n))
+    for m in range(1, 5):
+        for n in range(m, 8):
+            for s in combinations(range(1, n + 1), m):
+                check_frontier_slots(aztec_rectangle_with_holes(m, n, s))
+    for m in range(1, 5):
+        for n in range(m, 9):
+            for s in combinations(range(1, n + 1), m):
+                check_frontier_slots(semihexagon_with_dents(m, n - m, s))
 
 
 def test_tiling_object_roundtrip():
@@ -185,3 +232,9 @@ def ragged_regions(draw):
 def test_backtracker_equals_dp_on_random_ragged_regions(region):
     # the DP shares no code with the backtracking search
     assert count_tilings(region) == tiling_genfun_dp(region)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_regions())
+def test_frontier_slots_on_random_ragged_regions(region):
+    check_frontier_slots(region)

@@ -157,6 +157,46 @@ def test_serialization():
     assert LaurentPoly2.zero().to_text() == "0"
 
 
+def reference_text(terms):
+    """``to_text`` spelled out from its docstring, for a {(e_q, e_t): c} map.
+
+    Terms in (q-exponent, t-exponent) order; each is its coefficient's
+    magnitude (left out when it is 1, except on the constant term), then
+    t^e_t, then q^e_q (exponent 1 unwritten), joined by "*".  The first
+    term carries a bare "-" when negative; the others are joined by " + "
+    or " - ".  The zero polynomial prints as "0".
+    """
+    out = []
+    for (eq, et), c in sorted((e, Fraction(c)) for e, c in terms.items() if c != 0):
+        factors = [] if abs(c) == 1 and (eq, et) != (0, 0) else [str(abs(c))]
+        factors += [v if e == 1 else f"{v}^{e}" for v, e in (("t", et), ("q", eq)) if e != 0]
+        body = "*".join(factors)
+        if not out:
+            out.append("-" + body if c < 0 else body)
+        else:
+            out.append((" - " if c < 0 else " + ") + body)
+    return "".join(out) or "0"
+
+
+@st.composite
+def text_cases(draw):
+    # int and Fraction coefficients, +-1, zeros, negative exponents, and an
+    # optional constant term; the empty map is the zero polynomial
+    coeff = st.one_of(st.sampled_from([1, -1, 0]), st.integers(-10**30, 10**30),
+                      st.fractions(max_denominator=10**6))
+    terms = draw(st.dictionaries(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), coeff,
+                                 max_size=8))
+    if draw(st.booleans()):
+        terms[(0, 0)] = draw(coeff)
+    return terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(text_cases())
+def test_to_text_follows_its_rules(terms):
+    assert LaurentPoly2(terms).to_text() == reference_text(terms)
+
+
 def test_coefficients_always_reduced_fractions():
     p = LaurentPoly2({(0, 0): Fraction(2, 4)})
     ((e, c),) = p.sorted_terms()
