@@ -33,7 +33,7 @@ from .lozenge import (
     tiling_to_cspp,
     weighted_sh_genfun,
 )
-from .poly import BigRat, LaurentPoly2, q_ratio_product
+from .poly import LaurentPoly2, q_ratio_product
 from .regions import (
     Cell,
     Region,

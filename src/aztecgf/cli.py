@@ -139,13 +139,12 @@ def cmd_verify(args):
 
 def cmd_render(args, parser):
     region = _build_region(args, parser)
+    if (args.tiling == "minimal" or args.paths) and region.lattice != "square":
+        parser.error("--tiling minimal and --paths need an aztec or rect region")
     tiling = None
     if args.tiling is not None:
         if args.tiling == "minimal":
-            if region.key[0] != "aztec_rectangle":
-                parser.error("--tiling minimal needs a rect region")
-            m, n, s = region.rect_params
-            tiling = stats.minimal_tiling(m, n, s)
+            tiling = stats.minimal_tiling(*region.rect_params)
         else:
             try:
                 index = int(args.tiling)
@@ -157,8 +156,8 @@ def cmd_render(args, parser):
                     break
             if tiling is None:
                 parser.error(f"tiling index {index} out of range")
-    if args.paths and (tiling is None or region.key[0] != "aztec_rectangle"):
-        parser.error("--paths needs a rect region with a tiling")
+    if args.paths and tiling is None:
+        parser.error("--paths needs a tiling")
     if args.format == "svg":
         data = render_svg(region, tiling, paths=args.paths)
     else:

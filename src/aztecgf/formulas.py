@@ -8,13 +8,13 @@ routes at desk scale.  Nothing in this module enumerates anything.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidDents, InvalidHoles
 from .poly import (
     LaurentPoly2,
     PackedPoly,
-    as_poly,
     falling_ratio,
     packed_weight,
     q_ratio_packed,
@@ -93,23 +93,32 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     return out.decode(bits).require_polynomial()
 
 
+def row_delta(k: int, a, b, c, d) -> LaurentPoly2:
+    """Delta_k = a*d*q^(k-1) + b*c, the renewal weight of the k-th peeled row."""
+    return LaurentPoly2.term(a * d, q=k - 1) + LaurentPoly2.const(b * c)
+
+
+def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
+    """q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1): the factor the peeling
+    pipeline must accumulate on an m-row rectangle."""
+    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    out = LaurentPoly2.term(1, q=(m - 1) * m * (m + 1) // 3)
+    for k in range(1, m + 1):
+        out = out * row_delta(k, a, b, c, d) ** (m - k + 1)
+    return out
+
+
 def weighted_rectangle_matching_genfun(m: int, n: int, s, a, b, c, d) -> LaurentPoly2:
     """Closed form of the matching generating function of the weighted
     rectangle graph with holes removed, q symbolic and a, b, c, d rational.
 
-    q^((m-1)m(m+1)/3 + D) * a^D * b^(m(n-m) - D) * prod_k Delta_k^(m-k+1)
-    * prod_{i<j} (q^s_j - q^s_i)/(q^j - q^i),   with D = sum(s_i - i) and
-    Delta_k = a*d*q^(k-1) + b*c.
+    peel_target_factor(m, a, b, c, d) * q^D * a^D * b^(m(n-m) - D)
+    * prod_{i<j} (q^s_j - q^s_i)/(q^j - q^i),   with D = sum(s_i - i).
     """
     s = tuple(s)
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a, b = Fraction(a), Fraction(b)
     dsp = displacement(s)
-    exp = (m - 1) * m * (m + 1) // 3 + dsp
-    coeff = a**dsp * b ** (m * (n - m) - dsp)
-    out = LaurentPoly2.term(coeff, q=exp)
-    for k in range(1, m + 1):
-        delta_k = LaurentPoly2.term(a * d, q=k - 1) + as_poly(b * c)
-        out = out * delta_k ** (m - k + 1)
+    out = peel_target_factor(m, a, b, c, d) * LaurentPoly2.term(a**dsp * b ** (m * (n - m) - dsp), q=dsp)
     return (out * q_ratio_product(s, 1)).require_polynomial()
 
 
@@ -131,20 +140,15 @@ def count_product(m: int, s) -> int:
     return int(val)
 
 
+@dataclass(frozen=True)
 class RelationCheck:
     """Both sides of the domino/lozenge count relation, brute forced."""
 
-    __slots__ = ("lhs", "rhs")
-
-    def __init__(self, lhs: int, rhs: int):
-        self.lhs = lhs
-        self.rhs = rhs
+    lhs: int
+    rhs: int
 
     def holds(self) -> bool:
         return self.lhs == self.rhs
-
-    def __repr__(self):
-        return f"RelationCheck(lhs={self.lhs}, rhs={self.rhs})"
 
 
 def relation_check(m: int, n: int, s) -> RelationCheck:

@@ -8,8 +8,7 @@ function in this package returns: ``q`` tracks the rank-like statistic and
 Exponents may be negative (Laurent), which intermediate prefactor assembly
 needs, but user-facing generating functions are checked to be genuine
 polynomials via :meth:`LaurentPoly2.require_polynomial`.  Its coefficients
-are ``fractions.Fraction`` (lowest terms, positive denominator); ``BigRat``
-is an alias for it.
+are ``fractions.Fraction`` (lowest terms, positive denominator).
 
 The hot paths -- the weighted frontier DP, the diamond product and the
 q-ratio product -- run on :class:`PackedPoly` instead: polynomials with
@@ -30,8 +29,6 @@ from math import prod
 from operator import add
 
 from .errors import InexactDivision, NegativeExponent, PoleAtZero
-
-BigRat = Fraction
 
 
 def _coeff(x) -> Fraction:

@@ -20,7 +20,8 @@ to explicit integers; every boundary identification below is derived from it:
 
 Keeping the squares at southeast positions ``s_1 < ... < s_m`` and removing
 the rest ("holes") gives the tileable region with 2mn + m + n - (n - m)
-cells.
+cells.  The Aztec diamond of order n is AR(n, n; 1, ..., n), in these same
+coordinates.
 
 Triangular lattice: the cell ``(x, y)`` with kind ``up``/``dw`` is the x-th
 up/down-pointing unit triangle of row y (rows counted 1..a top to bottom, so
@@ -74,8 +75,8 @@ class Region:
     """A finite cell set plus construction metadata.
 
     ``key`` identifies the construction (used as a cache key and for cheap
-    hashing of tilings), ``se_side``/``nw_side``/``sw_side`` record the
-    ordered boundary cells that the statistics layer needs.
+    hashing of tilings), ``se_side``/``nw_side`` record the ordered boundary
+    cells that the dual graph and the coloring need.
     """
 
     lattice: str
@@ -83,7 +84,6 @@ class Region:
     cells: frozenset
     se_side: tuple = ()
     nw_side: tuple = ()
-    sw_side: tuple = ()
 
     def __hash__(self):
         return hash(self.key)
@@ -99,20 +99,16 @@ class Region:
     def cell_index(self) -> dict:
         return {c: i for i, c in enumerate(self.sorted_cells)}
 
-    @property
-    def kind(self) -> str:
-        return self.key[0]
-
     # -- accessors for Aztec-rectangle metadata ---------------------------
 
     @property
     def rect_params(self):
-        """(m, n, s) of an Aztec rectangle with holes."""
+        """(m, n, s) of an Aztec rectangle with holes; (n, n, (1, ..., n)) of a diamond."""
         if self.key[0] == "aztec_rectangle":
             return self.key[1], self.key[2], self.key[3]
         if self.key[0] == "aztec_diamond":
-            raise ValueError("construct Aztec diamonds as aztec_rectangle_with_holes(n, n, 1..n) "
-                             "when rectangle coordinates are needed")
+            n = self.key[1]
+            return n, n, tuple(range(1, n + 1))
         raise ValueError(f"not an Aztec rectangle: {self.key}")
 
     @property
@@ -225,24 +221,15 @@ def check_positions(m: int, n: int, s, error) -> tuple:
 
 
 def aztec_diamond(n: int) -> Region:
-    """The Aztec diamond of order n: unit squares inside |x| + |y| = n + 1.
+    """The Aztec diamond of order n: AR(n, n; 1, ..., n), every southeast square kept.
 
-    Centered so the cells are those with |x + 1/2| + |y + 1/2| <= n; the cell
-    count is 2n(n+1).  Coincides with ``aztec_rectangle_with_holes(n, n,
-    (1, ..., n))`` up to translation.
+    It has the rectangle's cells and boundary sides, 2n(n+1) cells in all,
+    under its own key ``("aztec_diamond", n)``.
     """
     if n < 1:
         raise InvalidOrder(f"order must be >= 1, got {n}")
-    cells = frozenset(
-        sq(x, y)
-        for x in range(-n, n)
-        for y in range(-n, n)
-        if abs(2 * x + 1) + abs(2 * y + 1) <= 2 * n
-    )
-    se = tuple(sq(k, -(n - k)) for k in range(n))
-    nw = tuple(sq(-k - 1, n - 1 - k) for k in range(n - 1, -1, -1))
-    sw = tuple(sq(-k - 1, -(n - k)) for k in range(n))
-    return Region("square", ("aztec_diamond", n), cells, se_side=se, nw_side=nw, sw_side=sw)
+    ar = aztec_rectangle_with_holes(n, n, range(1, n + 1))
+    return Region("square", ("aztec_diamond", n), ar.cells, se_side=ar.se_side, nw_side=ar.nw_side)
 
 
 def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
@@ -252,22 +239,11 @@ def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
     southeast squares ("holes") drops one.
     """
     s = check_positions(m, n, s, InvalidHoles)
-    cells = set()
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            x0, y0 = j - i, i + j - 2
-            cells.update((sq(x0, y0), sq(x0 + 1, y0), sq(x0, y0 + 1), sq(x0 + 1, y0 + 1)))
-    kept = set(s)
-    for h in range(1, n + 1):
-        if h not in kept:
-            cells.discard(sq(h, h - 1))
+    cells = {cell for quad in ar_face_cells(m, n).values() for cell in quad}
+    cells.difference_update(sq(h, h - 1) for h in range(1, n + 1) if h not in s)
     se = tuple(sq(h, h - 1) for h in s)
     nw = tuple(sq(j - m, m + j - 1) for j in range(1, n + 1))
-    sw = tuple(sq(1 - i, i - 1) for i in range(1, m + 1))
-    return Region(
-        "square", ("aztec_rectangle", m, n, s), frozenset(cells),
-        se_side=se, nw_side=nw, sw_side=sw,
-    )
+    return Region("square", ("aztec_rectangle", m, n, s), frozenset(cells), se_side=se, nw_side=nw)
 
 
 def semihexagon_with_dents(a: int, b: int, s) -> Region:
@@ -466,8 +442,8 @@ def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
 def checkerboard_coloring(region: Region) -> dict:
     """Cell -> "black"/"white" so neighbors differ and the NW side is white.
 
-    On both Aztec conventions used here the northwest-side cells all have odd
-    x + y, so white is the odd parity class.  The parity check on the NW side
+    In the block coordinates the northwest-side cells all have odd x + y, so
+    white is the odd parity class.  The parity check on the NW side
     is asserted rather than assumed.
     """
     if region.lattice != "square":

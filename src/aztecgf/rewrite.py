@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InexactDivision, InvalidPartition, PatternMismatch, ZeroDelta
+from .formulas import peel_target_factor, row_delta
 from .poly import LaurentPoly2, as_poly
 from .regions import WeightedGraph, ar_face_cells, full_weighted_rectangle, sq
 
@@ -376,15 +377,6 @@ class PipelineResult:
         return self.factor == self.target_factor
 
 
-def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    out = LaurentPoly2.term(1, q=(m - 1) * m * (m + 1) // 3)
-    for k in range(1, m + 1):
-        delta_k = LaurentPoly2.term(a * d, q=k - 1) + LaurentPoly2.const(b * c)
-        out = out * delta_k ** (m - k + 1)
-    return out
-
-
 def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineResult:
     """Run the full m-round peeling pipeline on the holey rectangle graph.
 
@@ -432,7 +424,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
         spiders += len(patterns)
         g, forced = remove_forced(g, weight_one_only=True)
         factor = factor * forced
-        delta_r = LaurentPoly2.term(a * d, q=r - 1) + LaurentPoly2.const(b * c)
+        delta_r = row_delta(r, a, b, c, d)
         scales = {("x", faces[(i, j)][2]): LaurentPoly2.term(1, q=i + j + r - 2) * delta_r  # east corners
                   for i in range(1, mu + 1) for j in range(1, nu)}
         g = star_scale(g, scales)

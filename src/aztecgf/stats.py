@@ -2,7 +2,7 @@
 
 Conventions (all pinned by the acceptance suite, none adjustable):
 
-* Regions are Aztec rectangles in the block coordinates of
+* Regions are Aztec rectangles (diamonds included) in the block coordinates of
   :mod:`aztecgf.regions`; the bottom cell row of the region is y = 0.
 
 * Every tiling corresponds to a family of m non-intersecting partial
@@ -213,13 +213,7 @@ def vstat(tiling: Tiling) -> int:
     difference raises OddVerticalCount.  On Aztec diamonds this is exactly
     half the vertical dominoes.
     """
-    region = tiling.region
-    if region.key[0] == "aztec_rectangle":
-        offset = displacement(region.key[3])
-    elif region.key[0] == "aztec_diamond":
-        offset = 0
-    else:
-        raise ValueError("vstat applies to square-lattice Aztec regions")
+    offset = displacement(tiling.region.rect_params[2])
     verticals = 0
     downs = 0
     for c1, c2 in tiling.dominoes:

@@ -58,6 +58,12 @@ def test_render_determinism(tmp_path):
     assert data == f2.read_bytes()
     assert data.count(b"<rect") == 42 // 2
     assert data.count(b"<polyline") == 3
+    # a diamond is AR(n, n; 1..n): it has a minimal tiling and Schröder paths
+    out = run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "minimal", "--paths")
+    assert out.stdout.count(b"<polyline") == 2
+    semihex = ("render", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,3")
+    assert run_cli(*semihex, "--tiling", "minimal", check=False).returncode == 2
+    assert run_cli(*semihex, "--tiling", "0", "--paths", check=False).returncode == 2
 
 
 def test_render_region_only_and_ascii():

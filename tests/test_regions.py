@@ -46,10 +46,12 @@ def test_rectangle_cell_counts_and_holes():
 
 
 def test_rectangle_equals_diamond_up_to_translation():
-    for n in range(1, 5):
+    # the translation is zero: the diamond is built in the rectangle's coordinates
+    for n in range(1, 7):
         ar = aztec_rectangle_with_holes(n, n, tuple(range(1, n + 1)))
         ad = aztec_diamond(n)
-        assert translate(ar.cells) == translate(ad.cells)
+        assert (ad.cells, ad.se_side, ad.nw_side) == (ar.cells, ar.se_side, ar.nw_side)
+        assert ad.rect_params == ar.rect_params and ad.key == ("aztec_diamond", n)
 
 
 def test_invalid_holes():
@@ -124,7 +126,7 @@ def test_weighted_graph_face_layout():
 
 
 def test_checkerboard_coloring():
-    for region in (aztec_diamond(1), aztec_rectangle_with_holes(3, 6, (1, 4, 6))):
+    for region in (*(aztec_diamond(n) for n in range(1, 7)), aztec_rectangle_with_holes(3, 6, (1, 4, 6))):
         colors = checkerboard_coloring(region)
         for c in region.nw_side:
             assert colors[c] == "white"

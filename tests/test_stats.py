@@ -8,7 +8,7 @@ from aztecgf.engine import Tiling, enumerate_tilings
 from aztecgf.errors import OddVerticalCount
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.poly import LaurentPoly2
-from aztecgf.regions import aztec_rectangle_with_holes, sq
+from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
 from aztecgf.stats import (
     elementary_moves,
     genfun_bruteforce,
@@ -136,6 +136,20 @@ def test_rank_agreement_small():
         region = aztec_rectangle_with_holes(m, n, s)
         for tiling in enumerate_tilings(region):
             assert rank_bfs(region, tiling) == rank_via_paths(tiling)
+
+
+def test_diamond_tilings_have_rank_paths_and_vstat():
+    # sum of q^rank * t^vstat over the diamond's own tilings is the EKLP product
+    for n in (1, 2, 3):
+        region = aztec_diamond(n)
+        f = LaurentPoly2.zero()
+        for tiling in enumerate_tilings(region):
+            rank = rank_bfs(region, tiling)
+            assert rank == rank_via_paths(tiling)
+            f = f + LaurentPoly2.term(1, q=rank, t=vstat(tiling))
+        assert f == aztec_diamond_genfun(n)
+    with pytest.raises(ValueError):
+        vstat(next(enumerate_tilings(semihexagon_with_dents(2, 1, (1, 3)))))
 
 
 def test_genfun_bruteforce_examples():
