@@ -12,6 +12,7 @@ from .engine import (
     count_tilings,
     enumerate_matchings,
     enumerate_tilings,
+    graph_genfun_dp,
     matching_genfun,
     tiling_genfun_dp,
 )

@@ -122,8 +122,9 @@ def cmd_genfun(args):
 
 def cmd_count(args, parser):
     region = _build_region(args, parser)
-    count = tiling_genfun_dp(region) if args.method == "dp" else count_tilings(region)
-    print(count)
+    if args.method == "enumerate":
+        stats.check_enumerable(region)
+    print(tiling_genfun_dp(region) if args.method == "dp" else count_tilings(region))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The two tiling kernels: one backtracking oracle and a frontier-profile DP.
+"""The two matching kernels: one backtracking oracle and one frontier-profile DP.
 
 Every tiling is a perfect matching of the region's dual graph, so every
 exhaustive route here -- enumerating tilings, counting them, listing the
@@ -9,22 +9,25 @@ streams.  The dynamic program is the fast path; it must agree with the
 oracle exactly, and the test suite holds it to bit-identical polynomial
 equality.
 
-The DP sweeps cells in :func:`~aztecgf.regions.sweep_key` order: squares by
-antidiagonal (x + y, then y), triangles by slanted column (x - y, then row,
-then kind).  Every tile joins two nearby diagonals, so the frontier of
-pending cells stays about one diagonal wide: n + 1 bits on an order-n Aztec
-diamond and at most a + 1 bits on an a-row semihexagon.  A bounding-box
-column sweep would be correct too, but its profile is as wide as the region
-is tall (24 bits at order 12), out of reach for an exact DP whose every state
-holds a polynomial.  States are keyed by frontier slot, not by cell
-position: a cell that may defer holds the lowest free slot while it can
-still match, so keys stay small integers however large the region.  The
-sweep order fixes the slots, and their number is the frontier width, so a
-region wider than ``MAX_FRONTIER`` bits is refused before any state is
-swept.  Weighted sweeps keep each state's polynomial Kronecker-packed
-(:class:`~aztecgf.poly.PackedPoly`): a monomial weight only updates the
-value's pending shift, and two states that merge cost one shift and one
-integer add per power of t.
+The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
+given.  :func:`tiling_genfun_dp` sweeps cells in
+:func:`~aztecgf.regions.sweep_key` order: squares by antidiagonal (x + y,
+then y), triangles by slanted column (x - y, then row, then kind).  Every
+tile joins two nearby diagonals, so the frontier of pending cells stays
+about one diagonal wide: n + 1 bits on an order-n Aztec diamond and at most
+a + 1 bits on an a-row semihexagon.  A bounding-box column sweep would be
+correct too, but its profile is as wide as the region is tall (24 bits at
+order 12), out of reach for an exact DP whose every state holds a
+polynomial.  :func:`graph_genfun_dp` sweeps a graph in its own vertex order,
+which needs at most 12 bits on the rewrite pipeline's 6 x 12 graphs.  States
+are keyed by frontier slot, not by position: a vertex that may defer holds
+the lowest free slot while it can still match, so keys stay small integers
+however large the graph.  The sweep order fixes the slots, and their number
+is the frontier width, so a graph wider than ``MAX_FRONTIER`` bits is
+refused before any state is swept.  Weighted sweeps keep each state's
+polynomial Kronecker-packed (:class:`~aztecgf.poly.PackedPoly`): a monomial
+weight only updates the value's pending shift, and two states that merge
+cost one shift and one integer add per power of t.
 """
 
 from __future__ import annotations
@@ -197,34 +200,46 @@ def tiling_genfun_dp(region: Region, weight=None):
     ``weight`` maps a tile (an ordered cell pair from the region's pool) to
     an int, a ``Fraction`` or a ``LaurentPoly2`` with non-negative
     coefficients; ``None`` counts tilings with integer arithmetic.  Cells are
-    swept in :func:`~aztecgf.regions.sweep_key` order on either lattice.  The
-    state is the set of swept cells awaiting a partner, as a mask of
-    frontier slots; cells outside the region never enter the sweep, which
-    is how ragged boundaries are handled.  Raises :class:`RegionTooWide`
-    before sweeping when the profile could exceed ``MAX_FRONTIER`` bits,
-    and :class:`InvalidWeight` for a weight with a negative coefficient.
+    swept in :func:`~aztecgf.regions.sweep_key` order on either lattice;
+    cells outside the region never enter the sweep, which is how ragged
+    boundaries are handled.  Errors are those of :func:`_genfun_dp`.  The
+    result is exactly ``matching_genfun(dual_graph(region, weight))``.
+    """
+    return _genfun_dp(sorted(region.cells, key=sweep_key), region.all_dominoes, weight)
+
+
+def graph_genfun_dp(graph: WeightedGraph):
+    """:func:`matching_genfun` by the frontier DP, far past the backtracker's
+    reach.  Vertices are swept in the graph's order, which also fixes the
+    backtracker's stream.  Errors are those of :func:`_genfun_dp`."""
+    return _genfun_dp(graph.vertices, tuple(graph.edge_dict()), lambda e: graph.weight(*e))
+
+
+def _genfun_dp(vertices, edges, weight):
+    """The frontier DP over ``vertices`` in the order given.
+
+    ``edges`` lists vertex pairs and ``weight(edge)`` their weights; ``None``
+    counts perfect matchings in integers.  Raises :class:`RegionTooWide`
+    before sweeping when the profile could exceed ``MAX_FRONTIER`` bits, and
+    :class:`InvalidWeight` for a weight with a negative coefficient.
 
     A weighted sweep runs on :class:`~aztecgf.poly.PackedPoly` values, which
-    take Laurent exponents as they come.  Every tiling has ``len(cells) / 2``
-    tiles, so one common denominator L makes all coefficients integers and
-    the result is divided by L^(len(cells) / 2) on decoding.  The slot width
-    comes from a first, integer sweep with every weight at q = t = 1, whose
-    value bounds every coefficient of the result.
-
-    The result is exactly ``matching_genfun(dual_graph(region))`` with the
-    matching edge weights; the acceptance suite asserts that equality.
+    take Laurent exponents as they come.  Every perfect matching has
+    ``len(vertices) / 2`` edges, so one common denominator L makes all
+    coefficients integers and the result is divided by L^(len(vertices) / 2)
+    on decoding.  The slot width comes from a first, integer sweep with
+    every weight at q = t = 1, whose value bounds every coefficient of the
+    result.
     """
-    cells = sorted(region.cells, key=sweep_key)
-    n = len(cells)
+    n = len(vertices)
     if n % 2:
         return 0 if weight is None else LaurentPoly2.zero()
-    pos = {c: k for k, c in enumerate(cells)}
-    tiles = region.all_dominoes
+    pos = {v: k for k, v in enumerate(vertices)}
 
-    nbr_earlier = [[] for _ in range(n)]  # (earlier position, tile index)
+    nbr_earlier = [[] for _ in range(n)]  # (earlier position, edge index)
     max_nbr = [-1] * n
-    for i, tile in enumerate(tiles):
-        p, k = pos[tile[0]], pos[tile[1]]
+    for i, (u, v) in enumerate(edges):
+        p, k = pos[u], pos[v]
         if p > k:
             p, k = k, p
         if k > max_nbr[p]:
@@ -240,13 +255,13 @@ def tiling_genfun_dp(region: Region, weight=None):
         return _sweep(nbr_earlier, last_mask, bit, weights, one)
 
     if weight is None:
-        return sweep([1] * len(tiles), 1) or 0
+        return sweep([1] * len(edges), 1) or 0
 
     polys = []
-    for tile in tiles:
-        w = as_poly(weight(tile))
+    for edge in edges:
+        w = as_poly(weight(edge))
         if any(c.numerator < 0 for _, c in w.sorted_terms()):
-            raise InvalidWeight(f"weight of tile {tile} has a negative coefficient")
+            raise InvalidWeight(f"weight of {edge} has a negative coefficient")
         polys.append(w)
     den = lcm(*(c.denominator for w in polys for _, c in w.sorted_terms()))
     total = sweep([sum(c.numerator * den // c.denominator for _, c in w.sorted_terms())
@@ -259,14 +274,14 @@ def tiling_genfun_dp(region: Region, weight=None):
 
 
 def _frontier_slots(max_nbr):
-    """Give every cell that can defer a frontier slot: (bit, last_mask, width).
+    """Give every vertex that can defer a frontier slot: (bit, last_mask, width).
 
-    Cell p may wait for a partner over [p, max_nbr[p]).  In sweep order it
+    Vertex p may wait for a partner over [p, max_nbr[p]).  In sweep order it
     takes the lowest free slot, ``bit[p]`` (0 if it never defers), and frees
     it at ``max_nbr[p]``: ``last_mask[k]`` holds the slots freed at k, whose
-    cells must match cell k.  This greedy colouring of intervals uses as many
-    slots as the most intervals that overlap, so ``width`` is the frontier
-    width in bits.
+    vertices must match vertex k.  This greedy colouring of intervals uses
+    as many slots as the most intervals that overlap, so ``width`` is the
+    frontier width in bits.
     """
     bit, last_mask = [0] * len(max_nbr), [0] * len(max_nbr)
     busy = 0
@@ -280,12 +295,12 @@ def _frontier_slots(max_nbr):
 
 
 def _sweep(nbr_earlier, last_mask, bit, weights, one):
-    """The frontier sweep itself; ``weights[i]`` multiplies tile ``i``.
+    """The frontier sweep itself; ``weights[i]`` multiplies edge ``i``.
 
     A state is a mask of frontier slots (:func:`_frontier_slots`), so every
     key is under ``MAX_FRONTIER`` bits.  ``nbr_earlier[k]`` lists (slot bit,
-    tile index) for cell k's earlier neighbours.  Returns the value of the
-    empty final profile, or None when no tiling reaches it.
+    edge index) for vertex k's earlier neighbours.  Returns the value of the
+    empty final profile, or None when no matching reaches it.
     """
     states = {0: one}
     for k, nbrs in enumerate(nbr_earlier):
@@ -300,7 +315,7 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
             req = s & lm
             if req:
                 if req & (req - 1):
-                    continue  # two pending cells both need k: dead branch
+                    continue  # two pending vertices both need k: dead branch
                 for pb, w in nbrs:
                     if pb == req:
                         cur = get(key := s ^ req)

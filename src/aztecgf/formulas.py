@@ -115,7 +115,7 @@ def weighted_rectangle_matching_genfun(m: int, n: int, s, a, b, c, d) -> Laurent
     peel_target_factor(m, a, b, c, d) * q^D * a^D * b^(m(n-m) - D)
     * prod_{i<j} (q^s_j - q^s_i)/(q^j - q^i),   with D = sum(s_i - i).
     """
-    s = tuple(s)
+    s = check_positions(m, n, s, InvalidHoles)
     a, b = Fraction(a), Fraction(b)
     dsp = displacement(s)
     out = peel_target_factor(m, a, b, c, d) * LaurentPoly2.term(a**dsp * b ** (m * (n - m) - dsp), q=dsp)

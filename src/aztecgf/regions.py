@@ -372,13 +372,13 @@ class WeightedGraph:
         return f"WeightedGraph({self.n} vertices, {self.edge_count()} edges)"
 
 
-def dual_graph(region: Region) -> WeightedGraph:
-    """One vertex per cell, one weight-1 edge per side-sharing pair.
+def dual_graph(region: Region, weight=None) -> WeightedGraph:
+    """One vertex per cell; one edge per domino, weighing ``weight(domino)`` or 1.
 
     For Aztec regions the ordered southeast-side cells are recorded as the
     marked list (the bottommost vertices of the rotated drawing).
     """
-    edges = {domino: LaurentPoly2.one() for domino in region.all_dominoes}
+    edges = {d: as_poly(1 if weight is None else weight(d)) for d in region.all_dominoes}
     return WeightedGraph(region.sorted_cells, edges, marked=region.se_side)
 
 

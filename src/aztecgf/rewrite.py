@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InexactDivision, InvalidPartition, PatternMismatch, ZeroDelta
+from .errors import InexactDivision, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor, row_delta
 from .poly import LaurentPoly2, as_poly
-from .regions import WeightedGraph, ar_face_cells, full_weighted_rectangle, sq
+from .regions import WeightedGraph, ar_face_cells, check_positions, full_weighted_rectangle, sq
 
 
 _ONE = LaurentPoly2.one()
@@ -390,8 +390,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     graph has the matching generating function of the weighted semihexagon.
     """
     a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-    s = tuple(s)
-    kept = set(s)
+    kept = set(check_positions(m, n, s, InvalidHoles))
     g = full_weighted_rectangle(m, n, a, b, c, d)
     verts = list(g.vertices)
     edges = g.edge_dict()

@@ -58,7 +58,7 @@ from .errors import (
     Unreachable,
 )
 from .formulas import count_product, displacement, shifted_content_exponent
-from .poly import LaurentPoly2
+from .poly import LaurentPoly2, falling_ratio
 from .regions import Region, aztec_rectangle_with_holes, is_white, sq
 
 
@@ -420,6 +420,18 @@ def rank_via_paths(tiling: Tiling) -> int:
 MAX_BRUTE_TILINGS = 2**18  # enumeration plus rank BFS costs tens of microseconds a tiling
 
 
+def check_enumerable(region: Region) -> None:
+    """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
+    if region.lattice == "square":
+        m, _, s = region.rect_params
+        tilings = count_product(m, s)
+    else:
+        tilings = falling_ratio(region.semihex_params[2])
+    if tilings > MAX_BRUTE_TILINGS:
+        raise TooManyTilings(f"{tilings} tilings, over the brute-force limit of {MAX_BRUTE_TILINGS};"
+                             " the dp method has no such limit")
+
+
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) by full enumeration, BFS rank, and the vertical statistic.
 
@@ -428,11 +440,8 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     missing from the flip BFS (rank would then be undefined; it never
     happens on these regions).
     """
-    s = tuple(s)
     region = aztec_rectangle_with_holes(m, n, s)
-    tilings = count_product(m, s)
-    if tilings > MAX_BRUTE_TILINGS:
-        raise TooManyTilings(f"{tilings} tilings, over the brute-force limit of {MAX_BRUTE_TILINGS}")
+    check_enumerable(region)
     dist = rank_distances(region)
     counts = {}
     seen = 0

@@ -22,7 +22,8 @@ Corpus bounds (exact equality everywhere, no tolerances):
 * relation: domino count == 2^(m(m+1)/2) * lozenge count, m<=4, n<=7.
 * rewrite:  the three local rewrites against brute force on 50 seeded random
             graphs each; the row-reduction identity; the full peeling
-            pipeline factor and endpoint.
+            pipeline's factor, endpoint and closed form, by the backtracker
+            for m<=2, n<=3 and by the graph DP for m<=6, m<=n<=2m.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import formulas, lozenge, rewrite, stats
-from .engine import enumerate_tilings, matching_genfun, tiling_genfun_dp
+from .engine import enumerate_tilings, graph_genfun_dp, matching_genfun, tiling_genfun_dp
 from .poly import LaurentPoly2, falling_ratio, q_ratio_product
 from .regions import (
     WeightedGraph,
@@ -141,19 +142,13 @@ def kernel_cases():
     for region in regions:
         if len(region.cells) > 60:
             continue
-        graph = dual_graph(region)
-        ok = tiling_genfun_dp(region) == matching_genfun(graph).evaluate(1, 1)
-        dp_w = tiling_genfun_dp(region, stats.domino_weight)
-        edges = {e: stats.domino_weight(tuple(sorted(e))) for e in graph.edge_dict()}
-        ok = ok and dp_w == matching_genfun(WeightedGraph(graph.vertices, edges, graph.marked))
+        ok = tiling_genfun_dp(region) == matching_genfun(dual_graph(region)).evaluate(1, 1)
         rand_w = {
             d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
             for d in region.all_dominoes
         }
-        dp_r = tiling_genfun_dp(region, lambda dom: rand_w[dom])
-        ok = ok and dp_r == matching_genfun(
-            WeightedGraph(graph.vertices, {e: rand_w[tuple(sorted(e))] for e in graph.edge_dict()})
-        )
+        for weight in (stats.domino_weight, rand_w.__getitem__):
+            ok = ok and tiling_genfun_dp(region, weight) == matching_genfun(dual_graph(region, weight))
         yield f"kernel {region.key}", ok
 
 
@@ -308,30 +303,37 @@ def _random_spider_host(rng):
 
 
 def suite_pipeline():
-    """The peeling pipeline: factor closed form and semihexagon endpoint."""
+    """The peeling chain, by the backtracker and then by the graph DP."""
     rng = random.Random(31415926)
     for m in (1, 2):
         for n in range(m, 4):
             for s in kept_sets(n, m):
-                ok = True
                 draws = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
                 draws.append(tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4)))
-                for a, b, c, d in draws:
-                    res = rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
-                    ok = ok and res.factor_matches()
-                    start = matching_genfun(weighted_ar_graph(m, n, s, a, b, c, d))
-                    final = matching_genfun(res.graph)
-                    ok = ok and start == res.factor * final
-                    sh = semihexagon_with_dents(m, n - m, s)
-                    m_tilde = lozenge.weighted_sh_genfun(
-                        sh,
-                        lambda k, a=a: LaurentPoly2.term(a, q=k + 1),
-                        LaurentPoly2.const(b),
-                        LaurentPoly2.one(),
-                    )
-                    ok = ok and final == m_tilde
-                    ok = ok and start == res.target_factor * m_tilde
+                ok = all(_chain_ok(m, n, s, *draw, matching_genfun) for draw in draws)
                 yield f"rewrite pipeline m={m} n={n} s={s}", ok
+    rng = random.Random(27182818)
+    for m in range(1, 7):
+        for n in range(m, 2 * m + 1):
+            s = tuple(sorted(rng.sample(range(1, n + 1), m)))
+            draw = tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4))
+            yield f"rewrite pipeline dp m={m} n={n} s={s}", _chain_ok(m, n, s, *draw, graph_genfun_dp)
+
+
+def _chain_ok(m, n, s, a, b, c, d, matchings):
+    """The chain's equalities, each matching sum M computed by ``matchings``."""
+    res = rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
+    start = matchings(weighted_ar_graph(m, n, s, a, b, c, d))
+    final = matchings(res.graph)
+    m_tilde = lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
+                                         lambda k: LaurentPoly2.term(a, q=k + 1), b, 1)
+    return (
+        res.factor_matches()
+        and start == res.factor * final
+        and final == m_tilde
+        and start == res.target_factor * m_tilde
+        and start == formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
+    )
 
 
 ALL_SUITES = {

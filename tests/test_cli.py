@@ -105,6 +105,13 @@ def test_invalid_flags_exit_2(tmp_path):
     # too many tilings to enumerate: refused before the search starts
     brute = run_cli("genfun", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7", "--method", "brute", check=False)
     assert brute.returncode == 2 and brute.stderr.startswith(b"error: ")
+    # the backtracker would run for days: refused by the closed-form count, dp still answers
+    for region in (("aztec", "--order", "8"), ("rect", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7"),
+                   ("semihex", "--a", "6", "--b", "12", "--dents", "1,4,7,10,13,16")):
+        enum = subprocess.run([sys.executable, "-m", "aztecgf.cli", "count", "--region", *region],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert enum.returncode == 2 and enum.stderr.startswith(b"error: ") and b"dp" in enum.stderr
+        assert run_cli("count", "--region", *region, "--method", "dp").returncode == 0
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
     assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
     # unreadable serialized regions: missing, not JSON, unknown kind

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aztecgf import engine
 from aztecgf.engine import (
     Tiling,
     _frontier_slots,
@@ -15,6 +16,7 @@ from aztecgf.engine import (
     count_tilings,
     enumerate_matchings,
     enumerate_tilings,
+    graph_genfun_dp,
     matching_genfun,
     tiling_genfun_dp,
 )
@@ -109,11 +111,8 @@ def test_dp_equals_oracle_with_weights():
         for draw in (monomial, polynomial):
             weights = {d: draw() for d in region.all_dominoes}
             dp = tiling_genfun_dp(region, lambda dom: weights[dom])
-            g = dual_graph(region)
-            weighted = WeightedGraph(
-                g.vertices, {e: weights[tuple(sorted(e))] for e in g.edge_dict()}
-            )
-            assert dp == matching_genfun(weighted)
+            weighted = dual_graph(region, lambda dom: weights[dom])
+            assert dp == matching_genfun(weighted) == graph_genfun_dp(weighted)
 
 
 def test_dp_weights_constants_and_negative_coefficients():
@@ -142,6 +141,62 @@ def test_dp_frontier_bound():
         tiling_genfun_dp(semihexagon_with_dents(24, 1, tuple(range(2, 26))))
     dents = tuple(x for x in range(1, 25) if x != 12)
     assert tiling_genfun_dp(semihexagon_with_dents(23, 1, dents)) == falling_ratio(dents)
+
+
+def test_graph_dp_equals_oracle_on_random_graphs():
+    # odd, unmatchable and disconnected graphs included, but most even ones
+    # get a perfect-matching skeleton; vertex labels are shuffled strings, so
+    # the sweep follows the graph's order, not a sort
+    rng = random.Random(6174)
+
+    def weight():
+        return LaurentPoly2.term(Fraction(rng.randint(1, 9), rng.randint(1, 4)), q=rng.randint(-1, 3))
+
+    for case in range(300):
+        n = rng.randint(2, 14)
+        verts = [f"v{k}" for k in range(n)]
+        rng.shuffle(verts)
+        density = rng.choice((0.2, 0.35, 0.5))
+        edges = {(u, v): weight() for u, v in combinations(verts, 2) if rng.random() < density}
+        if rng.random() < 0.7:
+            skeleton = sorted(verts, key=lambda v: rng.random())
+            for u, v in zip(skeleton[::2], skeleton[1::2]):
+                if (u, v) not in edges and (v, u) not in edges:
+                    edges[(u, v)] = weight()
+        g = WeightedGraph(verts, edges)
+        assert graph_genfun_dp(g) == matching_genfun(g), case
+
+
+def test_graph_dp_equals_region_dp_in_another_order():
+    # the dual graph lists cells in sorted order, the region DP sweeps them
+    # in sweep_key order: the two sweeps share the core but not the slots
+    rng = random.Random(1729)
+    regions = [aztec_rectangle_with_holes(m, n, s)
+               for m in range(1, 4) for n in range(m, 6) for s in combinations(range(1, n + 1), m)]
+    regions += [semihexagon_with_dents(m, n - m, s)
+                for m in range(1, 4) for n in range(m, 7) for s in combinations(range(1, n + 1), m)]
+    for region in regions:
+        weights = {d: LaurentPoly2.term(Fraction(rng.randint(1, 9), rng.randint(1, 3)),
+                                        q=rng.randint(0, 3), t=rng.randint(0, 1))
+                   for d in region.all_dominoes}
+        weight = weights.__getitem__
+        assert graph_genfun_dp(dual_graph(region, weight)) == tiling_genfun_dp(region, weight), region.key
+
+
+def test_graph_dp_edge_cases(monkeypatch):
+    assert graph_genfun_dp(WeightedGraph([], {})) == LaurentPoly2.one()
+    odd = WeightedGraph([0, 1, 2], {(0, 1): LaurentPoly2.one(), (1, 2): LaurentPoly2.one()})
+    assert graph_genfun_dp(odd) == LaurentPoly2.zero()
+    with pytest.raises(InvalidWeight):
+        graph_genfun_dp(four_cycle((1, -2, 1, 1)))
+
+    def no_sweep(*args):
+        raise AssertionError("swept a graph that is too wide")
+
+    # the diamond's cells in sorted (column) order need 26 frontier bits
+    monkeypatch.setattr(engine, "_sweep", no_sweep)
+    with pytest.raises(RegionTooWide):
+        graph_genfun_dp(dual_graph(aztec_diamond(13)))
 
 
 def last_neighbours(region):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidDents, NegativeExponent
+from aztecgf.errors import InvalidDents, InvalidHoles, NegativeExponent
 from aztecgf.formulas import (
     aztec_diamond_genfun,
     count_product,
@@ -66,6 +66,10 @@ def test_weighted_product_examples():
     for m, n, s in ((2, 4, (1, 3)), (3, 5, (2, 3, 5))):
         p = weighted_rectangle_matching_genfun(m, n, s, 1, 1, 1, 1)
         assert p.evaluate(1, 1) == count_product(m, s)
+    # no such region: a position past n, m > n, positions out of order
+    for m, n, s in ((2, 3, (1, 5)), (3, 2, (1, 2, 3)), (2, 3, (3, 1))):
+        with pytest.raises(InvalidHoles):
+            weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
 
 
 def test_cspp_product_examples():

@@ -95,6 +95,10 @@ def test_dual_graph_marks_southeast_side():
     region = aztec_rectangle_with_holes(3, 6, (1, 4, 6))
     g = dual_graph(region)
     assert g.marked == (sq(1, 0), sq(4, 3), sq(6, 5))
+    assert set(g.edge_dict().values()) == {LaurentPoly2.one()}
+    weighted = dual_graph(region, lambda dom: dom[0].y + 1)
+    assert weighted.marked == g.marked and weighted.vertices == g.vertices
+    assert weighted.edge_dict() == {d: LaurentPoly2.const(d[0].y + 1) for d in region.all_dominoes}
 
 
 def test_semihexagon_dual_matchings():

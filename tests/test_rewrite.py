@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidPartition, PatternMismatch, ZeroDelta
+from aztecgf.errors import InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from aztecgf.lozenge import weighted_sh_genfun
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import (
@@ -181,6 +181,12 @@ def test_pipeline_diamond_degenerates_to_empty_graph():
     res = reduce_rectangle_to_semihexagon(1, 1, (1,), 1, 1, 1, 1)
     assert res.factor == LaurentPoly2.const(2)
     assert matching_genfun(res.graph) == LaurentPoly2.one()
+
+
+def test_pipeline_checks_positions():
+    for m, n, s in ((2, 3, (1, 5)), (3, 2, (1, 2, 3)), (2, 3, (3, 1))):
+        with pytest.raises(InvalidHoles):
+            reduce_rectangle_to_semihexagon(m, n, s, 1, 1, 1, 1)
 
 
 def _original(label):
