@@ -12,10 +12,11 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 
 from . import formulas, stats, verify
 from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError, InvalidRegionFile
+from .errors import AztecError, InvalidRegionFile, TooManyTilings
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
@@ -50,13 +51,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="print an exact tiling count")
     p.add_argument("--region", choices=("aztec", "rect", "semihex"), required=True)
-    p.add_argument("--order", type=int, help="order of the Aztec diamond")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--holes", type=_positions)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--dents", type=_positions)
+    _add_region_flags(p, order_help="order of the Aztec diamond")
     p.add_argument("--method", choices=("enumerate", "dp"), default="enumerate")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -65,13 +60,7 @@ def build_parser():
     p = sub.add_parser("render", help="draw a region or one of its tilings")
     p.add_argument("--region", choices=("aztec", "rect", "semihex"))
     p.add_argument("--in", dest="infile", help="read a serialized region (JSON) instead")
-    p.add_argument("--order", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--holes", type=_positions)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--dents", type=_positions)
+    _add_region_flags(p)
     p.add_argument("--tiling", help='"minimal" or the 0-based index into the enumeration')
     p.add_argument("--paths", action="store_true", help="overlay the Schröder paths")
     p.add_argument("--format", choices=("svg", "ascii"), default="svg")
@@ -80,6 +69,13 @@ def build_parser():
     p = sub.add_parser("bench", help="time the count DP against brute force, and the weighted DP")
     p.add_argument("--order", type=int, required=True)
     return parser
+
+
+def _add_region_flags(p, order_help=None):
+    """The flags that build a region, shared by count and render."""
+    for flag, kind in (("--order", int), ("--m", int), ("--n", int), ("--holes", _positions),
+                       ("--a", int), ("--b", int), ("--dents", _positions)):
+        p.add_argument(flag, type=kind, help=order_help if flag == "--order" else None)
 
 
 def _build_region(args, parser):
@@ -151,12 +147,11 @@ def cmd_render(args, parser):
                 index = int(args.tiling)
             except ValueError:
                 parser.error("--tiling takes 'minimal' or an integer index")
-            for k, t in enumerate(enumerate_tilings(region)):
-                if k == index:
-                    tiling = t
-                    break
-            if tiling is None:
+            if not 0 <= index < stats.closed_count(region):
                 parser.error(f"tiling index {index} out of range")
+            if index >= stats.MAX_BRUTE_TILINGS:
+                raise TooManyTilings(f"tiling index {index} is past the brute-force limit {stats.MAX_BRUTE_TILINGS}")
+            tiling = next(islice(enumerate_tilings(region), index, None))
     if args.paths and tiling is None:
         parser.error("--paths needs a tiling")
     if args.format == "svg":

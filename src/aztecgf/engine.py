@@ -12,22 +12,23 @@ equality.
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
 :func:`~aztecgf.regions.sweep_key` order: squares by antidiagonal (x + y,
-then y), triangles by slanted column (x - y, then row, then kind).  Every
-tile joins two nearby diagonals, so the frontier of pending cells stays
-about one diagonal wide: n + 1 bits on an order-n Aztec diamond and at most
-a + 1 bits on an a-row semihexagon.  A bounding-box column sweep would be
-correct too, but its profile is as wide as the region is tall (24 bits at
-order 12), out of reach for an exact DP whose every state holds a
-polynomial.  :func:`graph_genfun_dp` sweeps a graph in its own vertex order,
-which needs at most 12 bits on the rewrite pipeline's 6 x 12 graphs.  States
-are keyed by frontier slot, not by position: a vertex that may defer holds
-the lowest free slot while it can still match, so keys stay small integers
-however large the graph.  The sweep order fixes the slots, and their number
-is the frontier width, so a graph wider than ``MAX_FRONTIER`` bits is
-refused before any state is swept.  Weighted sweeps keep each state's
-polynomial Kronecker-packed (:class:`~aztecgf.poly.PackedPoly`): a monomial
-weight only updates the value's pending shift, and two states that merge
-cost one shift and one integer add per power of t.
+then y), triangles by slanted column (x - y, one more for a down-triangle,
+then row, then kind).  Every tile joins two nearby diagonals, so the
+frontier of pending cells stays about one diagonal wide: n + 1 bits on an
+order-n Aztec diamond and at most a bits on an a-row semihexagon.  A
+bounding-box column sweep would be correct too, but its profile is as wide
+as the region is tall (24 bits at order 12), out of reach for an exact DP
+whose every state holds a polynomial.  :func:`graph_genfun_dp` sweeps a
+graph in its own vertex order, which needs at most 12 bits on the rewrite
+pipeline's 6 x 12 graphs.  States are keyed by frontier slot, not by
+position: a vertex that may defer holds the lowest free slot while it can
+still match, so keys stay small integers however large the graph.  The sweep
+order fixes the slots, and their number is the frontier width, so a graph
+wider than ``MAX_FRONTIER`` bits is refused before any state is swept.
+Weighted sweeps keep each state's polynomial Kronecker-packed
+(:class:`~aztecgf.poly.PackedPoly`): a monomial weight only updates the
+value's pending shift, and two states that merge cost one shift and one
+integer add per power of t.
 """
 
 from __future__ import annotations

@@ -55,10 +55,6 @@ class TooManyTilings(AztecError):
     """A region has more tilings than brute-force enumeration is allowed to visit."""
 
 
-class ConstructionFailed(AztecError):
-    """The minimal-tiling construction produced overlaps or an untileable remainder."""
-
-
 class OddVerticalCount(AztecError):
     """The vertical-domino statistic is not an integer for this tiling."""
 

@@ -21,7 +21,9 @@ to explicit integers; every boundary identification below is derived from it:
 Keeping the squares at southeast positions ``s_1 < ... < s_m`` and removing
 the rest ("holes") gives the tileable region with 2mn + m + n - (n - m)
 cells.  The Aztec diamond of order n is AR(n, n; 1, ..., n), in these same
-coordinates.
+coordinates.  Each domino is one side of one block ("face"), named by
+:func:`domino_class`; the weighted rectangle graphs are :func:`dual_graph`
+with weights read off that side.
 
 Triangular lattice: the cell ``(x, y)`` with kind ``up``/``dw`` is the x-th
 up/down-pointing unit triangle of row y (rows counted 1..a top to bottom, so
@@ -201,10 +203,11 @@ def cell_neighbors(c: Cell):
 
 def sweep_key(c: Cell):
     """Sort key of the frontier DP's sweep: square cells by antidiagonal,
-    triangles by slanted column, so each cell's neighbors sort close to it."""
+    triangles by slanted column, so each cell's neighbors sort close to it.
+    A down-triangle joins the next column, where its last neighbour is."""
     if c.kind == SQUARE:
         return (c.x + c.y, c.y)
-    return (c.x - c.y, c.y, c.kind)
+    return (c.x - c.y + (c.kind == TRI_DOWN), c.y, c.kind)
 
 
 def check_positions(m: int, n: int, s, error) -> tuple:
@@ -238,12 +241,17 @@ def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
     The full rectangle has 2mn + m + n cells; each of the n - m removed
     southeast squares ("holes") drops one.
     """
-    s = check_positions(m, n, s, InvalidHoles)
+    return _ar_region(m, n, check_positions(m, n, s, InvalidHoles))
+
+
+def _ar_region(m: int, n: int, kept: tuple) -> Region:
+    """AR_{m,n} keeping the southeast squares at positions ``kept``, unchecked:
+    the full weighted rectangle keeps all n of them, and may have m > n."""
     cells = {cell for quad in ar_face_cells(m, n).values() for cell in quad}
-    cells.difference_update(sq(h, h - 1) for h in range(1, n + 1) if h not in s)
-    se = tuple(sq(h, h - 1) for h in s)
+    cells.difference_update(sq(h, h - 1) for h in range(1, n + 1) if h not in kept)
+    se = tuple(sq(h, h - 1) for h in kept)
     nw = tuple(sq(j - m, m + j - 1) for j in range(1, n + 1))
-    return Region("square", ("aztec_rectangle", m, n, s), frozenset(cells), se_side=se, nw_side=nw)
+    return Region("square", ("aztec_rectangle", m, n, kept), frozenset(cells), se_side=se, nw_side=nw)
 
 
 def semihexagon_with_dents(a: int, b: int, s) -> Region:
@@ -407,36 +415,47 @@ def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
     the region builder this allows m > n, which the row reduction's
     right-hand side needs.)
     """
-    faces = ar_face_cells(m, n)
-    edges = {}
-    for (i, j), (w_cell, s_cell, e_cell, n_cell) in faces.items():
-        qshift = i + j - 2
-        edges[_edge(w_cell, n_cell)] = as_poly(a)                      # northwest
-        edges[_edge(n_cell, e_cell)] = as_poly(b)                      # northeast
-        edges[_edge(s_cell, e_cell)] = as_poly(d).shift(dq=qshift)     # southeast
-        edges[_edge(w_cell, s_cell)] = as_poly(c).shift(dq=qshift)     # southwest
-    cells = sorted({cell for quad in faces.values() for cell in quad})
-    return WeightedGraph(cells, edges, marked=tuple(sq(h, h - 1) for h in range(1, n + 1)))
-
-
-def _edge(u, v):
-    return (u, v) if u < v else (v, u)
+    return dual_graph(_ar_region(m, n, tuple(range(1, n + 1))), _face_weight(a, b, c, d))
 
 
 def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
     """Dual graph of AR_{m,n} with the four-parameter face weights, holes removed.
 
-    The face weights are those of :func:`full_weighted_rectangle`.  Hole
-    removal happens at graph level: the southeast-side vertices whose
-    positions are not in s are deleted with their edges, and the marked list
-    keeps the southeast-side vertices that remain.
+    The face weights are those of :func:`full_weighted_rectangle`; the
+    marked list holds the kept southeast-side vertices.
     """
-    s = check_positions(m, n, s, InvalidHoles)
+    region = aztec_rectangle_with_holes(m, n, s)
     for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not as_poly(val):
             raise InvalidWeight(f"weight {name} must be nonzero")
-    holes = [sq(h, h - 1) for h in range(1, n + 1) if h not in s]
-    return full_weighted_rectangle(m, n, a, b, c, d).without_vertices(holes)
+    return dual_graph(region, _face_weight(a, b, c, d))
+
+
+def _face_weight(a, b, c, d):
+    """Domino -> a, b, c*q^row or d*q^row by its :func:`domino_class`."""
+    by_class = {"up": (as_poly(a), False), "plain": (as_poly(b), False),
+                "level": (as_poly(c), True), "down": (as_poly(d), True)}
+
+    def weight(dom):
+        kind, row = domino_class(dom)
+        w, rises = by_class[kind]
+        return w.shift(dq=row) if rises else w
+
+    return weight
+
+
+def domino_class(dom) -> tuple:
+    """(kind, row) of a square-lattice domino.  The kind is ``"level"``
+    (horizontal, black left cell), ``"plain"`` (horizontal, white left cell),
+    ``"up"`` (vertical, black bottom cell) or ``"down"`` (vertical, white
+    bottom cell).  On AR_{m,n} these are the southwest, northeast, northwest
+    and southeast sides of one face (i, j), and row = i + j - 2.
+    """
+    c1, c2 = sorted(dom)  # the left or the bottom cell first
+    black = not is_white(c1)
+    if c1.y == c2.y:
+        return ("level", c1.y) if black else ("plain", c1.y - 1)
+    return ("up" if black else "down"), c1.y
 
 
 def checkerboard_coloring(region: Region) -> dict:

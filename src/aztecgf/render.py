@@ -10,7 +10,7 @@ rectangle tiling.
 from __future__ import annotations
 
 from .engine import Tiling
-from .regions import Region, is_white, sq
+from .regions import Region, domino_class, is_white, sq
 
 UNIT = 40
 PAD = 10
@@ -18,7 +18,7 @@ TRI_H = 34.64  # UNIT * sqrt(3)/2, fixed to two decimals for stable output
 
 SQUARE_COLORS = {
     "level": "#e8c878",   # horizontal, black left cell (carries t*q^(2k))
-    "plain_h": "#f2ead8",
+    "plain": "#f2ead8",   # horizontal, white left cell
     "up": "#9cc4e4",      # vertical, black bottom cell
     "down": "#5f7fc0",    # vertical, white bottom cell (carries q^(2k+1))
 }
@@ -67,18 +67,11 @@ def _square_svg(region, tiling, paths):
             )
     else:
         for c1, c2 in sorted(tiling.dominoes):
-            if c1.y == c2.y:
-                cls = "plain_h" if is_white(c1) else "level"
-                w, h = 2 * UNIT, UNIT
-                x, y = px(c1.x), py(c1.y + 1)
-            else:
-                bottom = c1
-                cls = "down" if is_white(bottom) else "up"
-                w, h = UNIT, 2 * UNIT
-                x, y = px(c1.x), py(c2.y + 1)
+            w, h = (2 * UNIT, UNIT) if c1.y == c2.y else (UNIT, 2 * UNIT)
+            color = SQUARE_COLORS[domino_class((c1, c2))[0]]
             out.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-                f'fill="{SQUARE_COLORS[cls]}" stroke="#303030" stroke-width="2" rx="3"/>\n'
+                f'<rect x="{_fmt(px(c1.x))}" y="{_fmt(py(c2.y + 1))}" width="{_fmt(w)}" height="{_fmt(h)}" '
+                f'fill="{color}" stroke="#303030" stroke-width="2" rx="3"/>\n'
             )
     if paths and tiling is not None:
         from .stats import tiling_to_paths

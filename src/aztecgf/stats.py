@@ -21,11 +21,14 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   argument forces up-crossed verticals to have black bottom cells and
   down-crossed ones white bottom cells, and the suite asserts it.
 
-* Domino weights (local, used by the DP): a crossed horizontal in row y
-  weighs t*q^(2y); a down-crossed vertical with bottom row y weighs
-  q^(2y+1); everything else weighs 1.  Equivalently, on paths: a level step
-  at height h contributes t*q^(2h), a down step ending at height h
-  contributes q^(2h+1), up steps contribute nothing.
+* Domino weights (local, used by the DP), by
+  :func:`~aztecgf.regions.domino_class`: a ``"level"`` domino in row y
+  weighs t*q^(2y); a ``"down"`` one with bottom row y weighs q^(2y+1);
+  everything else weighs 1.  Equivalently, on paths: a level step at height
+  h contributes t*q^(2h), a down step ending at height h contributes
+  q^(2h+1), up steps contribute nothing.  :func:`vstat` and
+  :func:`tiling_to_paths` test colours on their own, so the brute-force and
+  path-rank oracles share no code with the weights.
 
 * The vertical statistic of a tiling is its number of down steps, i.e. the
   number of white-bottomed vertical dominoes.  For an Aztec diamond this is
@@ -34,7 +37,8 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   the count is (verticals - sum(s_i - i)) / 2.  Both computations are done
   and compared; disagreement (or a non-integer) raises OddVerticalCount.
 
-* The rank of a tiling is its flip distance from the minimal tiling, where a
+* The minimal tiling is the tiling of the one path family with no down
+  steps.  The rank of a tiling is its flip distance from it, where a
   flip rotates a 2x2 block of two parallel dominoes.  It is computed twice:
   by breadth-first search over the flip graph, and as beta(paths(T)) -
   beta(paths(minimal)); the two must agree everywhere.
@@ -51,7 +55,6 @@ from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
     BijectionViolation,
     CalibrationMismatch,
-    ConstructionFailed,
     NegativeRank,
     OddVerticalCount,
     TooManyTilings,
@@ -59,7 +62,7 @@ from .errors import (
 )
 from .formulas import count_product, displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
-from .regions import Region, aztec_rectangle_with_holes, is_white, sq
+from .regions import Region, aztec_rectangle_with_holes, domino_class, is_white, sq
 
 
 @dataclass(frozen=True)
@@ -147,59 +150,6 @@ def path_stats(family: SchroderPathFamily) -> PathStats:
         downs.append(d)
         levels.append(l)
     return PathStats(tuple(ups), tuple(downs), tuple(levels), area, beta)
-
-
-# ---------------------------------------------------------------------------
-# minimal tiling
-
-
-def hole_positions(n: int, s) -> tuple:
-    return tuple(h for h in range(1, n + 1) if h not in set(s))
-
-
-def minimal_tiling(m: int, n: int, s) -> Tiling:
-    """The rank-0 tiling: a vertical strip beside each hole, horizontals elsewhere.
-
-    The i-th hole (position h_i on the southeast side, counted left to
-    right) gets a southeast-to-northwest strip of m - (h_i - i) vertical
-    dominoes; the strip beside hole h occupies cells (h-l, h+l-2), (h-l,
-    h+l-1) for l = 1..length.  Everything left over is covered row by row
-    with horizontal dominoes.  Any collision or unpairable row raises
-    ConstructionFailed (the suite asserts it never does).
-    """
-    s = tuple(s)
-    region = aztec_rectangle_with_holes(m, n, s)
-    used = set()
-    dominoes = []
-    for idx, h in enumerate(hole_positions(n, s), start=1):
-        length = m - (h - idx)
-        if length < 0:
-            raise ConstructionFailed(f"negative strip length at hole {h}")
-        for l in range(1, length + 1):
-            lo, hi = sq(h - l, h + l - 2), sq(h - l, h + l - 1)
-            if lo not in region.cells or hi not in region.cells or lo in used or hi in used:
-                raise ConstructionFailed(f"strip collision at hole {h}, piece {l}")
-            used.update((lo, hi))
-            dominoes.append((lo, hi))
-    return _fill_rows(region, used, dominoes, ConstructionFailed)
-
-
-def _fill_rows(region: Region, used, dominoes, error) -> Tiling:
-    """Cover the cells not in ``used`` row by row with horizontal dominoes,
-    add them to ``dominoes`` and return the tiling; raise ``error`` when a row
-    leftover is odd or gapped or the result does not tile the region."""
-    for y, xs in sorted(region.rows().items()):
-        rest = [x for x in xs if sq(x, y) not in used]
-        if len(rest) % 2:
-            raise error(f"odd leftover in row {y}")
-        for k in range(0, len(rest), 2):
-            if rest[k + 1] != rest[k] + 1:
-                raise error(f"leftover gap in row {y} at x={rest[k]}")
-            dominoes.append((sq(rest[k], y), sq(rest[k + 1], y)))
-    tiling = Tiling.from_dominoes(region, dominoes)
-    if not tiling.is_valid():
-        raise error("dominoes do not tile the region")
-    return tiling
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +301,8 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
 
 
 def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
-    """Inverse of :func:`tiling_to_paths`: replay the walks, fill the rest."""
+    """Inverse of :func:`tiling_to_paths`: replay the walks, then cover the
+    rest row by row with horizontals."""
     family.validate()
     m, n, s = region.rect_params
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
@@ -382,7 +333,18 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
                 y -= 1
         if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(f"replayed path {i} exits at {(x, y)}")
-    return _fill_rows(region, used, dominoes, BijectionViolation)
+    for y, xs in sorted(region.rows().items()):
+        rest = [x for x in xs if sq(x, y) not in used]
+        if len(rest) % 2:
+            raise BijectionViolation(f"odd leftover in row {y}")
+        for k in range(0, len(rest), 2):
+            if rest[k + 1] != rest[k] + 1:
+                raise BijectionViolation(f"leftover gap in row {y} at x={rest[k]}")
+            dominoes.append((sq(rest[k], y), sq(rest[k + 1], y)))
+    tiling = Tiling.from_dominoes(region, dominoes)
+    if not tiling.is_valid():
+        raise BijectionViolation("dominoes do not tile the region")
+    return tiling
 
 
 def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
@@ -403,6 +365,14 @@ def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
     return SchroderPathFamily(m, n, s, tuple(paths)).validate()
 
 
+def minimal_tiling(m: int, n: int, s) -> Tiling:
+    """The rank-0 tiling, from :func:`minimal_path_family`: a strip of
+    m - (h_i - i) up-type verticals beside the i-th hole h_i, horizontals
+    elsewhere."""
+    region = aztec_rectangle_with_holes(m, n, s)
+    return paths_to_tiling(minimal_path_family(m, n, s), region)
+
+
 def rank_via_paths(tiling: Tiling) -> int:
     """beta(paths(T)) - beta(paths(minimal)); must equal the BFS rank."""
     m, n, s = tiling.region.rect_params
@@ -420,13 +390,17 @@ def rank_via_paths(tiling: Tiling) -> int:
 MAX_BRUTE_TILINGS = 2**18  # enumeration plus rank BFS costs tens of microseconds a tiling
 
 
-def check_enumerable(region: Region) -> None:
-    """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
+def closed_count(region: Region) -> int:
+    """The tiling count by closed form (``count_product`` or ``falling_ratio``)."""
     if region.lattice == "square":
         m, _, s = region.rect_params
-        tilings = count_product(m, s)
-    else:
-        tilings = falling_ratio(region.semihex_params[2])
+        return count_product(m, s)
+    return falling_ratio(region.semihex_params[2])
+
+
+def check_enumerable(region: Region) -> None:
+    """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
+    tilings = closed_count(region)
     if tilings > MAX_BRUTE_TILINGS:
         raise TooManyTilings(f"{tilings} tilings, over the brute-force limit of {MAX_BRUTE_TILINGS};"
                              " the dp method has no such limit")
@@ -458,14 +432,11 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
 
 def domino_weight(dom) -> LaurentPoly2:
     """Local weight of one domino under the path-step weighting."""
-    c1, c2 = dom
-    if c1.y == c2.y:  # horizontal; c1 is the left cell
-        if not is_white(c1):
-            return LaurentPoly2.term(1, q=2 * c1.y, t=1)
-        return LaurentPoly2.one()
-    bottom = c1 if c1.y < c2.y else c2
-    if is_white(bottom):
-        return LaurentPoly2.term(1, q=2 * bottom.y + 1)
+    kind, row = domino_class(dom)
+    if kind == "level":
+        return LaurentPoly2.term(1, q=2 * row, t=1)
+    if kind == "down":
+        return LaurentPoly2.term(1, q=2 * row + 1)
     return LaurentPoly2.one()
 
 

@@ -15,7 +15,8 @@ Corpus bounds (exact equality everywhere, no tolerances):
             DP counts 2^(n(n+1)/2) for n<=12, and DP == matching oracle on
             every corpus region (kernel equivalence).
 * weighted: weighted closed form == matching generating function, m<=3,
-            n<=5, all kept sets, three seeded rational draws each.
+            n<=5, all kept sets, three seeded rational draws each; and by
+            the graph DP, one seeded kept set and draw for m<=6, m<=n<=12.
 * lozenge:  semihexagon counts, the plane-partition bijection (round trip,
             weight preservation, bijectivity), the q-product, and the
             path-decomposition counts, m<=4, n<=8.
@@ -153,7 +154,8 @@ def kernel_cases():
 
 
 def suite_weighted():
-    """Closed weighted product == matching generating function, seeded draws."""
+    """Closed weighted product == matching generating function, seeded draws:
+    by the backtracker, then by the graph DP."""
     rng = random.Random(57721566)
     for m, n, s in _ar_corpus(3, 5):
         ok = True
@@ -165,6 +167,14 @@ def suite_weighted():
             direct = matching_genfun(weighted_ar_graph(m, n, s, a, b, c, d))
             ok = ok and closed == direct
         yield f"weighted m={m} n={n} s={s}", ok
+    rng = random.Random(14142135)
+    for m in range(1, 7):
+        for n in range(m, 13):
+            s = tuple(sorted(rng.sample(range(1, n + 1), m)))
+            weights = tuple(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4))
+            ok = (graph_genfun_dp(weighted_ar_graph(m, n, s, *weights))
+                  == formulas.weighted_rectangle_matching_genfun(m, n, s, *weights))
+            yield f"weighted dp m={m} n={n} s={s}", ok
 
 
 def suite_lozenge():

@@ -112,6 +112,15 @@ def test_invalid_flags_exit_2(tmp_path):
                               capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
         assert enum.returncode == 2 and enum.stderr.startswith(b"error: ") and b"dp" in enum.stderr
         assert run_cli("count", "--region", *region, "--method", "dp").returncode == 0
+    # a tiling index is checked against the closed-form count before the walk
+    for index in ("99999999999", "-1", "300000"):
+        walk = subprocess.run([sys.executable, "-m", "aztecgf.cli", "render", "--region", "aztec", "--order", "8",
+                               "--tiling", index, "--format", "ascii"],
+                              capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+        assert walk.returncode == 2 and b"error: " in walk.stderr
+    assert b"limit" in walk.stderr  # 300000 < 2^36 tilings, but past MAX_BRUTE_TILINGS
+    assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "7").returncode == 0
+    assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "8", check=False).returncode == 2
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
     assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
     # unreadable serialized regions: missing, not JSON, unknown kind

@@ -133,12 +133,14 @@ def test_dp_counts_diamonds():
 
 def test_dp_frontier_bound():
     # the sweep order fixes the frontier width (n + 1 bits on an order-n
-    # diamond, a + 1 on an a-row semihexagon), so a region that is too wide
-    # is refused before any state is swept
+    # diamond, at most a on an a-row semihexagon), so a region that is too
+    # wide is refused before any state is swept
     with pytest.raises(RegionTooWide):
         tiling_genfun_dp(aztec_diamond(24))
     with pytest.raises(RegionTooWide):
-        tiling_genfun_dp(semihexagon_with_dents(24, 1, tuple(range(2, 26))))
+        tiling_genfun_dp(semihexagon_with_dents(25, 25, tuple(range(1, 50, 2))))
+    dents = tuple(range(2, 26))
+    assert tiling_genfun_dp(semihexagon_with_dents(24, 1, dents)) == falling_ratio(dents)
     dents = tuple(x for x in range(1, 25) if x != 12)
     assert tiling_genfun_dp(semihexagon_with_dents(23, 1, dents)) == falling_ratio(dents)
 

@@ -129,6 +129,28 @@ def test_weighted_graph_face_layout():
     assert g.weight(s_cell, e_cell) == LaurentPoly2.term(11, q=i + j - 2)
 
 
+def test_full_weighted_rectangle_face_sides():
+    # face (i, j) has lower-left cell (j - i, i + j - 2) and carries a on its
+    # northwest side, b northeast, c*q^(i+j-2) southwest, d*q^(i+j-2)
+    # southeast; the 4mn sides are all the edges, m > n included
+    from aztecgf.regions import full_weighted_rectangle
+
+    a, b, c, d = Fraction(2), Fraction(3), Fraction(5), Fraction(7)
+    for m in range(1, 5):
+        for n in range(1, 7):
+            g = full_weighted_rectangle(m, n, a, b, c, d)
+            assert g.edge_count() == 4 * m * n
+            assert g.marked == tuple(sq(h, h - 1) for h in range(1, n + 1))
+            for i in range(1, m + 1):
+                for j in range(1, n + 1):
+                    x, y = j - i, i + j - 2
+                    west, south, east, north = sq(x, y), sq(x + 1, y), sq(x + 1, y + 1), sq(x, y + 1)
+                    assert g.weight(west, north) == LaurentPoly2.const(a)
+                    assert g.weight(north, east) == LaurentPoly2.const(b)
+                    assert g.weight(west, south) == LaurentPoly2.term(c, q=y)
+                    assert g.weight(south, east) == LaurentPoly2.term(d, q=y)
+
+
 def test_checkerboard_coloring():
     for region in (*(aztec_diamond(n) for n in range(1, 7)), aztec_rectangle_with_holes(3, 6, (1, 4, 6))):
         colors = checkerboard_coloring(region)

@@ -1,6 +1,7 @@
 """Minimal tilings, flips, rank, the path bijection, and the two F(q,t) routes."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -41,6 +42,19 @@ def test_minimal_tiling_strips():
     assert (sq(1, 3), sq(1, 4)) in t0.dominoes
     assert (sq(4, 4), sq(4, 5)) in t0.dominoes
     assert rank_bfs(t0.region, t0) == 0
+
+
+def test_minimal_tiling_verticals_are_the_hole_strips():
+    # beside the i-th hole h: cells (h-l, h+l-2), (h-l, h+l-1) for
+    # l = 1..m-(h-i), and no other vertical domino
+    for m in range(1, 5):
+        for n in range(m, 8):
+            for s in combinations(range(1, n + 1), m):
+                holes = [h for h in range(1, n + 1) if h not in s]
+                strips = {(sq(h - l, h + l - 2), sq(h - l, h + l - 1))
+                          for i, h in enumerate(holes, start=1) for l in range(1, m - (h - i) + 1)}
+                t0 = minimal_tiling(m, n, s)
+                assert {(c1, c2) for c1, c2 in t0.dominoes if c1.x == c2.x} == strips, (m, n, s)
 
 
 def test_minimal_tiling_of_diamond_is_all_horizontal():
