@@ -5,7 +5,8 @@ exhaustive route here -- enumerating tilings, counting them, listing the
 matchings of a weighted graph, summing their weights -- runs the one search
 in :func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
 partners in ascending index order, so repeated runs produce identical
-streams.  The dynamic program is the fast path; it must agree with the
+streams; the bijection inverses build their tilings directly and never
+call it.  The dynamic program is the fast path; it must agree with the
 oracle exactly, and the test suite holds it to bit-identical polynomial
 equality.
 
@@ -47,15 +48,17 @@ class Tiling:
     """A perfect tiling of a region, stored as a bitmask over its domino pool.
 
     The mask representation keeps flip-graph search and hashing cheap; the
-    ``dominoes`` property decodes to explicit sorted cell pairs on demand.
+    ``dominoes`` property decodes to explicit sorted cell pairs on demand,
+    and ``mate`` maps each covered cell to the other cell of its tile.
     """
 
-    __slots__ = ("region", "mask", "_dominoes")
+    __slots__ = ("region", "mask", "_dominoes", "_mate")
 
     def __init__(self, region: Region, mask: int):
         self.region = region
         self.mask = mask
         self._dominoes = None
+        self._mate = None
 
     @classmethod
     def from_dominoes(cls, region: Region, dominoes) -> "Tiling":
@@ -79,14 +82,20 @@ class Tiling:
             self._dominoes = frozenset(out)
         return self._dominoes
 
+    @property
+    def mate(self) -> dict:
+        """Cell -> the other cell of its tile."""
+        if self._mate is None:
+            mate = {}
+            for c1, c2 in self.dominoes:
+                mate[c1], mate[c2] = c2, c1
+            self._mate = mate
+        return self._mate
+
     def is_valid(self) -> bool:
-        seen = set()
-        for c1, c2 in self.dominoes:
-            if c1 in seen or c2 in seen:
-                return False
-            seen.add(c1)
-            seen.add(c2)
-        return seen == set(self.region.cells)
+        """True when the tiles cover every cell of the region exactly once."""
+        mate = self.mate
+        return len(mate) == 2 * len(self.dominoes) and mate.keys() == self.region.cells
 
     def __eq__(self, other):
         return (

@@ -24,13 +24,14 @@ Two path systems read a tiling:
   ``left`` crossing of the path from dent s_k gives, reversed, row m + 1 - k
   of a column-strict plane partition of shape (s_m - m, ..., s_1 - 1) with
   entries in [1, m].  This correspondence is a weight-preserving bijection:
-  q^|partition| is exactly the product of the q^(level+1) weights.
+  q^|partition| is exactly the product of the q^(level+1) weights.  The
+  dent paths hold every ``left`` and ``vertical`` lozenge, so the inverse
+  needs no search: replay them, then fill the rest with ``right`` lozenges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation
@@ -95,21 +96,17 @@ def top_bottom_paths(tiling: Tiling):
     the starting top edge.  Raises BijectionViolation if a walk meets a
     vertical lozenge, which the geometry forbids.
     """
-    region = tiling.region
-    a, b, s = region.semihex_params
-    partner = {}
-    for pair in tiling.dominoes:
-        partner[pair[0]] = pair[1]
-        partner[pair[1]] = pair[0]
+    a, b, _ = tiling.region.semihex_params
+    mate = tiling.mate
     out = []
     for j in range(1, b + 1):
         r, x = 1, j
         lefts = rights = 0
         while r <= a:
-            mate = partner.get(dw(x, r))
-            if mate == up(x, r):
+            other = mate.get(dw(x, r))
+            if other == up(x, r):
                 lefts += 1
-            elif mate == up(x + 1, r):
+            elif other == up(x + 1, r):
                 rights += 1
                 x += 1
             else:
@@ -198,13 +195,9 @@ def enumerate_cspp(shape, max_entry: int):
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
     """Read the plane partition off the dent-to-northwest path system."""
-    region = tiling.region
-    a, b, s = region.semihex_params
+    a, _, s = tiling.region.semihex_params
     m = a
-    partner = {}
-    for pair in tiling.dominoes:
-        partner[pair[0]] = pair[1]
-        partner[pair[1]] = pair[0]
+    mate = tiling.mate
     rows = []
     for i in range(1, m + 1):  # row i of the partition belongs to dent s_{m+1-i}
         k = m + 1 - i
@@ -212,17 +205,16 @@ def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
         r, x = a, dent - 1
         entries = []
         while x >= 1:
-            mate = partner.get(dw(x, r))
-            if mate == up(x, r):
+            other = mate.get(dw(x, r))
+            if other == up(x, r):
                 entries.append(a - r + 1)
-                x -= 1
-            elif mate == up(x, r - 1):
+            elif other == up(x, r - 1):
                 r -= 1
-                x -= 1
             else:
                 raise BijectionViolation(
                     f"dent path from {dent} met an impossible pairing at {(x, r)}"
                 )
+            x -= 1
         if r != i:
             raise BijectionViolation(f"dent path from {dent} exited in row {r}, expected {i}")
         if len(entries) != s[k - 1] - k:
@@ -232,7 +224,8 @@ def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
 
 
 def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
-    """Inverse reading: replay the dent paths, then fill the forced remainder."""
+    """Inverse reading, built directly: replay the dent paths, then pair every
+    down-triangle off them with the up-triangle to its right."""
     a, b, s = region.semihex_params
     m = a
     pi.validate()
@@ -258,23 +251,18 @@ def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
             if ptr < len(ascending) and ascending[ptr] == want:
                 place(up(x, r), dw(x, r))
                 ptr += 1
-                x -= 1
             elif ptr < len(ascending) and ascending[ptr] < want:
                 raise BijectionViolation(f"entry {ascending[ptr]} too small on dent path {dent}")
             else:
                 place(up(x, r - 1), dw(x, r))
                 r -= 1
-                x -= 1
+            x -= 1
         if ptr != len(ascending) or r != i:
             raise BijectionViolation(f"dent path {dent} could not be replayed")
 
-    remainder = Region(region.lattice, ("remainder", region.key), region.cells - used)
-    completions = list(islice(enumerate_tilings(remainder), 2))
-    if len(completions) != 1:
-        raise BijectionViolation(
-            f"remainder admits {len(completions)} completions, expected exactly 1"
-        )
-    pairs.extend(completions[0].dominoes)
+    for c in region.sorted_cells:  # every other lozenge is a right one
+        if c.kind == "dw" and c not in used:
+            place(up(c.x + 1, c.y), c)
     tiling = Tiling.from_dominoes(region, pairs)
     if not tiling.is_valid():
         raise BijectionViolation("replayed lozenges do not tile the region")

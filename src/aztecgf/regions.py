@@ -273,11 +273,7 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     for x in s:
         cells.remove(up(x, a))
     base = tuple(up(x, a) for x in range(1, a + b + 1) if x not in set(s))
-    nw = tuple(up(1, y) for y in range(1, a + 1) if up(1, y) in cells)
-    return Region(
-        "triangular", ("semihexagon", a, b, s), frozenset(cells),
-        se_side=base, nw_side=nw,
-    )
+    return Region("triangular", ("semihexagon", a, b, s), frozenset(cells), se_side=base)
 
 
 # ---------------------------------------------------------------------------

@@ -74,21 +74,15 @@ def _square_svg(region, tiling, paths):
                 f'fill="{color}" stroke="#303030" stroke-width="2" rx="3"/>\n'
             )
     if paths and tiling is not None:
-        from .stats import tiling_to_paths
+        from .stats import STEPS, tiling_to_paths
 
         family = tiling_to_paths(tiling)
         for i, path in enumerate(family.paths, start=1):
             x, y = 1 - i, i - 1
             pts = [(px(x), py(y) - UNIT / 2)]
             for st in path:
-                if st.kind == "level":
-                    x += 2
-                elif st.kind == "up":
-                    x += 1
-                    y += 1
-                else:
-                    x += 1
-                    y -= 1
+                dx, dy = STEPS[st.kind][1]
+                x, y = x + dx, y + dy
                 pts.append((px(x), py(y) - UNIT / 2))
             coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pts)
             out.append(
@@ -151,15 +145,7 @@ def render_ascii(region: Region, tiling: Tiling | None = None) -> str:
 def _square_ascii(region, tiling):
     """Wall drawing: shared walls vanish inside a domino."""
     cells = region.cells
-    same = set()
-    if tiling is not None:
-        for c1, c2 in tiling.dominoes:
-            same.add((c1, c2))
-            same.add((c2, c1))
-
-    def joined(c1, c2):
-        return (c1, c2) in same
-
+    mate = {} if tiling is None else tiling.mate
     xs = [c.x for c in region.sorted_cells]
     ys = [c.y for c in region.sorted_cells]
     x0, x1 = min(xs), max(xs)
@@ -172,13 +158,12 @@ def _square_ascii(region, tiling):
             here = sq(x, y) in cells
             above = sq(x, y + 1) in cells
             if here or above:
-                wall = not (here and above and joined(sq(x, y), sq(x, y + 1)))
+                wall = mate.get(sq(x, y)) != sq(x, y + 1)
                 top.append("+" + ("---" if wall else "   "))
             else:
                 top.append("+   " if (sq(x - 1, y) in cells or sq(x - 1, y + 1) in cells) else "    ")
             if here:
-                left = sq(x - 1, y)
-                wall = not (left in cells and joined(left, sq(x, y)))
+                wall = mate.get(sq(x - 1, y)) != sq(x, y)
                 mid.append(("|" if wall else " ") + "   ")
             else:
                 mid.append(("|" if sq(x - 1, y) in cells else " ") + "   ")

@@ -8,7 +8,8 @@ Conventions (all pinned by the acceptance suite, none adjustable):
 * Every tiling corresponds to a family of m non-intersecting partial
   Schröder paths.  Path i enters through the midpoint of the left edge of
   southwest-side cell (1-i, i-1) and leaves through the right edge of
-  southeast-side cell (s_i, s_i - 1).  A path crosses one domino per step:
+  southeast-side cell (s_i, s_i - 1).  A path crosses one domino per step
+  (the step table ``STEPS`` gives each kind's mate offset and move):
 
   - a horizontal domino whose left cell is black: level step (2, 0);
   - a vertical domino entered at its bottom cell: up step (1, 1);
@@ -71,6 +72,15 @@ class SchroderStep:
 
     kind: str  # "up" | "down" | "level"
     height: int
+
+
+# kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
+STEPS = {
+    "level": ((1, 0), (2, 0)),
+    "up": ((0, 1), (1, 1)),
+    "down": ((0, -1), (1, -1)),
+}
+_KIND_BY_MATE = {offset: kind for kind, (offset, _) in STEPS.items()}
 
 
 @dataclass(frozen=True)
@@ -251,51 +261,37 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
     region = tiling.region
     m, n, s = region.rect_params
     cells = region.cells
-    cell2dom = {}
-    for dom in tiling.dominoes:
-        cell2dom[dom[0]] = dom
-        cell2dom[dom[1]] = dom
-
-    crossed = set()
+    mate = tiling.mate
+    crossed = set()  # the entry cells of crossed dominoes
     paths = []
     for i in range(1, m + 1):
         x, y = 1 - i, i - 1
         steps = []
-        while sq(x, y) in cells:
-            dom = cell2dom[sq(x, y)]
-            c1, c2 = dom
-            if dom in crossed:
-                raise BijectionViolation(f"domino {dom} crossed twice")
-            crossed.add(dom)
-            if c1.y == c2.y:  # horizontal
-                if c1 != sq(x, y):
-                    raise BijectionViolation(f"entered horizontal {dom} at its right cell")
-                if is_white(c1):
-                    raise BijectionViolation(f"path entered a white-left horizontal {dom}")
-                steps.append(SchroderStep("level", y))
-                x += 2
-            elif c1 == sq(x, y):  # vertical entered at bottom cell
-                steps.append(SchroderStep("up", y))
-                x += 1
-                y += 1
-            else:  # vertical entered at top cell
-                steps.append(SchroderStep("down", y))
-                x += 1
-                y -= 1
+        while (cell := sq(x, y)) in cells:
+            other = mate[cell]
+            if cell in crossed or other in crossed:
+                raise BijectionViolation(f"domino {(cell, other)} crossed twice")
+            crossed.add(cell)
+            kind = _KIND_BY_MATE.get((other.x - x, other.y - y))
+            if kind is None:
+                raise BijectionViolation(f"entered horizontal {(other, cell)} at its right cell")
+            if kind == "level" and is_white(cell):
+                raise BijectionViolation(f"path entered a white-left horizontal {(cell, other)}")
+            steps.append(SchroderStep(kind, y))
+            dx, dy = STEPS[kind][1]
+            x, y = x + dx, y + dy
         if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(
                 f"path {i} exited at {(x, y)}, expected {(s[i - 1] + 1, s[i - 1] - 1)}"
             )
         paths.append(tuple(steps))
 
-    for dom in tiling.dominoes:
-        c1, c2 = dom
-        if c1.x == c2.x and dom not in crossed:
-            raise BijectionViolation(f"vertical domino {dom} never crossed")
-        if c1.y == c2.y:
-            black_left = not is_white(min(dom))
-            if black_left != (dom in crossed):
-                raise BijectionViolation(f"horizontal {dom} crossing disagrees with its color")
+    for c1, c2 in tiling.dominoes:
+        hit = c1 in crossed or c2 in crossed
+        if c1.x == c2.x and not hit:
+            raise BijectionViolation(f"vertical domino {(c1, c2)} never crossed")
+        if c1.y == c2.y and is_white(c1) == hit:
+            raise BijectionViolation(f"horizontal {(c1, c2)} crossing disagrees with its color")
 
     return SchroderPathFamily(m, n, s, tuple(paths)).validate()
 
@@ -320,17 +316,9 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
     for i, path in enumerate(family.paths, start=1):
         x, y = 1 - i, i - 1
         for st in path:
-            if st.kind == "level":
-                place(sq(x, y), sq(x + 1, y))
-                x += 2
-            elif st.kind == "up":
-                place(sq(x, y), sq(x, y + 1))
-                x += 1
-                y += 1
-            else:
-                place(sq(x, y - 1), sq(x, y))
-                x += 1
-                y -= 1
+            (mx, my), (dx, dy) = STEPS[st.kind]
+            place(sq(x, y), sq(x + mx, y + my))
+            x, y = x + dx, y + dy
         if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(f"replayed path {i} exits at {(x, y)}")
     for y, xs in sorted(region.rows().items()):

@@ -88,21 +88,28 @@ def test_criterion_8_kernel_equivalence_and_performance():
                f"2^78 in {elapsed:.2f}s; bench table emitted", ok)
 
 
-def _run_cli(*args):
+def _start_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "aztecgf.cli", *args], capture_output=True, env=env
+    return subprocess.Popen(
+        [sys.executable, "-m", "aztecgf.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
 
 
+def _run_cli(*args):
+    proc = _start_cli(*args)
+    stdout, stderr = proc.communicate()
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
 def test_criterion_9_determinism():
-    first = _run_cli("verify", "--suite", "all")
-    second = _run_cli("verify", "--suite", "all")
+    # the two runs are independent processes, so they run side by side
+    procs = [_start_cli("verify", "--suite", "all") for _ in range(2)]
+    (first, _), (second, _) = (proc.communicate() for proc in procs)
     ok = (
-        first.returncode == 0
-        and second.returncode == 0
-        and first.stdout == second.stdout
-        and b"FAIL" not in first.stdout
+        all(proc.returncode == 0 for proc in procs)
+        and first == second
+        and b"FAIL" not in first
     )
     _report(9, "verify --suite all exits 0 and repeated runs are byte-identical", ok)

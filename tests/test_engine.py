@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -250,6 +250,25 @@ def test_tiling_object_roundtrip():
     t = next(iter(enumerate_tilings(region)))
     again = Tiling.from_dominoes(region, t.dominoes)
     assert again == t and again.is_valid()
+
+
+def test_mate_is_an_involution_on_the_region():
+    for region in (aztec_rectangle_with_holes(3, 6, (1, 4, 6)), semihexagon_with_dents(3, 2, (2, 3, 5))):
+        for tiling in islice(enumerate_tilings(region), 3):
+            mate = tiling.mate
+            assert mate.keys() == region.cells
+            assert all(mate[mate[c]] == c != mate[c] for c in mate)
+            assert {tuple(sorted((c, d))) for c, d in mate.items()} == tiling.dominoes
+
+
+def test_is_valid_rejects_overlaps_and_gaps():
+    region = aztec_diamond(1)  # the four cells of a 2x2 block
+    covering = [(sq(0, 0), sq(1, 0)), (sq(0, 0), sq(0, 1)), (sq(0, 1), sq(1, 1))]
+    overlapping = Tiling.from_dominoes(region, covering)
+    assert overlapping.mate.keys() == region.cells and not overlapping.is_valid()
+    incomplete = Tiling.from_dominoes(region, [(sq(0, 0), sq(1, 0))])
+    assert not incomplete.is_valid()
+    assert not Tiling(region, 0).is_valid()
 
 
 def test_dp_equals_oracle_on_random_ragged_regions():

@@ -1,11 +1,14 @@
 """Lozenge tilings, the plane-partition bijection, and the q-weighting."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aztecgf import engine
 from aztecgf.engine import count_tilings, tiling_genfun_dp
 from aztecgf.errors import BijectionViolation
 from aztecgf.formulas import cspp_genfun_product
@@ -42,9 +45,9 @@ def test_counts_match_ratio_product():
 
 
 @st.composite
-def dents(draw):
-    a = draw(st.integers(1, 4))
-    b = draw(st.integers(0, 3))
+def dents(draw, max_a=4, max_b=3):
+    a = draw(st.integers(1, max_a))
+    b = draw(st.integers(0, max_b))
     s = draw(st.lists(st.integers(1, a + b), min_size=a, max_size=a, unique=True))
     return a, b, tuple(sorted(s))
 
@@ -84,6 +87,12 @@ def test_dent_complete_region_has_empty_partition():
     assert cspp_to_tiling(pi, region) == tiling
 
 
+def left_level_sum(tiling, a):
+    """The exponent of q in the tiling's weight: level + 1 per left lozenge."""
+    kinds = (classify_lozenge(pair, a) for pair in tiling.dominoes)
+    return sum(level + 1 for kind, level in kinds if kind == LEFT)
+
+
 def test_bijection_roundtrip_exhaustive():
     for m, b, s in ((3, 2, (2, 3, 5)), (3, 3, (1, 4, 6)), (2, 1, (1, 3)), (4, 2, (2, 3, 5, 6))):
         region = semihexagon_with_dents(m, b, s)
@@ -93,15 +102,48 @@ def test_bijection_roundtrip_exhaustive():
             seen.add(pi.rows)
             assert cspp_to_tiling(pi, region) == tiling
             # the weight is preserved: q^|pi| = product of left-lozenge weights
-            left_total = sum(
-                level + 1
-                for pair in tiling.dominoes
-                if classify_lozenge(pair, m)[0] == LEFT
-                for level in (classify_lozenge(pair, m)[1],)
-            )
-            assert left_total == pi.size
+            assert left_level_sum(tiling, m) == pi.size
         assert len(seen) == count_tilings(region)
         assert len(seen) == falling_ratio(s)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(dents(max_a=6, max_b=4), st.integers(0, 2**32))
+def test_bijection_roundtrip_on_sampled_tilings_and_partitions(case, seed):
+    # past verify's m <= 4, n <= 8: up to 8 tilings and 8 partitions picked
+    # from the two independent enumerations, round-tripped both ways
+    a, b, s = case
+    region = semihexagon_with_dents(a, b, s)
+    count = int(falling_ratio(s))
+    picks = set(random.Random(seed).sample(range(count), min(8, count)))
+    stop = max(picks) + 1
+    tilings = [t for k, t in enumerate(islice(enumerate_lozenge_tilings(region), stop)) if k in picks]
+    pis = [pi for k, pi in enumerate(islice(enumerate_cspp(cspp_shape(a, s), a), stop)) if k in picks]
+    assert len(tilings) == len(pis) == len(picks)
+    for tiling in tilings:
+        pi = tiling_to_cspp(tiling)
+        assert cspp_to_tiling(pi, region) == tiling
+        assert left_level_sum(tiling, a) == pi.size
+    for pi in pis:
+        tiling = cspp_to_tiling(pi, region)
+        assert tiling_to_cspp(tiling) == pi
+        assert left_level_sum(tiling, a) == pi.size
+
+
+def test_cspp_to_tiling_runs_no_search(monkeypatch):
+    # the inverse is a direct construction, so it works with the oracle gone
+    cases = []
+    for a, b, s in ((3, 2, (2, 3, 5)), (4, 2, (2, 3, 5, 6)), (5, 2, (1, 3, 4, 6, 7))):
+        region = semihexagon_with_dents(a, b, s)
+        cases.append((region, list(enumerate_lozenge_tilings(region))))
+
+    def no_search(*args):
+        raise AssertionError("the backtracking oracle was called")
+
+    monkeypatch.setattr(engine, "_matchings", no_search)
+    for region, tilings in cases:
+        for tiling in tilings:
+            assert cspp_to_tiling(tiling_to_cspp(tiling), region) == tiling
 
 
 def test_shape_of_large_instance():

@@ -1,9 +1,12 @@
 """Minimal tilings, flips, rank, the path bijection, and the two F(q,t) routes."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecgf.engine import Tiling, enumerate_tilings
 from aztecgf.errors import OddVerticalCount
@@ -192,3 +195,35 @@ def test_minimal_weight_of_minimal_tiling():
     assert st.level_total == m * (m + 1) // 2
     assert st.beta == shifted_content_exponent(m, s)
     assert st.down == (0, 0, 0)
+
+
+@st.composite
+def holey_rectangles(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, 10))
+    s = draw(st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True))
+    return m, n, tuple(sorted(s))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(holey_rectangles(), st.integers(0, 2**32))
+def test_path_bijection_along_seeded_flip_walks(case, seed):
+    # past the exhaustive m <= 3, n <= 5 corpus: walk the flip graph from the
+    # minimal tiling, checking the bijection and the path statistics at each
+    # tiling and that every flip moves the path rank by exactly one
+    m, n, s = case
+    rng = random.Random(seed)
+    tiling = minimal_tiling(m, n, s)
+    rank = rank_via_paths(tiling)
+    assert rank == 0
+    for step in range(41):
+        if step:
+            moves = elementary_moves(tiling)
+            if not moves:
+                break
+            tiling = rng.choice(moves)
+            last, rank = rank, rank_via_paths(tiling)
+            assert abs(rank - last) == 1
+        fam = tiling_to_paths(tiling)
+        assert paths_to_tiling(fam, tiling.region) == tiling
+        assert vstat(tiling) + path_stats(fam).level_total == m * (m + 1) // 2
