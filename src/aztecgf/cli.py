@@ -16,7 +16,7 @@ from itertools import islice
 
 from . import formulas, stats, verify
 from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError, InvalidRegionFile, TooManyTilings
+from .errors import AztecError, InvalidOrder, InvalidRegionFile, TooManyTilings
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
@@ -167,6 +167,8 @@ def cmd_render(args, parser):
 
 
 def cmd_bench(args):
+    if args.order < 1:
+        raise InvalidOrder(f"order must be >= 1, got {args.order}")
     stats._ensure_calibrated()
     print(f"{'order':>5}  {'dp count':>28}  {'dp ms':>10}  {'brute ms':>10}  {'weighted ms':>11}")
     for n in range(1, args.order + 1):

@@ -37,7 +37,7 @@ from __future__ import annotations
 from math import lcm
 from operator import add, mul, or_
 
-from .errors import InvalidWeight, RegionTooWide
+from .errors import InvalidTiling, InvalidWeight, RegionTooWide
 from .poly import LaurentPoly2, PackedPoly, as_poly, packed_weight, slot_bits
 from .regions import Region, WeightedGraph, sweep_key
 
@@ -65,8 +65,10 @@ class Tiling:
         index = region.domino_index
         mask = 0
         for d in dominoes:
-            d = tuple(sorted(d))
-            mask |= 1 << index[d]
+            i = index.get(tuple(sorted(d)))
+            if i is None:
+                raise InvalidTiling(f"{tuple(d)} is not a tile of region {region.key}")
+            mask |= 1 << i
         return cls(region, mask)
 
     @property

@@ -39,6 +39,10 @@ class InvalidWeight(AztecError, ValueError):
     weight has a negative coefficient."""
 
 
+class InvalidTiling(AztecError, ValueError):
+    """A tile given for a tiling is not a domino or lozenge of its region."""
+
+
 class InvalidRegionFile(AztecError, ValueError):
     """A serialized region cannot be read, is not JSON, or names an unknown kind."""
 

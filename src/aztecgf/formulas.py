@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidDents, InvalidHoles
+from .errors import InvalidDents, InvalidHoles, InvalidOrder
 from .poly import (
     LaurentPoly2,
     PackedPoly,
@@ -58,6 +58,8 @@ def aztec_diamond_genfun(n: int) -> LaurentPoly2:
     At q = t = 1 this is 2^(n(n+1)/2), the plain tiling count, which bounds
     every coefficient and so fixes the packed slot width.
     """
+    if n < 1:
+        raise InvalidOrder(f"order must be >= 1, got {n}")
     bits = slot_bits(2 ** (n * (n + 1) // 2))
     return _diamond_product(n, bits).decode(bits)
 
@@ -135,6 +137,7 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
 
 def count_product(m: int, s) -> int:
     """2^(m(m+1)/2) * prod (s_j - s_i)/(j - i): the rectangle tiling count."""
+    s = check_positions(m, max((m, *s)), s, InvalidHoles)  # n plays no part in the count
     val = Fraction(2) ** (m * (m + 1) // 2) * falling_ratio(s)
     assert val.denominator == 1
     return int(val)

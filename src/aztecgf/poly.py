@@ -28,7 +28,7 @@ from functools import reduce
 from math import prod
 from operator import add
 
-from .errors import InexactDivision, NegativeExponent, PoleAtZero
+from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
 
 
 def _coeff(x) -> Fraction:
@@ -432,17 +432,16 @@ def packed_weight(poly: LaurentPoly2, bits: int, scale: int = 1) -> tuple:
 def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i)).
 
-    ``s`` must be strictly increasing with s_i >= i; the quotient is then a
-    polynomial in q with non-negative integer coefficients (a q-analogue of
-    prod (s_j - s_i)/(j - i)), whose value at q = 1 is :func:`falling_ratio`.
+    ``s`` must be strictly increasing and positive, so s_i >= i (else
+    InvalidDents); the quotient is then a polynomial in q with non-negative
+    integer coefficients (a q-analogue of prod (s_j - s_i)/(j - i)), whose
+    value at q = 1 is :func:`falling_ratio`.
     That value bounds every coefficient, so one slot width suffices and the
     quotient is a single big-int division (see :func:`q_ratio_packed`).
     """
     s = tuple(s)
     if any(x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
-        raise ValueError("s must be a strictly increasing sequence of positive integers")
-    if any(x < i + 1 for i, x in enumerate(s)):
-        raise ValueError("s must satisfy s_i >= i")
+        raise InvalidDents("s must be a strictly increasing sequence of positive integers")
     bits = slot_bits(int(falling_ratio(s)))
     return q_ratio_packed(s, alpha, bits).decode(bits)
 

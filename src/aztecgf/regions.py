@@ -12,9 +12,9 @@ i = 1..m counted bottom-up and j = 1..n left-right, has its lower-left cell
 at ``(j - i, i + j - 2)``.  This pins the otherwise-drawing-dependent region
 to explicit integers; every boundary identification below is derived from it:
 
-* southeast side: position h holds cell ``(h, h-1)`` for h = 1..n (these are
-  the "bottommost vertices" of the dual graph once the picture is rotated 45
-  degrees clockwise);
+* southeast side: position h holds cell ``(h, h-1)`` for h = 1..n (the
+  bottom row of the dual graph once the picture is rotated 45 degrees
+  clockwise, which the row reduction glues its gadget to);
 * southwest side: cell ``(1-i, i-1)`` for i = 1..m;
 * northwest side: cell ``(j-m, m+j-1)`` for j = 1..n.
 
@@ -74,18 +74,16 @@ def dw(x: int, y: int) -> Cell:
 
 @dataclass(frozen=True)
 class Region:
-    """A finite cell set plus construction metadata.
+    """A finite cell set plus the key of its construction.
 
     ``key`` identifies the construction (used as a cache key and for cheap
-    hashing of tilings), ``se_side``/``nw_side`` record the ordered boundary
-    cells that the dual graph and the coloring need.
+    hashing of tilings); each boundary cell follows from the block
+    coordinates by a formula (see the module docstring).
     """
 
     lattice: str
     key: tuple
     cells: frozenset
-    se_side: tuple = ()
-    nw_side: tuple = ()
 
     def __hash__(self):
         return hash(self.key)
@@ -153,17 +151,6 @@ class Region:
             row.sort()
         return adj
 
-    def rows(self) -> dict:
-        """Square-lattice rows: y -> sorted list of x values present."""
-        if self.lattice != "square":
-            raise ValueError("rows() is defined for square-lattice regions")
-        out = {}
-        for c in self.sorted_cells:
-            out.setdefault(c.y, []).append(c.x)
-        for xs in out.values():
-            xs.sort()
-        return out
-
     def to_json_obj(self) -> dict:
         return {
             "kind": self.key[0],
@@ -226,13 +213,12 @@ def check_positions(m: int, n: int, s, error) -> tuple:
 def aztec_diamond(n: int) -> Region:
     """The Aztec diamond of order n: AR(n, n; 1, ..., n), every southeast square kept.
 
-    It has the rectangle's cells and boundary sides, 2n(n+1) cells in all,
-    under its own key ``("aztec_diamond", n)``.
+    It has the rectangle's cells, 2n(n+1) in all, under its own key
+    ``("aztec_diamond", n)``.
     """
     if n < 1:
         raise InvalidOrder(f"order must be >= 1, got {n}")
-    ar = aztec_rectangle_with_holes(n, n, range(1, n + 1))
-    return Region("square", ("aztec_diamond", n), ar.cells, se_side=ar.se_side, nw_side=ar.nw_side)
+    return Region("square", ("aztec_diamond", n), aztec_rectangle_with_holes(n, n, range(1, n + 1)).cells)
 
 
 def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
@@ -249,9 +235,7 @@ def _ar_region(m: int, n: int, kept: tuple) -> Region:
     the full weighted rectangle keeps all n of them, and may have m > n."""
     cells = {cell for quad in ar_face_cells(m, n).values() for cell in quad}
     cells.difference_update(sq(h, h - 1) for h in range(1, n + 1) if h not in kept)
-    se = tuple(sq(h, h - 1) for h in kept)
-    nw = tuple(sq(j - m, m + j - 1) for j in range(1, n + 1))
-    return Region("square", ("aztec_rectangle", m, n, kept), frozenset(cells), se_side=se, nw_side=nw)
+    return Region("square", ("aztec_rectangle", m, n, kept), frozenset(cells))
 
 
 def semihexagon_with_dents(a: int, b: int, s) -> Region:
@@ -272,8 +256,7 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
             cells.add(dw(x, y))
     for x in s:
         cells.remove(up(x, a))
-    base = tuple(up(x, a) for x in range(1, a + b + 1) if x not in set(s))
-    return Region("triangular", ("semihexagon", a, b, s), frozenset(cells), se_side=base)
+    return Region("triangular", ("semihexagon", a, b, s), frozenset(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,7 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
 
 
 class WeightedGraph:
-    """Undirected graph with nonzero edge weights and an ordered marked list.
+    """Undirected graph with nonzero edge weights.
 
     Vertex labels are arbitrary hashable values; the vertex tuple order fixes
     the "lowest-indexed vertex" rule that makes matching enumeration
@@ -289,9 +272,9 @@ class WeightedGraph:
     builds a new graph.
     """
 
-    __slots__ = ("vertices", "index", "_adj", "marked")
+    __slots__ = ("vertices", "index", "_adj")
 
-    def __init__(self, vertices, edges, marked=()):
+    def __init__(self, vertices, edges):
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
@@ -309,7 +292,6 @@ class WeightedGraph:
                 raise ValueError(f"zero weight on edge {(u, v)!r}")
             au[v] = w
             av[u] = w
-        self.marked = tuple(marked)
 
     @property
     def n(self):
@@ -350,7 +332,7 @@ class WeightedGraph:
         return out
 
     def map_weights(self, f):
-        return WeightedGraph(self.vertices, {e: f(w) for e, w in self.edge_dict().items()}, self.marked)
+        return WeightedGraph(self.vertices, {e: f(w) for e, w in self.edge_dict().items()})
 
     def without_vertices(self, drop):
         drop = set(drop)
@@ -358,8 +340,7 @@ class WeightedGraph:
         edges = {
             (u, v): w for (u, v), w in self.edge_items() if u not in drop and v not in drop
         }
-        marked = tuple(v for v in self.marked if v not in drop)
-        return WeightedGraph(verts, edges, marked)
+        return WeightedGraph(verts, edges)
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
@@ -377,13 +358,10 @@ class WeightedGraph:
 
 
 def dual_graph(region: Region, weight=None) -> WeightedGraph:
-    """One vertex per cell; one edge per domino, weighing ``weight(domino)`` or 1.
-
-    For Aztec regions the ordered southeast-side cells are recorded as the
-    marked list (the bottommost vertices of the rotated drawing).
-    """
+    """One vertex per cell, in sorted order; one edge per domino, weighing
+    ``weight(domino)`` or 1."""
     edges = {d: as_poly(1 if weight is None else weight(d)) for d in region.all_dominoes}
-    return WeightedGraph(region.sorted_cells, edges, marked=region.se_side)
+    return WeightedGraph(region.sorted_cells, edges)
 
 
 def ar_face_cells(m: int, n: int):
@@ -407,8 +385,8 @@ def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
     The diamond face in row i, column j carries edge weights a (northwest
     edge), b (northeast), d*q^(i+j-2) (southeast), c*q^(i+j-2) (southwest),
     with q symbolic; the parameters may be rationals or Laurent polynomials.
-    The marked list holds the n bottommost vertices left to right.  (Unlike
-    the region builder this allows m > n, which the row reduction's
+    Its bottom row is the southeast side, ``sq(h, h-1)`` for h = 1..n.
+    (Unlike the region builder this allows m > n, which the row reduction's
     right-hand side needs.)
     """
     return dual_graph(_ar_region(m, n, tuple(range(1, n + 1))), _face_weight(a, b, c, d))
@@ -417,8 +395,8 @@ def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
 def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
     """Dual graph of AR_{m,n} with the four-parameter face weights, holes removed.
 
-    The face weights are those of :func:`full_weighted_rectangle`; the
-    marked list holds the kept southeast-side vertices.
+    The face weights are those of :func:`full_weighted_rectangle`; of the
+    southeast side only the kept cells ``sq(h, h-1)``, h in s, are vertices.
     """
     region = aztec_rectangle_with_holes(m, n, s)
     for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
@@ -457,13 +435,14 @@ def domino_class(dom) -> tuple:
 def checkerboard_coloring(region: Region) -> dict:
     """Cell -> "black"/"white" so neighbors differ and the NW side is white.
 
-    In the block coordinates the northwest-side cells all have odd x + y, so
-    white is the odd parity class.  The parity check on the NW side
-    is asserted rather than assumed.
+    In the block coordinates the northwest-side cells ``(j-m, m+j-1)`` all
+    have odd x + y, so white is the odd parity class.  The parity check on
+    the NW side is asserted rather than assumed.
     """
     if region.lattice != "square":
         raise ValueError("checkerboard coloring applies to square-lattice regions")
-    for c in region.nw_side:
+    m, n, _ = region.rect_params
+    for c in (sq(j - m, m + j - 1) for j in range(1, n + 1)):
         if (c.x + c.y) % 2 == 0:
             raise InconsistentBoundary(f"northwest cell {c} has even parity")
     return {c: ("white" if (c.x + c.y) % 2 else "black") for c in region.sorted_cells}

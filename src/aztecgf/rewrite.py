@@ -17,7 +17,9 @@ weights by delta = x*z + y*t, which for rows past the first is a genuine
 binomial in q, so mid-round weights live in :class:`FracWeight` (a quotient
 of Laurent polynomials); the round's star rescalings clear every
 denominator, and the result is asserted to be polynomial again before the
-next round.  The accumulated factor reduces to
+next round.  The factor is kept as one numerator (the deltas and forced
+weights) over one denominator (the star factors), divided exactly once at
+the end; it reduces to
 q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1) with Delta_k = a*d*q^(k-1) + b*c,
 and the final graph has the matching generating function of the weighted
 dented semihexagon, both of which the acceptance suite asserts.
@@ -63,10 +65,6 @@ class FracWeight:
                 pass
         self.num = num
         self.den = den
-
-    @classmethod
-    def one(cls):
-        return cls(_ONE)
 
     def is_polynomial(self) -> bool:
         return self.den == _ONE
@@ -168,8 +166,7 @@ def vertex_split(graph: WeightedGraph, splits) -> WeightedGraph:
         verts += [("vk", v), ("x", v)]
         edges[(("vh", v), ("x", v))] = LaurentPoly2.one()
         edges[(("vk", v), ("x", v))] = LaurentPoly2.one()
-    marked = tuple(u for u in graph.marked if u not in halves)
-    return WeightedGraph(verts, edges, marked)
+    return WeightedGraph(verts, edges)
 
 
 def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
@@ -188,7 +185,7 @@ def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
             if v in factors:
                 w = w * factors[v]
         edges[(a_, b_)] = w
-    return WeightedGraph(graph.vertices, edges, graph.marked)
+    return WeightedGraph(graph.vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -242,7 +239,7 @@ def spider_replace(graph: WeightedGraph, patterns):
     g = graph.without_vertices(inner_all)
     edges = g.edge_dict()
     edges.update(new_edges)
-    return WeightedGraph(g.vertices, edges, g.marked), product
+    return WeightedGraph(g.vertices, edges), product
 
 
 def remove_forced(graph: WeightedGraph, weight_one_only: bool = False):
@@ -303,7 +300,7 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
         if (uu, vv) in edges or (vv, uu) in edges:
             raise ValueError(f"parallel edge at {(uu, vv)!r}")
         edges[(uu, vv)] = w
-    return WeightedGraph(verts, edges, g1.marked)
+    return WeightedGraph(verts, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +328,11 @@ class RowReduction:
 def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
     """Check one row-elimination step against brute force.
 
-    lhs is M of the full weighted rectangle graph glued along its bottommost
-    vertices to a path-graph gadget; rhs is (ad+bc)^m * q^(m(m-1)/2) times M
-    of the one-row-shorter baseless graph (a replaced by a*q) with pendant
-    vertical edges, glued to the same gadget.  The gadget is padded by one
+    lhs is M of the full weighted rectangle graph glued along its southeast
+    side ``sq(h, h-1)``, h = 1..n, to a path-graph gadget; rhs is
+    (ad+bc)^m * q^(m(m-1)/2) times M of the one-row-shorter graph (a
+    replaced by a*q) with its southeast side removed and pendant vertical
+    edges, glued to the same gadget.  The gadget is padded by one
     vertex when m + n is odd so that both sides actually have matchings.
     """
     from .engine import matching_genfun
@@ -343,19 +341,19 @@ def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
     pad = (m + n) % 2 == 1
     left = full_weighted_rectangle(m, n, a, b, c, d)
     gadget = _path_gadget(n, pad)
-    pairs = [(left.marked[k], ("gadget", k + 1)) for k in range(n)]
+    pairs = [(sq(k + 1, k), ("gadget", k + 1)) for k in range(n)]
     lhs = matching_genfun(connected_sum(left, gadget, pairs))
 
     aq = LaurentPoly2.term(a, q=1)
     shrunk = full_weighted_rectangle(m, n - 1, aq, b, c, d)
-    shrunk = shrunk.without_vertices(shrunk.marked)
+    shrunk = shrunk.without_vertices(sq(h, h - 1) for h in range(1, n))
     verts = list(shrunk.vertices)
     edges = shrunk.edge_dict()
     for k in range(1, n + 1):
         peg = ("peg", k)
         verts.append(peg)
         edges[(sq(k - 1, k - 1), peg)] = LaurentPoly2.one()
-    right = WeightedGraph(verts, edges, marked=tuple(("peg", k) for k in range(1, n + 1)))
+    right = WeightedGraph(verts, edges)
     pairs = [(("peg", k + 1), ("gadget", k + 1)) for k in range(n)]
     rhs_m = matching_genfun(connected_sum(right, _path_gadget(n, pad), pairs))
     factor = LaurentPoly2.const((a * d + b * c) ** m).shift(dq=m * (m - 1) // 2)
@@ -402,7 +400,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     g = WeightedGraph(verts, edges)
 
     faces = ar_face_cells(m, n)
-    factor = FracWeight.one()
+    num = den = _ONE  # factor = num / den, divided once at the end
     spiders = 0
     for r in range(1, m + 1):
         mu, nu = m - r + 1, n - r + 1
@@ -419,16 +417,15 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
                                   tuple(("vh" if first_face[v] == (key, ci) else "vk", v) for ci, v in enumerate(quad)))
                     for key, quad in sorted(faces.items())]
         g, delta = spider_replace(g, patterns)
-        factor = factor * delta
         spiders += len(patterns)
         g, forced = remove_forced(g, weight_one_only=True)
-        factor = factor * forced
+        num = num * delta * forced
         delta_r = row_delta(r, a, b, c, d)
         scales = {("x", faces[(i, j)][2]): LaurentPoly2.term(1, q=i + j + r - 2) * delta_r  # east corners
                   for i in range(1, mu + 1) for j in range(1, nu)}
         g = star_scale(g, scales)
         for lam in scales.values():
-            factor = factor / lam
+            den = den * lam
         g = g.map_weights(lambda w: w.to_poly() if isinstance(w, FracWeight) else w)
         faces = {
             (bi, bj): (
@@ -440,6 +437,4 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
             for bi in range(1, mu)
             for bj in range(1, nu)
         }
-    if isinstance(factor, FracWeight):
-        factor = factor.to_poly()
-    return PipelineResult(factor, peel_target_factor(m, a, b, c, d), g, spiders)
+    return PipelineResult(num.exact_div(den), peel_target_factor(m, a, b, c, d), g, spiders)

@@ -268,7 +268,9 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
         x, y = 1 - i, i - 1
         steps = []
         while (cell := sq(x, y)) in cells:
-            other = mate[cell]
+            other = mate.get(cell)
+            if other is None:
+                raise BijectionViolation(f"path {i} reached the uncovered cell {cell}")
             if cell in crossed or other in crossed:
                 raise BijectionViolation(f"domino {(cell, other)} crossed twice")
             crossed.add(cell)
@@ -297,8 +299,8 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
 
 
 def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
-    """Inverse of :func:`tiling_to_paths`: replay the walks, then cover the
-    rest row by row with horizontals."""
+    """Inverse of :func:`tiling_to_paths`: replay the walks, then pair every
+    cell off them with the cell to its right (a horizontal domino)."""
     family.validate()
     m, n, s = region.rect_params
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
@@ -321,14 +323,9 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
             x, y = x + dx, y + dy
         if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(f"replayed path {i} exits at {(x, y)}")
-    for y, xs in sorted(region.rows().items()):
-        rest = [x for x in xs if sq(x, y) not in used]
-        if len(rest) % 2:
-            raise BijectionViolation(f"odd leftover in row {y}")
-        for k in range(0, len(rest), 2):
-            if rest[k + 1] != rest[k] + 1:
-                raise BijectionViolation(f"leftover gap in row {y} at x={rest[k]}")
-            dominoes.append((sq(rest[k], y), sq(rest[k + 1], y)))
+    for c in region.sorted_cells:  # by x, so the cell to the left is already placed
+        if c not in used:
+            place(c, sq(c.x + 1, c.y))
     tiling = Tiling.from_dominoes(region, dominoes)
     if not tiling.is_valid():
         raise BijectionViolation("dominoes do not tile the region")

@@ -123,6 +123,9 @@ def test_invalid_flags_exit_2(tmp_path):
     assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "8", check=False).returncode == 2
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
     assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
+    for order in ("0", "-3"):
+        bench = run_cli("bench", "--order", order, check=False)
+        assert bench.returncode == 2 and bench.stdout == b"" and bench.stderr.startswith(b"error: order")
     # unreadable serialized regions: missing, not JSON, unknown kind
     (tmp_path / "bad.json").write_text("not json")
     (tmp_path / "kind.json").write_text(json.dumps({"kind": "blob", "params": []}))

@@ -20,7 +20,7 @@ from aztecgf.engine import (
     matching_genfun,
     tiling_genfun_dp,
 )
-from aztecgf.errors import InvalidWeight, RegionTooWide
+from aztecgf.errors import InvalidTiling, InvalidWeight, RegionTooWide
 from aztecgf.poly import LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
@@ -250,6 +250,11 @@ def test_tiling_object_roundtrip():
     t = next(iter(enumerate_tilings(region)))
     again = Tiling.from_dominoes(region, t.dominoes)
     assert again == t and again.is_valid()
+    # a pair outside the domino pool: cells not adjacent, or not in the region
+    for pair in ((sq(0, 0), sq(1, 1)), (sq(1, 0), sq(2, 0))):
+        with pytest.raises(InvalidTiling) as exc:
+            Tiling.from_dominoes(region, [pair])
+        assert str(pair) in str(exc.value)
 
 
 def test_mate_is_an_involution_on_the_region():

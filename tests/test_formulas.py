@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidDents, InvalidHoles, NegativeExponent
+from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, NegativeExponent
 from aztecgf.formulas import (
     aztec_diamond_genfun,
     count_product,
@@ -29,6 +29,17 @@ def test_diamond_product():
     assert aztec_diamond_genfun(2) == (1 + TQ) ** 2 * (1 + TQ3)
     for n in range(1, 7):
         assert aztec_diamond_genfun(n).evaluate(1, 1) == 2 ** (n * (n + 1) // 2)
+    for n in (0, -2):
+        with pytest.raises(InvalidOrder):
+            aztec_diamond_genfun(n)
+
+
+def test_count_product_rejects_bad_positions():
+    assert count_product(2, (1, 3)) == 16
+    # out of order, repeated, non-positive, or not m of them
+    for m, s in ((2, (3, 1)), (2, (2, 2)), (2, (0, 2)), (2, (1,)), (0, ())):
+        with pytest.raises(InvalidHoles):
+            count_product(m, s)
 
 
 def test_rectangle_genfun_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf.errors import InexactDivision, PoleAtZero
+from aztecgf.errors import InexactDivision, InvalidDents, PoleAtZero
 from aztecgf.poly import (
     LaurentPoly2,
     PackedPoly,
@@ -133,6 +133,9 @@ def test_q_ratio_product_rejects_bad_input():
         q_ratio_product((2, 1), 1)
     with pytest.raises(ValueError):
         q_ratio_product((1, 2, 2), 1)
+    for s in ((2, 1), (1, 2, 2), (0, 1)):
+        with pytest.raises(InvalidDents):
+            q_ratio_product(s, 2)
 
 
 def test_laurent_flags_and_shifts():

@@ -50,7 +50,9 @@ def test_rectangle_equals_diamond_up_to_translation():
     for n in range(1, 7):
         ar = aztec_rectangle_with_holes(n, n, tuple(range(1, n + 1)))
         ad = aztec_diamond(n)
-        assert (ad.cells, ad.se_side, ad.nw_side) == (ar.cells, ar.se_side, ar.nw_side)
+        assert ad.cells == ar.cells
+        assert {sq(h, h - 1) for h in range(1, n + 1)} <= ad.cells  # the whole southeast side
+        assert {sq(j - n, n + j - 1) for j in range(1, n + 1)} <= ad.cells  # and the northwest side
         assert ad.rect_params == ar.rect_params and ad.key == ("aztec_diamond", n)
 
 
@@ -94,10 +96,11 @@ def test_dual_graph_counts():
 def test_dual_graph_marks_southeast_side():
     region = aztec_rectangle_with_holes(3, 6, (1, 4, 6))
     g = dual_graph(region)
-    assert g.marked == (sq(1, 0), sq(4, 3), sq(6, 5))
+    # the kept southeast cells sq(h, h - 1) are vertices, the holes are not
+    assert [h for h in range(1, 7) if sq(h, h - 1) in g.index] == [1, 4, 6]
     assert set(g.edge_dict().values()) == {LaurentPoly2.one()}
     weighted = dual_graph(region, lambda dom: dom[0].y + 1)
-    assert weighted.marked == g.marked and weighted.vertices == g.vertices
+    assert weighted.vertices == g.vertices == region.sorted_cells
     assert weighted.edge_dict() == {d: LaurentPoly2.const(d[0].y + 1) for d in region.all_dominoes}
 
 
@@ -140,7 +143,7 @@ def test_full_weighted_rectangle_face_sides():
         for n in range(1, 7):
             g = full_weighted_rectangle(m, n, a, b, c, d)
             assert g.edge_count() == 4 * m * n
-            assert g.marked == tuple(sq(h, h - 1) for h in range(1, n + 1))
+            assert all(g.degree(sq(h, h - 1)) == 2 for h in range(1, n + 1))  # the southeast side
             for i in range(1, m + 1):
                 for j in range(1, n + 1):
                     x, y = j - i, i + j - 2
@@ -154,8 +157,9 @@ def test_full_weighted_rectangle_face_sides():
 def test_checkerboard_coloring():
     for region in (*(aztec_diamond(n) for n in range(1, 7)), aztec_rectangle_with_holes(3, 6, (1, 4, 6))):
         colors = checkerboard_coloring(region)
-        for c in region.nw_side:
-            assert colors[c] == "white"
+        m, n, _ = region.rect_params
+        for j in range(1, n + 1):
+            assert colors[sq(j - m, m + j - 1)] == "white"
         for c in region.sorted_cells:
             for d in region.sorted_cells:
                 if abs(c.x - d.x) + abs(c.y - d.y) == 1:

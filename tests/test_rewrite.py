@@ -13,6 +13,7 @@ from aztecgf.regions import (
     WeightedGraph,
     full_weighted_rectangle,
     semihexagon_with_dents,
+    sq,
     weighted_ar_graph,
 )
 from aztecgf.rewrite import (
@@ -125,7 +126,7 @@ def test_remove_forced_weight_one_only():
 
 
 def test_connected_sum():
-    g1 = WeightedGraph([0, 1], {(0, 1): ONE}, marked=(1,))
+    g1 = WeightedGraph([0, 1], {(0, 1): ONE})
     g2 = WeightedGraph(["a", "b"], {("a", "b"): LaurentPoly2.const(2)})
     glued = connected_sum(g1, g2, [(1, "a")])
     assert glued.n == 3 and glued.has_edge(1, "b")
@@ -146,7 +147,7 @@ def test_fracweight_arithmetic():
 def test_full_weighted_rectangle_transpose_allowed():
     g = full_weighted_rectangle(2, 1, 1, 1, 1, 1)
     assert g.n == 2 * 2 * 1 + 2 + 1
-    assert len(g.marked) == 1
+    assert sq(1, 0) in g.index and g.degree(sq(1, 0)) == 2  # the one southeast cell
 
 
 def test_row_reduction():
