@@ -15,7 +15,7 @@ import time
 from itertools import islice
 
 from . import formulas, stats, verify
-from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
+from .engine import check_frontier, count_tilings, enumerate_tilings, tiling_genfun_dp
 from .errors import AztecError, InvalidOrder, InvalidRegionFile, TooManyTilings
 from .regions import (
     aztec_diamond,
@@ -117,6 +117,8 @@ def cmd_genfun(args):
 
 
 def cmd_count(args, parser):
+    if args.method == "dp" and args.region == "aztec" and args.order is not None:
+        check_frontier(args.order + 1)  # an order-n diamond sweeps n + 1 bits
     region = _build_region(args, parser)
     if args.method == "enumerate":
         stats.check_enumerable(region)

@@ -6,9 +6,14 @@ matchings of a weighted graph, summing their weights -- runs the one search
 in :func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
 partners in ascending index order, so repeated runs produce identical
 streams; the bijection inverses build their tilings directly and never
-call it.  The dynamic program is the fast path; it must agree with the
-oracle exactly, and the test suite holds it to bit-identical polynomial
-equality.
+call it.  The weighted sum, :func:`matching_genfun`, folds integers only:
+every edge weight is written over one common denominator, each distinct
+numerator becomes a tuple of ``(e_q, e_t, int)`` terms, each matching is a
+small term-dict product and the leaves sum into one dict, which is divided
+by the denominator's (n / 2)-th power once at the end.  Its values are never
+packed, so the oracle shares no arithmetic with the DP.  The dynamic program
+is the fast path; it must agree with the oracle exactly, and the test suite
+holds it to bit-identical polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -34,14 +39,16 @@ integer add per power of t.
 
 from __future__ import annotations
 
-from math import lcm
-from operator import add, mul, or_
+from fractions import Fraction
+from math import lcm, prod
+from operator import add, or_
 
 from .errors import InvalidTiling, InvalidWeight, RegionTooWide
-from .poly import LaurentPoly2, PackedPoly, as_poly, packed_weight, slot_bits
+from .poly import FracWeight, LaurentPoly2, PackedPoly, as_poly, packed_weight, slot_bits
 from .regions import Region, WeightedGraph, sweep_key
 
 MAX_FRONTIER = 24  # bits; 2^24 states of packed polynomials is out of reach
+_ONE = LaurentPoly2.one()
 
 
 class Tiling:
@@ -191,11 +198,52 @@ def enumerate_matchings(graph: WeightedGraph):
 
 
 def matching_genfun(graph: WeightedGraph):
-    """Sum over perfect matchings of the product of edge weights, exact."""
-    total = LaurentPoly2.zero()
-    for w in _matchings(graph.adjacency_indexed(), LaurentPoly2.one(), mul):
-        total = total + w
-    return total
+    """Sum over perfect matchings of the product of edge weights, exact.
+
+    Weights may be ints, ``Fraction``s, ``LaurentPoly2``s or
+    :class:`~aztecgf.poly.FracWeight`s, with negative coefficients and
+    exponents.  The search is :func:`_matchings`, folding integers only:
+    every weight is written over one common denominator L * D, where L is
+    the lcm of the coefficient denominators and D the product of the
+    distinct ``FracWeight`` denominators, and each distinct weight's
+    numerator becomes one tuple of ``(e_q, e_t, int)`` terms.  A matching is
+    the term-dict product of its edges' tuples, and the leaves sum into one
+    dict.  Every perfect matching has n / 2 edges, so the sum is divided by
+    (L * D)^(n / 2) once at the end; the result is a ``LaurentPoly2``, or a
+    ``FracWeight`` when D is not 1.  Values are never packed: this oracle
+    shares no arithmetic with the DP it checks.
+    """
+    rows = graph.adjacency_indexed()
+    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (as_poly(w), _ONE)
+             for row in rows for _, w in row}
+    common = prod(dict.fromkeys(den for _, den in parts.values() if den != _ONE), start=_ONE)
+    numerators = {w: num if den == common else num * common.exact_div(den)
+                  for w, (num, den) in parts.items()}
+    scale = lcm(*(c.denominator for num in numerators.values() for _, c in num.sorted_terms()))
+    labels = {w: tuple((eq, et, c.numerator * (scale // c.denominator))
+                       for (eq, et), c in num.sorted_terms())
+              for w, num in numerators.items()}
+    adj = [[(j, labels[w]) for j, w in row] for row in rows]
+    total = {}
+    for leaf in _matchings(adj, {(0, 0): 1}, _times):
+        for e, c in leaf.items():
+            total[e] = total.get(e, 0) + c
+    half = len(rows) // 2
+    result = LaurentPoly2({e: Fraction(c, scale ** half) for e, c in total.items()})
+    return result if common == _ONE else FracWeight(result, common ** half)
+
+
+def _times(acc, label):
+    """The term dict ``acc`` times the integer terms ``label``, as a new dict."""
+    out = {}
+    for (aq, at), ac in acc.items():
+        for bq, bt, bc in label:
+            e = (aq + bq, at + bt)
+            if e in out:
+                out[e] += ac * bc
+            else:
+                out[e] = ac * bc
+    return out
 
 
 def count_matchings(graph: WeightedGraph) -> int:
@@ -259,8 +307,7 @@ def _genfun_dp(vertices, edges, weight):
         nbr_earlier[k].append((p, i))
 
     bit, last_mask, width = _frontier_slots(max_nbr)
-    if width > MAX_FRONTIER:
-        raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
+    check_frontier(width)
     nbr_earlier = [[(bit[p], i) for p, i in sorted(row)] for row in nbr_earlier]
 
     def sweep(weights, one):
@@ -283,6 +330,12 @@ def _genfun_dp(vertices, edges, weight):
     bits = slot_bits(total)
     packed = [packed_weight(w, bits, den) for w in polys]
     return sweep(packed, PackedPoly.one()).decode(bits, den ** (n // 2))
+
+
+def check_frontier(width: int) -> None:
+    """Raise :class:`RegionTooWide` when a sweep needs more than ``MAX_FRONTIER`` bits."""
+    if width > MAX_FRONTIER:
+        raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
 
 
 def _frontier_slots(max_nbr):

@@ -17,6 +17,10 @@ non-negative integer coefficients, one big int per power of ``t`` holding the
 ``q = 2**bits``).  Each result leaves through one :meth:`PackedPoly.decode`
 into a ``LaurentPoly2``.
 
+A :class:`FracWeight` is a quotient of two ``LaurentPoly2`` values, reduced
+whenever the division is exact: the edge weight that graph rewrites leave
+behind when a renewal divides by a binomial.
+
 ``LaurentPoly2`` values are immutable and hashable; they can be shared freely
 across threads.
 """
@@ -28,7 +32,7 @@ from functools import reduce
 from math import prod
 from operator import add
 
-from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
+from .errors import InexactDivision, InvalidDents, InvalidWeight, NegativeExponent, PoleAtZero
 
 
 def _coeff(x) -> Fraction:
@@ -332,6 +336,100 @@ def as_poly(x) -> LaurentPoly2:
     return LaurentPoly2.const(_coeff(x))
 
 
+_ONE = LaurentPoly2.one()
+
+
+class FracWeight:
+    """A quotient of two Laurent polynomials, reduced whenever division is exact."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if den is None:
+            den = _ONE
+        if isinstance(num, FracWeight):
+            num, den = num.num, den * num.den
+        if isinstance(den, FracWeight):
+            num, den = num * den.den, den.num
+        num = as_poly(num)
+        den = as_poly(den)
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero:
+            den = _ONE
+        elif den != _ONE:
+            try:
+                num = num.exact_div(den)
+                den = _ONE
+            except InexactDivision:
+                pass
+        self.num = num
+        self.den = den
+
+    def is_polynomial(self) -> bool:
+        return self.den == _ONE
+
+    def to_poly(self) -> LaurentPoly2:
+        if not self.is_polynomial():
+            raise InexactDivision(f"weight {self!r} is not a polynomial")
+        return self.num
+
+    def __bool__(self):
+        return not self.num.is_zero
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, FracWeight):
+            return x
+        if isinstance(x, (int, Fraction, LaurentPoly2)):
+            return FracWeight(as_poly(x))
+        return None
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FracWeight(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.num.is_zero:
+            raise ZeroDivisionError("division by zero weight")
+        return FracWeight(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FracWeight(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num * o.den == o.num * self.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        if self.is_polynomial():
+            return f"FracWeight({self.num})"
+        return f"FracWeight(({self.num}) / ({self.den}))"
+
+
 def slot_bits(bound: int) -> int:
     """The narrowest whole-byte slot width, in bits, that holds 0..bound."""
     return 8 * max(1, -(-bound.bit_length() // 8))
@@ -433,7 +531,7 @@ def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i)).
 
     ``s`` must be strictly increasing and positive, so s_i >= i (else
-    InvalidDents); the quotient is then a polynomial in q with non-negative
+    InvalidDents), and ``alpha`` a positive integer (else InvalidWeight); the quotient is then a polynomial in q with non-negative
     integer coefficients (a q-analogue of prod (s_j - s_i)/(j - i)), whose
     value at q = 1 is :func:`falling_ratio`.
     That value bounds every coefficient, so one slot width suffices and the
@@ -442,6 +540,8 @@ def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     s = tuple(s)
     if any(x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise InvalidDents("s must be a strictly increasing sequence of positive integers")
+    if not isinstance(alpha, int) or alpha < 1:
+        raise InvalidWeight(f"alpha must be a positive integer, got {alpha!r}")
     bits = slot_bits(int(falling_ratio(s)))
     return q_ratio_packed(s, alpha, bits).decode(bits)
 

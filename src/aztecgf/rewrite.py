@@ -30,104 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InexactDivision, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
+from .errors import InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor, row_delta
-from .poly import LaurentPoly2, as_poly
+from .poly import FracWeight, LaurentPoly2
 from .regions import WeightedGraph, ar_face_cells, check_positions, full_weighted_rectangle, sq
 
 
 _ONE = LaurentPoly2.one()
-
-
-class FracWeight:
-    """A quotient of two Laurent polynomials, reduced whenever division is exact."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = _ONE
-        if isinstance(num, FracWeight):
-            num, den = num.num, den * num.den
-        if isinstance(den, FracWeight):
-            num, den = num * den.den, den.num
-        num = as_poly(num)
-        den = as_poly(den)
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            den = _ONE
-        elif den != _ONE:
-            try:
-                num = num.exact_div(den)
-                den = _ONE
-            except InexactDivision:
-                pass
-        self.num = num
-        self.den = den
-
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
-
-    def to_poly(self) -> LaurentPoly2:
-        if not self.is_polynomial():
-            raise InexactDivision(f"weight {self!r} is not a polynomial")
-        return self.num
-
-    def __bool__(self):
-        return not self.num.is_zero
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, FracWeight):
-            return x
-        if isinstance(x, (int, Fraction, LaurentPoly2)):
-            return FracWeight(as_poly(x))
-        return None
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FracWeight(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero weight")
-        return FracWeight(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FracWeight(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self):
-        if self.is_polynomial():
-            return f"FracWeight({self.num})"
-        return f"FracWeight(({self.num}) / ({self.den}))"
 
 
 def _wdiv(wnum, wden):

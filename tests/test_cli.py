@@ -140,6 +140,22 @@ def test_invalid_flags_exit_2(tmp_path):
         assert out.returncode == 2 and out.stderr.startswith(b"error: ")
 
 
+def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys):
+    # an order-n diamond sweeps n + 1 bits, so the width is known from the
+    # order alone and the region is never built
+    from aztecgf import cli
+
+    def no_build(*args):
+        raise AssertionError("built a region the DP refuses")
+
+    monkeypatch.setattr(cli, "_build_region", no_build)
+    for order in (24, 25, 200):
+        assert cli.main(["count", "--region", "aztec", "--order", str(order), "--method", "dp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DP frontier would be {order + 1} bits wide, over 24\n"
+
+
 def test_verify_suite_exits_zero():
     out = run_cli("verify", "--suite", "diamond")
     text = out.stdout.decode()

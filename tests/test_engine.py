@@ -21,7 +21,8 @@ from aztecgf.engine import (
     tiling_genfun_dp,
 )
 from aztecgf.errors import InvalidTiling, InvalidWeight, RegionTooWide
-from aztecgf.poly import LaurentPoly2, falling_ratio
+from aztecgf.formulas import weighted_rectangle_matching_genfun
+from aztecgf.poly import FracWeight, LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
     WeightedGraph,
@@ -33,6 +34,7 @@ from aztecgf.regions import (
     sq,
     sweep_key,
     up,
+    weighted_ar_graph,
 )
 
 
@@ -55,6 +57,83 @@ def test_matching_genfun_basics():
     assert matching_genfun(g) == LaurentPoly2.const(2 * 5 + 3 * 7)
     no_matching = WeightedGraph([0, 1, 2], {(0, 1): LaurentPoly2.one()})
     assert matching_genfun(no_matching) == LaurentPoly2.zero()
+
+
+def test_matching_genfun_cancels_and_handles_empty_and_unmatchable_graphs():
+    # the two matchings of the 4-cycle weigh 1 * 1 and 1 * -1
+    assert matching_genfun(four_cycle((1, 1, 1, -1))) == LaurentPoly2.zero()
+    # the empty graph has one (empty) perfect matching
+    assert matching_genfun(WeightedGraph([], {})) == LaurentPoly2.one()
+    one = LaurentPoly2.one()
+    odd = WeightedGraph([0, 1, 2], {(0, 1): one, (1, 2): one, (0, 2): one})
+    assert matching_genfun(odd) == LaurentPoly2.zero()
+    star = WeightedGraph([0, 1, 2, 3], {(0, 1): one, (0, 2): one, (0, 3): one})
+    assert matching_genfun(star) == LaurentPoly2.zero()
+
+
+def weight_products(graph, unit):
+    """Sum over enumerate_matchings of the product of edge weights, multiplied
+    one by one from ``unit``: a route that shares no arithmetic with
+    matching_genfun."""
+    total = None
+    for matching in enumerate_matchings(graph):
+        w = unit
+        for u, v in matching:
+            w = w * graph.weight(u, v)
+        total = w if total is None else total + w
+    return total
+
+
+def random_matchable_graph(rng, weight, most):
+    n = rng.randrange(2, most + 1, 2)
+    verts = list(range(n))
+    edges = {(u, v): weight() for u, v in combinations(verts, 2) if rng.random() < 0.4}
+    skeleton = sorted(verts, key=lambda v: rng.random())
+    for u, v in zip(skeleton[::2], skeleton[1::2]):
+        if (u, v) not in edges and (v, u) not in edges:
+            edges[(u, v)] = weight()
+    return WeightedGraph(verts, edges)
+
+
+def test_matching_genfun_with_multi_term_rational_laurent_weights():
+    rng = random.Random(4096)
+
+    def weight():
+        # one to three terms, signed rational coefficients, negative exponents
+        return LaurentPoly2({
+            (rng.randint(-3, 2), rng.randint(-2, 1)): Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                                             rng.randint(1, 6))
+            for _ in range(rng.randint(1, 3))
+        }) or LaurentPoly2.const(Fraction(-3, 4))
+
+    for case in range(60):
+        g = random_matchable_graph(rng, weight, 12)
+        assert matching_genfun(g) == weight_products(g, LaurentPoly2.one()), case
+
+
+def test_matching_genfun_with_quotient_weights():
+    # weights that are quotients of Laurent polynomials, as urban renewal
+    # leaves them, mixed with plain polynomials and rationals
+    rng = random.Random(8192)
+    q = LaurentPoly2.term(1, q=1)
+    dens = (q + 1, 2 * q - 3, q * q + Fraction(1, 2), q + 1)
+
+    def weight():
+        num = LaurentPoly2.term(Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)), q=rng.randint(-1, 2))
+        kind = rng.random()
+        if kind < 0.5:
+            return FracWeight(num + LaurentPoly2.term(rng.randint(1, 3), q=3), rng.choice(dens))
+        return num if kind < 0.8 else Fraction(rng.randint(1, 7), rng.randint(1, 5))
+
+    quotients = 0
+    for case in range(40):
+        # the reference sums FracWeights, which tries a division per add
+        g = random_matchable_graph(rng, weight, 8)
+        expected = weight_products(g, FracWeight(1))
+        got = matching_genfun(g)
+        assert got == expected and expected == got, case
+        quotients += isinstance(got, FracWeight) and not got.is_polynomial()
+    assert quotients >= 20  # most sums keep a denominator
 
 
 def test_tiling_counts():
@@ -319,3 +398,21 @@ def test_backtracker_equals_dp_on_random_ragged_regions(region):
 @given(ragged_regions())
 def test_frontier_slots_on_random_ragged_regions(region):
     check_frontier_slots(region)
+
+
+@st.composite
+def weighted_rectangles(draw):
+    # a holey Aztec rectangle and four nonzero rational face weights, signs free
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 6))
+    s = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
+    weight = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    return (m, n, s, *(draw(weight) for _ in range(4)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(weighted_rectangles())
+def test_matching_genfun_equals_the_weighted_closed_form(case):
+    m, n, s, a, b, c, d = case
+    assert matching_genfun(weighted_ar_graph(m, n, s, a, b, c, d)) == weighted_rectangle_matching_genfun(
+        m, n, s, a, b, c, d)

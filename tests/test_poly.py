@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf.errors import InexactDivision, InvalidDents, PoleAtZero
+from aztecgf.errors import AztecError, InexactDivision, InvalidDents, InvalidWeight, PoleAtZero
 from aztecgf.poly import (
     LaurentPoly2,
     PackedPoly,
@@ -136,6 +136,11 @@ def test_q_ratio_product_rejects_bad_input():
     for s in ((2, 1), (1, 2, 2), (0, 1)):
         with pytest.raises(InvalidDents):
             q_ratio_product(s, 2)
+    # alpha must be a positive int
+    for alpha in (0, -1, 1.5, "2"):
+        with pytest.raises(InvalidWeight) as exc:
+            q_ratio_product((1, 3), alpha)
+        assert isinstance(exc.value, AztecError) and isinstance(exc.value, ValueError)
 
 
 def test_laurent_flags_and_shifts():
