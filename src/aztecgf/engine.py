@@ -1,19 +1,20 @@
 """The two matching kernels: one backtracking oracle and one frontier-profile DP.
 
 Every tiling is a perfect matching of the region's dual graph, so every
-exhaustive route here -- enumerating tilings, counting them, listing the
-matchings of a weighted graph, summing their weights -- runs the one search
-in :func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
+exhaustive route here -- enumerating tilings, listing the matchings of a
+weighted graph, summing their weights -- runs the one search in
+:func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
 partners in ascending index order, so repeated runs produce identical
 streams; the bijection inverses build their tilings directly and never
-call it.  The weighted sum, :func:`matching_genfun`, folds integers only:
-every edge weight is written over one common denominator, each distinct
-numerator becomes a tuple of ``(e_q, e_t, int)`` terms, each matching is a
-small term-dict product and the leaves sum into one dict, which is divided
-by the denominator's (n / 2)-th power once at the end.  Its values are never
-packed, so the oracle shares no arithmetic with the DP.  The dynamic program
-is the fast path; it must agree with the oracle exactly, and the test suite
-holds it to bit-identical polynomial equality.
+call it.  Counts need no stream: :func:`_count` branches alike on bitmasks
+and keeps a running total.  The weighted sum, :func:`matching_genfun`,
+folds integers only: every edge weight is written over one common
+denominator, each distinct numerator becomes a tuple of ``(e_q, e_t, int)``
+terms, each matching is a small term-dict product and the leaves sum into
+one dict, which is divided by the denominator's (n / 2)-th power once at
+the end.  Its values are never packed, so the oracle shares no arithmetic
+with the DP.  The DP is the fast path; it must agree with the oracle
+exactly, and the test suite holds it to bit-identical polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -178,9 +179,41 @@ def enumerate_tilings(region: Region):
         yield Tiling(region, mask)
 
 
+def _count(adj) -> int:
+    """Count perfect matchings of ``adj`` (labels ignored): the lowest free vertex
+    takes each free partner in turn, a frame (mask, partners left) is stacked
+    only where two or more remain, and nothing is memoised."""
+    if len(adj) % 2:
+        return 0
+    nbr = [sum(1 << j for j, _ in row) for row in adj]
+    total = 0
+    stack = []
+    free = (1 << len(adj)) - 1
+    while True:
+        while free:
+            low = free & -free
+            free ^= low
+            opts = nbr[low.bit_length() - 1] & free
+            if not opts:
+                break
+            b = opts & -opts
+            if opts != b:
+                stack.append((free, opts ^ b))
+            free ^= b
+        else:
+            total += 1
+        if not stack:
+            return total
+        free, rest = stack.pop()
+        b = rest & -rest
+        if rest != b:
+            stack.append((free, rest ^ b))
+        free ^= b
+
+
 def count_tilings(region: Region) -> int:
-    """Exact tiling count by exhaustive backtracking (no closed forms)."""
-    return sum(1 for _ in _matchings(region.adjacency, 0, or_))
+    """Exact tiling count by exhaustive search (no closed forms, no DP)."""
+    return _count(region.adjacency)
 
 
 def enumerate_matchings(graph: WeightedGraph):
@@ -247,7 +280,7 @@ def _times(acc, label):
 
 
 def count_matchings(graph: WeightedGraph) -> int:
-    return sum(1 for _ in _matchings(graph.adjacency_indexed(), None, lambda acc, w: acc))
+    return _count(graph.adjacency_indexed())
 
 
 # ---------------------------------------------------------------------------

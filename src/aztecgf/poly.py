@@ -411,6 +411,8 @@ class FracWeight:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.den == o.den:
+            return FracWeight(self.num + o.num, self.den)
         return FracWeight(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -422,7 +424,12 @@ class FracWeight:
         return self.num * o.den == o.num * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # Equal quotients take one value wherever their denominators do not vanish.
+        if self.den == _ONE:
+            return hash(self.num)
+        point = (Fraction(2, 3), Fraction(3, 5))
+        den = self.den.evaluate(*point)
+        return hash(self.num.evaluate(*point) / den) if den else 0
 
     def __repr__(self):
         if self.is_polynomial():

@@ -174,19 +174,24 @@ def vstat(tiling: Tiling) -> int:
     half the vertical dominoes.
     """
     offset = displacement(tiling.region.rect_params[2])
-    verticals = 0
-    downs = 0
-    for c1, c2 in tiling.dominoes:
-        if c1.x == c2.x:
-            verticals += 1
-            bottom = c1 if c1.y < c2.y else c2
-            if is_white(bottom):
-                downs += 1
+    verticals, downs = ((tiling.mask & m).bit_count() for m in _vertical_masks(tiling.region))
     if verticals - offset != 2 * downs:
         raise OddVerticalCount(
             f"verticals={verticals}, offset={offset}, down-type={downs}"
         )
     return downs
+
+
+@lru_cache(maxsize=16)
+def _vertical_masks(region: Region):
+    """Masks over the domino pool: (vertical dominoes, white-bottomed ones)."""
+    verticals = downs = 0
+    for i, (c1, c2) in enumerate(region.all_dominoes):
+        if c1.x == c2.x:
+            verticals |= 1 << i
+            if is_white(c1 if c1.y < c2.y else c2):
+                downs |= 1 << i
+    return verticals, downs
 
 
 @lru_cache(maxsize=16)

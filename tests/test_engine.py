@@ -21,7 +21,7 @@ from aztecgf.engine import (
     tiling_genfun_dp,
 )
 from aztecgf.errors import InvalidTiling, InvalidWeight, RegionTooWide
-from aztecgf.formulas import weighted_rectangle_matching_genfun
+from aztecgf.formulas import count_product, weighted_rectangle_matching_genfun
 from aztecgf.poly import FracWeight, LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
@@ -143,6 +143,46 @@ def test_tiling_counts():
     # an untileable region: the full rectangle with m < n has no matchings
     full_cells_odd = aztec_rectangle_with_holes(2, 3, (1, 2))
     assert count_tilings(full_cells_odd) == 8  # sanity: holes restore tileability
+
+
+def test_count_tilings_equals_enumeration_on_small_holey_regions():
+    # the counter and the enumerating search share no code past the adjacency
+    for m in range(1, 4):
+        for n in range(m, 6):
+            for s in combinations(range(1, n + 1), m):
+                for region in (aztec_rectangle_with_holes(m, n, s), semihexagon_with_dents(m, n - m, s)):
+                    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region)), region.key
+
+
+def test_count_matchings_equals_enumeration_on_random_graphs():
+    rng = random.Random(1729)
+    one = LaurentPoly2.one()
+    graphs = [
+        WeightedGraph([], {}),
+        WeightedGraph([0, 1, 2], {(0, 1): one, (1, 2): one, (0, 2): one}),  # odd
+        WeightedGraph([0, 1, 2, 3], {(0, 1): one, (0, 2): one}),  # isolated vertex 3
+        WeightedGraph(list(range(6)), {(0, 1): one, (2, 3): one, (3, 4): one, (4, 5): one, (2, 5): one}),
+    ]
+    for _ in range(300):
+        # odd, isolated, disconnected and skeleton-carrying graphs all occur
+        n = rng.randint(0, 14)
+        density = rng.choice((0.1, 0.25, 0.4, 0.6))
+        edges = {(u, v): one for u, v in combinations(range(n), 2) if rng.random() < density}
+        if rng.random() < 0.6:
+            skeleton = sorted(range(n), key=lambda v: rng.random())
+            for u, v in zip(skeleton[::2], skeleton[1::2]):
+                edges.setdefault((min(u, v), max(u, v)), one)
+        graphs.append(WeightedGraph(list(range(n)), edges))
+    counts = [count_matchings(g) for g in graphs]
+    assert counts[:4] == [1, 0, 0, 2]
+    assert sum(c > 0 for c in counts) >= 100  # most draws are matchable
+    for g, c in zip(graphs, counts):
+        assert c == len(list(enumerate_matchings(g))), g.vertices
+
+
+def test_count_tilings_runs_a_long_strip_without_recursion():
+    # 6,002 cells: a recursive search would pass Python's recursion limit
+    assert count_tilings(aztec_rectangle_with_holes(1, 3000, (1500,))) == count_product(1, (1500,))
 
 
 def test_full_rectangle_without_holes_has_no_matchings():
@@ -392,6 +432,12 @@ def ragged_regions(draw):
 def test_backtracker_equals_dp_on_random_ragged_regions(region):
     # the DP shares no code with the backtracking search
     assert count_tilings(region) == tiling_genfun_dp(region)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_regions())
+def test_counter_equals_enumeration_on_random_ragged_regions(region):
+    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from aztecgf.errors import AztecError, InexactDivision, InvalidDents, InvalidWeight, PoleAtZero
 from aztecgf.poly import (
+    FracWeight,
     LaurentPoly2,
     PackedPoly,
     falling_ratio,
@@ -251,3 +252,22 @@ def test_packed_weight_rejects_what_cannot_pack():
             packed_weight(poly, 8, scale)
     poly = LaurentPoly2.term(Fraction(1, 6), q=-2, t=3) + Fraction(1, 2)
     assert packed_weight(poly, 8, 12) == ((3, 2, -16), (0, 6, 0))
+
+
+def test_fracweight_sum_keeps_a_shared_denominator():
+    w = FracWeight(1, 1 + Q)
+    total = w
+    for _ in range(40):
+        total = total + w
+    assert total.den == 1 + Q and total.num == LaurentPoly2.const(41)
+    assert w + w + FracWeight(Q - 1, 1 + Q) == 1
+
+
+def test_fracweight_hash_agrees_with_equality():
+    a = FracWeight((1 + Q) ** 2, (1 + Q) * (1 + Q ** 2 + Q ** 3))
+    b = FracWeight(1 + Q, 1 + Q ** 2 + Q ** 3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert hash(FracWeight(Q * Q + Q, Q)) == hash(Q + 1)  # reduces to a polynomial
+    # a denominator vanishing at the hash point still hashes
+    c = FracWeight(Q, 3 * Q - 2)
+    assert len({c, FracWeight(2 * Q, 6 * Q - 4), FracWeight(Q, 3 * Q - 1)}) == 2

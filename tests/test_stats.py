@@ -85,6 +85,17 @@ def test_vstat_sum_at_q1():
     assert by_t == {0: 1, 1: 3, 2: 3, 3: 1}
 
 
+def test_vstat_counts_white_bottomed_verticals_exhaustively():
+    # the mask reading against a walk over the tiles, on all 3,126 tilings
+    for m in range(1, 4):
+        for n in range(m, 6):
+            for s in combinations(range(1, n + 1), m):
+                for tiling in enumerate_tilings(aztec_rectangle_with_holes(m, n, s)):
+                    downs = sum(1 for c1, c2 in tiling.dominoes
+                                if c1.x == c2.x and (min(c1.y, c2.y) + c1.x) % 2 == 1)
+                    assert vstat(tiling) == downs, (m, n, s)
+
+
 def test_vstat_guard_fires_on_garbage():
     region = aztec_rectangle_with_holes(1, 1, (1,))
     fake = Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1))])
