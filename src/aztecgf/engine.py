@@ -5,16 +5,17 @@ exhaustive route here -- enumerating tilings, listing the matchings of a
 weighted graph, summing their weights -- runs the one search in
 :func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
 partners in ascending index order, so repeated runs produce identical
-streams; the bijection inverses build their tilings directly and never
-call it.  Counts need no stream: :func:`_count` branches alike on bitmasks
-and keeps a running total.  The weighted sum, :func:`matching_genfun`,
-folds integers only: every edge weight is written over one common
-denominator, each distinct numerator becomes a tuple of ``(e_q, e_t, int)``
-terms, each matching is a small term-dict product and the leaves sum into
-one dict, which is divided by the denominator's (n / 2)-th power once at
-the end.  Its values are never packed, so the oracle shares no arithmetic
-with the DP.  The DP is the fast path; it must agree with the oracle
-exactly, and the test suite holds it to bit-identical polynomial equality.
+streams.  The bijections never call it: they read paths with
+:meth:`Tiling.walk` and replay them with :meth:`Tiling.from_paths`.  Counts
+need no stream: :func:`_count` branches alike on bitmasks and keeps a
+running total.  The weighted sum, :func:`matching_genfun`, folds integers
+only: every edge weight is written over one common denominator, each
+distinct numerator becomes a tuple of ``(e_q, e_t, int)`` terms, each
+matching is a small term-dict product and the leaves sum into one dict,
+which is divided by the denominator's (n / 2)-th power once at the end.
+Its values are never packed, so the oracle shares no arithmetic with the
+DP.  The DP is the fast path; it must agree with the oracle exactly, and
+the test suite holds it to bit-identical polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -44,9 +45,9 @@ from fractions import Fraction
 from math import lcm, prod
 from operator import add, or_
 
-from .errors import InvalidTiling, InvalidWeight, RegionTooWide
-from .poly import FracWeight, LaurentPoly2, PackedPoly, as_poly, packed_weight, slot_bits
-from .regions import Region, WeightedGraph, sweep_key
+from .errors import BijectionViolation, InvalidTiling, InvalidWeight, RegionTooWide
+from .poly import FracWeight, LaurentPoly2, PackedPoly, packed_weight, slot_bits
+from .regions import Region, WeightedGraph, edge_weight, sweep_key
 
 MAX_FRONTIER = 24  # bits; 2^24 states of packed polynomials is out of reach
 _ONE = LaurentPoly2.one()
@@ -107,6 +108,61 @@ class Tiling:
         mate = self.mate
         return len(mate) == 2 * len(self.dominoes) and mate.keys() == self.region.cells
 
+    def walk(self, x: int, y: int, cell, steps: Steps):
+        """Follow the path entering ``cell(x, y)`` to the region's edge: the
+        offset of each cell's mate names the step, whose move gives the next
+        cell.  Returns the ``(kind, x, y)`` steps and the exit point; raises
+        BijectionViolation at an uncovered cell or a tile no step crosses."""
+        cells, mate, by_mate = self.region.cells, self.mate, steps.by_mate
+        out = []
+        while (c := cell(x, y)) in cells:
+            other = mate.get(c)
+            if other is None:
+                raise BijectionViolation(f"path reached the uncovered cell {c}")
+            kind = by_mate.get((other.x - x, other.y - y))
+            if kind is None:
+                raise BijectionViolation(f"no step crosses the tile {(c, other)}")
+            out.append((kind, x, y))
+            dx, dy = steps[kind][1]
+            x, y = x + dx, y + dy
+        return out, (x, y)
+
+    @classmethod
+    def from_paths(cls, region: Region, paths, cell, partner, steps: Steps):
+        """Replay ``paths``, each ``(x, y, kinds)`` entering ``cell(x, y)``: a
+        step places the tile of its cell and ``partner`` at its mate offset,
+        then moves.  Every uncovered cell of ``cell``'s kind is then paired
+        with ``partner(x + 1, y)``.  Returns the tiling and each path's exit
+        point; raises BijectionViolation for a tile outside the region or
+        over a placed one, and for a cell left over."""
+        index = region.domino_index
+        used = set()
+        mask = 0
+        exits = []
+
+        def place(c1, c2):
+            nonlocal mask
+            i = index.get((c1, c2) if c1 < c2 else (c2, c1))
+            if i is None or c1 in used or c2 in used:
+                raise BijectionViolation(f"cannot place the tile {(c1, c2)}")
+            used.update((c1, c2))
+            mask |= 1 << i
+
+        for x, y, kinds in paths:
+            for kind in kinds:
+                (mx, my), (dx, dy) = steps[kind]
+                place(cell(x, y), partner(x + mx, y + my))
+                x, y = x + dx, y + dy
+            exits.append((x, y))
+        kind = cell(0, 0).kind
+        for c in region.sorted_cells:  # sorted by x: a cell's left neighbour is paired first
+            if c.kind == kind and c not in used:
+                place(c, partner(c.x + 1, c.y))
+        tiling = cls(region, mask)
+        if not tiling.is_valid():
+            raise BijectionViolation("the placed tiles leave a cell of the region uncovered")
+        return tiling, exits
+
     def __eq__(self, other):
         return (
             isinstance(other, Tiling)
@@ -119,6 +175,15 @@ class Tiling:
 
     def __repr__(self):
         return f"Tiling({self.region.key}, {len(self.dominoes)} tiles)"
+
+
+class Steps(dict):
+    """A path system's step table, kind -> (offset of the mate of the entry
+    cell, move to the next entry cell), with its inverse ``by_mate`` built once."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.by_mate = {mate: kind for kind, (mate, _) in table.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +312,8 @@ def matching_genfun(graph: WeightedGraph):
     shares no arithmetic with the DP it checks.
     """
     rows = graph.adjacency_indexed()
-    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (as_poly(w), _ONE)
-             for row in rows for _, w in row}
+    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (edge_weight(e, w), _ONE)
+             for e, w in graph.edge_items()}
     common = prod(dict.fromkeys(den for _, den in parts.values() if den != _ONE), start=_ONE)
     numerators = {w: num if den == common else num * common.exact_div(den)
                   for w, (num, den) in parts.items()}
@@ -351,7 +416,7 @@ def _genfun_dp(vertices, edges, weight):
 
     polys = []
     for edge in edges:
-        w = as_poly(weight(edge))
+        w = edge_weight(edge, weight(edge))
         if any(c.numerator < 0 for _, c in w.sorted_terms()):
             raise InvalidWeight(f"weight of {edge} has a negative coefficient")
         polys.append(w)

@@ -35,8 +35,9 @@ class InvalidDents(AztecError, ValueError):
 
 
 class InvalidWeight(AztecError, ValueError):
-    """A face weight of the weighted rectangle graph is zero, or a DP tile
-    weight has a negative coefficient."""
+    """A face weight of the weighted rectangle graph is zero, a DP tile
+    weight has a negative coefficient, or an edge weight is none of int,
+    Fraction, Laurent polynomial and FracWeight over 1."""
 
 
 class InvalidTiling(AztecError, ValueError):

@@ -30,7 +30,7 @@ def shifted_content_exponent(m: int, s) -> int:
     This is the q-exponent of the weight of the minimal tiling's path family;
     the rank statistic measures the distance above it.
     """
-    s = tuple(s)
+    s = check_positions(m, None, s, InvalidHoles)
     return sum(2 * (s[i - 1] + j - i - 1) for j in range(1, m + 1) for i in range(1, j + 1))
 
 
@@ -131,13 +131,13 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
     entries at most m; the product form is q^D * prod (q^s_j - q^s_i)/(q^j -
     q^i) with D = sum(s_i - i).
     """
-    s = check_positions(m, max((m, *s)), s, InvalidDents)  # the positions have no upper bound
+    s = check_positions(m, None, s, InvalidDents)  # the positions have no upper bound
     return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s, 1)).require_polynomial()
 
 
 def count_product(m: int, s) -> int:
     """2^(m(m+1)/2) * prod (s_j - s_i)/(j - i): the rectangle tiling count."""
-    s = check_positions(m, max((m, *s)), s, InvalidHoles)  # n plays no part in the count
+    s = check_positions(m, None, s, InvalidHoles)  # n plays no part in the count
     val = Fraction(2) ** (m * (m + 1) // 2) * falling_ratio(s)
     assert val.denominator == 1
     return int(val)

@@ -10,7 +10,8 @@ level a - y):
 * ``right``:    up(x, y) + dw(x-1, y) — the other in-row kind;
 * ``vertical``: up(x, y) + dw(x, y+1) — spans two rows, never weighted.
 
-Two path systems read a tiling:
+Two path systems read a tiling, each a step table (``TOP_STEPS``,
+``DENT_STEPS``) that ``Tiling.walk`` reads and ``Tiling.from_paths`` replays:
 
 * b = n - m disjoint top-to-bottom paths enter through the top edges and
   exit through the un-dented base triangles; each crosses one in-row lozenge
@@ -33,14 +34,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
-from .errors import BijectionViolation
+from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
+from .errors import BijectionViolation, InvalidDents
 from .poly import LaurentPoly2
-from .regions import Region, dw, up
+from .regions import Region, check_positions, dw, up
 
 LEFT = "left"
 RIGHT = "right"
 VERTICAL = "vertical"
+
+# kind -> (offset of the entry cell dw(x, y)'s mate up(...), move from (x, y))
+TOP_STEPS = Steps({LEFT: ((0, 0), (0, 1)), RIGHT: ((1, 0), (1, 1))})
+DENT_STEPS = Steps({LEFT: ((0, 0), (-1, 0)), VERTICAL: ((0, -1), (-1, -1))})
 
 
 def classify_lozenge(pair, a: int):
@@ -96,23 +101,12 @@ def top_bottom_paths(tiling: Tiling):
     the starting top edge.  Raises BijectionViolation if a walk meets a
     vertical lozenge, which the geometry forbids.
     """
-    a, b, _ = tiling.region.semihex_params
-    mate = tiling.mate
+    b = tiling.region.semihex_params[1]
     out = []
     for j in range(1, b + 1):
-        r, x = 1, j
-        lefts = rights = 0
-        while r <= a:
-            other = mate.get(dw(x, r))
-            if other == up(x, r):
-                lefts += 1
-            elif other == up(x + 1, r):
-                rights += 1
-                x += 1
-            else:
-                raise BijectionViolation(f"top-bottom path hit a vertical lozenge at {(x, r)}")
-            r += 1
-        out.append((lefts, rights, x))
+        steps, (x, _) = tiling.walk(j, 1, dw, TOP_STEPS)
+        rights = sum(kind == RIGHT for kind, _, _ in steps)
+        out.append((len(steps) - rights, rights, x))
     return out
 
 
@@ -154,7 +148,7 @@ class ColumnStrictPlanePartition:
 
 def cspp_shape(m: int, s) -> tuple:
     """(s_m - m, s_{m-1} - (m-1), ..., s_1 - 1)."""
-    s = tuple(s)
+    s = check_positions(m, None, s, InvalidDents)  # the positions have no upper bound
     return tuple(s[j] - (j + 1) for j in range(m - 1, -1, -1))
 
 
@@ -163,11 +157,12 @@ def enumerate_cspp(shape, max_entry: int):
 
     Rows are generated top-down, entries left-to-right and descending, which
     fixes the stream order.  This enumerator is independent of the lozenge
-    bijection and serves as its oracle.
+    bijection and serves as its oracle.  A shape that is empty, negative or
+    not weakly decreasing is no ``cspp_shape(m, s)`` and raises InvalidDents.
     """
     shape = tuple(shape)
-    if any(x < 0 for x in shape) or any(x < y for x, y in zip(shape, shape[1:])):
-        raise ValueError(f"shape must be weakly decreasing and non-negative: {shape}")
+    dents = tuple(x + j for j, x in enumerate(reversed(shape), start=1))  # shape == cspp_shape(m, dents)
+    check_positions(len(shape), None, dents, InvalidDents)
 
     def gen_row(length, above):
         def rec(j, prev):
@@ -195,75 +190,30 @@ def enumerate_cspp(shape, max_entry: int):
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
     """Read the plane partition off the dent-to-northwest path system."""
-    a, _, s = tiling.region.semihex_params
-    m = a
-    mate = tiling.mate
+    m, _, s = tiling.region.semihex_params
     rows = []
     for i in range(1, m + 1):  # row i of the partition belongs to dent s_{m+1-i}
-        k = m + 1 - i
-        dent = s[k - 1]
-        r, x = a, dent - 1
-        entries = []
-        while x >= 1:
-            other = mate.get(dw(x, r))
-            if other == up(x, r):
-                entries.append(a - r + 1)
-            elif other == up(x, r - 1):
-                r -= 1
-            else:
-                raise BijectionViolation(
-                    f"dent path from {dent} met an impossible pairing at {(x, r)}"
-                )
-            x -= 1
-        if r != i:
-            raise BijectionViolation(f"dent path from {dent} exited in row {r}, expected {i}")
-        if len(entries) != s[k - 1] - k:
-            raise BijectionViolation(f"dent path from {dent} has {len(entries)} entries")
-        rows.append(tuple(reversed(entries)))
+        steps, _ = tiling.walk(s[m - i] - 1, m, dw, DENT_STEPS)
+        rows.append(tuple(m - y + 1 for kind, _, y in reversed(steps) if kind == LEFT))
+    # no exit check: a path crosses s_k - 1 lozenges, so validate()'s row length fixes its end
     return ColumnStrictPlanePartition(cspp_shape(m, s), tuple(rows), m).validate()
 
 
 def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
-    """Inverse reading, built directly: replay the dent paths, then pair every
-    down-triangle off them with the up-triangle to its right."""
-    a, b, s = region.semihex_params
-    m = a
+    """Inverse reading, built by :meth:`Tiling.from_paths`: replay the dent
+    paths, then pair every down-triangle off them with the up-triangle to its
+    right.  A dent path rises by vertical steps to the row at level e - 1 of
+    each entry e, takes a left step there, and ends with verticals."""
+    m, _, s = region.semihex_params
     pi.validate()
     if pi.shape != cspp_shape(m, s) or pi.max_entry != m:
         raise BijectionViolation("partition shape does not match the region's dents")
-    used = set()
-    pairs = []
-
-    def place(c1, c2):
-        if c1 not in region.cells or c2 not in region.cells or c1 in used or c2 in used:
-            raise BijectionViolation(f"cannot place lozenge {(c1, c2)}")
-        used.update((c1, c2))
-        pairs.append(tuple(sorted((c1, c2))))
-
-    for i in range(1, m + 1):
-        k = m + 1 - i
-        dent = s[k - 1]
-        ascending = tuple(reversed(pi.rows[i - 1]))
-        ptr = 0
-        r, x = a, dent - 1
-        while x >= 1:
-            want = a - r + 1
-            if ptr < len(ascending) and ascending[ptr] == want:
-                place(up(x, r), dw(x, r))
-                ptr += 1
-            elif ptr < len(ascending) and ascending[ptr] < want:
-                raise BijectionViolation(f"entry {ascending[ptr]} too small on dent path {dent}")
-            else:
-                place(up(x, r - 1), dw(x, r))
-                r -= 1
-            x -= 1
-        if ptr != len(ascending) or r != i:
-            raise BijectionViolation(f"dent path {dent} could not be replayed")
-
-    for c in region.sorted_cells:  # every other lozenge is a right one
-        if c.kind == "dw" and c not in used:
-            place(up(c.x + 1, c.y), c)
-    tiling = Tiling.from_dominoes(region, pairs)
-    if not tiling.is_valid():
-        raise BijectionViolation("replayed lozenges do not tile the region")
-    return tiling
+    walks = []
+    for i, row in enumerate(pi.rows, start=1):
+        dent, kinds, reads = s[m - i], [], 1  # a left step here would read 1
+        for e in reversed(row):
+            kinds += [VERTICAL] * (e - reads) + [LEFT]
+            reads = e
+        walks.append((dent - 1, m, kinds + [VERTICAL] * (dent - 1 - len(kinds))))
+    # a path whose steps fit ends in its row: the shape fixes its left steps
+    return Tiling.from_paths(region, walks, dw, up, DENT_STEPS)[0]

@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 from .errors import (InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder,
                      InvalidRegionFile, InvalidWeight)
-from .poly import LaurentPoly2, as_poly
+from .poly import FracWeight, LaurentPoly2, as_poly
 
 SQUARE = "sq"
 TRI_UP = "up"
@@ -197,12 +197,13 @@ def sweep_key(c: Cell):
     return (c.x - c.y + (c.kind == TRI_DOWN), c.y, c.kind)
 
 
-def check_positions(m: int, n: int, s, error) -> tuple:
-    """``s`` as a tuple, after checking 1 <= m <= n and 1 <= s_1 < ... < s_m <= n.
-
-    Raises ``error`` (an :class:`AztecError` subclass) on any violation.
+def check_positions(m: int, n, s, error) -> tuple:
+    """``s`` as a tuple, after checking 1 <= m <= n and 1 <= s_1 < ... < s_m <= n;
+    ``n=None`` sets no upper bound.  Raises ``error`` (an :class:`AztecError`
+    subclass) on any violation.
     """
     s = tuple(s)
+    n = max((m, *s)) if n is None else n
     if not 1 <= m <= n:
         raise error(f"need 1 <= m <= n, got m={m}, n={n}")
     if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
@@ -360,8 +361,20 @@ class WeightedGraph:
 def dual_graph(region: Region, weight=None) -> WeightedGraph:
     """One vertex per cell, in sorted order; one edge per domino, weighing
     ``weight(domino)`` or 1."""
-    edges = {d: as_poly(1 if weight is None else weight(d)) for d in region.all_dominoes}
+    edges = {d: edge_weight(d, 1 if weight is None else weight(d)) for d in region.all_dominoes}
     return WeightedGraph(region.sorted_cells, edges)
+
+
+def edge_weight(edge, w) -> LaurentPoly2:
+    """``w``, an int, ``Fraction``, ``LaurentPoly2`` or ``FracWeight`` over 1, as
+    a LaurentPoly2; anything else raises InvalidWeight naming ``edge``."""
+    if isinstance(w, FracWeight) and w.is_polynomial():
+        return w.num
+    try:
+        return as_poly(w)
+    except TypeError:
+        raise InvalidWeight(f"weight of {edge} is {w!r}, not an int, Fraction, "
+                            "Laurent polynomial or FracWeight over 1") from None
 
 
 def ar_face_cells(m: int, n: int):

@@ -9,7 +9,9 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   Schröder paths.  Path i enters through the midpoint of the left edge of
   southwest-side cell (1-i, i-1) and leaves through the right edge of
   southeast-side cell (s_i, s_i - 1).  A path crosses one domino per step
-  (the step table ``STEPS`` gives each kind's mate offset and move):
+  (``STEPS`` gives each kind's mate offset and move; it is one of three step
+  tables, with the two of :mod:`aztecgf.lozenge`, that the one walker
+  ``Tiling.walk`` reads and the one replayer ``Tiling.from_paths`` replays):
 
   - a horizontal domino whose left cell is black: level step (2, 0);
   - a vertical domino entered at its bottom cell: up step (1, 1);
@@ -52,10 +54,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
+from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
     BijectionViolation,
     CalibrationMismatch,
+    InvalidHoles,
     NegativeRank,
     OddVerticalCount,
     TooManyTilings,
@@ -63,7 +66,7 @@ from .errors import (
 )
 from .formulas import count_product, displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
-from .regions import Region, aztec_rectangle_with_holes, domino_class, is_white, sq
+from .regions import Region, aztec_rectangle_with_holes, check_positions, domino_class, is_white, sq
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,11 @@ class SchroderStep:
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
-STEPS = {
+STEPS = Steps({
     "level": ((1, 0), (2, 0)),
     "up": ((0, 1), (1, 1)),
     "down": ((0, -1), (1, -1)),
-}
-_KIND_BY_MATE = {offset: kind for kind, (offset, _) in STEPS.items()}
+})
 
 
 @dataclass(frozen=True)
@@ -257,41 +259,28 @@ def rank_bfs(region: Region, tiling: Tiling) -> int:
 
 
 def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
-    """Extract the path family of a tiling by walking through its dominoes.
+    """Extract the path family of a tiling with :meth:`Tiling.walk`.
 
     Raises BijectionViolation whenever a walk breaks one of the module-level
     conventions (wrong exit, a path entering a white-left horizontal, a
     domino crossed twice, a vertical left uncrossed, ...).
     """
-    region = tiling.region
-    m, n, s = region.rect_params
-    cells = region.cells
+    m, n, s = tiling.region.rect_params
     mate = tiling.mate
     crossed = set()  # the entry cells of crossed dominoes
     paths = []
     for i in range(1, m + 1):
-        x, y = 1 - i, i - 1
-        steps = []
-        while (cell := sq(x, y)) in cells:
-            other = mate.get(cell)
-            if other is None:
-                raise BijectionViolation(f"path {i} reached the uncovered cell {cell}")
-            if cell in crossed or other in crossed:
-                raise BijectionViolation(f"domino {(cell, other)} crossed twice")
+        steps, end = tiling.walk(1 - i, i - 1, sq, STEPS)
+        for kind, x, y in steps:
+            cell = sq(x, y)
+            if cell in crossed or mate[cell] in crossed:
+                raise BijectionViolation(f"domino {(cell, mate[cell])} crossed twice")
             crossed.add(cell)
-            kind = _KIND_BY_MATE.get((other.x - x, other.y - y))
-            if kind is None:
-                raise BijectionViolation(f"entered horizontal {(other, cell)} at its right cell")
             if kind == "level" and is_white(cell):
-                raise BijectionViolation(f"path entered a white-left horizontal {(cell, other)}")
-            steps.append(SchroderStep(kind, y))
-            dx, dy = STEPS[kind][1]
-            x, y = x + dx, y + dy
-        if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
-            raise BijectionViolation(
-                f"path {i} exited at {(x, y)}, expected {(s[i - 1] + 1, s[i - 1] - 1)}"
-            )
-        paths.append(tuple(steps))
+                raise BijectionViolation(f"path entered a white-left horizontal {(cell, mate[cell])}")
+        if end != (s[i - 1] + 1, s[i - 1] - 1):
+            raise BijectionViolation(f"path {i} exited at {end}, expected {(s[i - 1] + 1, s[i - 1] - 1)}")
+        paths.append(tuple(SchroderStep(kind, y) for kind, _, y in steps))
 
     for c1, c2 in tiling.dominoes:
         hit = c1 in crossed or c2 in crossed
@@ -304,43 +293,24 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
 
 
 def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
-    """Inverse of :func:`tiling_to_paths`: replay the walks, then pair every
-    cell off them with the cell to its right (a horizontal domino)."""
+    """Inverse of :func:`tiling_to_paths`: :meth:`Tiling.from_paths` replays
+    the walks, then pairs every cell off them with the cell to its right."""
     family.validate()
     m, n, s = region.rect_params
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
         raise BijectionViolation("path family does not belong to this region")
-    cells = region.cells
-    used = set()
-    dominoes = []
-
-    def place(c1, c2):
-        if c1 not in cells or c2 not in cells or c1 in used or c2 in used:
-            raise BijectionViolation(f"cannot place domino {(c1, c2)}")
-        used.update((c1, c2))
-        dominoes.append((c1, c2))
-
-    for i, path in enumerate(family.paths, start=1):
-        x, y = 1 - i, i - 1
-        for st in path:
-            (mx, my), (dx, dy) = STEPS[st.kind]
-            place(sq(x, y), sq(x + mx, y + my))
-            x, y = x + dx, y + dy
-        if (x, y) != (s[i - 1] + 1, s[i - 1] - 1):
-            raise BijectionViolation(f"replayed path {i} exits at {(x, y)}")
-    for c in region.sorted_cells:  # by x, so the cell to the left is already placed
-        if c not in used:
-            place(c, sq(c.x + 1, c.y))
-    tiling = Tiling.from_dominoes(region, dominoes)
-    if not tiling.is_valid():
-        raise BijectionViolation("dominoes do not tile the region")
+    walks = [(1 - i, i - 1, [st.kind for st in path]) for i, path in enumerate(family.paths, start=1)]
+    tiling, ends = Tiling.from_paths(region, walks, sq, sq, STEPS)
+    for i, end in enumerate(ends, start=1):
+        if end != (s[i - 1] + 1, s[i - 1] - 1):
+            raise BijectionViolation(f"replayed path {i} exits at {end}")
     return tiling
 
 
 def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
     """The family of the minimal tiling: path j places its i-th level step at
     height s_i + j - i - 1 and climbs between them; no down steps at all."""
-    s = tuple(s)
+    s = check_positions(m, n, s, InvalidHoles)
     paths = []
     for j in range(1, m + 1):
         h = j - 1

@@ -12,6 +12,7 @@ import time
 from aztecgf import verify
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+GOLDEN_VERIFY = os.path.join(os.path.dirname(__file__), "data", "verify_all.txt")
 
 
 def _report(number, description, ok):
@@ -107,9 +108,12 @@ def test_criterion_9_determinism():
     # the two runs are independent processes, so they run side by side
     procs = [_start_cli("verify", "--suite", "all") for _ in range(2)]
     (first, _), (second, _) = (proc.communicate() for proc in procs)
+    with open(GOLDEN_VERIFY, "rb") as f:
+        golden = f.read()
     ok = (
         all(proc.returncode == 0 for proc in procs)
-        and first == second
+        and first == second == golden
         and b"FAIL" not in first
     )
-    _report(9, "verify --suite all exits 0 and repeated runs are byte-identical", ok)
+    _report(9, "verify --suite all exits 0, repeated runs are byte-identical "
+               "and equal tests/data/verify_all.txt", ok)

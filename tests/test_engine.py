@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf import engine
+from aztecgf import engine, rewrite, verify
 from aztecgf.engine import (
     Tiling,
     _frontier_slots,
@@ -20,8 +20,9 @@ from aztecgf.engine import (
     matching_genfun,
     tiling_genfun_dp,
 )
-from aztecgf.errors import InvalidTiling, InvalidWeight, RegionTooWide
+from aztecgf.errors import BijectionViolation, InvalidTiling, InvalidWeight, RegionTooWide
 from aztecgf.formulas import count_product, weighted_rectangle_matching_genfun
+from aztecgf.lozenge import DENT_STEPS, LEFT, RIGHT, TOP_STEPS, VERTICAL
 from aztecgf.poly import FracWeight, LaurentPoly2, falling_ratio
 from aztecgf.regions import (
     Region,
@@ -36,6 +37,7 @@ from aztecgf.regions import (
     up,
     weighted_ar_graph,
 )
+from aztecgf.stats import STEPS
 
 
 def four_cycle(weights=(1, 1, 1, 1)):
@@ -304,6 +306,24 @@ def test_graph_dp_equals_region_dp_in_another_order():
         assert graph_genfun_dp(dual_graph(region, weight)) == tiling_genfun_dp(region, weight), region.key
 
 
+def test_weights_the_sums_cannot_read_raise_invalid_weight():
+    # the second spider host's replacement keeps quotient edge weights
+    rng = random.Random(16180339)
+    for _ in range(2):
+        host, pattern = verify._random_spider_host(rng)
+    replaced, _ = rewrite.spider_replace(host, [pattern])
+    assert any(isinstance(w, FracWeight) and not w.is_polynomial() for _, w in replaced.edge_items())
+    with pytest.raises(InvalidWeight, match="weight of"):
+        graph_genfun_dp(replaced)
+    with pytest.raises(InvalidWeight, match="weight of"):
+        tiling_genfun_dp(aztec_diamond(2), lambda d: 0.5)
+    with pytest.raises(InvalidWeight, match="weight of"):
+        matching_genfun(dual_graph(aztec_diamond(2), lambda d: 0.5))
+    # a quotient over 1 is read as its numerator
+    over_one = FracWeight(LaurentPoly2.term(3, q=1))
+    assert tiling_genfun_dp(aztec_diamond(1), lambda d: over_one) == 2 * LaurentPoly2.term(9, q=2)
+
+
 def test_graph_dp_edge_cases(monkeypatch):
     assert graph_genfun_dp(WeightedGraph([], {})) == LaurentPoly2.one()
     odd = WeightedGraph([0, 1, 2], {(0, 1): LaurentPoly2.one(), (1, 2): LaurentPoly2.one()})
@@ -393,6 +413,71 @@ def test_is_valid_rejects_overlaps_and_gaps():
     incomplete = Tiling.from_dominoes(region, [(sq(0, 0), sq(1, 0))])
     assert not incomplete.is_valid()
     assert not Tiling(region, 0).is_valid()
+
+
+def semihexagon_tilings():
+    # a = 2, b = 1, dents (1, 3): T1 has the left lozenge in row 1, T2 in row 2
+    region = semihexagon_with_dents(2, 1, (1, 3))
+    t1 = Tiling.from_dominoes(region, [(up(1, 1), dw(1, 1)), (up(2, 1), dw(2, 2)), (up(2, 2), dw(1, 2))])
+    t2 = Tiling.from_dominoes(region, [(up(1, 1), dw(1, 2)), (up(2, 1), dw(1, 1)), (up(2, 2), dw(2, 2))])
+    return region, t1, t2
+
+
+def test_walk_reads_hand_written_paths():
+    diamond = aztec_diamond(1)
+    flat = Tiling.from_dominoes(diamond, [(sq(0, 0), sq(1, 0)), (sq(0, 1), sq(1, 1))])
+    tall = Tiling.from_dominoes(diamond, [(sq(0, 0), sq(0, 1)), (sq(1, 0), sq(1, 1))])
+    assert flat.walk(0, 0, sq, STEPS) == ([("level", 0, 0)], (2, 0))
+    assert tall.walk(0, 0, sq, STEPS) == ([("up", 0, 0), ("down", 1, 1)], (2, 0))
+
+    rect = aztec_rectangle_with_holes(1, 2, (2,))  # sq(1, 0) is the hole
+    corner = (sq(0, 0), sq(0, 1))
+    flat = Tiling.from_dominoes(rect, [corner, (sq(1, 1), sq(2, 1)), (sq(1, 2), sq(2, 2))])
+    tall = Tiling.from_dominoes(rect, [corner, (sq(1, 1), sq(1, 2)), (sq(2, 1), sq(2, 2))])
+    assert flat.walk(0, 0, sq, STEPS) == ([("up", 0, 0), ("level", 1, 1)], (3, 1))
+    assert tall.walk(0, 0, sq, STEPS) == ([("up", 0, 0), ("up", 1, 1), ("down", 2, 2)], (3, 1))
+
+    _, t1, t2 = semihexagon_tilings()
+    assert t1.walk(1, 1, dw, TOP_STEPS) == ([(LEFT, 1, 1), (RIGHT, 1, 2)], (2, 3))
+    assert t2.walk(1, 1, dw, TOP_STEPS) == ([(RIGHT, 1, 1), (LEFT, 2, 2)], (2, 3))
+    assert t1.walk(2, 2, dw, DENT_STEPS) == ([(VERTICAL, 2, 2), (LEFT, 1, 1)], (0, 1))
+    assert t2.walk(2, 2, dw, DENT_STEPS) == ([(LEFT, 2, 2), (VERTICAL, 1, 2)], (0, 1))
+    assert t1.walk(0, 2, dw, DENT_STEPS) == ([], (0, 2))  # the dent at 1 has an empty path
+
+
+def test_walk_rejects_uncovered_cells_and_uncrossed_tiles():
+    diamond = aztec_diamond(1)
+    region, t1, _ = semihexagon_tilings()
+    for tiling, start in ((Tiling(diamond, 0), (0, 0, sq, STEPS)), (Tiling(region, 0), (1, 1, dw, TOP_STEPS))):
+        with pytest.raises(BijectionViolation, match="uncovered"):
+            tiling.walk(*start)
+    flat = Tiling.from_dominoes(diamond, [(sq(0, 0), sq(1, 0)), (sq(0, 1), sq(1, 1))])
+    with pytest.raises(BijectionViolation, match="no step"):
+        flat.walk(1, 0, sq, STEPS)  # a level step enters a horizontal at its left cell
+    with pytest.raises(BijectionViolation, match="no step"):
+        t1.walk(2, 2, dw, TOP_STEPS)  # a top-to-bottom path never crosses a vertical
+
+
+def test_from_paths_replays_and_rejects_bad_paths():
+    diamond = aztec_diamond(1)
+    tall, ends = Tiling.from_paths(diamond, [(0, 0, ["up", "down"])], sq, sq, STEPS)
+    assert tall == Tiling.from_dominoes(diamond, [(sq(0, 0), sq(0, 1)), (sq(1, 0), sq(1, 1))])
+    assert ends == [(2, 0)]
+    region, t1, t2 = semihexagon_tilings()
+    dents = [(2, 2, [VERTICAL, LEFT]), (0, 2, [])]
+    assert Tiling.from_paths(region, dents, dw, up, DENT_STEPS) == (t1, [(0, 1), (0, 2)])
+    assert Tiling.from_paths(region, [(2, 2, [LEFT, VERTICAL])], dw, up, DENT_STEPS) == (t2, [(0, 1)])
+    for paths in (
+        [(0, 0, ["down"])],  # the step's tile leaves the region
+        [(0, 0, ["up"]), (0, 1, ["level"])],  # the second tile overlaps the first
+        [(0, 0, ["up"])],  # sq(1, 0) is left over: sq(2, 0) is outside
+    ):
+        with pytest.raises(BijectionViolation, match="cannot place"):
+            Tiling.from_paths(diamond, paths, sq, sq, STEPS)
+    # one up-triangle more than down-triangles: the fill leaves it over
+    lopsided = Region("triangular", ("lopsided",), frozenset({up(1, 1), dw(1, 1), up(2, 1)}))
+    with pytest.raises(BijectionViolation, match="uncovered"):
+        Tiling.from_paths(lopsided, [], dw, up, DENT_STEPS)
 
 
 def test_dp_equals_oracle_on_random_ragged_regions():

@@ -36,6 +36,7 @@ def test_diamond_product():
 
 def test_count_product_rejects_bad_positions():
     assert count_product(2, (1, 3)) == 16
+    assert count_product(2, iter((1, 3))) == 16  # the bound is read off the positions once
     # out of order, repeated, non-positive, or not m of them
     for m, s in ((2, (3, 1)), (2, (2, 2)), (2, (0, 2)), (2, (1,)), (0, ())):
         with pytest.raises(InvalidHoles):
@@ -63,6 +64,13 @@ def test_prefactor_exponent():
         assert prefactor_exponent(m, tuple(range(1, m + 1))) == 0
     assert prefactor_exponent(2, (1, 3)) <= 0
     assert shifted_content_exponent(3, (1, 4, 6)) == 30
+
+
+def test_exponents_reject_mismatched_positions():
+    with pytest.raises(InvalidHoles):
+        shifted_content_exponent(3, (1, 2))
+    with pytest.raises(InvalidHoles):
+        prefactor_exponent(2, (1,))
 
 
 def test_weighted_product_examples():

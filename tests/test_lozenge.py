@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aztecgf import engine
 from aztecgf.engine import count_tilings, tiling_genfun_dp
-from aztecgf.errors import BijectionViolation
+from aztecgf.errors import BijectionViolation, InvalidDents
 from aztecgf.formulas import cspp_genfun_product
 from aztecgf.lozenge import (
     LEFT,
@@ -144,6 +144,14 @@ def test_cspp_to_tiling_runs_no_search(monkeypatch):
     for region, tilings in cases:
         for tiling in tilings:
             assert cspp_to_tiling(tiling_to_cspp(tiling), region) == tiling
+
+
+def test_cspp_shape_and_enumeration_reject_mismatched_dents():
+    with pytest.raises(InvalidDents):
+        cspp_shape(2, (1,))
+    for shape in ((1, 2), (0, -1), ()):
+        with pytest.raises(InvalidDents):
+            list(enumerate_cspp(shape, 2))
 
 
 def test_shape_of_large_instance():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztecgf.engine import Tiling, enumerate_tilings
-from aztecgf.errors import BijectionViolation, OddVerticalCount
+from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
@@ -138,6 +138,11 @@ def test_tiling_to_paths_rejects_an_uncovered_cell():
     partial = Tiling.from_dominoes(region, [(sq(1, 0), sq(1, 1))])  # path 1 starts at sq(0, 0)
     with pytest.raises(BijectionViolation, match="uncovered"):
         tiling_to_paths(partial)
+
+
+def test_minimal_path_family_rejects_mismatched_holes():
+    with pytest.raises(InvalidHoles):
+        minimal_path_family(2, 3, (1,))
 
 
 def test_minimal_path_family_weight_exponent():
