@@ -298,9 +298,9 @@ def enumerate_matchings(graph: WeightedGraph):
 def matching_genfun(graph: WeightedGraph):
     """Sum over perfect matchings of the product of edge weights, exact.
 
-    Weights may be ints, ``Fraction``s, ``LaurentPoly2``s or
-    :class:`~aztecgf.poly.FracWeight`s, with negative coefficients and
-    exponents.  The search is :func:`_matchings`, folding integers only:
+    The graph's weights arrive canonical, as ``LaurentPoly2``s or true
+    :class:`~aztecgf.poly.FracWeight` quotients, with negative coefficients
+    and exponents.  The search is :func:`_matchings`, folding integers only:
     every weight is written over one common denominator L * D, where L is
     the lcm of the coefficient denominators and D the product of the
     distinct ``FracWeight`` denominators, and each distinct weight's
@@ -312,8 +312,7 @@ def matching_genfun(graph: WeightedGraph):
     shares no arithmetic with the DP it checks.
     """
     rows = graph.adjacency_indexed()
-    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (edge_weight(e, w), _ONE)
-             for e, w in graph.edge_items()}
+    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (w, _ONE) for _, w in graph.edge_items()}
     common = prod(dict.fromkeys(den for _, den in parts.values() if den != _ONE), start=_ONE)
     numerators = {w: num if den == common else num * common.exact_div(den)
                   for w, (num, den) in parts.items()}

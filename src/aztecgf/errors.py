@@ -35,9 +35,9 @@ class InvalidDents(AztecError, ValueError):
 
 
 class InvalidWeight(AztecError, ValueError):
-    """A face weight of the weighted rectangle graph is zero, a DP tile
-    weight has a negative coefficient, or an edge weight is none of int,
-    Fraction, Laurent polynomial and FracWeight over 1."""
+    """A face or graph edge weight is zero, a DP tile weight has a negative
+    coefficient, or a weight is none of int, Fraction, Laurent polynomial
+    and FracWeight over 1 (a graph edge may also be a true quotient)."""
 
 
 class InvalidTiling(AztecError, ValueError):

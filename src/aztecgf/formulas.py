@@ -21,7 +21,7 @@ from .poly import (
     q_ratio_product,
     slot_bits,
 )
-from .regions import aztec_rectangle_with_holes, check_positions, semihexagon_with_dents
+from .regions import aztec_rectangle_with_holes, check_positions, face_weights, semihexagon_with_dents
 
 
 def shifted_content_exponent(m: int, s) -> int:
@@ -96,14 +96,15 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
 
 
 def row_delta(k: int, a, b, c, d) -> LaurentPoly2:
-    """Delta_k = a*d*q^(k-1) + b*c, the renewal weight of the k-th peeled row."""
-    return LaurentPoly2.term(a * d, q=k - 1) + LaurentPoly2.const(b * c)
+    """Delta_k = a*d*q^(k-1) + b*c, the renewal weight of the k-th peeled row,
+    for face weights read by :func:`~aztecgf.regions.face_weights`."""
+    return (a * d).shift(dq=k - 1) + b * c
 
 
 def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
     """q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1): the factor the peeling
     pipeline must accumulate on an m-row rectangle."""
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a, b, c, d = face_weights(a, b, c, d)
     out = LaurentPoly2.term(1, q=(m - 1) * m * (m + 1) // 3)
     for k in range(1, m + 1):
         out = out * row_delta(k, a, b, c, d) ** (m - k + 1)
@@ -112,15 +113,16 @@ def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
 
 def weighted_rectangle_matching_genfun(m: int, n: int, s, a, b, c, d) -> LaurentPoly2:
     """Closed form of the matching generating function of the weighted
-    rectangle graph with holes removed, q symbolic and a, b, c, d rational.
+    rectangle graph with holes removed, q symbolic and a, b, c, d read by
+    :func:`~aztecgf.regions.face_weights`.
 
     peel_target_factor(m, a, b, c, d) * q^D * a^D * b^(m(n-m) - D)
     * prod_{i<j} (q^s_j - q^s_i)/(q^j - q^i),   with D = sum(s_i - i).
     """
     s = check_positions(m, n, s, InvalidHoles)
-    a, b = Fraction(a), Fraction(b)
+    a, b, c, d = face_weights(a, b, c, d)
     dsp = displacement(s)
-    out = peel_target_factor(m, a, b, c, d) * LaurentPoly2.term(a**dsp * b ** (m * (n - m) - dsp), q=dsp)
+    out = peel_target_factor(m, a, b, c, d) * (a**dsp * b ** (m * (n - m) - dsp)).shift(dq=dsp)
     return (out * q_ratio_product(s, 1)).require_polynomial()
 
 

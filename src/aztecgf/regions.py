@@ -269,8 +269,9 @@ class WeightedGraph:
 
     Vertex labels are arbitrary hashable values; the vertex tuple order fixes
     the "lowest-indexed vertex" rule that makes matching enumeration
-    deterministic.  Instances are treated as immutable: every transformation
-    builds a new graph.
+    deterministic.  A weight is stored as :func:`edge_weight` reads it, or
+    as itself if a true quotient.  Instances are treated as immutable: every
+    transformation builds a new graph.
     """
 
     __slots__ = ("vertices", "index", "_adj")
@@ -289,8 +290,10 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at {u!r}")
             if v in au:
                 raise ValueError(f"duplicate edge {(u, v)!r}")
+            if not isinstance(w, FracWeight) or w.is_polynomial():
+                w = edge_weight((u, v), w)
             if not w:
-                raise ValueError(f"zero weight on edge {(u, v)!r}")
+                raise InvalidWeight(f"weight of {(u, v)!r} is zero")
             au[v] = w
             av[u] = w
 
@@ -332,9 +335,6 @@ class WeightedGraph:
             out.append(row)
         return out
 
-    def map_weights(self, f):
-        return WeightedGraph(self.vertices, {e: f(w) for e, w in self.edge_dict().items()})
-
     def without_vertices(self, drop):
         drop = set(drop)
         verts = [v for v in self.vertices if v not in drop]
@@ -361,13 +361,14 @@ class WeightedGraph:
 def dual_graph(region: Region, weight=None) -> WeightedGraph:
     """One vertex per cell, in sorted order; one edge per domino, weighing
     ``weight(domino)`` or 1."""
-    edges = {d: edge_weight(d, 1 if weight is None else weight(d)) for d in region.all_dominoes}
+    edges = {d: 1 if weight is None else weight(d) for d in region.all_dominoes}
     return WeightedGraph(region.sorted_cells, edges)
 
 
 def edge_weight(edge, w) -> LaurentPoly2:
-    """``w``, an int, ``Fraction``, ``LaurentPoly2`` or ``FracWeight`` over 1, as
-    a LaurentPoly2; anything else raises InvalidWeight naming ``edge``."""
+    """The one type rule for weights: ``w``, an int, ``Fraction``, ``LaurentPoly2``
+    or ``FracWeight`` over 1, as a LaurentPoly2; anything else raises
+    InvalidWeight naming ``edge``.  Each caller adds its own value rule."""
     if isinstance(w, FracWeight) and w.is_polynomial():
         return w.num
     try:
@@ -392,36 +393,41 @@ def ar_face_cells(m: int, n: int):
     return faces
 
 
+def face_weights(a, b, c, d) -> tuple:
+    """The face weights of the weighted rectangle graph as nonzero LaurentPoly2s
+    under :func:`edge_weight`'s rule; a zero one raises InvalidWeight naming it."""
+    out = tuple(edge_weight(f"face {name}", w) for name, w in zip("abcd", (a, b, c, d)))
+    for name, w in zip("abcd", out):
+        if not w:
+            raise InvalidWeight(f"weight of face {name} is zero")
+    return out
+
+
 def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
     """The m-row, n-column weighted rectangle graph, no vertices removed.
 
     The diamond face in row i, column j carries edge weights a (northwest
     edge), b (northeast), d*q^(i+j-2) (southeast), c*q^(i+j-2) (southwest),
-    with q symbolic; the parameters may be rationals or Laurent polynomials.
+    with q symbolic; the parameters are any weights :func:`face_weights` reads.
     Its bottom row is the southeast side, ``sq(h, h-1)`` for h = 1..n.
     (Unlike the region builder this allows m > n, which the row reduction's
     right-hand side needs.)
     """
-    return dual_graph(_ar_region(m, n, tuple(range(1, n + 1))), _face_weight(a, b, c, d))
+    return dual_graph(_ar_region(m, n, tuple(range(1, n + 1))), _face_weight(*face_weights(a, b, c, d)))
 
 
 def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
     """Dual graph of AR_{m,n} with the four-parameter face weights, holes removed.
 
-    The face weights are those of :func:`full_weighted_rectangle`; of the
-    southeast side only the kept cells ``sq(h, h-1)``, h in s, are vertices.
+    The face weights are those of :func:`full_weighted_rectangle`, under the same
+    rule; of the southeast side only the kept cells ``sq(h, h-1)``, h in s, are vertices.
     """
-    region = aztec_rectangle_with_holes(m, n, s)
-    for name, val in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not as_poly(val):
-            raise InvalidWeight(f"weight {name} must be nonzero")
-    return dual_graph(region, _face_weight(a, b, c, d))
+    return dual_graph(aztec_rectangle_with_holes(m, n, s), _face_weight(*face_weights(a, b, c, d)))
 
 
 def _face_weight(a, b, c, d):
     """Domino -> a, b, c*q^row or d*q^row by its :func:`domino_class`."""
-    by_class = {"up": (as_poly(a), False), "plain": (as_poly(b), False),
-                "level": (as_poly(c), True), "down": (as_poly(d), True)}
+    by_class = {"up": (a, False), "plain": (b, False), "level": (c, True), "down": (d, True)}
 
     def weight(dom):
         kind, row = domino_class(dom)

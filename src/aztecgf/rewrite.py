@@ -16,10 +16,10 @@ surviving column vertices back to canonical weights.  Renewal divides
 weights by delta = x*z + y*t, which for rows past the first is a genuine
 binomial in q, so mid-round weights live in :class:`FracWeight` (a quotient
 of Laurent polynomials); the round's star rescalings clear every
-denominator, and the result is asserted to be polynomial again before the
-next round.  The factor is kept as one numerator (the deltas and forced
-weights) over one denominator (the star factors), divided exactly once at
-the end; it reduces to
+denominator, the graph stores each quotient over 1 as its numerator, and
+the round checks that no quotient survives before the next one.  The
+factor is kept as one numerator (the deltas and forced weights) over one
+denominator (the star factors), divided exactly once at the end; it reduces to
 q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1) with Delta_k = a*d*q^(k-1) + b*c,
 and the final graph has the matching generating function of the weighted
 dented semihexagon, both of which the acceptance suite asserts.
@@ -28,21 +28,14 @@ dented semihexagon, both of which the acceptance suite asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
+from .errors import InexactDivision, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor, row_delta
 from .poly import FracWeight, LaurentPoly2
-from .regions import WeightedGraph, ar_face_cells, check_positions, full_weighted_rectangle, sq
+from .regions import WeightedGraph, ar_face_cells, check_positions, edge_weight, face_weights, full_weighted_rectangle, sq
 
 
 _ONE = LaurentPoly2.one()
-
-
-def _wdiv(wnum, wden):
-    """Divide weights, returning a plain polynomial whenever the quotient is one."""
-    out = FracWeight(wnum) / FracWeight(wden)
-    return out.to_poly() if out.is_polynomial() else out
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +75,11 @@ def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
     """Multiply every edge at each v in ``factors`` (v -> factor) by its
     factor; M(result) = (product of the factors) * M(graph).
 
-    A factor may be any nonzero rational or Laurent polynomial (the
-    underlying identity holds for any invertible weight); an edge between
-    two scaled vertices takes both factors.
+    A factor may be any nonzero weight :func:`~aztecgf.regions.edge_weight`
+    reads (the underlying identity holds for any invertible weight); an edge
+    between two scaled vertices takes both factors.
     """
-    if not all(factors.values()):
-        raise ValueError("scale factor must be nonzero")
+    factors = {v: edge_weight(f"the factor at {v!r}", f) for v, f in factors.items()}
     edges = {}
     for (a_, b_), w in graph.edge_items():
         for v in (a_, b_):
@@ -140,7 +132,7 @@ def spider_replace(graph: WeightedGraph, patterns):
                 raise PatternMismatch(f"replacement edge {u!r} - {v!r} already exists")
             if (u, v) in new_edges or (v, u) in new_edges:
                 raise PatternMismatch(f"two patterns add the edge {u!r} - {v!r}")
-            new_edges[(u, v)] = _wdiv(w, delta)
+            new_edges[(u, v)] = FracWeight(w, delta)
         product = product * delta
     inner_all = [i for p in patterns for i in p.inner]
     if len(set(inner_all)) != len(inner_all) or set(inner_all) & {o for p in patterns for o in p.outer}:
@@ -246,15 +238,14 @@ def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
     """
     from .engine import matching_genfun
 
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a, b, c, d = face_weights(a, b, c, d)
     pad = (m + n) % 2 == 1
     left = full_weighted_rectangle(m, n, a, b, c, d)
     gadget = _path_gadget(n, pad)
     pairs = [(sq(k + 1, k), ("gadget", k + 1)) for k in range(n)]
     lhs = matching_genfun(connected_sum(left, gadget, pairs))
 
-    aq = LaurentPoly2.term(a, q=1)
-    shrunk = full_weighted_rectangle(m, n - 1, aq, b, c, d)
+    shrunk = full_weighted_rectangle(m, n - 1, a.shift(dq=1), b, c, d)
     shrunk = shrunk.without_vertices(sq(h, h - 1) for h in range(1, n))
     verts = list(shrunk.vertices)
     edges = shrunk.edge_dict()
@@ -265,7 +256,7 @@ def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
     right = WeightedGraph(verts, edges)
     pairs = [(("peg", k + 1), ("gadget", k + 1)) for k in range(n)]
     rhs_m = matching_genfun(connected_sum(right, _path_gadget(n, pad), pairs))
-    factor = LaurentPoly2.const((a * d + b * c) ** m).shift(dq=m * (m - 1) // 2)
+    factor = ((a * d + b * c) ** m).shift(dq=m * (m - 1) // 2)
     return RowReduction(lhs, factor * rhs_m)
 
 
@@ -296,7 +287,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     that the factor reduces to the closed-form target and that the final
     graph has the matching generating function of the weighted semihexagon.
     """
-    a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
+    a, b, c, d = face_weights(a, b, c, d)
     kept = set(check_positions(m, n, s, InvalidHoles))
     g = full_weighted_rectangle(m, n, a, b, c, d)
     verts = list(g.vertices)
@@ -335,7 +326,8 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
         g = star_scale(g, scales)
         for lam in scales.values():
             den = den * lam
-        g = g.map_weights(lambda w: w.to_poly() if isinstance(w, FracWeight) else w)
+        if any(isinstance(w, FracWeight) for _, w in g.edge_items()):
+            raise InexactDivision(f"round {r} left a quotient edge weight")
         faces = {
             (bi, bj): (
                 ("x", faces[(bi, bj)][3]),      # west  <- x of the north corner

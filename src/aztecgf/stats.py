@@ -355,15 +355,15 @@ def closed_count(region: Region) -> int:
     if region.lattice == "square":
         m, _, s = region.rect_params
         return count_product(m, s)
-    return falling_ratio(region.semihex_params[2])
+    return int(falling_ratio(region.semihex_params[2]))
 
 
 def check_enumerable(region: Region) -> None:
     """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
     tilings = closed_count(region)
     if tilings > MAX_BRUTE_TILINGS:
-        raise TooManyTilings(f"{tilings} tilings, over the brute-force limit of {MAX_BRUTE_TILINGS};"
-                             " the dp method has no such limit")
+        raise TooManyTilings(f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of"
+                             f" {MAX_BRUTE_TILINGS} tilings; the dp method has no such limit")
 
 
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:

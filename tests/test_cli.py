@@ -156,6 +156,20 @@ def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys)
         assert captured.err == f"error: DP frontier would be {order + 1} bits wide, over 24\n"
 
 
+def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
+    # 2^14535 tilings has more digits than Python turns into a string, so the
+    # refusal states the count's bit length
+    from aztecgf import cli
+
+    holes = ",".join(map(str, range(1, 171)))
+    for argv in (["count", "--region", "aztec", "--order", "170"],
+                 ["genfun", "--m", "170", "--n", "170", "--holes", holes, "--method", "brute"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: a 14536-bit tiling count")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120 and "dp method" in captured.err
+
+
 def test_verify_suite_exits_zero():
     out = run_cli("verify", "--suite", "diamond")
     text = out.stdout.decode()

@@ -200,5 +200,12 @@ def test_cspp_validation():
         ColumnStrictPlanePartition((2, 1), ((1, 2), (1,)), 3).validate()
     with pytest.raises(BijectionViolation):
         ColumnStrictPlanePartition((1, 1), ((1,), (1,)), 3).validate()
+    with pytest.raises(BijectionViolation, match="do not match"):
+        ColumnStrictPlanePartition((2, 1), ((3,), (1,)), 3).validate()
+    with pytest.raises(BijectionViolation, match=r"shape \(1, 2\) is not"):
+        ColumnStrictPlanePartition((1, 2), ((3,), (2, 1)), 3).validate()
+    for rows in (((4, 2), (1,)), ((3, 0), (1,))):
+        with pytest.raises(BijectionViolation, match="out of range"):
+            ColumnStrictPlanePartition((2, 1), rows, 3).validate()
     pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3).validate()
     assert pi.size == 6

@@ -6,18 +6,22 @@ import pytest
 
 from aztecgf.engine import matching_genfun
 from aztecgf.errors import InvalidDents, InvalidHoles, InvalidRegionFile, InvalidWeight
-from aztecgf.poly import LaurentPoly2
+from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_genfun
+from aztecgf.poly import FracWeight, LaurentPoly2
 from aztecgf.regions import (
+    WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
     checkerboard_coloring,
     dual_graph,
+    full_weighted_rectangle,
     is_white,
     region_from_json,
     semihexagon_with_dents,
     sq,
     weighted_ar_graph,
 )
+from aztecgf.rewrite import reduce_rectangle_to_semihexagon, row_reduction_check
 
 
 def translate(cells):
@@ -115,6 +119,47 @@ def test_weighted_graph_single_diamond():
     assert matching_genfun(g) == LaurentPoly2.const(a * d + b * c)
     with pytest.raises(InvalidWeight):
         weighted_ar_graph(1, 1, (1,), 0, b, c, d)
+
+
+# every public route that reads the four face weights, called with a varied
+FACE_WEIGHT_ROUTES = {
+    "weighted_ar_graph": lambda a: weighted_ar_graph(2, 3, (1, 3), a, 3, 5, 7),
+    "full_weighted_rectangle": lambda a: full_weighted_rectangle(2, 3, a, 3, 5, 7),
+    "reduce_rectangle_to_semihexagon": lambda a: reduce_rectangle_to_semihexagon(2, 3, (1, 3), a, 3, 5, 7),
+    "row_reduction_check": lambda a: row_reduction_check(2, 3, a, 3, 5, 7),
+    "peel_target_factor": lambda a: peel_target_factor(2, a, 3, 5, 7),
+    "weighted_rectangle_matching_genfun": lambda a: weighted_rectangle_matching_genfun(2, 3, (1, 3), a, 3, 5, 7),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FACE_WEIGHT_ROUTES))
+def test_face_weights_follow_one_rule(route):
+    call = FACE_WEIGHT_ROUTES[route]
+    for bad in (0, 0.5, "x", FracWeight(1, LaurentPoly2.term(1, q=1) + 1)):
+        with pytest.raises(InvalidWeight, match="face a"):
+            call(bad)
+    # a Laurent polynomial face weight is read as it is, a constant one as its value
+    assert call(LaurentPoly2.const(2)) == call(2) == call(Fraction(2)) == call(FracWeight(2))
+    call(LaurentPoly2.term(2, q=1) + Fraction(1, 3))
+
+
+def test_weighted_graph_canonicalises_and_refuses_weights():
+    quotient = FracWeight(1, LaurentPoly2.term(1, q=1) + 1)
+    g = WeightedGraph([0, 1, 2, 3], {(0, 1): FracWeight(LaurentPoly2.term(3, q=1)), (1, 2): 2, (2, 3): quotient})
+    assert type(g.weight(0, 1)) is LaurentPoly2 and g.weight(0, 1) == LaurentPoly2.term(3, q=1)
+    assert type(g.weight(1, 2)) is LaurentPoly2 and g.weight(1, 2) == 2
+    assert g.weight(2, 3) is quotient
+    for bad in (0.5, 0, Fraction(0), LaurentPoly2.zero(), FracWeight(0, 3), "x"):
+        with pytest.raises(InvalidWeight, match=r"weight of \(0, 1\)"):
+            WeightedGraph([0, 1], {(0, 1): bad})
+    with pytest.raises(ValueError, match="duplicate vertex"):
+        WeightedGraph([0, 1, 0], {})
+    with pytest.raises(ValueError, match="not a vertex"):
+        WeightedGraph([0, 1], {(0, 2): 1})
+    with pytest.raises(ValueError, match="self-loop"):
+        WeightedGraph([0, 1], {(1, 1): 1})
+    with pytest.raises(ValueError, match="duplicate edge"):
+        WeightedGraph([0, 1], {(0, 1): 1, (1, 0): 2})
 
 
 def test_weighted_graph_all_ones_pure_q():

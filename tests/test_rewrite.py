@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
+from aztecgf.engine import graph_genfun_dp, matching_genfun
+from aztecgf.errors import InvalidHoles, InvalidPartition, InvalidWeight, PatternMismatch, ZeroDelta
+from aztecgf.formulas import weighted_rectangle_matching_genfun
 from aztecgf.lozenge import weighted_sh_genfun
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import (
@@ -74,6 +77,11 @@ def test_star_scale():
     assert matching_genfun(star_scale(g, {0: 3})) == LaurentPoly2.const(15)
     scaled = star_scale(g, {1: LaurentPoly2.term(1, q=2)})
     assert matching_genfun(scaled) == LaurentPoly2.term(5, q=2)
+    # factors follow the edge weight rule: a quotient over 1 is its numerator
+    assert star_scale(g, {0: FracWeight(LaurentPoly2.term(2, q=1))}).weight(0, 1) == LaurentPoly2.term(10, q=1)
+    for bad in (0.5, "x", 0, LaurentPoly2.zero()):
+        with pytest.raises(InvalidWeight):
+            star_scale(g, {0: bad})
 
 
 def test_spider_delta_values():
@@ -98,6 +106,13 @@ def test_spider_zero_delta_and_mismatch():
     bad = SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "A2"))
     with pytest.raises(PatternMismatch):
         spider_replace(g, [bad])
+    with pytest.raises(PatternMismatch, match="8 distinct"):
+        spider_replace(g, [SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "A"))])
+    for extra, message in ((("ia", "C2"), "must neighbor exactly"), (("A", "B"), "already exists")):
+        edges = g.edge_dict()
+        edges[extra] = ONE
+        with pytest.raises(PatternMismatch, match=message):
+            spider_replace(WeightedGraph(g.vertices, edges), [pattern])
 
 
 def test_remove_forced():
@@ -130,8 +145,14 @@ def test_connected_sum():
     g2 = WeightedGraph(["a", "b"], {("a", "b"): LaurentPoly2.const(2)})
     glued = connected_sum(g1, g2, [(1, "a")])
     assert glued.n == 3 and glued.has_edge(1, "b")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="missing"):
         connected_sum(g1, g2, [(5, "a")])
+    with pytest.raises(ValueError, match="collapse"):
+        connected_sum(g1, g2, [(1, "a"), (1, "b")])
+    with pytest.raises(ValueError, match="collision"):
+        connected_sum(g1, WeightedGraph([1, "b"], {(1, "b"): ONE}), [(0, "b")])
+    with pytest.raises(ValueError, match="parallel"):
+        connected_sum(g1, g2, [(0, "a"), (1, "b")])
 
 
 def test_fracweight_arithmetic():
@@ -176,6 +197,35 @@ def test_pipeline_detailed():
     )
     assert final == m_tilde
     assert start == res.target_factor * m_tilde
+
+
+_TERMS = st.builds(lambda c, eq, et: LaurentPoly2.term(c, q=eq, t=et),
+                   st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)), st.integers(0, 2), st.integers(0, 1))
+_FACE_WEIGHTS = st.lists(_TERMS, min_size=1, max_size=2).map(sum)
+
+
+@st.composite
+def _rectangles(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    s = tuple(sorted(draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
+    return m, n, s
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rectangles(), st.tuples(*[_FACE_WEIGHTS] * 4))
+def test_polynomial_face_weights_agree_on_every_route(rect, weights):
+    # the identities hold for any commuting weights: polynomial faces must
+    # agree on the oracle, the closed form, the DP, the peeling and the row reduction
+    m, n, s = rect
+    graph = weighted_ar_graph(m, n, s, *weights)
+    start = matching_genfun(graph)
+    assert start == weighted_rectangle_matching_genfun(m, n, s, *weights) == graph_genfun_dp(graph)
+    res = reduce_rectangle_to_semihexagon(m, n, s, *weights)
+    assert res.factor_matches()
+    assert start == res.factor * matching_genfun(res.graph)
+    if m <= 2 <= n:
+        assert row_reduction_check(m, n, *weights).holds()
 
 
 def test_pipeline_diamond_degenerates_to_empty_graph():

@@ -14,6 +14,8 @@ from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_con
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
 from aztecgf.stats import (
+    SchroderPathFamily,
+    SchroderStep,
     elementary_moves,
     genfun_bruteforce,
     genfun_via_weights,
@@ -143,6 +145,17 @@ def test_tiling_to_paths_rejects_an_uncovered_cell():
 def test_minimal_path_family_rejects_mismatched_holes():
     with pytest.raises(InvalidHoles):
         minimal_path_family(2, 3, (1,))
+
+
+def test_path_family_validation_refuses_broken_paths():
+    # one path from height 0 on AR(1, 1; 1): up - down = 0 and down + level = 1
+    for path, message in (((SchroderStep("level", 1),), "inconsistent heights"),
+                          ((SchroderStep("down", 0),), "below the baseline"),
+                          ((SchroderStep("up", 0), SchroderStep("level", 1)), "up - down"),
+                          ((), "down \\+ level")):
+        with pytest.raises(BijectionViolation, match=message):
+            SchroderPathFamily(1, 1, (1,), (path,)).validate()
+    assert SchroderPathFamily(1, 1, (1,), ((SchroderStep("level", 0),),)).validate()
 
 
 def test_minimal_path_family_weight_exponent():
