@@ -1,21 +1,22 @@
-"""The two matching kernels: one backtracking oracle and one frontier-profile DP.
+"""The matching kernels: one backtracking search and one frontier-profile DP.
 
 Every tiling is a perfect matching of the region's dual graph, so every
-exhaustive route here -- enumerating tilings, listing the matchings of a
-weighted graph, summing their weights -- runs the one search in
-:func:`_matchings`: branch on the lowest-indexed uncovered vertex, try
+exhaustive route here -- counting and enumerating tilings, listing the
+matchings of a weighted graph, summing their weights -- runs the one
+bitmask search in :func:`_matchings`: branch on the lowest free vertex, try
 partners in ascending index order, so repeated runs produce identical
-streams.  The bijections never call it: they read paths with
-:meth:`Tiling.walk` and replay them with :meth:`Tiling.from_paths`.  Counts
-need no stream: :func:`_count` branches alike on bitmasks and keeps a
-running total.  The weighted sum, :func:`matching_genfun`, folds integers
-only: every edge weight is written over one common denominator, each
-distinct numerator becomes a tuple of ``(e_q, e_t, int)`` terms, each
-matching is a small term-dict product and the leaves sum into one dict,
-which is divided by the denominator's (n / 2)-th power once at the end.
-Its values are never packed, so the oracle shares no arithmetic with the
-DP.  The DP is the fast path; it must agree with the oracle exactly, and
-the test suite holds it to bit-identical polynomial equality.
+streams.  Each route picks what the search folds at a leaf: a tiling mask,
+a tuple of vertex pairs, a term dict, or, for a count, nothing.  The
+bijections never call it: they read paths with :meth:`Tiling.walk` and
+replay them with :meth:`Tiling.from_paths`.  The weighted sum,
+:func:`matching_genfun`, folds integers only: every edge weight is written
+over one common denominator, each distinct numerator becomes a tuple of
+``(e_q, e_t, int)`` terms, each matching is a small term-dict product and
+the leaves sum into one dict, which is divided by the denominator's
+(n / 2)-th power once at the end.  Its values are never packed, so the
+search shares no arithmetic with the DP.  The DP is the fast path; it must
+agree with the search exactly, and the test suite holds it to bit-identical
+polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -132,13 +133,12 @@ class Tiling:
         """Replay ``paths``, each ``(x, y, kinds)`` entering ``cell(x, y)``: a
         step places the tile of its cell and ``partner`` at its mate offset,
         then moves.  Every uncovered cell of ``cell``'s kind is then paired
-        with ``partner(x + 1, y)``.  Returns the tiling and each path's exit
-        point; raises BijectionViolation for a tile outside the region or
-        over a placed one, and for a cell left over."""
+        with ``partner(x + 1, y)``.  Returns the tiling; raises
+        BijectionViolation for a tile outside the region or over a placed
+        one, and for a cell left over."""
         index = region.domino_index
         used = set()
         mask = 0
-        exits = []
 
         def place(c1, c2):
             nonlocal mask
@@ -153,7 +153,6 @@ class Tiling:
                 (mx, my), (dx, dy) = steps[kind]
                 place(cell(x, y), partner(x + mx, y + my))
                 x, y = x + dx, y + dy
-            exits.append((x, y))
         kind = cell(0, 0).kind
         for c in region.sorted_cells:  # sorted by x: a cell's left neighbour is paired first
             if c.kind == kind and c not in used:
@@ -161,7 +160,7 @@ class Tiling:
         tiling = cls(region, mask)
         if not tiling.is_valid():
             raise BijectionViolation("the placed tiles leave a cell of the region uncovered")
-        return tiling, exits
+        return tiling
 
     def __eq__(self, other):
         return (
@@ -194,43 +193,52 @@ def _matchings(adj, unit, op):
     """Yield the ``op``-fold of the edge labels of every perfect matching.
 
     ``adj[i]`` lists ``(j, label)`` with partners ascending.  The search
-    branches on the lowest-indexed uncovered vertex and tries its partners in
-    ascending order, so the stream order is fixed by ``adj`` alone.  The
-    explicit stack keeps each yield O(1) however deep the search is; each
-    frame holds the vertex, its partner iterator, the fold before the vertex
-    was matched and its current partner (-1 before the first).
+    branches on the lowest free vertex and tries its free partners in
+    ascending order, so the stream order is fixed by ``adj`` alone.  The free
+    vertices are one bitmask.  A vertex with one free partner takes it in
+    place; a frame (mask, partners left, the vertex's bit, fold before the
+    vertex was matched) is stacked only where two or more remain, so each
+    yield is O(1) however deep the search is.  With ``op`` None nothing is
+    folded and the number of perfect matchings is yielded once, at the end.
     """
-    n = len(adj)
-    if n % 2:
+    if len(adj) % 2:
+        if not op:
+            yield 0
         return
-    covered = bytearray(n)
+    nbr = [sum(1 << j for j, _ in row) for row in adj]
+    label = {1 << i: {1 << j: lab for j, lab in row} for i, row in enumerate(adj)} if op else None
+    leaves = 0
     stack = []
-    v, acc = 0, unit
+    free, acc = (1 << len(adj)) - 1, unit
     while True:
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            yield acc
+        while free:
+            low = free & -free
+            free ^= low
+            opts = nbr[low.bit_length() - 1] & free
+            if not opts:
+                break
+            b = opts & -opts
+            if opts != b:
+                stack.append((free, opts ^ b, low, acc))
+            free ^= b
+            if op:
+                acc = op(acc, label[low][b])
         else:
-            covered[v] = 1
-            stack.append([v, iter(adj[v]), acc, -1])
-        while stack:
-            frame = stack[-1]
-            if frame[3] >= 0:
-                covered[frame[3]] = 0
-            for j, label in frame[1]:
-                if not covered[j]:
-                    covered[j] = 1
-                    frame[3] = j
-                    v, acc = frame[0] + 1, op(frame[2], label)
-                    break
+            if op:
+                yield acc
             else:
-                covered[frame[0]] = 0
-                stack.pop()
-                continue
+                leaves += 1
+        if not stack:
             break
-        else:
-            return
+        free, rest, low, acc = stack.pop()
+        b = rest & -rest
+        if rest != b:
+            stack.append((free, rest ^ b, low, acc))
+        free ^= b
+        if op:
+            acc = op(acc, label[low][b])
+    if not op:
+        yield leaves
 
 
 def enumerate_tilings(region: Region):
@@ -244,41 +252,9 @@ def enumerate_tilings(region: Region):
         yield Tiling(region, mask)
 
 
-def _count(adj) -> int:
-    """Count perfect matchings of ``adj`` (labels ignored): the lowest free vertex
-    takes each free partner in turn, a frame (mask, partners left) is stacked
-    only where two or more remain, and nothing is memoised."""
-    if len(adj) % 2:
-        return 0
-    nbr = [sum(1 << j for j, _ in row) for row in adj]
-    total = 0
-    stack = []
-    free = (1 << len(adj)) - 1
-    while True:
-        while free:
-            low = free & -free
-            free ^= low
-            opts = nbr[low.bit_length() - 1] & free
-            if not opts:
-                break
-            b = opts & -opts
-            if opts != b:
-                stack.append((free, opts ^ b))
-            free ^= b
-        else:
-            total += 1
-        if not stack:
-            return total
-        free, rest = stack.pop()
-        b = rest & -rest
-        if rest != b:
-            stack.append((free, rest ^ b))
-        free ^= b
-
-
 def count_tilings(region: Region) -> int:
     """Exact tiling count by exhaustive search (no closed forms, no DP)."""
-    return _count(region.adjacency)
+    return next(_matchings(region.adjacency, None, None))
 
 
 def enumerate_matchings(graph: WeightedGraph):
@@ -344,7 +320,7 @@ def _times(acc, label):
 
 
 def count_matchings(graph: WeightedGraph) -> int:
-    return _count(graph.adjacency_indexed())
+    return next(_matchings(graph.adjacency_indexed(), None, None))
 
 
 # ---------------------------------------------------------------------------

@@ -158,7 +158,8 @@ def enumerate_cspp(shape, max_entry: int):
     Rows are generated top-down, entries left-to-right and descending, which
     fixes the stream order.  This enumerator is independent of the lozenge
     bijection and serves as its oracle.  A shape that is empty, negative or
-    not weakly decreasing is no ``cspp_shape(m, s)`` and raises InvalidDents.
+    not weakly decreasing is no ``cspp_shape(m, s)`` and raises InvalidDents
+    at the call, before the first partition is asked for.
     """
     shape = tuple(shape)
     dents = tuple(x + j for j, x in enumerate(reversed(shape), start=1))  # shape == cspp_shape(m, dents)
@@ -184,8 +185,7 @@ def enumerate_cspp(shape, max_entry: int):
             for rest in rows_from(i + 1, row):
                 yield (row,) + rest
 
-    for rows in rows_from(0, None):
-        yield ColumnStrictPlanePartition(shape, rows, max_entry).validate()
+    return (ColumnStrictPlanePartition(shape, rows, max_entry).validate() for rows in rows_from(0, None))
 
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
@@ -216,4 +216,4 @@ def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
             reads = e
         walks.append((dent - 1, m, kinds + [VERTICAL] * (dent - 1 - len(kinds))))
     # a path whose steps fit ends in its row: the shape fixes its left steps
-    return Tiling.from_paths(region, walks, dw, up, DENT_STEPS)[0]
+    return Tiling.from_paths(region, walks, dw, up, DENT_STEPS)

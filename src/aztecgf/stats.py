@@ -300,11 +300,8 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
         raise BijectionViolation("path family does not belong to this region")
     walks = [(1 - i, i - 1, [st.kind for st in path]) for i, path in enumerate(family.paths, start=1)]
-    tiling, ends = Tiling.from_paths(region, walks, sq, sq, STEPS)
-    for i, end in enumerate(ends, start=1):
-        if end != (s[i - 1] + 1, s[i - 1] - 1):
-            raise BijectionViolation(f"replayed path {i} exits at {end}")
-    return tiling
+    # no exit check: validate() fixed up - down = s_i - i, down + level = i, so path i ends at (s_i + 1, s_i - 1)
+    return Tiling.from_paths(region, walks, sq, sq, STEPS)
 
 
 def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:

@@ -1,4 +1,4 @@
-"""The two enumeration kernels and their exact agreement."""
+"""The matching kernels -- one search, one DP -- and their exact agreement."""
 
 import random
 from fractions import Fraction
@@ -148,12 +148,15 @@ def test_tiling_counts():
 
 
 def test_count_tilings_equals_enumeration_on_small_holey_regions():
-    # the counter and the enumerating search share no code past the adjacency
+    # the count and the enumeration are two uses of the one search; the DP
+    # shares no code with it
     for m in range(1, 4):
         for n in range(m, 6):
             for s in combinations(range(1, n + 1), m):
                 for region in (aztec_rectangle_with_holes(m, n, s), semihexagon_with_dents(m, n - m, s)):
-                    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region)), region.key
+                    count = count_tilings(region)
+                    assert count == sum(1 for _ in enumerate_tilings(region)), region.key
+                    assert count == tiling_genfun_dp(region), region.key
 
 
 def test_count_matchings_equals_enumeration_on_random_graphs():
@@ -180,6 +183,7 @@ def test_count_matchings_equals_enumeration_on_random_graphs():
     assert sum(c > 0 for c in counts) >= 100  # most draws are matchable
     for g, c in zip(graphs, counts):
         assert c == len(list(enumerate_matchings(g))), g.vertices
+        assert graph_genfun_dp(g) == LaurentPoly2.const(c), g.vertices  # shares no code with the search
 
 
 def test_count_tilings_runs_a_long_strip_without_recursion():
@@ -460,13 +464,12 @@ def test_walk_rejects_uncovered_cells_and_uncrossed_tiles():
 
 def test_from_paths_replays_and_rejects_bad_paths():
     diamond = aztec_diamond(1)
-    tall, ends = Tiling.from_paths(diamond, [(0, 0, ["up", "down"])], sq, sq, STEPS)
+    tall = Tiling.from_paths(diamond, [(0, 0, ["up", "down"])], sq, sq, STEPS)
     assert tall == Tiling.from_dominoes(diamond, [(sq(0, 0), sq(0, 1)), (sq(1, 0), sq(1, 1))])
-    assert ends == [(2, 0)]
     region, t1, t2 = semihexagon_tilings()
     dents = [(2, 2, [VERTICAL, LEFT]), (0, 2, [])]
-    assert Tiling.from_paths(region, dents, dw, up, DENT_STEPS) == (t1, [(0, 1), (0, 2)])
-    assert Tiling.from_paths(region, [(2, 2, [LEFT, VERTICAL])], dw, up, DENT_STEPS) == (t2, [(0, 1)])
+    assert Tiling.from_paths(region, dents, dw, up, DENT_STEPS) == t1
+    assert Tiling.from_paths(region, [(2, 2, [LEFT, VERTICAL])], dw, up, DENT_STEPS) == t2
     for paths in (
         [(0, 0, ["down"])],  # the step's tile leaves the region
         [(0, 0, ["up"]), (0, 1, ["level"])],  # the second tile overlaps the first
@@ -522,7 +525,62 @@ def test_backtracker_equals_dp_on_random_ragged_regions(region):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ragged_regions())
 def test_counter_equals_enumeration_on_random_ragged_regions(region):
-    assert count_tilings(region) == sum(1 for _ in enumerate_tilings(region))
+    count = count_tilings(region)
+    assert count == sum(1 for _ in enumerate_tilings(region))
+    assert count == tiling_genfun_dp(region)  # shares no code with the search
+
+
+def reference_matchings(n, edges):
+    """Each perfect matching of vertices 0..n-1 as the list of its indices
+    into ``edges``, by plain recursion over sets: the lowest uncovered vertex
+    takes each uncovered partner in ascending order."""
+    partners = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(edges):
+        partners[u].append((v, e))
+        partners[v].append((u, e))
+    out = []
+
+    def extend(uncovered, chosen):
+        if not uncovered:
+            out.append(chosen)
+            return
+        v = min(uncovered)
+        for u, e in sorted(partners[v]):
+            if u in uncovered:
+                extend(uncovered - {u, v}, chosen + [e])
+
+    extend(frozenset(range(n)), [])
+    return out
+
+
+@st.composite
+def small_graphs(draw):
+    # up to 12 vertices whose labels are a permutation of their positions
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set())))
+    labels = draw(st.permutations(range(n)))
+    return labels, edges
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_enumerate_matchings_stream_equals_the_reference(case):
+    # the stream order is the contract render --tiling INDEX depends on
+    labels, edges = case
+    graph = WeightedGraph(labels, {(labels[u], labels[v]): LaurentPoly2.one() for u, v in edges})
+    expected = [frozenset((labels[edges[e][0]], labels[edges[e][1]]) for e in chosen)
+                for chosen in reference_matchings(len(labels), edges)]
+    assert list(enumerate_matchings(graph)) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ragged_regions())
+def test_enumerate_tilings_stream_equals_the_reference(region):
+    index = region.cell_index
+    edges = [(index[c1], index[c2]) for c1, c2 in region.all_dominoes]
+    expected = [sum(1 << e for e in chosen) for chosen in reference_matchings(len(index), edges)]
+    assert [t.mask for t in enumerate_tilings(region)] == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

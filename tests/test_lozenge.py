@@ -152,6 +152,8 @@ def test_cspp_shape_and_enumeration_reject_mismatched_dents():
     for shape in ((1, 2), (0, -1), ()):
         with pytest.raises(InvalidDents):
             list(enumerate_cspp(shape, 2))
+        with pytest.raises(InvalidDents):
+            enumerate_cspp(shape, 2)  # at the call, before any partition is asked for
 
 
 def test_shape_of_large_instance():
