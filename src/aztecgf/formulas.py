@@ -95,19 +95,14 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     return out.decode(bits).require_polynomial()
 
 
-def row_delta(k: int, a, b, c, d) -> LaurentPoly2:
-    """Delta_k = a*d*q^(k-1) + b*c, the renewal weight of the k-th peeled row,
-    for face weights read by :func:`~aztecgf.regions.face_weights`."""
-    return (a * d).shift(dq=k - 1) + b * c
-
-
 def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
     """q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1): the factor the peeling
-    pipeline must accumulate on an m-row rectangle."""
+    pipeline must accumulate on an m-row rectangle, where
+    Delta_k = a*d*q^(k-1) + b*c is the renewal weight of the k-th peeled row."""
     a, b, c, d = face_weights(a, b, c, d)
     out = LaurentPoly2.term(1, q=(m - 1) * m * (m + 1) // 3)
     for k in range(1, m + 1):
-        out = out * row_delta(k, a, b, c, d) ** (m - k + 1)
+        out = out * ((a * d).shift(dq=k - 1) + b * c) ** (m - k + 1)
     return out
 
 

@@ -369,11 +369,6 @@ class FracWeight:
     def is_polynomial(self) -> bool:
         return self.den == _ONE
 
-    def to_poly(self) -> LaurentPoly2:
-        if not self.is_polynomial():
-            raise InexactDivision(f"weight {self!r} is not a polynomial")
-        return self.num
-
     def __bool__(self):
         return not self.num.is_zero
 
@@ -392,20 +387,6 @@ class FracWeight:
         return FracWeight(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.is_zero:
-            raise ZeroDivisionError("division by zero weight")
-        return FracWeight(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __add__(self, other):
         o = self._coerce(other)

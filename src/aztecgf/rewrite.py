@@ -1,13 +1,13 @@
 """Matching-preserving graph rewrites and the rectangle-to-semihexagon pipeline.
 
-Every rewrite applies a whole batch of local moves, builds one fresh graph
-and returns it with any multiplicative factor the batch produces, so a chain
-of rewrites accumulates an ordinary product:
+Every rewrite applies a whole batch of local moves and builds one fresh
+graph; renewal also returns one delta per site, so a chain of rewrites
+accumulates an ordinary product:
 
 * ``vertex_split(g, splits)``:     M(result) = M(g)
 * ``star_scale(g, factors)``:      M(result) = (product of factors) * M(g)
-* ``spider_replace(g, patterns)``: M(g) = (product of deltas) * M(result)   (urban renewal)
-* ``remove_forced(g)``:            M(g) = factor * M(result)
+* ``spider_replace(g, patterns)``: M(g) = (product of the per-site deltas) * M(result)   (urban renewal)
+* ``remove_forced(g)``:            M(g) = M(result)
 
 The pipeline at the bottom peels a weighted Aztec rectangle graph one
 diamond row at a time, each round one call per step: split every face
@@ -17,9 +17,10 @@ weights by delta = x*z + y*t, which for rows past the first is a genuine
 binomial in q, so mid-round weights live in :class:`FracWeight` (a quotient
 of Laurent polynomials); the round's star rescalings clear every
 denominator, the graph stores each quotient over 1 as its numerator, and
-the round checks that no quotient survives before the next one.  The
-factor is kept as one numerator (the deltas and forced weights) over one
-denominator (the star factors), divided exactly once at the end; it reduces to
+the round checks that no quotient survives before the next one.  Each star
+factor is q times the renewal delta of its own face, so the round's deltas
+and star factors cancel down to the last column's deltas over a power of
+q, and the factor is a plain product with no division; it reduces to
 q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1) with Delta_k = a*d*q^(k-1) + b*c,
 and the final graph has the matching generating function of the weighted
 dented semihexagon, both of which the acceptance suite asserts.
@@ -28,9 +29,10 @@ dented semihexagon, both of which the acceptance suite asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InexactDivision, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
-from .formulas import peel_target_factor, row_delta
+from .formulas import peel_target_factor
 from .poly import FracWeight, LaurentPoly2
 from .regions import WeightedGraph, ar_face_cells, check_positions, edge_weight, face_weights, full_weighted_rectangle, sq
 
@@ -107,17 +109,17 @@ def spider_replace(graph: WeightedGraph, patterns):
     cycle gains edges z/delta, t/delta, x/delta, y/delta (each new edge takes
     the opposite old weight), where delta = x*z + y*t.  Sites may share outer
     plugs but no inner vertex, and no two may add the same edge.  Returns
-    (new graph, product of the deltas); M(old) = product * M(new).
+    (new graph, deltas), one delta per site in pattern order;
+    M(old) = (product of the deltas) * M(new).
     """
-    one = LaurentPoly2.one()
     new_edges = {}
-    product = one
+    deltas = []
     for pattern in patterns:
         outer, inner = pattern.outer, pattern.inner
         if len(outer) != 4 or len(inner) != 4 or len(set(outer) | set(inner)) != 8:
             raise PatternMismatch("need 8 distinct vertices")
         for o, i in zip(outer, inner):
-            if not graph.has_edge(o, i) or graph.weight(o, i) != one:
+            if not graph.has_edge(o, i) or graph.weight(o, i) != _ONE:
                 raise PatternMismatch(f"missing weight-1 leg {o!r} - {i!r}")
         for k, (i, o) in enumerate(zip(inner, outer)):
             if set(graph.neighbors(i)) != {o, inner[(k + 1) % 4], inner[k - 1]}:
@@ -133,29 +135,25 @@ def spider_replace(graph: WeightedGraph, patterns):
             if (u, v) in new_edges or (v, u) in new_edges:
                 raise PatternMismatch(f"two patterns add the edge {u!r} - {v!r}")
             new_edges[(u, v)] = FracWeight(w, delta)
-        product = product * delta
+        deltas.append(delta)
     inner_all = [i for p in patterns for i in p.inner]
     if len(set(inner_all)) != len(inner_all) or set(inner_all) & {o for p in patterns for o in p.outer}:
         raise PatternMismatch("an inner vertex belongs to more than one pattern")
     g = graph.without_vertices(inner_all)
     edges = g.edge_dict()
     edges.update(new_edges)
-    return WeightedGraph(g.vertices, edges), product
+    return WeightedGraph(g.vertices, edges), deltas
 
 
-def remove_forced(graph: WeightedGraph, weight_one_only: bool = False):
-    """Strip forced edges (edges at degree-1 vertices) with their endpoints.
+def remove_forced(graph: WeightedGraph) -> WeightedGraph:
+    """Strip forced weight-1 edges (weight-1 edges at degree-1 vertices) with
+    their endpoints, until none is left; M(graph) = M(result).
 
-    Returns (reduced graph, product of removed edge weights); M(graph) =
-    factor * M(reduced).  Isolated vertices are left in place so that the
-    reduced graph honestly reports M = 0.  With ``weight_one_only`` the
-    sweep only triggers on weight-1 forced edges (the pipeline uses this to
-    avoid absorbing weighted semihexagon edges into the factor).
+    Isolated vertices are left in place so that the reduced graph honestly
+    reports M = 0, and a weighted forced edge stays, so no factor arises.
     """
     adj = {v: dict(graph.neighbors(v)) for v in graph.vertices}
     removed = set()
-    factor = LaurentPoly2.one()
-    one = LaurentPoly2.one()
     changed = True
     while changed:
         changed = False
@@ -163,9 +161,8 @@ def remove_forced(graph: WeightedGraph, weight_one_only: bool = False):
             if v in removed or len(adj[v]) != 1:
                 continue
             (u, w), = adj[v].items()
-            if weight_one_only and w != one:
+            if w != _ONE:
                 continue
-            factor = factor * w
             for dead in (v, u):
                 removed.add(dead)
                 for nb in adj[dead]:
@@ -173,9 +170,7 @@ def remove_forced(graph: WeightedGraph, weight_one_only: bool = False):
                         adj[nb].pop(dead, None)
                 adj[dead] = {}
             changed = True
-    if not removed:
-        return graph, factor
-    return graph.without_vertices(removed), factor
+    return graph.without_vertices(removed)
 
 
 def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
@@ -266,7 +261,7 @@ def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
 
 @dataclass
 class PipelineResult:
-    factor: LaurentPoly2          # accumulated product of renewal/star factors
+    factor: LaurentPoly2          # product over rounds of the last column's deltas over q^(scales)
     target_factor: LaurentPoly2   # q^((m-1)m(m+1)/3) * prod Delta_k^(m-k+1)
     graph: WeightedGraph          # final graph, polynomial weights
     spider_count: int
@@ -282,10 +277,12 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     every hole position (equivalent, through forced edges, to deleting the
     hole vertices).  Each round splits the face corners, renews every face,
     trims forced weight-1 chains, and star-rescales the surviving column
-    vertices with q^(i+j+r-2) * Delta_r.  The accumulated factor satisfies
-    M(start) = factor * M(final graph) by construction; the tests assert
-    that the factor reduces to the closed-form target and that the final
-    graph has the matching generating function of the weighted semihexagon.
+    vertices with q times the delta of their own face, so the round's factor
+    is the last column's deltas over q^(number of scales).  The accumulated
+    factor satisfies M(start) = factor * M(final graph) by construction; the
+    tests assert that the factor reduces to the closed-form target and that
+    the final graph has the matching generating function of the weighted
+    semihexagon.
     """
     a, b, c, d = face_weights(a, b, c, d)
     kept = set(check_positions(m, n, s, InvalidHoles))
@@ -300,7 +297,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     g = WeightedGraph(verts, edges)
 
     faces = ar_face_cells(m, n)
-    num = den = _ONE  # factor = num / den, divided once at the end
+    factor = _ONE
     spiders = 0
     for r in range(1, m + 1):
         mu, nu = m - r + 1, n - r + 1
@@ -316,16 +313,14 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
         patterns = [SpiderPattern(tuple(("x", v) for v in quad),
                                   tuple(("vh" if first_face[v] == (key, ci) else "vk", v) for ci, v in enumerate(quad)))
                     for key, quad in sorted(faces.items())]
-        g, delta = spider_replace(g, patterns)
+        g, deltas = spider_replace(g, patterns)
+        delta = dict(zip(sorted(faces), deltas))  # face -> its renewal delta
         spiders += len(patterns)
-        g, forced = remove_forced(g, weight_one_only=True)
-        num = num * delta * forced
-        delta_r = row_delta(r, a, b, c, d)
-        scales = {("x", faces[(i, j)][2]): LaurentPoly2.term(1, q=i + j + r - 2) * delta_r  # east corners
-                  for i in range(1, mu + 1) for j in range(1, nu)}
+        g = remove_forced(g)
+        # q * (a face's own delta) at its east corner clears every quotient; the last column's deltas stay behind
+        scales = {("x", faces[(i, j)][2]): delta[(i, j)].shift(dq=1) for i in range(1, mu + 1) for j in range(1, nu)}
         g = star_scale(g, scales)
-        for lam in scales.values():
-            den = den * lam
+        factor = prod((delta[(i, nu)] for i in range(1, mu + 1)), start=factor).shift(dq=-len(scales))
         if any(isinstance(w, FracWeight) for _, w in g.edge_items()):
             raise InexactDivision(f"round {r} left a quotient edge weight")
         faces = {
@@ -338,4 +333,4 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
             for bi in range(1, mu)
             for bj in range(1, nu)
         }
-    return PipelineResult(num.exact_div(den), peel_target_factor(m, a, b, c, d), g, spiders)
+    return PipelineResult(factor, peel_target_factor(m, a, b, c, d), g, spiders)

@@ -275,7 +275,7 @@ def suite_rewrite(cases: int = 50):
         )
     for case in range(cases):
         g, pattern = _random_spider_host(rng)
-        replaced, delta = rewrite.spider_replace(g, [pattern])
+        replaced, (delta,) = rewrite.spider_replace(g, [pattern])
         yield (
             f"rewrite spider case {case:02d}",
             matching_genfun(g) == delta * matching_genfun(replaced),
