@@ -4,13 +4,16 @@ Identical inputs produce byte-identical output: element order follows the
 canonical cell order, and every coordinate is formatted with a fixed number
 of decimals.  Dominoes are colored by their four weight classes, lozenges by
 their three kinds; an optional overlay draws the Schröder paths of a
-rectangle tiling.
+rectangle tiling.  ASCII draws a square region on a character grid, two
+rows and four columns to a cell, where each cell draws its own walls.
 """
 
 from __future__ import annotations
 
 from .engine import Tiling
-from .regions import Region, domino_class, is_white, sq
+from .lozenge import classify_lozenge
+from .regions import Region, domino_class, dw, is_white, sq, up
+from .stats import STEPS, tiling_to_paths
 
 UNIT = 40
 PAD = 10
@@ -44,11 +47,15 @@ def render_svg(region: Region, tiling: Tiling | None = None, paths: bool = False
     return (head + body + "</svg>\n").encode("utf-8")
 
 
+def _box(region):
+    """Bounding box (x0, x1, y0, y1) of a square region, upper ends exclusive."""
+    xs = [c.x for c in region.cells]
+    ys = [c.y for c in region.cells]
+    return min(xs), max(xs) + 1, min(ys), max(ys) + 1
+
+
 def _square_svg(region, tiling, paths):
-    xs = [c.x for c in region.sorted_cells]
-    ys = [c.y for c in region.sorted_cells]
-    x0, x1 = min(xs), max(xs) + 1
-    y0, y1 = min(ys), max(ys) + 1
+    x0, x1, y0, y1 = _box(region)
 
     def px(x):
         return PAD + (x - x0) * UNIT
@@ -74,8 +81,6 @@ def _square_svg(region, tiling, paths):
                 f'fill="{color}" stroke="#303030" stroke-width="2" rx="3"/>\n'
             )
     if paths and tiling is not None:
-        from .stats import STEPS, tiling_to_paths
-
         family = tiling_to_paths(tiling)
         for i, path in enumerate(family.paths, start=1):
             x, y = 1 - i, i - 1
@@ -107,8 +112,6 @@ def _tri_corners(cell, a):
 
 
 def _triangle_svg(region, tiling):
-    from .lozenge import classify_lozenge
-
     a, b, _s = region.semihex_params
     out = []
     if tiling is None:
@@ -143,40 +146,24 @@ def render_ascii(region: Region, tiling: Tiling | None = None) -> str:
 
 
 def _square_ascii(region, tiling):
-    """Wall drawing: shared walls vanish inside a domino."""
-    cells = region.cells
+    """Wall drawing on a character grid: every cell draws its four corners
+    and four walls, except a wall with its domino mate across it."""
     mate = {} if tiling is None else tiling.mate
-    xs = [c.x for c in region.sorted_cells]
-    ys = [c.y for c in region.sorted_cells]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    lines = []
-    for y in range(y1, y0 - 1, -1):
-        top = []
-        mid = []
-        for x in range(x0, x1 + 1):
-            here = sq(x, y) in cells
-            above = sq(x, y + 1) in cells
-            if here or above:
-                wall = mate.get(sq(x, y)) != sq(x, y + 1)
-                top.append("+" + ("---" if wall else "   "))
-            else:
-                top.append("+   " if (sq(x - 1, y) in cells or sq(x - 1, y + 1) in cells) else "    ")
-            if here:
-                wall = mate.get(sq(x - 1, y)) != sq(x, y)
-                mid.append(("|" if wall else " ") + "   ")
-            else:
-                mid.append(("|" if sq(x - 1, y) in cells else " ") + "   ")
-        top.append("+" if (sq(x1, y) in cells or sq(x1, y + 1) in cells) else " ")
-        mid.append("|" if sq(x1, y) in cells else " ")
-        lines.append("".join(top).rstrip())
-        lines.append("".join(mid).rstrip())
-    bottom = []
-    for x in range(x0, x1 + 1):
-        bottom.append("+---" if sq(x, y0) in cells else ("+   " if sq(x - 1, y0) in cells else "    "))
-    bottom.append("+" if sq(x1, y0) in cells else " ")
-    lines.append("".join(bottom).rstrip())
-    return "\n".join(lines) + "\n"
+    x0, x1, y0, y1 = _box(region)
+    grid = [[" "] * (4 * (x1 - x0) + 1) for _ in range(2 * (y1 - y0) + 1)]
+    for c in region.cells:
+        r, k = 2 * (y1 - 1 - c.y), 4 * (c.x - x0)
+        for row in (r, r + 2):
+            grid[row][k] = grid[row][k + 4] = "+"
+        if mate.get(c) != sq(c.x, c.y + 1):
+            grid[r][k + 1:k + 4] = "---"
+        if mate.get(c) != sq(c.x, c.y - 1):
+            grid[r + 2][k + 1:k + 4] = "---"
+        if mate.get(c) != sq(c.x - 1, c.y):
+            grid[r + 1][k] = "|"
+        if mate.get(c) != sq(c.x + 1, c.y):
+            grid[r + 1][k + 4] = "|"
+    return "".join("".join(row).rstrip() + "\n" for row in grid)
 
 
 def _triangle_ascii(region, tiling):
@@ -188,8 +175,6 @@ def _triangle_ascii(region, tiling):
         for k, pair in enumerate(sorted(tiling.dominoes)):
             for c in pair:
                 letter[c] = names[k % len(names)]
-    from .regions import dw, up
-
     lines = []
     for y in range(1, a + 1):
         row = [" " * (a - y)]

@@ -226,7 +226,12 @@ def elementary_moves(tiling: Tiling):
 
 @lru_cache(maxsize=4)  # each holds every tiling mask of its region
 def rank_distances(region: Region) -> dict:
-    """BFS distances in the flip graph from the minimal tiling, by mask."""
+    """BFS distances in the flip graph from the minimal tiling, by mask.
+
+    Raises TooManyTilings, before searching, when the region has more than
+    ``MAX_BRUTE_TILINGS`` tilings.
+    """
+    check_enumerable(region)
     m, n, s = region.rect_params
     root = minimal_tiling(m, n, s).mask
     blocks = _flip_blocks(region)
@@ -372,7 +377,6 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     happens on these regions).
     """
     region = aztec_rectangle_with_holes(m, n, s)
-    check_enumerable(region)
     dist = rank_distances(region)
     counts = {}
     seen = 0

@@ -141,8 +141,6 @@ def kernel_cases():
         aztec_rectangle_with_holes(m, n, s) for m, n, s in _ar_corpus(3, 5)
     ]
     for region in regions:
-        if len(region.cells) > 60:
-            continue
         ok = tiling_genfun_dp(region) == matching_genfun(dual_graph(region)).evaluate(1, 1)
         rand_w = {
             d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
@@ -253,17 +251,13 @@ def _random_graph(rng, nverts):
 
 def suite_rewrite(cases: int = 50):
     rng = random.Random(16180339)
-
-    ok_all = True
     for case in range(cases):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
         nbrs = sorted(g.neighbors(v))
         half = {u for u in nbrs if rng.random() < 0.5}
         split = rewrite.vertex_split(g, {v: (half, set(nbrs) - half)})
-        ok = matching_genfun(split) == matching_genfun(g)
-        ok_all = ok_all and ok
-        yield f"rewrite vertex_split case {case:02d}", ok
+        yield f"rewrite vertex_split case {case:02d}", matching_genfun(split) == matching_genfun(g)
     for case in range(cases):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)

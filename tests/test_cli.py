@@ -66,12 +66,66 @@ def test_render_determinism(tmp_path):
     assert run_cli(*semihex, "--tiling", "0", "--paths", check=False).returncode == 2
 
 
+ASCII_DRAWINGS = [
+    (("--region", "aztec", "--order", "2"), """\
+    +---+---+
+    |   |   |
++---+---+---+---+
+|   |   |   |   |
++---+---+---+---+
+|   |   |   |   |
++---+---+---+---+
+    |   |   |
+    +---+---+
+"""),
+    (("--region", "rect", "--m", "3", "--n", "6", "--holes", "1,4,6", "--tiling", "minimal"), """\
+                    +---+---+
+                    |       |
+                +---+---+---+---+
+                |       |       |
+            +---+---+---+---+---+---+
+            |       |       |       |
+        +---+---+---+---+---+---+---+
+        |       |       |   |       |
+    +---+---+---+---+---+   +---+---+
+    |       |   |       |   |
++---+---+---+   +---+---+---+
+|       |   |   |   |       |
++---+---+   +---+   +---+---+
+|       |   |   |   |
++---+---+---+   +---+
+    |       |   |
+    +---+---+---+
+        |       |
+        +---+---+
+"""),
+    (("--region", "rect", "--m", "2", "--n", "4", "--holes", "1,3", "--tiling", "5"), """\
+            +---+---+
+            |       |
+        +---+---+---+---+
+        |       |       |
+    +---+---+---+---+---+
+    |       |       |
++---+---+---+---+---+
+|   |       |       |
++   +---+---+---+---+
+|   |   |   |
++---+   +   +
+    |   |   |
+    +---+---+
+"""),
+    (("--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,3", "--tiling", "0"), """\
+ aac
+.bbc.
+"""),
+]
+
+
 def test_render_region_only_and_ascii():
     out = run_cli("render", "--region", "aztec", "--order", "1", "--format", "ascii")
     assert out.stdout.decode().count("+") > 0
-    out = run_cli("render", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,3",
-                  "--tiling", "0", "--format", "ascii")
-    assert out.stdout.decode().strip() != ""
+    for args, expected in ASCII_DRAWINGS:
+        assert run_cli("render", *args, "--format", "ascii").stdout.decode() == expected
     # region-only SVG outlines one shape per cell
     out = run_cli("render", "--region", "aztec", "--order", "2", "--format", "svg")
     assert out.stdout.decode().count("<rect") == 12
@@ -92,6 +146,16 @@ def test_bench_table():
     text = out.stdout.decode()
     assert "dp ms" in text and "brute ms" in text and "weighted ms" in text
     assert text.count("\n") == 4  # header plus one row per order
+
+
+def test_bench_mismatch_exits_1(monkeypatch, capsys):
+    from aztecgf import cli
+
+    monkeypatch.setattr(cli, "count_tilings", lambda region: -1)
+    assert cli.main(["bench", "--order", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bench: order 1: backtracker count -1 != dp count 2\n"
+    assert captured.out.count("\n") == 1  # the header only
 
 
 def test_invalid_flags_exit_2(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztecgf.engine import Tiling, enumerate_tilings
-from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount
+from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
@@ -47,6 +47,15 @@ def test_minimal_tiling_strips():
     assert (sq(1, 3), sq(1, 4)) in t0.dominoes
     assert (sq(4, 4), sq(4, 5)) in t0.dominoes
     assert rank_bfs(t0.region, t0) == 0
+
+
+def test_rank_bfs_refuses_past_the_brute_force_limit():
+    # the order-6 diamond has 2^21 tilings, 8 times MAX_BRUTE_TILINGS
+    t0 = minimal_tiling(6, 6, range(1, 7))
+    with pytest.raises(TooManyTilings, match="22-bit tiling count"):
+        rank_bfs(t0.region, t0)
+    with pytest.raises(TooManyTilings, match="22-bit tiling count"):
+        genfun_bruteforce(6, 6, range(1, 7))
 
 
 def test_minimal_tiling_verticals_are_the_hole_strips():
