@@ -4,6 +4,9 @@ Subcommands: genfun, count, verify, render, bench.  All computational
 output is deterministic (identical invocations give byte-identical stdout
 and files); bench prints wall-clock timings and is the one exception.
 Exit codes: 0 success, 1 verification failure, 2 bad flags.
+
+``main(argv)`` may be called repeatedly in one process: the argument parser
+is built once, when this module is imported, and every call parses with it.
 """
 
 from __future__ import annotations
@@ -78,7 +81,10 @@ def _add_region_flags(p, order_help=None):
         p.add_argument(flag, type=kind, help=order_help if flag == "--order" else None)
 
 
-def _build_region(args, parser):
+PARSER = build_parser()
+
+
+def _build_region(args):
     if getattr(args, "infile", None):
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
@@ -88,17 +94,17 @@ def _build_region(args, parser):
         return region_from_json(obj)
     kind = args.region
     if kind is None:
-        parser.error("either --region or --in is required")
+        PARSER.error("either --region or --in is required")
     if kind == "aztec":
         if args.order is None:
-            parser.error("--region aztec requires --order")
+            PARSER.error("--region aztec requires --order")
         return aztec_diamond(args.order)
     if kind == "rect":
         if args.m is None or args.n is None or args.holes is None:
-            parser.error("--region rect requires --m, --n and --holes")
+            PARSER.error("--region rect requires --m, --n and --holes")
         return aztec_rectangle_with_holes(args.m, args.n, args.holes)
     if args.a is None or args.b is None or args.dents is None:
-        parser.error("--region semihex requires --a, --b and --dents")
+        PARSER.error("--region semihex requires --a, --b and --dents")
     return semihexagon_with_dents(args.a, args.b, args.dents)
 
 
@@ -116,10 +122,17 @@ def cmd_genfun(args):
     return 0
 
 
-def cmd_count(args, parser):
-    if args.method == "dp" and args.region == "aztec" and args.order is not None:
-        check_frontier(args.order + 1)  # an order-n diamond sweeps n + 1 bits
-    region = _build_region(args, parser)
+def cmd_count(args):
+    if args.region == "aztec" and args.order is not None and args.order >= 1:
+        # an order-n diamond sweeps n + 1 bits and has 2^(n(n+1)/2) tilings, over
+        # MAX_BRUTE_TILINGS exactly when that count has more bits (an order below 1
+        # is refused as such when the region is built)
+        bits = args.order * (args.order + 1) // 2 + 1
+        if args.method == "dp":
+            check_frontier(args.order + 1)
+        elif bits > stats.MAX_BRUTE_TILINGS.bit_length():
+            raise stats.too_many_tilings(bits)
+    region = _build_region(args)
     if args.method == "enumerate":
         stats.check_enumerable(region)
     print(tiling_genfun_dp(region) if args.method == "dp" else count_tilings(region))
@@ -136,10 +149,10 @@ def cmd_verify(args):
     return 0
 
 
-def cmd_render(args, parser):
-    region = _build_region(args, parser)
+def cmd_render(args):
+    region = _build_region(args)
     if (args.tiling == "minimal" or args.paths) and region.lattice != "square":
-        parser.error("--tiling minimal and --paths need an aztec or rect region")
+        PARSER.error("--tiling minimal and --paths need an aztec or rect region")
     tiling = None
     if args.tiling is not None:
         if args.tiling == "minimal":
@@ -148,14 +161,14 @@ def cmd_render(args, parser):
             try:
                 index = int(args.tiling)
             except ValueError:
-                parser.error("--tiling takes 'minimal' or an integer index")
+                PARSER.error("--tiling takes 'minimal' or an integer index")
             if not 0 <= index < stats.closed_count(region):
-                parser.error(f"tiling index {index} out of range")
+                PARSER.error(f"tiling index {index} out of range")
             if index >= stats.MAX_BRUTE_TILINGS:
                 raise TooManyTilings(f"tiling index {index} is past the brute-force limit {stats.MAX_BRUTE_TILINGS}")
             tiling = next(islice(enumerate_tilings(region), index, None))
     if args.paths and tiling is None:
-        parser.error("--paths needs a tiling")
+        PARSER.error("--paths needs a tiling")
     if args.format == "svg":
         data = render_svg(region, tiling, paths=args.paths)
     else:
@@ -201,18 +214,11 @@ def cmd_bench(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
+    command = {"genfun": cmd_genfun, "count": cmd_count, "verify": cmd_verify,
+               "render": cmd_render, "bench": cmd_bench}[args.command]
     try:
-        if args.command == "genfun":
-            return cmd_genfun(args)
-        if args.command == "count":
-            return cmd_count(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "render":
-            return cmd_render(args, parser)
-        return cmd_bench(args)
+        return command(args)
     except AztecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

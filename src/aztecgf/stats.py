@@ -175,8 +175,8 @@ def vstat(tiling: Tiling) -> int:
     difference raises OddVerticalCount.  On Aztec diamonds this is exactly
     half the vertical dominoes.
     """
-    offset = displacement(tiling.region.rect_params[2])
-    verticals, downs = ((tiling.mask & m).bit_count() for m in _vertical_masks(tiling.region))
+    vertical, down, offset = _vertical_masks(tiling.region)
+    verticals, downs = (tiling.mask & vertical).bit_count(), (tiling.mask & down).bit_count()
     if verticals - offset != 2 * downs:
         raise OddVerticalCount(
             f"verticals={verticals}, offset={offset}, down-type={downs}"
@@ -186,14 +186,14 @@ def vstat(tiling: Tiling) -> int:
 
 @lru_cache(maxsize=16)
 def _vertical_masks(region: Region):
-    """Masks over the domino pool: (vertical dominoes, white-bottomed ones)."""
+    """(vertical dominoes, white-bottomed ones) as pool masks, and sum(s_i - i)."""
     verticals = downs = 0
     for i, (c1, c2) in enumerate(region.all_dominoes):
         if c1.x == c2.x:
             verticals |= 1 << i
             if is_white(c1 if c1.y < c2.y else c2):
                 downs |= 1 << i
-    return verticals, downs
+    return verticals, downs, displacement(region.rect_params[2])
 
 
 @lru_cache(maxsize=16)
@@ -364,8 +364,13 @@ def check_enumerable(region: Region) -> None:
     """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
     tilings = closed_count(region)
     if tilings > MAX_BRUTE_TILINGS:
-        raise TooManyTilings(f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of"
-                             f" {MAX_BRUTE_TILINGS} tilings; the dp method has no such limit")
+        raise too_many_tilings(tilings.bit_length())
+
+
+def too_many_tilings(bits: int) -> TooManyTilings:
+    """The refusal of a ``bits``-bit tiling count that is over ``MAX_BRUTE_TILINGS``."""
+    return TooManyTilings(f"a {bits}-bit tiling count, over the brute-force limit of"
+                          f" {MAX_BRUTE_TILINGS} tilings; the dp method has no such limit")
 
 
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
@@ -218,6 +220,59 @@ def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: DP frontier would be {order + 1} bits wide, over 24\n"
+
+
+def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, capsys):
+    # an order-n diamond has 2^(n(n+1)/2) tilings, so the refusal is known from
+    # the order alone and the region is never built
+    from aztecgf import cli
+
+    assert cli.main(["count", "--region", "aztec", "--order", "5"]) == 0
+    assert capsys.readouterr().out == "32768\n"
+
+    def no_build(*args):
+        raise AssertionError("built a region the enumeration refuses")
+
+    monkeypatch.setattr(cli, "_build_region", no_build)
+    for order, bits in ((6, 22), (170, 14536), (400, 80201)):
+        assert cli.main(["count", "--region", "aztec", "--order", str(order)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a {bits}-bit tiling count, over the brute-force limit of 262144 tilings;"
+                                " the dp method has no such limit\n")
+
+
+def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):
+    # one process answers a mix of good, rejected and refused requests exactly
+    # as fresh processes do, without building a second parser
+    from aztecgf import cli
+
+    def no_rebuild():
+        raise AssertionError("built the parser again")
+
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    count = ["count", "--region", "rect", "--m", "3", "--n", "5", "--holes", "1,3,5"]
+    brute = ["genfun", "--m", "3", "--n", "5", "--holes", "1,2,4", "--method", "brute"]
+    fresh = {tuple(argv): run_cli(*argv) for argv in (count, brute)}
+
+    def same_as_fresh(argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == fresh[tuple(argv)].stdout.decode()
+        assert captured.err == fresh[tuple(argv)].stderr.decode() == ""
+
+    same_as_fresh(count)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--region", "rect", "--m", "3", "--n", "5", "--holes", "x,y"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("aztecgf count: error: argument --holes: expected comma-separated integers,"
+                                 " got 'x,y'\n")
+    assert cli.main(["count", "--region", "rect", "--m", "3", "--n", "5", "--holes", "1,3,9"]) == 2
+    assert capsys.readouterr().err == "error: s must be strictly increasing in [1, 5] with 3 entries, got (1, 3, 9)\n"
+    same_as_fresh(count)
+    same_as_fresh(brute)
 
 
 def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
