@@ -22,7 +22,7 @@ for k, tiling in enumerate(az.enumerate_tilings(region)):
     st = az.path_stats(family)
     r_bfs = az.rank_bfs(region, tiling)
     r_path = az.rank_via_paths(tiling)
-    steps = ["".join(x.kind[0].upper() for x in p) for p in family.paths]
+    steps = ["".join(kind[0].upper() for kind in p) for p in family.paths]
     print(
         f"tiling {k:2d}: paths {steps!s:24} beta={st.beta:2d} "
         f"rank(bfs)={r_bfs} rank(paths)={r_path} v={az.vstat(tiling)} "

@@ -58,7 +58,6 @@ from .rewrite import (
 )
 from .stats import (
     SchroderPathFamily,
-    SchroderStep,
     elementary_moves,
     genfun_bruteforce,
     genfun_via_weights,

@@ -19,7 +19,7 @@ from itertools import islice
 
 from . import formulas, stats, verify
 from .engine import check_frontier, count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError, InvalidOrder, InvalidRegionFile, TooManyTilings
+from .errors import AztecError, InvalidOrder, InvalidRegionFile
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
@@ -58,7 +58,7 @@ def build_parser():
     p.add_argument("--method", choices=("enumerate", "dp"), default="enumerate")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=verify.SUITES + ("all",), required=True)
+    p.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
 
     p = sub.add_parser("render", help="draw a region or one of its tilings")
     p.add_argument("--region", choices=("aztec", "rect", "semihex"))
@@ -164,8 +164,7 @@ def cmd_render(args):
                 PARSER.error("--tiling takes 'minimal' or an integer index")
             if not 0 <= index < stats.closed_count(region):
                 PARSER.error(f"tiling index {index} out of range")
-            if index >= stats.MAX_BRUTE_TILINGS:
-                raise TooManyTilings(f"tiling index {index} is past the brute-force limit {stats.MAX_BRUTE_TILINGS}")
+            stats.check_enumerable(region)
             tiling = next(islice(enumerate_tilings(region), index, None))
     if args.paths and tiling is None:
         PARSER.error("--paths needs a tiling")

@@ -85,8 +85,8 @@ def _square_svg(region, tiling, paths):
         for i, path in enumerate(family.paths, start=1):
             x, y = 1 - i, i - 1
             pts = [(px(x), py(y) - UNIT / 2)]
-            for st in path:
-                dx, dy = STEPS[st.kind][1]
+            for kind in path:
+                dx, dy = STEPS[kind][1]
                 x, y = x + dx, y + dy
                 pts.append((px(x), py(y) - UNIT / 2))
             coords = " ".join(f"{_fmt(a)},{_fmt(b)}" for a, b in pts)

@@ -18,11 +18,13 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   - a vertical domino entered at its top cell: down step (1, -1);
   - horizontal dominoes with white left cells are never entered.
 
-  Heights are measured by the cell row y of the edge being crossed, so the
-  baseline (height 0) is the row of path 1's endpoints.  Black is the even
-  x+y parity class (the northwest side is white).  The path-flow parity
-  argument forces up-crossed verticals to have black bottom cells and
-  down-crossed ones white bottom cells, and the suite asserts it.
+  A path is a tuple of ``STEPS`` kinds; no height is stored.  Heights are
+  measured by the cell row y of the edge being crossed, so the baseline
+  (height 0) is the row of path 1's endpoints: path i starts at height i - 1,
+  and each step adds the y of its move.  Black is the even x+y parity class
+  (the northwest side is white).  The path-flow parity argument forces
+  up-crossed verticals to have black bottom cells and down-crossed ones white
+  bottom cells, and the suite asserts it.
 
 * Domino weights (local, used by the DP), by
   :func:`~aztecgf.regions.domino_class`: a ``"level"`` domino in row y
@@ -52,7 +54,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
@@ -67,14 +69,6 @@ from .errors import (
 from .formulas import count_product, displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
 from .regions import Region, aztec_rectangle_with_holes, check_positions, domino_class, is_white, sq
-
-
-@dataclass(frozen=True)
-class SchroderStep:
-    """One step; ``height`` is the height before the step is taken."""
-
-    kind: str  # "up" | "down" | "level"
-    height: int
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
@@ -96,26 +90,20 @@ class SchroderPathFamily:
     m: int
     n: int
     s: tuple
-    paths: tuple  # tuple of tuples of SchroderStep
+    paths: tuple  # tuple of tuples of STEPS kinds
 
     def validate(self):
         for i, path in enumerate(self.paths, start=1):
             h = i - 1
-            ups = downs = levels = 0
-            for st in path:
-                if st.height != h or h < 0:
-                    raise BijectionViolation(f"path {i} has inconsistent heights")
-                if st.kind == "up":
-                    ups, h = ups + 1, h + 1
-                elif st.kind == "down":
-                    downs, h = downs + 1, h - 1
-                else:
-                    levels += 1
-            if h < 0:
-                raise BijectionViolation(f"path {i} went below the baseline")
-            if ups - downs != self.s[i - 1] - i:
+            for kind in path:
+                if kind not in STEPS:
+                    raise BijectionViolation(f"path {i} has the unknown step {kind!r}")
+                h += STEPS[kind][1][1]
+                if h < 0:
+                    raise BijectionViolation(f"path {i} went below the baseline")
+            if h != self.s[i - 1] - 1:  # it started at i - 1
                 raise BijectionViolation(f"path {i}: up - down != s_i - i")
-            if downs + levels != i:
+            if len(path) - path.count("up") != i:
                 raise BijectionViolation(f"path {i}: down + level != i")
         return self
 
@@ -141,27 +129,22 @@ def path_stats(family: SchroderPathFamily) -> PathStats:
     the product of the local domino weights.  The area under a path is exact
     and may be a half-integer for shifted partial paths.
     """
-    ups, downs, levels = [], [], []
     beta = 0
     area = Fraction(0)
-    for path in family.paths:
-        u = d = l = 0
-        for st in path:
-            if st.kind == "level":
-                l += 1
-                beta += 2 * st.height
-                area += 2 * st.height
-            elif st.kind == "up":
-                u += 1
-                area += Fraction(2 * st.height + 1, 2)
+    for i, path in enumerate(family.paths, start=1):
+        h = i - 1
+        for kind in path:
+            if kind == "level":
+                beta += 2 * h
+                area += 2 * h
+            elif kind == "up":
+                area += Fraction(2 * h + 1, 2)
             else:
-                d += 1
-                beta += 2 * st.height - 1
-                area += Fraction(2 * st.height - 1, 2)
-        ups.append(u)
-        downs.append(d)
-        levels.append(l)
-    return PathStats(tuple(ups), tuple(downs), tuple(levels), area, beta)
+                beta += 2 * h - 1
+                area += Fraction(2 * h - 1, 2)
+            h += STEPS[kind][1][1]
+    counts = [tuple(path.count(kind) for path in family.paths) for kind in ("up", "down", "level")]
+    return PathStats(*counts, area, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +268,7 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
                 raise BijectionViolation(f"path entered a white-left horizontal {(cell, mate[cell])}")
         if end != (s[i - 1] + 1, s[i - 1] - 1):
             raise BijectionViolation(f"path {i} exited at {end}, expected {(s[i - 1] + 1, s[i - 1] - 1)}")
-        paths.append(tuple(SchroderStep(kind, y) for kind, _, y in steps))
+        paths.append(tuple(kind for kind, _, _ in steps))
 
     for c1, c2 in tiling.dominoes:
         hit = c1 in crossed or c2 in crossed
@@ -304,25 +287,20 @@ def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
     m, n, s = region.rect_params
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
         raise BijectionViolation("path family does not belong to this region")
-    walks = [(1 - i, i - 1, [st.kind for st in path]) for i, path in enumerate(family.paths, start=1)]
+    walks = [(1 - i, i - 1, path) for i, path in enumerate(family.paths, start=1)]
     # no exit check: validate() fixed up - down = s_i - i, down + level = i, so path i ends at (s_i + 1, s_i - 1)
     return Tiling.from_paths(region, walks, sq, sq, STEPS)
 
 
 def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
     """The family of the minimal tiling: path j places its i-th level step at
-    height s_i + j - i - 1 and climbs between them; no down steps at all."""
+    height s_i + j - i - 1 and climbs between them; no down steps at all.
+    Each path climbs s_i - s_(i-1) - 1 steps (s_0 = 0) to its i-th level step
+    whatever its start, so path j is the first j blocks of one sequence."""
     s = check_positions(m, n, s, InvalidHoles)
-    paths = []
-    for j in range(1, m + 1):
-        h = j - 1
-        steps = []
-        for i in range(1, j + 1):
-            target = s[i - 1] + j - i - 1
-            while h < target:
-                steps.append(SchroderStep("up", h))
-                h += 1
-            steps.append(SchroderStep("level", h))
+    steps, paths = [], []
+    for prev, cur in zip((0,) + s, s):
+        steps += ["up"] * (cur - prev - 1) + ["level"]
         paths.append(tuple(steps))
     return SchroderPathFamily(m, n, s, tuple(paths)).validate()
 
@@ -415,9 +393,7 @@ def _genfun_via_weights_impl(m: int, n: int, s) -> LaurentPoly2:
     return weighted.invert_t().shift(dq=shift_q, dt=shift_t).require_polynomial()
 
 
-_CALIBRATED = False
-
-
+@cache
 def _ensure_calibrated():
     """One-time check of the frozen color conventions on two tiny regions.
 
@@ -426,13 +402,9 @@ def _ensure_calibrated():
     force on the order-1 diamond and on the 1x2 rectangle with its first
     southeast square removed.
     """
-    global _CALIBRATED
-    if _CALIBRATED:
-        return
     for m, n, s in ((1, 1, (1,)), (1, 2, (2,))):
         if _genfun_via_weights_impl(m, n, s) != genfun_bruteforce(m, n, s):
             raise CalibrationMismatch(f"weighted route disagrees with brute force on {(m, n, s)}")
-    _CALIBRATED = True
 
 
 def genfun_via_weights(m: int, n: int, s) -> LaurentPoly2:

@@ -45,8 +45,6 @@ from .regions import (
     weighted_ar_graph,
 )
 
-SUITES = ("main", "diamond", "weighted", "lozenge", "relation", "rewrite")
-
 
 def kept_sets(n, m):
     return combinations(range(1, n + 1), m)
@@ -340,7 +338,7 @@ def _chain_ok(m, n, s, a, b, c, d, matchings):
     )
 
 
-ALL_SUITES = {
+SUITES = {
     "main": suite_main,
     "diamond": suite_diamond,
     "weighted": suite_weighted,
@@ -351,15 +349,11 @@ ALL_SUITES = {
 
 
 def run_suite(name, out):
-    """Print one PASS/FAIL line per case; return the number of failures."""
-    if name == "all":
-        fails = 0
-        for sub in SUITES:
-            fails += run_suite(sub, out)
-        return fails
+    """Print one PASS/FAIL line per case of suite ``name``, or of every suite
+    in order for "all"; return the number of failures."""
     failures = 0
-    for label, ok in ALL_SUITES[name]():
-        out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
-        if not ok:
-            failures += 1
+    for suite in SUITES.values() if name == "all" else (SUITES[name],):
+        for label, ok in suite():
+            out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
+            failures += not ok
     return failures

@@ -184,7 +184,7 @@ def test_invalid_flags_exit_2(tmp_path):
                                "--tiling", index, "--format", "ascii"],
                               capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
         assert walk.returncode == 2 and b"error: " in walk.stderr
-    assert b"limit" in walk.stderr  # 300000 < 2^36 tilings, but past MAX_BRUTE_TILINGS
+    assert b"limit" in walk.stderr  # 300000 < 2^36 tilings, but the region is past MAX_BRUTE_TILINGS
     assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "7").returncode == 0
     assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "8", check=False).returncode == 2
     order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
@@ -240,6 +240,29 @@ def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, c
         assert captured.out == ""
         assert captured.err == (f"error: a {bits}-bit tiling count, over the brute-force limit of 262144 tilings;"
                                 " the dp method has no such limit\n")
+
+
+def test_render_by_index_refuses_a_region_too_big_to_enumerate(monkeypatch, capsys):
+    # the index is reached by walking the enumeration, so a region with more
+    # than MAX_BRUTE_TILINGS tilings is refused before the walk, whatever the index
+    from aztecgf import cli
+    from aztecgf.engine import enumerate_tilings
+    from aztecgf.regions import aztec_diamond
+    from aztecgf.render import render_ascii
+
+    assert cli.main(["render", "--region", "aztec", "--order", "5", "--tiling", "0", "--format", "ascii"]) == 0
+    region = aztec_diamond(5)
+    assert capsys.readouterr().out == render_ascii(region, next(enumerate_tilings(region)))
+
+    def no_walk(region):
+        raise AssertionError("walked the enumeration of a region it refuses")
+
+    monkeypatch.setattr(cli, "enumerate_tilings", no_walk)
+    assert cli.main(["render", "--region", "aztec", "--order", "80", "--tiling", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a 3241-bit tiling count, over the brute-force limit of 262144 tilings;"
+                            " the dp method has no such limit\n")
 
 
 def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):

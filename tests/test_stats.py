@@ -2,20 +2,20 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf.engine import Tiling, enumerate_tilings
+from aztecgf.engine import Tiling, count_tilings, enumerate_tilings
 from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
 from aztecgf.stats import (
+    STEPS,
     SchroderPathFamily,
-    SchroderStep,
     elementary_moves,
     genfun_bruteforce,
     genfun_via_weights,
@@ -135,11 +135,11 @@ def test_paths_of_tiny_tilings():
     region = aztec_rectangle_with_holes(1, 1, (1,))
     t0 = minimal_tiling(1, 1, (1,))
     fam = tiling_to_paths(t0)
-    assert [st.kind for st in fam.paths[0]] == ["level"]
+    assert fam.paths[0] == ("level",)
     assert path_stats(fam).beta == 0
     all_v = Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1)), (sq(1, 0), sq(1, 1))])
     fam_v = tiling_to_paths(all_v)
-    assert [st.kind for st in fam_v.paths[0]] == ["up", "down"]
+    assert fam_v.paths[0] == ("up", "down")
     assert path_stats(fam_v).beta == 1
     assert rank_via_paths(all_v) == 1
 
@@ -158,13 +158,41 @@ def test_minimal_path_family_rejects_mismatched_holes():
 
 def test_path_family_validation_refuses_broken_paths():
     # one path from height 0 on AR(1, 1; 1): up - down = 0 and down + level = 1
-    for path, message in (((SchroderStep("level", 1),), "inconsistent heights"),
-                          ((SchroderStep("down", 0),), "below the baseline"),
-                          ((SchroderStep("up", 0), SchroderStep("level", 1)), "up - down"),
+    for path, message in ((("sideways",), "unknown step 'sideways'"),
+                          (("down",), "below the baseline"),
+                          (("up", "level"), "up - down"),
                           ((), "down \\+ level")):
         with pytest.raises(BijectionViolation, match=message):
             SchroderPathFamily(1, 1, (1,), (path,)).validate()
-    assert SchroderPathFamily(1, 1, (1,), ((SchroderStep("level", 0),),)).validate()
+    assert SchroderPathFamily(1, 1, (1,), (("level",),)).validate()
+
+
+def _kind_tuples(i, s_i):
+    """Every tuple of step kinds with down + level = i and up - down = s_i - i."""
+    for length in range(s_i, s_i + i + 1):  # s_i + down steps
+        for kinds in product(STEPS, repeat=length):
+            downs = kinds.count("down")
+            if downs + kinds.count("level") == i and kinds.count("up") - downs == s_i - i:
+                yield kinds
+
+
+def test_path_families_biject_with_tilings_exhaustively():
+    # from the path side: of all families with the right step counts, exactly
+    # count_tilings(region) replay to a tiling, and each reads back unchanged
+    for m in range(1, 4):
+        for n in range(m, 5):
+            for s in combinations(range(1, n + 1), m):
+                region = aztec_rectangle_with_holes(m, n, s)
+                replayed = 0
+                for paths in product(*(list(_kind_tuples(i, s_i)) for i, s_i in enumerate(s, start=1))):
+                    family = SchroderPathFamily(m, n, s, paths)
+                    try:
+                        tiling = paths_to_tiling(family, region)
+                    except BijectionViolation:
+                        continue
+                    replayed += 1
+                    assert tiling_to_paths(tiling) == family
+                assert replayed == count_tilings(region), (m, n, s)
 
 
 def test_minimal_path_family_weight_exponent():
