@@ -164,7 +164,8 @@ def cmd_render(args):
                 PARSER.error("--tiling takes 'minimal' or an integer index")
             if not 0 <= index < stats.closed_count(region):
                 PARSER.error(f"tiling index {index} out of range")
-            stats.check_enumerable(region)
+            stats.check_enumerable(region, "render has no such limit without --tiling,"
+                                           " or with --tiling minimal on an aztec or rect region")
             tiling = next(islice(enumerate_tilings(region), index, None))
     if args.paths and tiling is None:
         PARSER.error("--paths needs a tiling")

@@ -6,17 +6,19 @@ matchings of a weighted graph, summing their weights -- runs the one
 bitmask search in :func:`_matchings`: branch on the lowest free vertex, try
 partners in ascending index order, so repeated runs produce identical
 streams.  Each route picks what the search folds at a leaf: a tiling mask,
-a tuple of vertex pairs, a term dict, or, for a count, nothing.  The
+a tuple of vertex pairs, an integer key, or, for a count, nothing.  The
 bijections never call it: they read paths with :meth:`Tiling.walk` and
 replay them with :meth:`Tiling.from_paths`.  The weighted sum,
-:func:`matching_genfun`, folds integers only: every edge weight is written
-over one common denominator, each distinct numerator becomes a tuple of
-``(e_q, e_t, int)`` terms, each matching is a small term-dict product and
-the leaves sum into one dict, which is divided by the denominator's
-(n / 2)-th power once at the end.  Its values are never packed, so the
-search shares no arithmetic with the DP.  The DP is the fast path; it must
-agree with the search exactly, and the test suite holds it to bit-identical
-polynomial equality.
+:func:`matching_genfun`, still visits every perfect matching and folds
+integers only: every edge weight is written over one common denominator
+and split into a monomial shift and a content, each edge is labelled with
+one int of bit fields (its two shifts and a 1 in its content's count
+field), each matching sums its labels into one key, and the leaves are
+counted per key.  Only the distinct keys are expanded into polynomials,
+and the sum is divided by the denominator's (n / 2)-th power once at the
+end.  Its values are never packed, so the search shares no arithmetic with
+the DP.  The DP is the fast path; it must agree with the search exactly,
+and the test suite holds it to bit-identical polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -42,6 +44,7 @@ integer add per power of t.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
 from operator import add, or_
@@ -276,13 +279,18 @@ def matching_genfun(graph: WeightedGraph):
 
     The graph's weights arrive canonical, as ``LaurentPoly2``s or true
     :class:`~aztecgf.poly.FracWeight` quotients, with negative coefficients
-    and exponents.  The search is :func:`_matchings`, folding integers only:
-    every weight is written over one common denominator L * D, where L is
-    the lcm of the coefficient denominators and D the product of the
-    distinct ``FracWeight`` denominators, and each distinct weight's
-    numerator becomes one tuple of ``(e_q, e_t, int)`` terms.  A matching is
-    the term-dict product of its edges' tuples, and the leaves sum into one
-    dict.  Every perfect matching has n / 2 edges, so the sum is divided by
+    and exponents.  Every weight is written over one common denominator
+    L * D, where L is the lcm of the coefficient denominators and D the
+    product of the distinct ``FracWeight`` denominators.  Each distinct
+    integer numerator splits into a shift q^a t^b, its least exponents, and
+    a content of ``(e_q, e_t, int)`` terms whose least exponents are 0.  An
+    edge's label is one int with three kinds of bit field: its q and t
+    shifts above the least ones, and a 1 in the count field of its content.
+    A perfect matching has n / 2 edges, and the fields are sized from n / 2
+    so that no sum carries into the next field.  :func:`_matchings` sums the
+    labels, so it still visits every perfect matching, and the leaves are
+    counted per key.  Each distinct key adds its count times the product of
+    its contents, shifted by its summed shifts, and the total is divided by
     (L * D)^(n / 2) once at the end; the result is a ``LaurentPoly2``, or a
     ``FracWeight`` when D is not 1.  Values are never packed: this oracle
     shares no arithmetic with the DP it checks.
@@ -293,15 +301,31 @@ def matching_genfun(graph: WeightedGraph):
     numerators = {w: num if den == common else num * common.exact_div(den)
                   for w, (num, den) in parts.items()}
     scale = lcm(*(c.denominator for num in numerators.values() for _, c in num.sorted_terms()))
-    labels = {w: tuple((eq, et, c.numerator * (scale // c.denominator))
-                       for (eq, et), c in num.sorted_terms())
-              for w, num in numerators.items()}
+    contents, shifts = {}, {}
+    for w, num in numerators.items():
+        terms = [(eq, et, c.numerator * (scale // c.denominator)) for (eq, et), c in num.sorted_terms()]
+        a, b = min(eq for eq, _, _ in terms), min(et for _, et, _ in terms)
+        content = tuple((eq - a, et - b, c) for eq, et, c in terms)
+        shifts[w] = a, b, contents.setdefault(content, len(contents))
+    half = len(rows) // 2
+    qs, ts, _ = zip(*shifts.values()) if shifts else ((0,), (0,), ())
+    q0, t0 = min(qs), min(ts)
+    qbits = (half * (max(qs) - q0)).bit_length()
+    tbits = (half * (max(ts) - t0)).bit_length()
+    cbits = half.bit_length()
+    labels = {w: (a - q0) | (b - t0) << qbits | 1 << (qbits + tbits + i * cbits)
+              for w, (a, b, i) in shifts.items()}
     adj = [[(j, labels[w]) for j, w in row] for row in rows]
     total = {}
-    for leaf in _matchings(adj, {(0, 0): 1}, _times):
-        for e, c in leaf.items():
+    for key, count in Counter(_matchings(adj, 0, add)).items():
+        acc = {(half * q0 + (key & (1 << qbits) - 1), half * t0 + (key >> qbits & (1 << tbits) - 1)): count}
+        key >>= qbits + tbits
+        for content in contents:
+            for _ in range(key & (1 << cbits) - 1):
+                acc = _times(acc, content)
+            key >>= cbits
+        for e, c in acc.items():
             total[e] = total.get(e, 0) + c
-    half = len(rows) // 2
     result = LaurentPoly2({e: Fraction(c, scale ** half) for e, c in total.items()})
     return result if common == _ONE else FracWeight(result, common ** half)
 

@@ -93,6 +93,8 @@ class SchroderPathFamily:
     paths: tuple  # tuple of tuples of STEPS kinds
 
     def validate(self):
+        if len(self.paths) != len(self.s):
+            raise BijectionViolation(f"number of paths {len(self.paths)} != len(s) = {len(self.s)}")
         for i, path in enumerate(self.paths, start=1):
             h = i - 1
             for kind in path:
@@ -338,17 +340,17 @@ def closed_count(region: Region) -> int:
     return int(falling_ratio(region.semihex_params[2]))
 
 
-def check_enumerable(region: Region) -> None:
+def check_enumerable(region: Region, remedy: str = "the dp method has no such limit") -> None:
     """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
     tilings = closed_count(region)
     if tilings > MAX_BRUTE_TILINGS:
-        raise too_many_tilings(tilings.bit_length())
+        raise too_many_tilings(tilings.bit_length(), remedy)
 
 
-def too_many_tilings(bits: int) -> TooManyTilings:
-    """The refusal of a ``bits``-bit tiling count that is over ``MAX_BRUTE_TILINGS``."""
+def too_many_tilings(bits: int, remedy: str = "the dp method has no such limit") -> TooManyTilings:
+    """The refusal of a ``bits``-bit tiling count over ``MAX_BRUTE_TILINGS``, ending in ``remedy``."""
     return TooManyTilings(f"a {bits}-bit tiling count, over the brute-force limit of"
-                          f" {MAX_BRUTE_TILINGS} tilings; the dp method has no such limit")
+                          f" {MAX_BRUTE_TILINGS} tilings; {remedy}")
 
 
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:

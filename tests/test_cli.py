@@ -262,7 +262,8 @@ def test_render_by_index_refuses_a_region_too_big_to_enumerate(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: a 3241-bit tiling count, over the brute-force limit of 262144 tilings;"
-                            " the dp method has no such limit\n")
+                            " render has no such limit without --tiling, or with --tiling minimal"
+                            " on an aztec or rect region\n")
 
 
 def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aztecgf import engine, rewrite, verify
+from aztecgf import engine, poly, rewrite, verify
 from aztecgf.engine import (
     Tiling,
     _frontier_slots,
@@ -76,18 +77,26 @@ def test_matching_genfun_cancels_and_handles_empty_and_unmatchable_graphs():
 def weight_products(graph, unit):
     """Sum over enumerate_matchings of the product of edge weights, multiplied
     one by one from ``unit``: a route that shares no arithmetic with
-    matching_genfun."""
+    matching_genfun.  With a ``FracWeight`` unit the products are summed over
+    one common denominator: the (n / 2)-th power of the product of the
+    distinct edge denominators, which every product's denominator divides.
+    Adding the quotients themselves would multiply their denominators
+    together at each add."""
+    dens = dict.fromkeys(w.den for _, w in graph.edge_items() if isinstance(w, FracWeight))
+    common = prod(dens, start=LaurentPoly2.one()) ** (graph.n // 2)
     total = None
     for matching in enumerate_matchings(graph):
         w = unit
         for u, v in matching:
             w = w * graph.weight(u, v)
+        if isinstance(w, FracWeight):
+            w = w.num * common.exact_div(w.den)
         total = w if total is None else total + w
-    return total
+    return FracWeight(total, common) if isinstance(unit, FracWeight) else total
 
 
-def random_matchable_graph(rng, weight, most):
-    n = rng.randrange(2, most + 1, 2)
+def random_matchable_graph(rng, weight, most, fewest=2):
+    n = rng.randrange(fewest, most + 1, 2)
     verts = list(range(n))
     edges = {(u, v): weight() for u, v in combinations(verts, 2) if rng.random() < 0.4}
     skeleton = sorted(verts, key=lambda v: rng.random())
@@ -128,14 +137,74 @@ def test_matching_genfun_with_quotient_weights():
         return num if kind < 0.8 else Fraction(rng.randint(1, 7), rng.randint(1, 5))
 
     quotients = 0
-    for case in range(40):
-        # the reference sums FracWeights, which tries a division per add
-        g = random_matchable_graph(rng, weight, 8)
+    # 40 graphs of up to 8 vertices, then 8 of 12 vertices, whose hundreds of
+    # quotient products a reference adding FracWeights one by one, each add
+    # multiplying the denominators, could not afford
+    for case in range(48):
+        g = random_matchable_graph(rng, weight, 8) if case < 40 else random_matchable_graph(rng, weight, 12, 12)
         expected = weight_products(g, FracWeight(1))
         got = matching_genfun(g)
         assert got == expected and expected == got, case
         quotients += isinstance(got, FracWeight) and not got.is_polynomial()
-    assert quotients >= 20  # most sums keep a denominator
+    assert quotients >= 26  # most sums keep a denominator
+
+
+@st.composite
+def spread_weighted_graphs(draw):
+    # up to 10 vertices with a perfect matching; each weight is q^a t^b,
+    # a in -40..40 and b in -10..10, times a signed multi-term content, and
+    # one content is shared by several edges under different shifts
+    n = 2 * draw(st.integers(1, 5))
+    coefficients = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+    contents = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), coefficients,
+                               min_size=1, max_size=3).map(LaurentPoly2)
+    shared = draw(contents)
+    extra = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), max_size=16))
+    edges = {}
+    for e in dict.fromkeys([(v, v + 1) for v in range(0, n, 2)] + extra):
+        a, b = draw(st.integers(-40, 40)), draw(st.integers(-10, 10))
+        edges[e] = LaurentPoly2.term(1, q=a, t=b) * (shared if draw(st.booleans()) else draw(contents))
+    return WeightedGraph(range(n), edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(spread_weighted_graphs())
+def test_matching_genfun_equals_weight_products_on_wide_spreads(graph):
+    assert matching_genfun(graph) == weight_products(graph, LaurentPoly2.one())
+
+
+def test_matching_genfun_fills_every_key_field():
+    # on a 2k-cycle one perfect matching takes one content k times at the
+    # highest shifts, the other another content k times at the lowest.  At
+    # k = 3 the q shifts sum to 3 * 85 = 255, the t shifts to 3 * 21 = 63 and
+    # each count to 3: every field is all ones.  At k = 4 they sum to 64, 16
+    # and 4: each needs its top bit, one past the all-ones value below it.
+    q, t = LaurentPoly2.term(1, q=1), LaurentPoly2.term(1, t=1)
+    high_content, low_content = 1 - 2 * q + Fraction(3, 2) * t * t, -2 - q * t
+    for k, (a, b), (a0, b0) in ((3, (40, 10), (-45, -11)), (4, (40, 10), (24, 6))):
+        high = LaurentPoly2.term(1, q=a, t=b) * high_content
+        low = LaurentPoly2.term(1, q=a0, t=b0) * low_content
+        ring = WeightedGraph(range(2 * k), {(v, (v + 1) % (2 * k)): low if v % 2 else high
+                                            for v in range(2 * k)})
+        assert matching_genfun(ring) == prod([high] * k) + prod([low] * k), k
+
+
+def test_matching_genfun_shares_no_packed_arithmetic(monkeypatch):
+    # with the DP's packed polynomials patched to raise, the DP fails and the
+    # oracle still equals the closed form
+    a, b, c, d = Fraction(3, 2), Fraction(2, 5), Fraction(7, 3), Fraction(5, 4)
+    graph = weighted_ar_graph(3, 5, (1, 3, 5), a, b, c, d)
+    expected = weighted_rectangle_matching_genfun(3, 5, (1, 3, 5), a, b, c, d)
+
+    def packed(*args):
+        raise AssertionError("packed arithmetic")
+
+    for module in (engine, poly):
+        for name in ("PackedPoly", "packed_weight", "slot_bits"):
+            monkeypatch.setattr(module, name, packed)
+    with pytest.raises(AssertionError, match="packed arithmetic"):
+        graph_genfun_dp(graph)
+    assert matching_genfun(graph) == expected
 
 
 def test_tiling_counts():

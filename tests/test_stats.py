@@ -165,6 +165,13 @@ def test_path_family_validation_refuses_broken_paths():
         with pytest.raises(BijectionViolation, match=message):
             SchroderPathFamily(1, 1, (1,), (path,)).validate()
     assert SchroderPathFamily(1, 1, (1,), (("level",),)).validate()
+    # one path too few on the order-2 diamond, and one too many on AR(1, 1; 1)
+    too_few = SchroderPathFamily(2, 2, (1, 2), (("level",),))
+    too_many = SchroderPathFamily(1, 1, (1,), (("level",), ("level", "level")))
+    for family, message in ((too_few, r"number of paths 1 != len\(s\) = 2"),
+                            (too_many, r"number of paths 2 != len\(s\) = 1")):
+        with pytest.raises(BijectionViolation, match=message):
+            family.validate()
 
 
 def _kind_tuples(i, s_i):
