@@ -279,27 +279,30 @@ def matching_genfun(graph: WeightedGraph):
 
     The graph's weights arrive canonical, as ``LaurentPoly2``s or true
     :class:`~aztecgf.poly.FracWeight` quotients, with negative coefficients
-    and exponents.  Every weight is written over one common denominator
-    L * D, where L is the lcm of the coefficient denominators and D the
-    product of the distinct ``FracWeight`` denominators.  Each distinct
-    integer numerator splits into a shift q^a t^b, its least exponents, and
-    a content of ``(e_q, e_t, int)`` terms whose least exponents are 0.  An
-    edge's label is one int with three kinds of bit field: its q and t
-    shifts above the least ones, and a 1 in the count field of its content.
-    A perfect matching has n / 2 edges, and the fields are sized from n / 2
-    so that no sum carries into the next field.  :func:`_matchings` sums the
-    labels, so it still visits every perfect matching, and the leaves are
-    counted per key.  Each distinct key adds its count times the product of
-    its contents, shifted by its summed shifts, and the total is divided by
-    (L * D)^(n / 2) once at the end; the result is a ``LaurentPoly2``, or a
-    ``FracWeight`` when D is not 1.  Values are never packed: this oracle
-    shares no arithmetic with the DP it checks.
+    and exponents.  A polynomial weight is keyed by itself and a quotient by
+    its (numerator, denominator) pair, so two equal quotients over different
+    denominators only give two contents.  Every weight is written over one
+    common denominator L * D, where L is the lcm of the coefficient
+    denominators and D the product of the distinct ``FracWeight``
+    denominators.  Each distinct integer numerator splits into a shift
+    q^a t^b, its least exponents, and a content of ``(e_q, e_t, int)`` terms
+    whose least exponents are 0.  An edge's label is one int with three
+    kinds of bit field: its q and t shifts above the least ones, and a 1 in
+    the count field of its content.  A perfect matching has n / 2 edges, and
+    the fields are sized from n / 2 so that no sum carries into the next
+    field.  :func:`_matchings` sums the labels, so it still visits every
+    perfect matching, and the leaves are counted per key.  Each distinct key
+    adds its count times the product of its contents, shifted by its summed
+    shifts, and the total is divided by (L * D)^(n / 2) once at the end; the
+    result is a ``LaurentPoly2``, or a ``FracWeight`` when D is not 1.
+    Values are never packed: this oracle shares no arithmetic with the DP it
+    checks.
     """
-    rows = graph.adjacency_indexed()
-    parts = {w: (w.num, w.den) if isinstance(w, FracWeight) else (w, _ONE) for _, w in graph.edge_items()}
+    rows = [[(j, (w.num, w.den) if isinstance(w, FracWeight) else w) for j, w in row]
+            for row in graph.adjacency_indexed()]
+    parts = {w: w if isinstance(w, tuple) else (w, _ONE) for row in rows for _, w in row}
     common = prod(dict.fromkeys(den for _, den in parts.values() if den != _ONE), start=_ONE)
-    numerators = {w: num if den == common else num * common.exact_div(den)
-                  for w, (num, den) in parts.items()}
+    numerators = {w: num if den == common else num * common.exact_div(den) for w, (num, den) in parts.items()}
     scale = lcm(*(c.denominator for num in numerators.values() for _, c in num.sorted_terms()))
     contents, shifts = {}, {}
     for w, num in numerators.items():

@@ -57,7 +57,7 @@ class RegionTooWide(AztecError):
 
 
 class TooManyTilings(AztecError):
-    """A region has more tilings than brute-force enumeration is allowed to visit."""
+    """A region has more tilings, or more cells, than brute-force enumeration is allowed to visit."""
 
 
 class OddVerticalCount(AztecError):

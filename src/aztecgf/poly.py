@@ -19,7 +19,10 @@ into a ``LaurentPoly2``.
 
 A :class:`FracWeight` is a quotient of two ``LaurentPoly2`` values, reduced
 whenever the division is exact: the edge weight that graph rewrites leave
-behind when a renewal divides by a binomial.
+behind when a renewal divides by a binomial.  Quotients are only multiplied
+and compared (by cross-multiplication); they have no sum and no hash.
+:func:`~aztecgf.engine.matching_genfun`, the one place that sums them,
+writes them over one common denominator first.
 
 ``LaurentPoly2`` values are immutable and hashable; they can be shared freely
 across threads.
@@ -66,6 +69,13 @@ class LaurentPoly2:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, terms) -> "LaurentPoly2":
+        """Wrap a clean ``{(e_q, e_t): Fraction}`` dict without copying or checking it."""
+        res = cls()
+        res._terms = terms
+        return res
+
+    @classmethod
     def zero(cls) -> "LaurentPoly2":
         return cls()
 
@@ -83,10 +93,6 @@ class LaurentPoly2:
         return cls({(q, t): c})
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -144,9 +150,7 @@ class LaurentPoly2:
                 out[e] = s
             else:
                 out.pop(e, None)
-        res = LaurentPoly2()
-        res._terms = out
-        return res
+        return LaurentPoly2._of(out)
 
     __radd__ = __add__
 
@@ -162,10 +166,7 @@ class LaurentPoly2:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                return LaurentPoly2.zero()
-            return LaurentPoly2({e: cc * c for e, cc in self._terms.items()})
+            return LaurentPoly2({e: cc * other for e, cc in self._terms.items()})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented
         out = {}
@@ -177,9 +178,7 @@ class LaurentPoly2:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        res = LaurentPoly2()
-        res._terms = out
-        return res
+        return LaurentPoly2._of(out)
 
     __rmul__ = __mul__
 
@@ -203,11 +202,9 @@ class LaurentPoly2:
         implied by degree arithmetic (the q- and t-degree spans of self minus
         those of d), so a failed division is detected, not looped on.
         """
-        if isinstance(d, (int, Fraction)):
-            d = LaurentPoly2.const(d)
-        if d.is_zero:
+        if not d:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
+        if not self:
             return LaurentPoly2.zero()
 
         def spans(p):
@@ -242,19 +239,14 @@ class LaurentPoly2:
                     rem[e] = s
                 else:
                     rem.pop(e, None)
-        res = LaurentPoly2()
-        res._terms = quot
-        return res
+        return LaurentPoly2._of(quot)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _coeff(other)
-            if not c:
-                raise ZeroDivisionError("division by zero")
-            return LaurentPoly2({e: cc / c for e, cc in self._terms.items()})
-        if isinstance(other, LaurentPoly2):
-            return self.exact_div(other)
-        return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        return LaurentPoly2({e: cc / other for e, cc in self._terms.items()})
 
     # -- substitutions -------------------------------------------------------
 
@@ -286,7 +278,7 @@ class LaurentPoly2:
         coefficient comes first (omitted when 1), then the t part, then the
         q part, joined by ``*``.
         """
-        if self.is_zero:
+        if not self:
             return "0"
         pieces = []
         for (eq, et), c in self.sorted_terms():
@@ -345,17 +337,11 @@ class FracWeight:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if den is None:
-            den = _ONE
-        if isinstance(num, FracWeight):
-            num, den = num.num, den * num.den
-        if isinstance(den, FracWeight):
-            num, den = num * den.den, den.num
         num = as_poly(num)
-        den = as_poly(den)
-        if den.is_zero:
+        den = _ONE if den is None else as_poly(den)
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not num:
             den = _ONE
         elif den != _ONE:
             try:
@@ -370,7 +356,7 @@ class FracWeight:
         return self.den == _ONE
 
     def __bool__(self):
-        return not self.num.is_zero
+        return bool(self.num)
 
     @staticmethod
     def _coerce(x):
@@ -388,29 +374,11 @@ class FracWeight:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.den == o.den:
-            return FracWeight(self.num + o.num, self.den)
-        return FracWeight(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.num * o.den == o.num * self.den
-
-    def __hash__(self):
-        # Equal quotients take one value wherever their denominators do not vanish.
-        if self.den == _ONE:
-            return hash(self.num)
-        point = (Fraction(2, 3), Fraction(3, 5))
-        den = self.den.evaluate(*point)
-        return hash(self.num.evaluate(*point) / den) if den else 0
 
     def __repr__(self):
         if self.is_polynomial():
@@ -470,9 +438,7 @@ class PackedPoly:
                 c = int.from_bytes(raw[k:k + width], "little")
                 if c:
                     terms[(k // width + low, et + self.dt)] = Fraction(c) if den == 1 else Fraction(c, den)
-        out = LaurentPoly2()
-        out._terms = terms
-        return out
+        return LaurentPoly2._of(terms)
 
     def __add__(self, other: "PackedPoly") -> "PackedPoly":
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)

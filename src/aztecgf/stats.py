@@ -330,6 +330,7 @@ def rank_via_paths(tiling: Tiling) -> int:
 
 
 MAX_BRUTE_TILINGS = 2**18  # enumeration plus rank BFS costs tens of microseconds a tiling
+MAX_BRUTE_CELLS = 4096  # each search step costs time linear in the cell count
 
 
 def closed_count(region: Region) -> int:
@@ -341,10 +342,14 @@ def closed_count(region: Region) -> int:
 
 
 def check_enumerable(region: Region, remedy: str = "the dp method has no such limit") -> None:
-    """Raise TooManyTilings when the closed-form tiling count is over ``MAX_BRUTE_TILINGS``."""
+    """Raise TooManyTilings when the closed-form tiling count is over
+    ``MAX_BRUTE_TILINGS`` or the region has more than ``MAX_BRUTE_CELLS`` cells."""
     tilings = closed_count(region)
     if tilings > MAX_BRUTE_TILINGS:
         raise too_many_tilings(tilings.bit_length(), remedy)
+    if len(region.cells) > MAX_BRUTE_CELLS:
+        raise TooManyTilings(f"a region of {len(region.cells)} cells, over the brute-force limit of"
+                             f" {MAX_BRUTE_CELLS} cells; {remedy}")
 
 
 def too_many_tilings(bits: int, remedy: str = "the dp method has no such limit") -> TooManyTilings:

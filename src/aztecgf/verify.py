@@ -8,8 +8,8 @@ run them from here.
 Corpus bounds (exact equality everywhere, no tolerances):
 
 * main:     F(q,t) brute force == closed product, all 1<=m<=n<=5, all kept
-            sets; plus the q=t=1 count against 2^(m(m+1)/2) * prod ratio.
-* rank:     both rank computations and the path-statistic identities on
+            sets; the q=t=1 count against 2^(m(m+1)/2) * prod ratio; then
+            both rank computations and the path-statistic identities on
             every tiling, m<=3, n<=5, all kept sets; bijection round trips.
 * diamond:  the weighted-DP route against the diamond product for n<=6,
             DP counts 2^(n(n+1)/2) for n<=12, and DP == matching oracle on
@@ -115,8 +115,8 @@ def suite_diamond():
     yield from kernel_cases()
 
 
-def diamond_genfun_cases(max_order: int = 6):
-    for n in range(1, max_order + 1):
+def diamond_genfun_cases():
+    for n in range(1, 7):
         s = tuple(range(1, n + 1))
         via = stats.genfun_via_weights(n, n, s)
         ok = via == formulas.aztec_diamond_genfun(n)
@@ -125,8 +125,8 @@ def diamond_genfun_cases(max_order: int = 6):
         yield f"diamond genfun order {n}", ok
 
 
-def diamond_count_cases(max_order: int = 12):
-    for n in range(1, max_order + 1):
+def diamond_count_cases():
+    for n in range(1, 13):
         count = tiling_genfun_dp(aztec_diamond(n))
         yield f"diamond count order {n}", count == 2 ** (n * (n + 1) // 2)
 
@@ -247,16 +247,16 @@ def _random_graph(rng, nverts):
     return WeightedGraph(verts, edges)
 
 
-def suite_rewrite(cases: int = 50):
+def suite_rewrite():
     rng = random.Random(16180339)
-    for case in range(cases):
+    for case in range(50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
         nbrs = sorted(g.neighbors(v))
         half = {u for u in nbrs if rng.random() < 0.5}
         split = rewrite.vertex_split(g, {v: (half, set(nbrs) - half)})
         yield f"rewrite vertex_split case {case:02d}", matching_genfun(split) == matching_genfun(g)
-    for case in range(cases):
+    for case in range(50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
         factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -265,7 +265,7 @@ def suite_rewrite(cases: int = 50):
             f"rewrite star_scale case {case:02d}",
             matching_genfun(scaled) == matching_genfun(g) * factor,
         )
-    for case in range(cases):
+    for case in range(50):
         g, pattern = _random_spider_host(rng)
         replaced, (delta,) = rewrite.spider_replace(g, [pattern])
         yield (

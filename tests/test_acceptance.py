@@ -33,8 +33,8 @@ def test_criterion_1_main_formula():
 
 def test_criterion_2_diamond_product():
     start = time.perf_counter()
-    ok_genfun, fail_g = _all_ok(verify.diamond_genfun_cases(6))
-    ok_count, fail_c = _all_ok(verify.diamond_count_cases(12))
+    ok_genfun, fail_g = _all_ok(verify.diamond_genfun_cases())
+    ok_count, fail_c = _all_ok(verify.diamond_count_cases())
     elapsed = time.perf_counter() - start
     ok = ok_genfun and ok_count and elapsed < 10.0
     _report(2, f"weighted-DP diamond genfun (n<=6) and counts 2^(n(n+1)/2) "
@@ -65,7 +65,7 @@ def test_criterion_6_relation():
 
 
 def test_criterion_7_rewrite_identities():
-    ok, failures = _all_ok(verify.suite_rewrite(cases=50))
+    ok, failures = _all_ok(verify.suite_rewrite())
     _report(7, "vertex-split/star/renewal identities on 50 seeded graphs each, "
                "row reduction, and the peeling pipeline factor", ok)
 

@@ -123,6 +123,38 @@ ASCII_DRAWINGS = [
 ]
 
 
+SEMIHEX_SVG_HEAD = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="180.00" height="89.28" viewBox="0 0 180.00 89.28">
+"""
+
+SEMIHEX_SVGS = [
+    ((), SEMIHEX_SVG_HEAD + """\
+<polygon points="50.00,10.00 90.00,10.00 70.00,44.64" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+<polygon points="30.00,44.64 70.00,44.64 50.00,10.00" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+<polygon points="30.00,44.64 70.00,44.64 50.00,79.28" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+<polygon points="70.00,44.64 110.00,44.64 90.00,10.00" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+<polygon points="70.00,44.64 110.00,44.64 90.00,79.28" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+<polygon points="50.00,79.28 90.00,79.28 70.00,44.64" fill="#f0f0f0" stroke="#555555" stroke-width="1"/>
+</svg>
+"""),
+    (("--tiling", "0"), SEMIHEX_SVG_HEAD + """\
+<polygon points="90.00,10.00 50.00,10.00 30.00,44.64 70.00,44.64" fill="#e8a848" stroke="#303030" stroke-width="2"/>
+<polygon points="30.00,44.64 70.00,44.64 90.00,79.28 50.00,79.28" fill="#8cc88c" stroke="#303030" stroke-width="2"/>
+<polygon points="90.00,10.00 70.00,44.64 90.00,79.28 110.00,44.64" fill="#d0d0ee" stroke="#303030" stroke-width="2"/>
+</svg>
+"""),
+]
+
+
+def test_render_semihex_svg():
+    # six triangles outlined, then the three lozenges of the tiling drawn as
+    # "aac / .bbc." in ASCII_DRAWINGS
+    for args, expected in SEMIHEX_SVGS:
+        out = run_cli("render", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,3", *args)
+        assert out.stdout.decode() == expected
+
+
 def test_render_region_only_and_ascii():
     out = run_cli("render", "--region", "aztec", "--order", "1", "--format", "ascii")
     assert out.stdout.decode().count("+") > 0
@@ -240,6 +272,34 @@ def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, c
         assert captured.out == ""
         assert captured.err == (f"error: a {bits}-bit tiling count, over the brute-force limit of 262144 tilings;"
                                 " the dp method has no such limit\n")
+
+
+def test_enumeration_refuses_a_region_with_too_many_cells(monkeypatch, capsys):
+    # the search keeps the free cells in one bitmask, so each step costs time
+    # linear in the cell count: a thin region with one or two tilings but
+    # tens of thousands of cells is refused by its size, before any search
+    from aztecgf import cli, stats
+
+    assert cli.main(["count", "--region", "semihex", "--a", "1", "--b", "2048", "--dents", "1"]) == 0
+    assert capsys.readouterr().out == "1\n"  # 4,096 cells, at the bound
+
+    def no_search(*args):
+        raise AssertionError("searched a region it refuses")
+
+    monkeypatch.setattr(cli, "count_tilings", no_search)
+    monkeypatch.setattr(cli, "enumerate_tilings", no_search)
+    monkeypatch.setattr(stats, "enumerate_tilings", no_search)
+    monkeypatch.setattr(stats, "minimal_tiling", no_search)
+    for argv, cells in ((["count", "--region", "semihex", "--a", "1", "--b", "2049", "--dents", "1"], 4098),
+                        (["count", "--region", "semihex", "--a", "1", "--b", "80000", "--dents", "1"], 160000),
+                        (["genfun", "--m", "1", "--n", "20000", "--holes", "1", "--method", "brute"], 40002)):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: a region of {cells} cells, over the brute-force limit of 4096 cells;"
+                                " the dp method has no such limit\n")
+    assert cli.main(["render", "--region", "semihex", "--a", "1", "--b", "80000", "--dents", "1", "--tiling", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: a region of 160000 cells, over the brute-force limit")
 
 
 def test_render_by_index_refuses_a_region_too_big_to_enumerate(monkeypatch, capsys):

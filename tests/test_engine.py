@@ -149,6 +149,21 @@ def test_matching_genfun_with_quotient_weights():
     assert quotients >= 26  # most sums keep a denominator
 
 
+def test_matching_genfun_with_one_quotient_written_two_ways():
+    # q / (3q - 2) and 2q / (6q - 4) are one quotient over two denominators:
+    # the oracle keeps them apart as two weights, and the sum is unchanged
+    q = LaurentPoly2.term(1, q=1)
+    one_way, other_way = FracWeight(q, 3 * q - 2), FracWeight(2 * q, 6 * q - 4)
+    assert one_way == other_way and one_way.den != other_way.den
+    pool = (one_way, other_way, 1 + q, LaurentPoly2.term(Fraction(1, 2), t=1))
+    edges = {e: pool[k % 4] for k, e in enumerate(combinations(range(6), 2))}
+    mixed = WeightedGraph(range(6), edges)
+    single = WeightedGraph(range(6), {e: one_way if w == one_way else w for e, w in edges.items()})
+    got = matching_genfun(mixed)
+    assert got == weight_products(mixed, FracWeight(1)) == matching_genfun(single)
+    assert isinstance(got, FracWeight) and not got.is_polynomial()
+
+
 @st.composite
 def spread_weighted_graphs(draw):
     # up to 10 vertices with a perfect matching; each weight is q^a t^b,

@@ -90,7 +90,7 @@ def test_exact_div_roundtrip_randomized():
     for _ in range(60):
         p = rand_poly(rng)
         d = rand_poly(rng, terms=3)
-        if d.is_zero:
+        if not d:
             continue
         assert (p * d).exact_div(d) == p
 
@@ -254,20 +254,16 @@ def test_packed_weight_rejects_what_cannot_pack():
     assert packed_weight(poly, 8, 12) == ((3, 2, -16), (0, 6, 0))
 
 
-def test_fracweight_sum_keeps_a_shared_denominator():
+def test_quotients_are_only_multiplied_and_compared():
     w = FracWeight(1, 1 + Q)
-    total = w
-    for _ in range(40):
-        total = total + w
-    assert total.den == 1 + Q and total.num == LaurentPoly2.const(41)
-    assert w + w + FracWeight(Q - 1, 1 + Q) == 1
-
-
-def test_fracweight_hash_agrees_with_equality():
-    a = FracWeight((1 + Q) ** 2, (1 + Q) * (1 + Q ** 2 + Q ** 3))
-    b = FracWeight(1 + Q, 1 + Q ** 2 + Q ** 3)
-    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-    assert hash(FracWeight(Q * Q + Q, Q)) == hash(Q + 1)  # reduces to a polynomial
-    # a denominator vanishing at the hash point still hashes
-    c = FracWeight(Q, 3 * Q - 2)
-    assert len({c, FracWeight(2 * Q, 6 * Q - 4), FracWeight(Q, 3 * Q - 1)}) == 2
+    assert w * (1 + Q) == 1 and w * w == FracWeight(1, (1 + Q) ** 2) and bool(w)
+    with pytest.raises(TypeError):
+        hash(w)
+    with pytest.raises(TypeError):
+        w + w
+    # a polynomial divides by a scalar with /, by a polynomial with exact_div
+    assert (2 * Q + 2) / 2 == (2 * Q + 2) / Fraction(2) == 1 + Q
+    with pytest.raises(TypeError):
+        (1 + Q) / (1 + Q)
+    with pytest.raises(ZeroDivisionError):
+        (1 + Q) / 0
