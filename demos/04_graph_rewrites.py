@@ -32,9 +32,7 @@ final = az.matching_genfun(res.graph)
 print("\nM(start) == factor * M(final):", start == res.factor * final)
 
 sh = az.semihexagon_with_dents(m, n - m, s)
-m_tilde = weighted_sh_genfun(
-    sh, lambda k: LaurentPoly2.term(a, q=k + 1), LaurentPoly2.const(b), LaurentPoly2.one()
-)
+m_tilde = weighted_sh_genfun(sh, lambda k: LaurentPoly2.term(a, q=k + 1), LaurentPoly2.const(b))
 print("M(final) == weighted semihexagon:", final == m_tilde)
 print("\nclosed product for the same graph:")
 print(" ", az.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d).to_text())

@@ -47,7 +47,6 @@ from .regions import (
     weighted_ar_graph,
 )
 from .rewrite import (
-    SpiderPattern,
     connected_sum,
     reduce_rectangle_to_semihexagon,
     remove_forced,

@@ -67,14 +67,14 @@ def enumerate_lozenge_tilings(region: Region):
     return enumerate_tilings(region)
 
 
-def weighted_sh_genfun(region: Region, left_weight, right_weight, vertical_weight):
+def weighted_sh_genfun(region: Region, left_weight, right_weight):
     """Sum over tilings of the product of per-lozenge weights, exact.
 
-    Each weight argument is either a constant or a callable level -> weight.
-    The sum is computed by the weighted frontier DP, :func:`tiling_genfun_dp`.
+    Each weight argument is a constant or a callable level -> weight, and a
+    vertical lozenge weighs 1.  The sum is by the DP, :func:`tiling_genfun_dp`.
     """
     a = region.semihex_params[0]
-    weights = {LEFT: left_weight, RIGHT: right_weight, VERTICAL: vertical_weight}
+    weights = {LEFT: left_weight, RIGHT: right_weight, VERTICAL: LaurentPoly2.one()}
 
     def weight(pair):
         kind, level = classify_lozenge(pair, a)
@@ -86,12 +86,7 @@ def weighted_sh_genfun(region: Region, left_weight, right_weight, vertical_weigh
 
 def semihex_q_genfun(region: Region) -> LaurentPoly2:
     """Sum over tilings of q^(sum of (level+1) over left lozenges)."""
-    return weighted_sh_genfun(
-        region,
-        lambda k: LaurentPoly2.term(1, q=k + 1),
-        LaurentPoly2.one(),
-        LaurentPoly2.one(),
-    )
+    return weighted_sh_genfun(region, lambda k: LaurentPoly2.term(1, q=k + 1), LaurentPoly2.one())
 
 
 def top_bottom_paths(tiling: Tiling):

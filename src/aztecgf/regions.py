@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder,
@@ -211,6 +212,15 @@ def check_positions(m: int, n, s, error) -> tuple:
     return s
 
 
+MAX_CELLS = 1 << 18  # cells a region builder builds at most; at the bound the count DP takes seconds
+
+
+def _check_cells(cells: int, error) -> None:
+    """Refuse with ``error`` a region of more than MAX_CELLS cells, counted before it is built."""
+    if cells > MAX_CELLS:
+        raise error(f"a region of {cells} cells, over the region size limit of {MAX_CELLS} cells")
+
+
 def aztec_diamond(n: int) -> Region:
     """The Aztec diamond of order n: AR(n, n; 1, ..., n), every southeast square kept.
 
@@ -219,6 +229,7 @@ def aztec_diamond(n: int) -> Region:
     """
     if n < 1:
         raise InvalidOrder(f"order must be >= 1, got {n}")
+    _check_cells(2 * n * (n + 1), InvalidOrder)
     return Region("square", ("aztec_diamond", n), aztec_rectangle_with_holes(n, n, range(1, n + 1)).cells)
 
 
@@ -226,9 +237,11 @@ def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
     """Aztec rectangle AR_{m,n} keeping only the southeast squares at positions s.
 
     The full rectangle has 2mn + m + n cells; each of the n - m removed
-    southeast squares ("holes") drops one.
+    southeast squares ("holes") drops one, leaving 2mn + 2m, at most MAX_CELLS.
     """
-    return _ar_region(m, n, check_positions(m, n, s, InvalidHoles))
+    s = check_positions(m, n, s, InvalidHoles)
+    _check_cells(2 * m * n + 2 * m, InvalidHoles)
+    return _ar_region(m, n, s)
 
 
 def _ar_region(m: int, n: int, kept: tuple) -> Region:
@@ -243,12 +256,13 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     """Upper half of the a,b,b,a,b,b semi-regular hexagon with dents at s.
 
     Row y (1 = top) has b+y up-triangles and b+y-1 down-triangles; the a
-    up-triangles at base positions s are removed.  The remaining cell count
-    is always even.
+    up-triangles at base positions s are removed.  The remaining cell count,
+    2ab + a^2 - a, is always even and at most MAX_CELLS.
     """
     if a < 1 or b < 0:
         raise InvalidDents(f"need a >= 1 and b >= 0, got a={a}, b={b}")
     s = check_positions(a, a + b, s, InvalidDents)
+    _check_cells(2 * a * b + a * a - a, InvalidDents)
     cells = set()
     for y in range(1, a + 1):
         for x in range(1, b + y + 1):
@@ -269,9 +283,10 @@ class WeightedGraph:
 
     Vertex labels are arbitrary hashable values; the vertex tuple order fixes
     the "lowest-indexed vertex" rule that makes matching enumeration
-    deterministic.  A weight is stored as :func:`edge_weight` reads it, or
+    deterministic.  ``edges`` maps each (u, v) to its weight, or lists the
+    ((u, v), w) pairs.  A weight is stored as :func:`edge_weight` reads it, or
     as itself if a true quotient.  Instances are treated as immutable: every
-    transformation builds a new graph.
+    transformation builds a new graph, usually by :meth:`derive`.
     """
 
     __slots__ = ("vertices", "index", "_adj")
@@ -282,14 +297,14 @@ class WeightedGraph:
         if len(self.index) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         self._adj = adj = {v: {} for v in self.vertices}
-        for (u, v), w in edges.items():
+        for (u, v), w in edges.items() if isinstance(edges, dict) else edges:
             au, av = adj.get(u), adj.get(v)
             if au is None or av is None:
                 raise ValueError(f"edge endpoint not a vertex: {(u, v)!r}")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
             if v in au:
-                raise ValueError(f"duplicate edge {(u, v)!r}")
+                raise ValueError(f"duplicate edge {(u, v)!r}, parallel to one given before")
             if not isinstance(w, FracWeight) or w.is_polynomial():
                 w = edge_weight((u, v), w)
             if not w:
@@ -335,13 +350,13 @@ class WeightedGraph:
             out.append(row)
         return out
 
-    def without_vertices(self, drop):
+    def derive(self, drop=(), vertices=(), edges=()):
+        """A new graph: this one without the vertices in ``drop`` and their
+        edges, with ``vertices`` appended and the ``((u, v), w)`` pairs in
+        ``edges`` added.  An added edge that already exists raises ValueError."""
         drop = set(drop)
-        verts = [v for v in self.vertices if v not in drop]
-        edges = {
-            (u, v): w for (u, v), w in self.edge_items() if u not in drop and v not in drop
-        }
-        return WeightedGraph(verts, edges)
+        kept = (((u, v), w) for (u, v), w in self.edge_items() if u not in drop and v not in drop)
+        return WeightedGraph([v for v in self.vertices if v not in drop] + list(vertices), chain(kept, edges))
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):

@@ -4,10 +4,12 @@ Every rewrite applies a whole batch of local moves and builds one fresh
 graph; renewal also returns one delta per site, so a chain of rewrites
 accumulates an ordinary product:
 
-* ``vertex_split(g, splits)``:     M(result) = M(g)
-* ``star_scale(g, factors)``:      M(result) = (product of factors) * M(g)
-* ``spider_replace(g, patterns)``: M(g) = (product of the per-site deltas) * M(result)   (urban renewal)
-* ``remove_forced(g)``:            M(g) = M(result)
+* ``vertex_split(g, {v: half})``: M(result) = M(g)   (v' keeps ``half``, v'' the other neighbours)
+* ``star_scale(g, factors)``:     M(result) = (product of factors) * M(g)
+* ``spider_replace(g, sites)``:   M(g) = (product of the per-site deltas) * M(result)   (urban renewal)
+* ``remove_forced(g)``:           M(g) = M(result)
+
+A renewal site is its inner 4-cycle; the graph tells each inner vertex's plug.
 
 The pipeline at the bottom peels a weighted Aztec rectangle graph one
 diamond row at a time, each round one call per step: split every face
@@ -45,21 +47,19 @@ _ONE = LaurentPoly2.one()
 
 
 def vertex_split(graph: WeightedGraph, splits) -> WeightedGraph:
-    """Split every v in ``splits`` (v -> (half, rest)) at once; M is unchanged.
+    """Split every v in ``splits`` (v -> half) at once; M is unchanged.
 
-    Each v becomes v' (keeping its edges to ``half``), v'' (its edges to
-    ``rest``) and a middle vertex x adjacent to both by weight-1 edges.
-    Neighbors are named by their labels in ``graph``; ``half`` and ``rest``
-    must partition the neighborhood of v, and ``rest`` may be empty, in which
-    case v'' dangles from x.  The v'' and x vertices are appended in the
+    Each v becomes v' (keeping its edges to ``half``), v'' (its edges to the
+    rest of its neighbours) and a middle vertex x adjacent to both by
+    weight-1 edges.  Neighbours are named by their labels in ``graph``;
+    ``half`` must be a set of neighbours of v, and when it holds them all
+    v'' dangles from x.  The v'' and x vertices are appended in the
     iteration order of ``splits``.
     """
-    halves = {}
-    for v, (half, rest) in splits.items():
-        half, rest = set(half), set(rest)
-        if half | rest != set(graph.neighbors(v)) or half & rest:
-            raise InvalidPartition(f"sets do not partition the neighborhood of {v!r}")
-        halves[v] = half
+    halves = {v: set(half) for v, half in splits.items()}
+    for v, half in halves.items():
+        if not half <= graph.neighbors(v).keys():
+            raise InvalidPartition(f"{half!r} is not a set of neighbours of {v!r}")
 
     def end(v, other):  # the label of v's copy that keeps the edge to ``other``
         return v if v not in halves else ("vh" if other in halves[v] else "vk", v)
@@ -91,39 +91,38 @@ def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
     return WeightedGraph(graph.vertices, edges)
 
 
-@dataclass(frozen=True)
-class SpiderPattern:
-    """An urban-renewal site: outer plugs (A, B, C, D) in cyclic order, each
-    hanging by a weight-1 edge onto the matching inner cycle vertex; the
-    inner vertices must have no other neighbors."""
+def spider_replace(graph: WeightedGraph, sites):
+    """Urban renewal at every site in ``sites`` at once.
 
-    outer: tuple
-    inner: tuple
-
-
-def spider_replace(graph: WeightedGraph, patterns):
-    """Urban renewal at every site in ``patterns`` at once.
-
-    At each site, with inner cycle weights x = w(i0,i1), y = w(i1,i2),
-    z = w(i2,i3), t = w(i3,i0), the inner vertices disappear and the outer
+    A site is an inner 4-cycle (i0, i1, i2, i3) of ``graph``.  Each inner
+    vertex must have exactly one neighbour off the cycle, its outer plug,
+    hanging by a weight-1 leg; the four plugs and four inner vertices must
+    be distinct.  With cycle weights x = w(i0,i1), y = w(i1,i2),
+    z = w(i2,i3), t = w(i3,i0), the inner vertices disappear and the plug
     cycle gains edges z/delta, t/delta, x/delta, y/delta (each new edge takes
-    the opposite old weight), where delta = x*z + y*t.  Sites may share outer
+    the opposite old weight), where delta = x*z + y*t.  Sites may share
     plugs but no inner vertex, and no two may add the same edge.  Returns
-    (new graph, deltas), one delta per site in pattern order;
+    (new graph, deltas), one delta per site in order;
     M(old) = (product of the deltas) * M(new).
     """
     new_edges = {}
     deltas = []
-    for pattern in patterns:
-        outer, inner = pattern.outer, pattern.inner
-        if len(outer) != 4 or len(inner) != 4 or len(set(outer) | set(inner)) != 8:
+    plugs = set()
+    for inner in sites:
+        if len(inner) != 4 or not all(graph.has_edge(inner[k - 1], i) for k, i in enumerate(inner)):
+            raise PatternMismatch(f"{inner!r} is not a 4-cycle of the graph")
+        outer = []
+        for k, i in enumerate(inner):
+            off = graph.neighbors(i).keys() - {inner[k - 1], inner[(k + 1) % 4]}
+            if len(off) != 1:
+                raise PatternMismatch(f"inner vertex {i!r} has {len(off)} neighbours off its cycle, not 1")
+            o, = off
+            if graph.weight(o, i) != _ONE:
+                raise PatternMismatch(f"the leg {o!r} - {i!r} does not weigh 1")
+            outer.append(o)
+        if len(set(outer) | set(inner)) != 8:
             raise PatternMismatch("need 8 distinct vertices")
-        for o, i in zip(outer, inner):
-            if not graph.has_edge(o, i) or graph.weight(o, i) != _ONE:
-                raise PatternMismatch(f"missing weight-1 leg {o!r} - {i!r}")
-        for k, (i, o) in enumerate(zip(inner, outer)):
-            if set(graph.neighbors(i)) != {o, inner[(k + 1) % 4], inner[k - 1]}:
-                raise PatternMismatch(f"inner vertex {i!r} must neighbor exactly {o!r} and its cycle neighbors")
+        plugs.update(outer)
         x, y, z, t = (graph.weight(inner[k], inner[(k + 1) % 4]) for k in range(4))
         delta = x * z + y * t
         if not delta:
@@ -133,16 +132,13 @@ def spider_replace(graph: WeightedGraph, patterns):
             if graph.has_edge(u, v):
                 raise PatternMismatch(f"replacement edge {u!r} - {v!r} already exists")
             if (u, v) in new_edges or (v, u) in new_edges:
-                raise PatternMismatch(f"two patterns add the edge {u!r} - {v!r}")
+                raise PatternMismatch(f"two sites add the edge {u!r} - {v!r}")
             new_edges[(u, v)] = FracWeight(w, delta)
         deltas.append(delta)
-    inner_all = [i for p in patterns for i in p.inner]
-    if len(set(inner_all)) != len(inner_all) or set(inner_all) & {o for p in patterns for o in p.outer}:
-        raise PatternMismatch("an inner vertex belongs to more than one pattern")
-    g = graph.without_vertices(inner_all)
-    edges = g.edge_dict()
-    edges.update(new_edges)
-    return WeightedGraph(g.vertices, edges), deltas
+    inner_all = [i for inner in sites for i in inner]
+    if len(set(inner_all)) != len(inner_all) or plugs.intersection(inner_all):
+        raise PatternMismatch("an inner vertex belongs to more than one site")
+    return graph.derive(drop=inner_all, edges=new_edges.items()), deltas
 
 
 def remove_forced(graph: WeightedGraph) -> WeightedGraph:
@@ -170,7 +166,7 @@ def remove_forced(graph: WeightedGraph) -> WeightedGraph:
                         adj[nb].pop(dead, None)
                 adj[dead] = {}
             changed = True
-    return graph.without_vertices(removed)
+    return graph.derive(drop=removed)
 
 
 def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
@@ -189,14 +185,7 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
     extra = [v for v in g2.vertices if v not in ident]
     if any(v in g1.index for v in extra):
         raise ValueError("label collision between summands")
-    verts = list(g1.vertices) + extra
-    edges = g1.edge_dict()
-    for (u, v), w in g2.edge_items():
-        uu, vv = ident.get(u, u), ident.get(v, v)
-        if (uu, vv) in edges or (vv, uu) in edges:
-            raise ValueError(f"parallel edge at {(uu, vv)!r}")
-        edges[(uu, vv)] = w
-    return WeightedGraph(verts, edges)
+    return g1.derive(vertices=extra, edges=(((ident.get(u, u), ident.get(v, v)), w) for (u, v), w in g2.edge_items()))
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +229,12 @@ def row_reduction_check(m: int, n: int, a, b, c, d) -> RowReduction:
     pairs = [(sq(k + 1, k), ("gadget", k + 1)) for k in range(n)]
     lhs = matching_genfun(connected_sum(left, gadget, pairs))
 
-    shrunk = full_weighted_rectangle(m, n - 1, a.shift(dq=1), b, c, d)
-    shrunk = shrunk.without_vertices(sq(h, h - 1) for h in range(1, n))
-    verts = list(shrunk.vertices)
-    edges = shrunk.edge_dict()
-    for k in range(1, n + 1):
-        peg = ("peg", k)
-        verts.append(peg)
-        edges[(sq(k - 1, k - 1), peg)] = LaurentPoly2.one()
-    right = WeightedGraph(verts, edges)
-    pairs = [(("peg", k + 1), ("gadget", k + 1)) for k in range(n)]
-    rhs_m = matching_genfun(connected_sum(right, _path_gadget(n, pad), pairs))
+    pegs = [("peg", k) for k in range(1, n + 1)]
+    right = full_weighted_rectangle(m, n - 1, a.shift(dq=1), b, c, d).derive(
+        drop=[sq(h, h - 1) for h in range(1, n)], vertices=pegs,
+        edges=[((sq(k - 1, k - 1), peg), _ONE) for k, peg in enumerate(pegs, 1)])
+    pairs = [(peg, ("gadget", k)) for k, peg in enumerate(pegs, 1)]
+    rhs_m = matching_genfun(connected_sum(right, gadget, pairs))
     factor = ((a * d + b * c) ** m).shift(dq=m * (m - 1) // 2)
     return RowReduction(lhs, factor * rhs_m)
 
@@ -285,16 +269,9 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     semihexagon.
     """
     a, b, c, d = face_weights(a, b, c, d)
-    kept = set(check_positions(m, n, s, InvalidHoles))
-    g = full_weighted_rectangle(m, n, a, b, c, d)
-    verts = list(g.vertices)
-    edges = g.edge_dict()
-    for h in range(1, n + 1):
-        if h not in kept:
-            peg = ("hole", h)
-            verts.append(peg)
-            edges[(sq(h, h - 1), peg)] = LaurentPoly2.one()
-    g = WeightedGraph(verts, edges)
+    holes = [h for h in range(1, n + 1) if h not in check_positions(m, n, s, InvalidHoles)]
+    g = full_weighted_rectangle(m, n, a, b, c, d).derive(
+        vertices=[("hole", h) for h in holes], edges=[((sq(h, h - 1), ("hole", h)), _ONE) for h in holes])
 
     faces = ar_face_cells(m, n)
     factor = _ONE
@@ -303,19 +280,14 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
         mu, nu = m - r + 1, n - r + 1
         # corner -> (face, corner index) in the first sorted face holding it: the reversed sweep lets it win
         first_face = {v: (key, ci) for key in sorted(faces, reverse=True) for ci, v in enumerate(faces[key])}
-        splits = {}
-        for v in g.vertices:
-            if v in first_face:
-                key, ci = first_face[v]
-                half = {faces[key][(ci + 1) % 4], faces[key][ci - 1]}
-                splits[v] = (half, set(g.neighbors(v)) - half)
-        g = vertex_split(g, splits)
-        patterns = [SpiderPattern(tuple(("x", v) for v in quad),
-                                  tuple(("vh" if first_face[v] == (key, ci) else "vk", v) for ci, v in enumerate(quad)))
-                    for key, quad in sorted(faces.items())]
-        g, deltas = spider_replace(g, patterns)
+        # v' keeps v's two neighbours on that face
+        g = vertex_split(g, {v: {faces[key][(ci + 1) % 4], faces[key][ci - 1]}
+                             for v in g.vertices if v in first_face for key, ci in [first_face[v]]})
+        sites = [tuple(("vh" if first_face[v] == (key, ci) else "vk", v) for ci, v in enumerate(quad))
+                 for key, quad in sorted(faces.items())]
+        g, deltas = spider_replace(g, sites)
         delta = dict(zip(sorted(faces), deltas))  # face -> its renewal delta
-        spiders += len(patterns)
+        spiders += len(sites)
         g = remove_forced(g)
         # q * (a face's own delta) at its east corner clears every quotient; the last column's deltas stay behind
         scales = {("x", faces[(i, j)][2]): delta[(i, j)].shift(dq=1) for i in range(1, mu + 1) for j in range(1, nu)}

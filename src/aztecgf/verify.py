@@ -254,7 +254,7 @@ def suite_rewrite():
         v = rng.choice(g.vertices)
         nbrs = sorted(g.neighbors(v))
         half = {u for u in nbrs if rng.random() < 0.5}
-        split = rewrite.vertex_split(g, {v: (half, set(nbrs) - half)})
+        split = rewrite.vertex_split(g, {v: half})
         yield f"rewrite vertex_split case {case:02d}", matching_genfun(split) == matching_genfun(g)
     for case in range(50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
@@ -266,8 +266,8 @@ def suite_rewrite():
             matching_genfun(scaled) == matching_genfun(g) * factor,
         )
     for case in range(50):
-        g, pattern = _random_spider_host(rng)
-        replaced, (delta,) = rewrite.spider_replace(g, [pattern])
+        g, site = _random_spider_host(rng)
+        replaced, (delta,) = rewrite.spider_replace(g, [site])
         yield (
             f"rewrite spider case {case:02d}",
             matching_genfun(g) == delta * matching_genfun(replaced),
@@ -283,7 +283,7 @@ def suite_rewrite():
 
 
 def _random_spider_host(rng):
-    """A random graph with an urban-renewal site glued onto four of its vertices.
+    """A random graph with a renewal site glued onto four of its vertices, and the site's 4-cycle.
 
     Edges between cyclically consecutive plugs are dropped so the replacement
     never collides with an existing edge.
@@ -301,7 +301,7 @@ def _random_spider_host(rng):
         edges[(o, i)] = LaurentPoly2.one()
     for k in range(4):
         edges[(inner[k], inner[(k + 1) % 4])] = _random_weight(rng)
-    return WeightedGraph(verts, edges), rewrite.SpiderPattern(tuple(outer), tuple(inner))
+    return WeightedGraph(verts, edges), tuple(inner)
 
 
 def suite_pipeline():
@@ -328,7 +328,7 @@ def _chain_ok(m, n, s, a, b, c, d, matchings):
     start = matchings(weighted_ar_graph(m, n, s, a, b, c, d))
     final = matchings(res.graph)
     m_tilde = lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
-                                         lambda k: LaurentPoly2.term(a, q=k + 1), b, 1)
+                                         lambda k: LaurentPoly2.term(a, q=k + 1), b)
     return (
         res.factor_matches()
         and start == res.factor * final

@@ -192,38 +192,55 @@ def test_bench_mismatch_exits_1(monkeypatch, capsys):
     assert captured.out.count("\n") == 1  # the header only
 
 
-def test_invalid_flags_exit_2(tmp_path):
-    assert run_cli("count", "--region", "rect", check=False).returncode == 2
-    assert run_cli("genfun", "--m", "2", "--n", "2", check=False).returncode == 2
-    assert run_cli("verify", "--suite", "nonsense", check=False).returncode == 2
-    assert run_cli("genfun", "--m", "2", "--n", "2", "--holes", "x,y", check=False).returncode == 2
-    # semantically invalid values are rejected cleanly too
+def cli_exit(capsys, *argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)`` run in this process."""
+    from aztecgf import cli
+
+    return (cli.main(list(argv)), *capsys.readouterr())
+
+
+def parser_exit(capsys, *argv):
+    """The same for flags the argument parser rejects: it raises SystemExit."""
+    from aztecgf import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_invalid_flags_exit_2(tmp_path, capsys):
+    assert parser_exit(capsys, "count", "--region", "rect")[0] == 2
+    assert parser_exit(capsys, "genfun", "--m", "2", "--n", "2")[0] == 2
+    assert parser_exit(capsys, "verify", "--suite", "nonsense")[0] == 2
+    assert parser_exit(capsys, "genfun", "--m", "2", "--n", "2", "--holes", "x,y")[0] == 2
+    # semantically invalid values are rejected cleanly too, also by the real entry point
     assert run_cli("genfun", "--m", "2", "--n", "4", "--holes", "1,2,3", check=False).returncode == 2
-    assert run_cli("count", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,9", check=False).returncode == 2
+    assert cli_exit(capsys, "genfun", "--m", "2", "--n", "4", "--holes", "1,2,3")[0] == 2
+    assert cli_exit(capsys, "count", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,9")[0] == 2
     # too many tilings to enumerate: refused before the search starts
-    brute = run_cli("genfun", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7", "--method", "brute", check=False)
-    assert brute.returncode == 2 and brute.stderr.startswith(b"error: ")
+    code, _, err = cli_exit(capsys, "genfun", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7", "--method", "brute")
+    assert code == 2 and err.startswith("error: ")
     # the backtracker would run for days: refused by the closed-form count, dp still answers
     for region in (("aztec", "--order", "8"), ("rect", "--m", "5", "--n", "7", "--holes", "1,2,4,6,7"),
                    ("semihex", "--a", "6", "--b", "12", "--dents", "1,4,7,10,13,16")):
-        enum = subprocess.run([sys.executable, "-m", "aztecgf.cli", "count", "--region", *region],
-                              capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
-        assert enum.returncode == 2 and enum.stderr.startswith(b"error: ") and b"dp" in enum.stderr
-        assert run_cli("count", "--region", *region, "--method", "dp").returncode == 0
+        code, _, err = cli_exit(capsys, "count", "--region", *region)
+        assert code == 2 and err.startswith("error: ") and "dp" in err
+        assert cli_exit(capsys, "count", "--region", *region, "--method", "dp")[0] == 0
     # a tiling index is checked against the closed-form count before the walk
-    for index in ("99999999999", "-1", "300000"):
-        walk = subprocess.run([sys.executable, "-m", "aztecgf.cli", "render", "--region", "aztec", "--order", "8",
-                               "--tiling", index, "--format", "ascii"],
-                              capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
-        assert walk.returncode == 2 and b"error: " in walk.stderr
-    assert b"limit" in walk.stderr  # 300000 < 2^36 tilings, but the region is past MAX_BRUTE_TILINGS
-    assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "7").returncode == 0
-    assert run_cli("render", "--region", "aztec", "--order", "2", "--tiling", "8", check=False).returncode == 2
-    order0 = run_cli("count", "--region", "aztec", "--order", "0", check=False)
-    assert order0.returncode == 2 and order0.stderr.startswith(b"error: ")
+    walk = ("render", "--region", "aztec", "--order", "8", "--format", "ascii", "--tiling")
+    for index in ("99999999999", "-1"):  # out of range
+        code, _, err = parser_exit(capsys, *walk, index)
+        assert code == 2 and "error: " in err
+    code, _, err = cli_exit(capsys, *walk, "300000")
+    assert code == 2 and "error: " in err
+    assert "limit" in err  # 300000 < 2^36 tilings, but the region is past MAX_BRUTE_TILINGS
+    assert cli_exit(capsys, "render", "--region", "aztec", "--order", "2", "--tiling", "7")[0] == 0
+    assert parser_exit(capsys, "render", "--region", "aztec", "--order", "2", "--tiling", "8")[0] == 2
+    code, _, err = cli_exit(capsys, "count", "--region", "aztec", "--order", "0")
+    assert code == 2 and err.startswith("error: ")
     for order in ("0", "-3"):
-        bench = run_cli("bench", "--order", order, check=False)
-        assert bench.returncode == 2 and bench.stdout == b"" and bench.stderr.startswith(b"error: order")
+        code, out, err = cli_exit(capsys, "bench", "--order", order)
+        assert code == 2 and out == "" and err.startswith("error: order")
     # unreadable serialized regions: missing, not JSON, unknown kind
     (tmp_path / "bad.json").write_text("not json")
     (tmp_path / "kind.json").write_text(json.dumps({"kind": "blob", "params": []}))
@@ -234,8 +251,34 @@ def test_invalid_flags_exit_2(tmp_path):
     (tmp_path / "type.json").write_text(json.dumps({"kind": "aztec_rectangle", "params": [2, 3, 5]}))
     for name in ("missing.json", "bad.json", "kind.json", "nokind.json", "noparams.json", "array.json",
                  "arity.json", "type.json"):
-        out = run_cli("render", "--in", str(tmp_path / name), check=False)
-        assert out.returncode == 2 and out.stderr.startswith(b"error: ")
+        code, _, err = cli_exit(capsys, "render", "--in", str(tmp_path / name))
+        assert code == 2 and err.startswith("error: ")
+
+
+def test_region_builders_refuse_oversized_regions_from_their_parameters(monkeypatch, capsys):
+    # a region's cell count follows from its parameters (2mn + 2m for a holey
+    # rectangle, 2ab + a^2 - a for a dented semihexagon, 2n(n + 1) for a
+    # diamond), so a thin region of millions of cells is refused before one
+    # cell is built
+    from aztecgf import regions
+
+    # built at the bound, 2^18 cells: the brute-force cell limit refuses it, the region limit does not
+    code, _, err = cli_exit(capsys, "count", "--region", "semihex", "--a", "1", "--b", "131072", "--dents", "1")
+    assert code == 2 and err.startswith("error: a region of 262144 cells, over the brute-force limit")
+
+    def no_build(*args):
+        raise AssertionError("built a region it refuses")
+
+    monkeypatch.setattr(regions, "ar_face_cells", no_build)
+    monkeypatch.setattr(regions, "up", no_build)
+    for argv, cells in ((["count", "--region", "semihex", "--a", "1", "--b", "131073", "--dents", "1"], 262146),
+                        (["count", "--region", "rect", "--m", "1", "--n", "1000000", "--holes", "1"], 2000002),
+                        (["count", "--region", "semihex", "--a", "1", "--b", "1000000", "--dents", "1"], 2000000),
+                        (["count", "--region", "semihex", "--a", "1", "--b", "1000000", "--dents", "1",
+                          "--method", "dp"], 2000000),
+                        (["render", "--region", "aztec", "--order", "400"], 320800)):
+        assert cli_exit(capsys, *argv) == (
+            2, "", f"error: a region of {cells} cells, over the region size limit of 262144 cells\n")
 
 
 def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys):

@@ -162,6 +162,18 @@ def test_weighted_graph_canonicalises_and_refuses_weights():
         WeightedGraph([0, 1], {(0, 1): 1, (1, 0): 2})
 
 
+def test_derive_drops_appends_and_adds_in_one_graph():
+    g = WeightedGraph([0, 1, 2], {(0, 1): 2, (1, 2): 3})
+    h = g.derive(drop=[2], vertices=["x"], edges=[((1, "x"), 5)])
+    assert h.vertices == (0, 1, "x") and h.edge_dict() == {(0, 1): 2, (1, "x"): 5}
+    # an added edge that already exists is refused, in either orientation
+    for u, v in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="duplicate edge"):
+            g.derive(edges=[((u, v), 7)])
+    with pytest.raises(ValueError, match="not a vertex"):
+        g.derive(drop=[2], edges=[((1, 2), 1)])
+
+
 def test_weighted_graph_all_ones_pure_q():
     g = weighted_ar_graph(3, 4, (1, 2, 4), 1, 1, 1, 1)
     for _, w in g.edge_items():

@@ -22,7 +22,6 @@ from aztecgf.regions import (
 )
 from aztecgf.rewrite import (
     FracWeight,
-    SpiderPattern,
     connected_sum,
     reduce_rectangle_to_semihexagon,
     remove_forced,
@@ -52,24 +51,24 @@ def spider_host(x, y, z, t):
         ("ic", "id"): LaurentPoly2.const(z),
         ("id", "ia"): LaurentPoly2.const(t),
     }
-    pattern = SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "id"))
-    return WeightedGraph(verts, edges), pattern
+    return WeightedGraph(verts, edges), ("ia", "ib", "ic", "id")
 
 
 def test_vertex_split_single_edge():
     g = WeightedGraph([0, 1], {(0, 1): LaurentPoly2.const(7)})
-    split = vertex_split(g, {0: ({1}, set())})
+    split = vertex_split(g, {0: {1}})
     assert matching_genfun(split) == matching_genfun(g)
-    # empty "rest" side leaves v'' dangling from x
+    # a half holding every neighbour leaves v'' dangling from x
     assert split.degree(("vk", 0)) == 1
 
 
 def test_vertex_split_bad_partition():
     g = WeightedGraph([0, 1, 2], {(0, 1): ONE, (0, 2): ONE})
+    # the half must be among the neighbours: 3 is no vertex, 2 is no neighbour of 1
     with pytest.raises(InvalidPartition):
-        vertex_split(g, {0: ({1}, set())})
+        vertex_split(g, {0: {1, 3}})
     with pytest.raises(InvalidPartition):
-        vertex_split(g, {0: ({1, 2}, {2})})
+        vertex_split(g, {1: {2}})
 
 
 def test_star_scale():
@@ -104,16 +103,39 @@ def test_spider_zero_delta_and_mismatch():
     with pytest.raises(ZeroDelta):
         spider_replace(g, [pattern])
     g, pattern = spider_host(1, 1, 1, 1)
-    bad = SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "A2"))
-    with pytest.raises(PatternMismatch):
-        spider_replace(g, [bad])
-    with pytest.raises(PatternMismatch, match="8 distinct"):
-        spider_replace(g, [SpiderPattern(("A", "B", "C", "D"), ("ia", "ib", "ic", "A"))])
-    for extra, message in ((("ia", "C2"), "must neighbor exactly"), (("A", "B"), "already exists")):
+    # a cycle with a foreign vertex
+    with pytest.raises(PatternMismatch, match="not a 4-cycle"):
+        spider_replace(g, [("ia", "ib", "ic", "A2")])
+    for extra, message in ((("ia", "C2"), "has 2 neighbours off its cycle"), (("A", "B"), "already exists")):
         edges = g.edge_dict()
         edges[extra] = ONE
         with pytest.raises(PatternMismatch, match=message):
             spider_replace(WeightedGraph(g.vertices, edges), [pattern])
+
+
+def test_spider_site_plugs_come_from_the_graph():
+    g, site = spider_host(1, 2, 3, 4)
+    replaced, (delta,) = spider_replace(g, [site])
+    # the plugs A..D are the inner vertices' neighbours off the cycle, and
+    # the same cycle read from another vertex is the same site
+    assert [replaced.has_edge(u, v) for u, v in ("AB", "BC", "CD", "DA")] == [True] * 4
+    assert spider_replace(g, [site[1:] + site[:1]]) == (replaced, [delta])
+
+    def edited(drop=(), add=None):
+        edges = {e: w for e, w in g.edge_dict().items() if e not in drop}
+        return WeightedGraph(g.vertices, {**edges, **(add or {})})
+
+    for host, sites, message in (
+        (g, [site[:3]], "not a 4-cycle"),
+        (edited(drop=[("A", "ia")]), [site], "ia' has 0 neighbours off its cycle"),
+        (edited(add={("ia", "C2"): ONE}), [site], "ia' has 2 neighbours off its cycle"),
+        (edited(add={("A", "ia"): LaurentPoly2.const(2)}), [site], "does not weigh 1"),
+        (edited(drop=[("B", "ib")], add={("A", "ib"): ONE}), [site], "8 distinct"),  # two legs from A
+        (edited(add={("A", "B"): ONE}), [site], "already exists"),
+        (g, [site, site], "two sites add"),
+    ):
+        with pytest.raises(PatternMismatch, match=message):
+            spider_replace(host, sites)
 
 
 def test_remove_forced():
@@ -184,11 +206,26 @@ def test_pipeline_detailed():
     final = matching_genfun(res.graph)
     assert start == res.factor * final
     sh = semihexagon_with_dents(m, n - m, s)
-    m_tilde = weighted_sh_genfun(
-        sh, lambda k: LaurentPoly2.term(a, q=k + 1), LaurentPoly2.const(b), ONE
-    )
+    m_tilde = weighted_sh_genfun(sh, lambda k: LaurentPoly2.term(a, q=k + 1), LaurentPoly2.const(b))
     assert final == m_tilde
     assert start == res.target_factor * m_tilde
+
+
+def test_pipeline_builds_one_graph_per_rewrite_step(monkeypatch):
+    # the start graph and its hole pegs, then per round one split, one
+    # renewal, one trim and one rescale
+    built = []
+    init = WeightedGraph.__init__
+
+    def counted(self, vertices, edges):
+        built.append(self)
+        init(self, vertices, edges)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counted)
+    for m in range(1, 5):
+        built.clear()
+        reduce_rectangle_to_semihexagon(m, 2 * m, range(2, 2 * m + 1, 2), 2, 3, 1, 5)
+        assert len(built) == 2 + 4 * m
 
 
 _TERMS = st.builds(lambda c, eq, et: LaurentPoly2.term(c, q=eq, t=et),
@@ -260,7 +297,7 @@ def _spider_sites(rng, count):
         for k in range(4):
             edges[(outer[k], inner[k])] = ONE
             edges[(inner[k], inner[(k + 1) % 4])] = _random_weight(rng)
-        patterns.append(SpiderPattern(tuple(outer), tuple(inner)))
+        patterns.append(tuple(inner))
     return WeightedGraph(verts, edges), patterns
 
 
@@ -270,13 +307,11 @@ def test_batched_rewrites_equal_one_at_a_time():
         g = _random_graph(rng, rng.randrange(6, 11, 2))
         splits = {}
         for v in rng.sample(g.vertices, rng.randint(2, 4)):
-            half = {u for u in g.neighbors(v) if rng.random() < 0.5}
-            splits[v] = (half, set(g.neighbors(v)) - half)
+            splits[v] = {u for u in g.neighbors(v) if rng.random() < 0.5}
         one_by_one = g
-        for v, (half, _) in splits.items():
-            nbrs = set(one_by_one.neighbors(v))
-            cur = {u for u in nbrs if _original(u) in half}
-            one_by_one = vertex_split(one_by_one, {v: (cur, nbrs - cur)})
+        for v, half in splits.items():
+            cur = {u for u in one_by_one.neighbors(v) if _original(u) in half}
+            one_by_one = vertex_split(one_by_one, {v: cur})
         batched = vertex_split(g, splits)
         assert batched == one_by_one and batched.vertices == one_by_one.vertices
         assert matching_genfun(batched) == matching_genfun(one_by_one) == matching_genfun(g)
@@ -309,11 +344,11 @@ def test_spider_patterns_must_not_interfere():
         edges[(o, i)] = ONE
     for k, (u, v) in enumerate((("ja", "jb"), ("jb", "jc"), ("jc", "jd"), ("jd", "ja"))):
         edges[(u, v)] = LaurentPoly2.const(k + 1)
-    twin = SpiderPattern(first.outer, ("ja", "jb", "jc", "jd"))
+    twin = ("ja", "jb", "jc", "jd")
     doubled = WeightedGraph(verts, edges)
     for pattern in (first, twin):
         spider_replace(doubled, [pattern])
-    with pytest.raises(PatternMismatch):
+    with pytest.raises(PatternMismatch, match="two sites add the edge"):
         spider_replace(doubled, [first, twin])
     # a site whose plug "ia" is the first site's inner vertex and whose inner
     # ring runs through the first site's plug "A"
@@ -323,9 +358,9 @@ def test_spider_patterns_must_not_interfere():
     verts.remove("A2")
     edges.update({("A", "p"): ONE, ("p", "r"): ONE, ("r", "s"): ONE, ("s", "A"): ONE,
                   ("p", "P"): ONE, ("r", "R"): ONE, ("s", "S"): ONE})
-    nested = SpiderPattern(("ia", "P", "R", "S"), ("A", "p", "r", "s"))
+    nested = ("A", "p", "r", "s")  # its plugs are ia, P, R and S
     crossed = WeightedGraph(verts, edges)
     for pattern in (first, nested):
         spider_replace(crossed, [pattern])
-    with pytest.raises(PatternMismatch):
+    with pytest.raises(PatternMismatch, match="more than one site"):
         spider_replace(crossed, [first, nested])

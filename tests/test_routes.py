@@ -161,7 +161,7 @@ PAIRS = {
         }),
     "pipeline endpoint vs weighted semihexagon": (
         lambda x: engine.matching_genfun(x["final"]),
-        lambda x: lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1], 1), {}),
+        lambda x: lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1]), {}),
 }
 
 
