@@ -13,6 +13,7 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 import aztecgf as az
+from aztecgf.formulas import peel_target_factor
 from aztecgf.lozenge import weighted_sh_genfun
 from aztecgf.poly import LaurentPoly2
 from aztecgf.rewrite import reduce_rectangle_to_semihexagon
@@ -24,8 +25,9 @@ res = reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
 print(f"peeled AR({m}, {n}) keeping {s} with (a, b, c, d) = (2, 3, 1/2, 5)")
 print("renewals applied:", res.spider_count)
 print("accumulated factor:", res.factor.to_text())
-print("closed-form target:", res.target_factor.to_text())
-print("factor matches:", res.factor_matches())
+target = peel_target_factor(m, a, b, c, d)
+print("closed-form target:", target.to_text())
+print("factor matches:", res.factor == target)
 
 start = az.matching_genfun(az.weighted_ar_graph(m, n, s, a, b, c, d))
 final = az.matching_genfun(res.graph)

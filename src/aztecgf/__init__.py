@@ -22,7 +22,6 @@ from .formulas import (
     count_product,
     prefactor_exponent,
     rectangle_genfun,
-    relation_check,
     shifted_content_exponent,
     weighted_rectangle_matching_genfun,
 )
@@ -50,7 +49,6 @@ from .rewrite import (
     connected_sum,
     reduce_rectangle_to_semihexagon,
     remove_forced,
-    row_reduction_check,
     spider_replace,
     star_scale,
     vertex_split,

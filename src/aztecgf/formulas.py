@@ -1,14 +1,14 @@
 """Closed-form product formulas, returned as exact polynomials.
 
 Each function here has an independent computational counterpart elsewhere in
-the package (brute-force enumeration, the weighted DP, or the plane-partition
-enumerator); the verification suites assert exact equality between the two
-routes at desk scale.  Nothing in this module enumerates anything.
+the package (brute-force enumeration, the weighted DP, the plane-partition
+enumerator or the peeling pipeline); the suites in :mod:`aztecgf.verify`
+assert exact equality between the two routes at desk scale.  Nothing in this
+module enumerates anything, and it imports nothing from the matching engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidDents, InvalidHoles, InvalidOrder
@@ -21,7 +21,7 @@ from .poly import (
     q_ratio_product,
     slot_bits,
 )
-from .regions import aztec_rectangle_with_holes, check_positions, face_weights, semihexagon_with_dents
+from .regions import check_positions, face_weights
 
 
 def shifted_content_exponent(m: int, s) -> int:
@@ -139,27 +139,3 @@ def count_product(m: int, s) -> int:
     assert val.denominator == 1
     return int(val)
 
-
-@dataclass(frozen=True)
-class RelationCheck:
-    """Both sides of the domino/lozenge count relation, brute forced."""
-
-    lhs: int
-    rhs: int
-
-    def holds(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def relation_check(m: int, n: int, s) -> RelationCheck:
-    """Count both sides of
-    |domino tilings of the holey rectangle| =
-    2^(m(m+1)/2) * |lozenge tilings of the dented semihexagon|,
-    each by exhaustive enumeration (no product formulas involved).
-    """
-    from .engine import count_tilings
-
-    s = tuple(s)
-    lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
-    rhs_count = count_tilings(semihexagon_with_dents(m, n - m, s))
-    return RelationCheck(lhs, 2 ** (m * (m + 1) // 2) * rhs_count)

@@ -492,7 +492,7 @@ def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     quotient is a single big-int division (see :func:`q_ratio_packed`).
     """
     s = tuple(s)
-    if any(x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
+    if any(type(x) is not int or x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise InvalidDents("s must be a strictly increasing sequence of positive integers")
     if not isinstance(alpha, int) or alpha < 1:
         raise InvalidWeight(f"alpha must be a positive integer, got {alpha!r}")

@@ -199,11 +199,13 @@ def sweep_key(c: Cell):
 
 
 def check_positions(m: int, n, s, error) -> tuple:
-    """``s`` as a tuple, after checking 1 <= m <= n and 1 <= s_1 < ... < s_m <= n;
-    ``n=None`` sets no upper bound.  Raises ``error`` (an :class:`AztecError`
-    subclass) on any violation.
+    """``s`` as a tuple, after checking that its entries are ints (not bools),
+    1 <= m <= n and 1 <= s_1 < ... < s_m <= n; ``n=None`` sets no upper bound.
+    Raises ``error`` (an :class:`AztecError` subclass) on any violation.
     """
     s = tuple(s)
+    if any(type(x) is not int for x in s):
+        raise error(f"positions must be integers, got {s}")
     n = max((m, *s)) if n is None else n
     if not 1 <= m <= n:
         raise error(f"need 1 <= m <= n, got m={m}, n={n}")

@@ -217,8 +217,7 @@ def rank_distances(region: Region) -> dict:
     ``MAX_BRUTE_TILINGS`` tilings.
     """
     check_enumerable(region)
-    m, n, s = region.rect_params
-    root = minimal_tiling(m, n, s).mask
+    root = paths_to_tiling(minimal_path_family(*region.rect_params), region).mask
     blocks = _flip_blocks(region)
     dist = {root: 0}
     queue = deque((root,))

@@ -22,9 +22,14 @@ Corpus bounds (exact equality everywhere, no tolerances):
             path-decomposition counts, m<=4, n<=8.
 * relation: domino count == 2^(m(m+1)/2) * lozenge count, m<=4, n<=7.
 * rewrite:  the three local rewrites against brute force on 50 seeded random
-            graphs each; the row-reduction identity; the full peeling
-            pipeline's factor, endpoint and closed form, by the backtracker
-            for m<=2, n<=3 and by the graph DP for m<=6, m<=n<=2m.
+            graphs each; the row-reduction identity, whose two sides
+            :func:`row_reduction_sides` builds here; the full peeling
+            pipeline's factor against the closed-form target, its endpoint
+            and the closed form, by the backtracker for m<=2, n<=3 and by
+            the graph DP for m<=6, m<=n<=2m.
+
+The library routes return only what they compute; every comparison between
+two routes is made here.
 """
 
 from __future__ import annotations
@@ -34,14 +39,17 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import formulas, lozenge, rewrite, stats
-from .engine import enumerate_tilings, graph_genfun_dp, matching_genfun, tiling_genfun_dp
+from .engine import count_tilings, enumerate_tilings, graph_genfun_dp, matching_genfun, tiling_genfun_dp
 from .poly import LaurentPoly2, falling_ratio, q_ratio_product
 from .regions import (
     WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
     dual_graph,
+    face_weights,
+    full_weighted_rectangle,
     semihexagon_with_dents,
+    sq,
     weighted_ar_graph,
 )
 
@@ -219,8 +227,9 @@ def suite_relation():
     for m in range(1, 5):
         for n in range(m, 8):
             for s in kept_sets(n, m):
-                rc = formulas.relation_check(m, n, s)
-                ok = rc.holds() and rc.lhs == formulas.count_product(m, s)
+                lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
+                rhs = count_tilings(semihexagon_with_dents(m, n - m, s))
+                ok = lhs == 2 ** (m * (m + 1) // 2) * rhs == formulas.count_product(m, s)
                 yield f"relation m={m} n={n} s={s}", ok
 
 
@@ -277,9 +286,42 @@ def suite_rewrite():
             ok = True
             for _ in range(2):
                 a, b, c, d = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(4))
-                ok = ok and rewrite.row_reduction_check(m, n, a, b, c, d).holds()
+                lhs, rhs = row_reduction_sides(m, n, a, b, c, d)
+                ok = ok and lhs == rhs
             yield f"rewrite row_reduction m={m} n={n}", ok
     yield from suite_pipeline()
+
+
+def _path_gadget(count: int, parity_pad: bool) -> WeightedGraph:
+    length = count + (1 if parity_pad else 0)
+    verts = [("gadget", k) for k in range(1, length + 1)]
+    edges = {(("gadget", k), ("gadget", k + 1)): LaurentPoly2.one() for k in range(1, length)}
+    return WeightedGraph(verts, edges)
+
+
+def row_reduction_sides(m: int, n: int, a, b, c, d):
+    """Both sides of one row-elimination step, each by brute force.
+
+    lhs is M of the full weighted rectangle graph glued along its southeast
+    side ``sq(h, h-1)``, h = 1..n, to a path-graph gadget; rhs is
+    (ad+bc)^m * q^(m(m-1)/2) times M of the one-row-shorter graph (a
+    replaced by a*q) with its southeast side removed and pendant vertical
+    edges, glued to the same gadget.  The gadget is padded by one
+    vertex when m + n is odd so that both sides actually have matchings.
+    """
+    a, b, c, d = face_weights(a, b, c, d)
+    left = full_weighted_rectangle(m, n, a, b, c, d)
+    gadget = _path_gadget(n, (m + n) % 2 == 1)
+    pairs = [(sq(k + 1, k), ("gadget", k + 1)) for k in range(n)]
+    lhs = matching_genfun(rewrite.connected_sum(left, gadget, pairs))
+
+    pegs = [("peg", k) for k in range(1, n + 1)]
+    right = full_weighted_rectangle(m, n - 1, a.shift(dq=1), b, c, d).derive(
+        drop=[sq(h, h - 1) for h in range(1, n)], vertices=pegs,
+        edges=[((sq(k - 1, k - 1), peg), LaurentPoly2.one()) for k, peg in enumerate(pegs, 1)])
+    pairs = [(peg, ("gadget", k)) for k, peg in enumerate(pegs, 1)]
+    rhs_m = matching_genfun(rewrite.connected_sum(right, gadget, pairs))
+    return lhs, ((a * d + b * c) ** m).shift(dq=m * (m - 1) // 2) * rhs_m
 
 
 def _random_spider_host(rng):
@@ -325,15 +367,16 @@ def suite_pipeline():
 def _chain_ok(m, n, s, a, b, c, d, matchings):
     """The chain's equalities, each matching sum M computed by ``matchings``."""
     res = rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
+    target = formulas.peel_target_factor(m, a, b, c, d)
     start = matchings(weighted_ar_graph(m, n, s, a, b, c, d))
     final = matchings(res.graph)
     m_tilde = lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
                                          lambda k: LaurentPoly2.term(a, q=k + 1), b)
     return (
-        res.factor_matches()
+        res.factor == target
         and start == res.factor * final
         and final == m_tilde
-        and start == res.target_factor * m_tilde
+        and start == target * m_tilde
         and start == formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
     )
 

@@ -255,6 +255,18 @@ def test_invalid_flags_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_region_file_positions_must_be_ints(tmp_path, capsys):
+    # a fractional or boolean position is refused by the builder, before a
+    # count or a cell lookup meets it, whether or not a tiling is asked for
+    for kind, params in (("aztec_rectangle", [2, 3, [1.5, 2]]), ("semihexagon", [2, 1, [1.5, 3]]),
+                         ("semihexagon", [2, 1, [True, 3]])):
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps({"kind": kind, "params": params}))
+        for extra in ((), ("--tiling", "0")):
+            code, out, err = cli_exit(capsys, "render", "--in", str(path), *extra)
+            assert (code, out) == (2, "") and err.startswith("error: positions must be integers")
+
+
 def test_region_builders_refuse_oversized_regions_from_their_parameters(monkeypatch, capsys):
     # a region's cell count follows from its parameters (2mn + 2m for a holey
     # rectangle, 2ab + a^2 - a for a dented semihexagon, 2n(n + 1) for a

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from aztecgf.engine import matching_genfun
+from aztecgf.engine import count_tilings, matching_genfun
 from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, NegativeExponent
 from aztecgf.formulas import (
     aztec_diamond_genfun,
@@ -12,12 +12,11 @@ from aztecgf.formulas import (
     cspp_genfun_product,
     prefactor_exponent,
     rectangle_genfun,
-    relation_check,
     shifted_content_exponent,
     weighted_rectangle_matching_genfun,
 )
 from aztecgf.poly import LaurentPoly2
-from aztecgf.regions import weighted_ar_graph
+from aztecgf.regions import aztec_rectangle_with_holes, semihexagon_with_dents, weighted_ar_graph
 from aztecgf.stats import genfun_bruteforce
 
 TQ = LaurentPoly2.term(1, q=1, t=1)
@@ -106,11 +105,11 @@ def test_cspp_product_examples():
 
 
 def test_relation_examples():
-    rc = relation_check(3, 6, (1, 4, 6))
-    assert rc.holds() and rc.lhs == 960 == 64 * 15
-    rc = relation_check(1, 1, (1,))
-    assert rc.holds() and rc.lhs == 2
-    assert relation_check(2, 4, (1, 3)).holds()
+    # dominoes(AR) = 2^(m(m+1)/2) * lozenges(SH), both sides counted by the search: 960 = 64 * 15
+    for m, n, s, dominoes, lozenges in ((3, 6, (1, 4, 6), 960, 15), (1, 1, (1,), 2, 1), (2, 4, (1, 3), 16, 2)):
+        assert count_tilings(aztec_rectangle_with_holes(m, n, s)) == dominoes
+        assert count_tilings(semihexagon_with_dents(m, n - m, s)) == lozenges
+        assert dominoes == 2 ** (m * (m + 1) // 2) * lozenges
 
 
 def test_negative_exponent_guard():

@@ -134,7 +134,7 @@ def test_q_ratio_product_rejects_bad_input():
         q_ratio_product((2, 1), 1)
     with pytest.raises(ValueError):
         q_ratio_product((1, 2, 2), 1)
-    for s in ((2, 1), (1, 2, 2), (0, 1)):
+    for s in ((2, 1), (1, 2, 2), (0, 1), (1.5, 3), (True, 3)):  # positions are ints, and a bool is not one
         with pytest.raises(InvalidDents):
             q_ratio_product(s, 2)
     # alpha must be a positive int

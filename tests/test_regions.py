@@ -21,7 +21,8 @@ from aztecgf.regions import (
     sq,
     weighted_ar_graph,
 )
-from aztecgf.rewrite import reduce_rectangle_to_semihexagon, row_reduction_check
+from aztecgf.rewrite import reduce_rectangle_to_semihexagon
+from aztecgf.verify import row_reduction_sides
 
 
 def translate(cells):
@@ -67,6 +68,9 @@ def test_invalid_holes():
         aztec_rectangle_with_holes(2, 4, (1, 5))
     with pytest.raises(InvalidHoles):
         aztec_rectangle_with_holes(3, 2, (1, 2))
+    for s in ((1.5, 2), (True, 3), (1, 2.0)):  # positions are ints, and a bool is not one
+        with pytest.raises(InvalidHoles, match="integers"):
+            aztec_rectangle_with_holes(2, 3, s)
 
 
 def test_semihexagon_counts():
@@ -80,6 +84,9 @@ def test_semihexagon_counts():
             assert len(semihexagon_with_dents(a, b, s).cells) % 2 == 0
     with pytest.raises(InvalidDents):
         semihexagon_with_dents(2, 1, (1, 4))
+    for s in ((1.5, 3), (True, 3)):
+        with pytest.raises(InvalidDents, match="integers"):
+            semihexagon_with_dents(2, 1, s)
 
 
 def test_dual_graph_counts():
@@ -126,7 +133,7 @@ FACE_WEIGHT_ROUTES = {
     "weighted_ar_graph": lambda a: weighted_ar_graph(2, 3, (1, 3), a, 3, 5, 7),
     "full_weighted_rectangle": lambda a: full_weighted_rectangle(2, 3, a, 3, 5, 7),
     "reduce_rectangle_to_semihexagon": lambda a: reduce_rectangle_to_semihexagon(2, 3, (1, 3), a, 3, 5, 7),
-    "row_reduction_check": lambda a: row_reduction_check(2, 3, a, 3, 5, 7),
+    "row_reduction_sides": lambda a: row_reduction_sides(2, 3, a, 3, 5, 7),
     "peel_target_factor": lambda a: peel_target_factor(2, a, 3, 5, 7),
     "weighted_rectangle_matching_genfun": lambda a: weighted_rectangle_matching_genfun(2, 3, (1, 3), a, 3, 5, 7),
 }

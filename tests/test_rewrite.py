@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from aztecgf.engine import graph_genfun_dp, matching_genfun
 from aztecgf.errors import InvalidHoles, InvalidPartition, InvalidWeight, PatternMismatch, ZeroDelta
-from aztecgf.formulas import weighted_rectangle_matching_genfun
+from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_genfun
 from aztecgf.lozenge import weighted_sh_genfun
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import (
@@ -25,12 +25,11 @@ from aztecgf.rewrite import (
     connected_sum,
     reduce_rectangle_to_semihexagon,
     remove_forced,
-    row_reduction_check,
     spider_replace,
     star_scale,
     vertex_split,
 )
-from aztecgf.verify import _random_graph, _random_weight
+from aztecgf.verify import _random_graph, _random_weight, row_reduction_sides
 
 ONE = LaurentPoly2.one()
 
@@ -190,17 +189,18 @@ def test_row_reduction():
     for m, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
         for _ in range(2):
             a, b, c, d = (Fraction(rng.randint(1, 8), rng.randint(1, 4)) for _ in range(4))
-            rr = row_reduction_check(m, n, a, b, c, d)
-            assert rr.holds(), (m, n, a, b, c, d)
-    rr = row_reduction_check(1, 2, 1, 1, 1, 1)
-    assert rr.lhs.evaluate(1, 1) == rr.rhs.evaluate(1, 1)
+            lhs, rhs = row_reduction_sides(m, n, a, b, c, d)
+            assert lhs == rhs, (m, n, a, b, c, d)
+    lhs, rhs = row_reduction_sides(1, 2, 1, 1, 1, 1)
+    assert lhs.evaluate(1, 1) == rhs.evaluate(1, 1)
 
 
 def test_pipeline_detailed():
     m, n, s = 2, 3, (1, 3)
     a, b, c, d = Fraction(2), Fraction(3), Fraction(1, 2), Fraction(5)
     res = reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
-    assert res.factor_matches()
+    target = peel_target_factor(m, a, b, c, d)
+    assert res.factor == target
     assert res.spider_count == m * n + (m - 1) * (n - 1)
     start = matching_genfun(weighted_ar_graph(m, n, s, a, b, c, d))
     final = matching_genfun(res.graph)
@@ -208,7 +208,7 @@ def test_pipeline_detailed():
     sh = semihexagon_with_dents(m, n - m, s)
     m_tilde = weighted_sh_genfun(sh, lambda k: LaurentPoly2.term(a, q=k + 1), LaurentPoly2.const(b))
     assert final == m_tilde
-    assert start == res.target_factor * m_tilde
+    assert start == target * m_tilde
 
 
 def test_pipeline_builds_one_graph_per_rewrite_step(monkeypatch):
@@ -256,10 +256,11 @@ def test_polynomial_face_weights_agree_on_every_route(rect, weights):
     start = matching_genfun(graph)
     assert start == weighted_rectangle_matching_genfun(m, n, s, *weights) == graph_genfun_dp(graph)
     res = reduce_rectangle_to_semihexagon(m, n, s, *weights)
-    assert res.factor_matches()
+    assert res.factor == peel_target_factor(m, *weights)
     assert start == res.factor * matching_genfun(res.graph) == res.factor * graph_genfun_dp(res.graph)
     if m <= 2 <= n:
-        assert row_reduction_check(m, n, *weights).holds()
+        lhs, rhs = row_reduction_sides(m, n, *weights)
+        assert lhs == rhs
 
 
 def test_pipeline_diamond_degenerates_to_empty_graph():

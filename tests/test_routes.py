@@ -155,10 +155,7 @@ PAIRS = {
         }),
     "pipeline factor vs target": (
         lambda x: rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).factor,
-        lambda x: formulas.peel_target_factor(AR[0], *DRAW), {
-            "formulas.peel_target_factor": "the pipeline copies the target into its result; its factor "
-                                           "is a product of renewal deltas",
-        }),
+        lambda x: formulas.peel_target_factor(AR[0], *DRAW), {}),
     "pipeline endpoint vs weighted semihexagon": (
         lambda x: engine.matching_genfun(x["final"]),
         lambda x: lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1]), {}),

@@ -255,6 +255,18 @@ def test_genfun_bruteforce_examples():
     assert genfun_bruteforce(2, 2, (1, 2)) == aztec_diamond_genfun(2)
 
 
+def test_genfun_bruteforce_builds_its_region_once(monkeypatch):
+    # the rank BFS roots at the minimal tiling of the region it is handed, not of a rebuilt copy
+    from aztecgf import regions, stats
+
+    built = []
+    build = regions._ar_region
+    monkeypatch.setattr(regions, "_ar_region", lambda *args: built.append(args) or build(*args))
+    stats.rank_distances.cache_clear()
+    genfun_bruteforce(3, 5, (1, 3, 4))
+    assert built == [(3, 5, (1, 3, 4))]
+
+
 def test_genfun_via_weights_matches_bruteforce():
     for m, n, s in ((1, 1, (1,)), (1, 3, (2,)), (2, 3, (1, 3)), (3, 3, (1, 2, 3)), (2, 4, (2, 4))):
         assert genfun_via_weights(m, n, s) == genfun_bruteforce(m, n, s)
