@@ -27,7 +27,7 @@ t0 = time.perf_counter()
 big = az.tiling_genfun_dp(az.aztec_diamond(12))
 print(f"order 12: dp {big} ({time.perf_counter() - t0:.3f}s), 2^78 = {2**78}")
 
-t_min = az.minimal_tiling(3, 6, (1, 4, 6))
+t_min = az.minimal_tiling(az.aztec_rectangle_with_holes(3, 6, (1, 4, 6)))
 print("\nminimal tiling of AR(3, 6) keeping (1, 4, 6):\n")
 print(render_ascii(t_min.region, t_min))
 

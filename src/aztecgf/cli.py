@@ -156,7 +156,7 @@ def cmd_render(args):
     tiling = None
     if args.tiling is not None:
         if args.tiling == "minimal":
-            tiling = stats.minimal_tiling(*region.rect_params)
+            tiling = stats.minimal_tiling(region)
         else:
             try:
                 index = int(args.tiling)

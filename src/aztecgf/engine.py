@@ -294,7 +294,7 @@ def matching_genfun(graph: WeightedGraph):
     perfect matching, and the leaves are counted per key.  Each distinct key
     adds its count times the product of its contents, shifted by its summed
     shifts, and the total is divided by (L * D)^(n / 2) once at the end; the
-    result is a ``LaurentPoly2``, or a ``FracWeight`` when D is not 1.
+    result is a ``LaurentPoly2`` unless it is a true quotient.
     Values are never packed: this oracle shares no arithmetic with the DP it
     checks.
     """

@@ -36,8 +36,8 @@ class InvalidDents(AztecError, ValueError):
 
 class InvalidWeight(AztecError, ValueError):
     """A face or graph edge weight is zero, a DP tile weight has a negative
-    coefficient, or a weight is none of int, Fraction, Laurent polynomial
-    and FracWeight over 1 (a graph edge may also be a true quotient)."""
+    coefficient, or a weight is none of int, Fraction and Laurent polynomial
+    (a graph edge may also be a FracWeight, a true quotient)."""
 
 
 class InvalidTiling(AztecError, ValueError):

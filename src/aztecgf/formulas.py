@@ -81,12 +81,12 @@ def _diamond_product(n: int, bits: int) -> PackedPoly:
 def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     """Closed form of F(q, t) = sum over tilings of q^rank * t^vstat.
 
-    Assembled as a single monomial prefactor times the diamond-style product
-    times the alpha=2 q-ratio product, all packed at the slot width of the
-    tiling count (the value at q = t = 1, which bounds every coefficient):
-    one big-int product per power of t, then one decode.  Checked to be a
-    polynomial (a negative exponent surviving would mean a transcription
-    bug, and raises).
+    Assembled as the packed diamond-style product times two one-monomial
+    weights, the alpha=2 q-ratio product and the prefactor, all at the slot
+    width of the tiling count (the value at q = t = 1, which bounds every
+    coefficient): one big-int product per power of t, then one decode.
+    Checked to be a polynomial (a negative exponent surviving would mean a
+    transcription bug, and raises).
     """
     s = check_positions(m, n, s, InvalidHoles)
     bits = slot_bits(count_product(m, s))
@@ -118,7 +118,7 @@ def weighted_rectangle_matching_genfun(m: int, n: int, s, a, b, c, d) -> Laurent
     a, b, c, d = face_weights(a, b, c, d)
     dsp = displacement(s)
     out = peel_target_factor(m, a, b, c, d) * (a**dsp * b ** (m * (n - m) - dsp)).shift(dq=dsp)
-    return (out * q_ratio_product(s, 1)).require_polynomial()
+    return (out * q_ratio_product(s)).require_polynomial()
 
 
 def cspp_genfun_product(s, m: int) -> LaurentPoly2:
@@ -129,7 +129,7 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
     q^i) with D = sum(s_i - i).
     """
     s = check_positions(m, None, s, InvalidDents)  # the positions have no upper bound
-    return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s, 1)).require_polynomial()
+    return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s)).require_polynomial()
 
 
 def count_product(m: int, s) -> int:

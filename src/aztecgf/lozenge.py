@@ -70,16 +70,15 @@ def enumerate_lozenge_tilings(region: Region):
 def weighted_sh_genfun(region: Region, left_weight, right_weight):
     """Sum over tilings of the product of per-lozenge weights, exact.
 
-    Each weight argument is a constant or a callable level -> weight, and a
-    vertical lozenge weighs 1.  The sum is by the DP, :func:`tiling_genfun_dp`.
+    A left lozenge at level k weighs ``left_weight(k)``, a right one the
+    constant ``right_weight`` and a vertical one 1.  The sum is by the DP,
+    :func:`tiling_genfun_dp`.
     """
     a = region.semihex_params[0]
-    weights = {LEFT: left_weight, RIGHT: right_weight, VERTICAL: LaurentPoly2.one()}
 
     def weight(pair):
         kind, level = classify_lozenge(pair, a)
-        w = weights[kind]
-        return w(level) if callable(w) else w
+        return left_weight(level) if kind == LEFT else right_weight if kind == RIGHT else 1
 
     return tiling_genfun_dp(region, weight)
 

@@ -17,10 +17,11 @@ non-negative integer coefficients, one big int per power of ``t`` holding the
 ``q = 2**bits``).  Each result leaves through one :meth:`PackedPoly.decode`
 into a ``LaurentPoly2``.
 
-A :class:`FracWeight` is a quotient of two ``LaurentPoly2`` values, reduced
-whenever the division is exact: the edge weight that graph rewrites leave
-behind when a renewal divides by a binomial.  Quotients are only multiplied
-and compared (by cross-multiplication); they have no sum and no hash.
+A :class:`FracWeight` is a true quotient of two ``LaurentPoly2`` values: the
+edge weight that graph rewrites leave behind when a renewal divides by a
+binomial.  An exact quotient is never one: building it returns the
+``LaurentPoly2`` itself.  Quotients are only multiplied and compared (by
+cross-multiplication); they have no sum and no hash.
 :func:`~aztecgf.engine.matching_genfun`, the one place that sums them,
 writes them over one common denominator first.
 
@@ -35,7 +36,7 @@ from functools import reduce
 from math import prod
 from operator import add
 
-from .errors import InexactDivision, InvalidDents, InvalidWeight, NegativeExponent, PoleAtZero
+from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
 
 
 def _coeff(x) -> Fraction:
@@ -328,61 +329,40 @@ def as_poly(x) -> LaurentPoly2:
     return LaurentPoly2.const(_coeff(x))
 
 
-_ONE = LaurentPoly2.one()
-
-
 class FracWeight:
-    """A quotient of two Laurent polynomials, reduced whenever division is exact."""
+    """A true quotient of two Laurent polynomials.
+
+    ``FracWeight(num, den)`` returns ``num.exact_div(den)``, a
+    ``LaurentPoly2``, whenever ``den`` divides ``num`` (zero included), so a
+    ``FracWeight`` is never a polynomial and never zero.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        num = as_poly(num)
-        den = _ONE if den is None else as_poly(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = _ONE
-        elif den != _ONE:
-            try:
-                num = num.exact_div(den)
-                den = _ONE
-            except InexactDivision:
-                pass
-        self.num = num
-        self.den = den
-
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
-
-    def __bool__(self):
-        return bool(self.num)
-
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, FracWeight):
-            return x
-        if isinstance(x, (int, Fraction, LaurentPoly2)):
-            return FracWeight(as_poly(x))
-        return None
+    def __new__(cls, num, den):
+        num, den = as_poly(num), as_poly(den)
+        try:
+            return num.exact_div(den)
+        except InexactDivision:
+            self = super().__new__(cls)
+            self.num, self.den = num, den
+            return self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FracWeight(self.num * o.num, self.den * o.den)
+        if isinstance(other, FracWeight):
+            return FracWeight(self.num * other.num, self.den * other.den)
+        if isinstance(other, (int, Fraction, LaurentPoly2)):
+            return FracWeight(self.num * other, self.den)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num * o.den == o.num * self.den
+        if isinstance(other, FracWeight):
+            return self.num * other.den == other.num * self.den
+        return False if isinstance(other, (int, Fraction, LaurentPoly2)) else NotImplemented
 
     def __repr__(self):
-        if self.is_polynomial():
-            return f"FracWeight({self.num})"
         return f"FracWeight(({self.num}) / ({self.den}))"
 
 
@@ -410,8 +390,8 @@ class PackedPoly:
     coefficients (for non-negative ones, the value at q = t = 1) with
     :func:`slot_bits`.
 
-    The right operand of ``*`` is another ``PackedPoly`` or a weight built by
-    :func:`packed_weight`.  A value enters as ``PackedPoly.one() * weight``
+    The right operand of ``*`` is a weight built by :func:`packed_weight` or
+    :func:`q_ratio_packed`.  A value enters as ``PackedPoly.one() * weight``
     and leaves through :meth:`decode`.  Rows dicts may be shared between
     values and are never mutated.
     """
@@ -450,17 +430,11 @@ class PackedPoly:
             rows[et] = rows[et] + x if et in rows else x
         return PackedPoly(rows, lo.shift, lo.dt)
 
-    def __mul__(self, other) -> "PackedPoly":
-        if isinstance(other, PackedPoly):
-            out = {}
-            for ta, xa in self.rows.items():
-                for tb, xb in other.rows.items():
-                    out[ta + tb] = out.get(ta + tb, 0) + xa * xb
-            return PackedPoly(out, self.shift + other.shift, self.dt + other.dt)
+    def __mul__(self, weight) -> "PackedPoly":
         terms = [
             PackedPoly(self.rows if c == 1 else {et: x * c for et, x in self.rows.items()},
                        self.shift + shift, self.dt + dt)
-            for dt, c, shift in other
+            for dt, c, shift in weight
         ]
         return reduce(add, terms) if terms else PackedPoly({})
 
@@ -481,11 +455,11 @@ def packed_weight(poly: LaurentPoly2, bits: int, scale: int = 1) -> tuple:
     return tuple(out)
 
 
-def q_ratio_product(s, alpha: int) -> LaurentPoly2:
-    """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i)).
+def q_ratio_product(s) -> LaurentPoly2:
+    """prod_{i<j} (q^s_j - q^s_i) / (q^j - q^i).
 
     ``s`` must be strictly increasing and positive, so s_i >= i (else
-    InvalidDents), and ``alpha`` a positive integer (else InvalidWeight); the quotient is then a polynomial in q with non-negative
+    InvalidDents); the quotient is then a polynomial in q with non-negative
     integer coefficients (a q-analogue of prod (s_j - s_i)/(j - i)), whose
     value at q = 1 is :func:`falling_ratio`.
     That value bounds every coefficient, so one slot width suffices and the
@@ -494,20 +468,20 @@ def q_ratio_product(s, alpha: int) -> LaurentPoly2:
     s = tuple(s)
     if any(type(x) is not int or x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise InvalidDents("s must be a strictly increasing sequence of positive integers")
-    if not isinstance(alpha, int) or alpha < 1:
-        raise InvalidWeight(f"alpha must be a positive integer, got {alpha!r}")
     bits = slot_bits(int(falling_ratio(s)))
-    return q_ratio_packed(s, alpha, bits).decode(bits)
+    return (PackedPoly.one() * q_ratio_packed(s, 1, bits)).decode(bits)
 
 
-def q_ratio_packed(s, alpha: int, bits: int) -> PackedPoly:
-    """The q-ratio product of a valid ``s`` (see :func:`q_ratio_product`),
-    packed at ``bits``, which must exceed every coefficient.
+def q_ratio_packed(s, alpha: int, bits: int) -> tuple:
+    """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i))
+    for a valid ``s`` (see :func:`q_ratio_product`), as the one-monomial
+    right operand of ``PackedPoly * ...`` at ``bits``, which must exceed
+    every coefficient.
 
     Each factor q^(alpha*b) - q^(alpha*a) is q^(alpha*a) (q^(alpha*(b-a)) - 1):
-    the powers of q collect into the value's shift and the rest is evaluated
-    at q = 2**bits, where the polynomial quotient is the exact integer
-    quotient.
+    the powers of q collect into the monomial's shift and the rest is
+    evaluated at q = 2**bits, where the polynomial quotient is the exact
+    integer quotient.
     """
     m = len(s)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
@@ -517,7 +491,7 @@ def q_ratio_packed(s, alpha: int, bits: int) -> PackedPoly:
     value, rem = divmod(num, den)
     if rem:
         raise InexactDivision("q-ratio numerator is not divisible by its denominator")
-    return PackedPoly({0: value}, low * bits)
+    return ((0, value, low * bits),)
 
 
 def falling_ratio(s) -> Fraction:

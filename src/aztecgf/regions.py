@@ -199,10 +199,12 @@ def sweep_key(c: Cell):
 
 
 def check_positions(m: int, n, s, error) -> tuple:
-    """``s`` as a tuple, after checking that its entries are ints (not bools),
-    1 <= m <= n and 1 <= s_1 < ... < s_m <= n; ``n=None`` sets no upper bound.
-    Raises ``error`` (an :class:`AztecError` subclass) on any violation.
+    """``s`` as a tuple, after checking that m, n and each position are ints
+    (not bools), 1 <= m <= n and 1 <= s_1 < ... < s_m <= n (``n=None`` sets no
+    upper bound).  Raises ``error``, an :class:`AztecError` subclass, otherwise.
     """
+    if type(m) is not int or type(n) not in (int, type(None)):
+        raise error(f"sizes must be integers, got m={m!r}, n={n!r}")
     s = tuple(s)
     if any(type(x) is not int for x in s):
         raise error(f"positions must be integers, got {s}")
@@ -229,6 +231,8 @@ def aztec_diamond(n: int) -> Region:
     It has the rectangle's cells, 2n(n+1) in all, under its own key
     ``("aztec_diamond", n)``.
     """
+    if type(n) is not int:
+        raise InvalidOrder(f"order must be an integer, got {n!r}")
     if n < 1:
         raise InvalidOrder(f"order must be >= 1, got {n}")
     _check_cells(2 * n * (n + 1), InvalidOrder)
@@ -261,6 +265,8 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     up-triangles at base positions s are removed.  The remaining cell count,
     2ab + a^2 - a, is always even and at most MAX_CELLS.
     """
+    if type(a) is not int or type(b) is not int:
+        raise InvalidDents(f"sizes must be integers, got a={a!r}, b={b!r}")
     if a < 1 or b < 0:
         raise InvalidDents(f"need a >= 1 and b >= 0, got a={a}, b={b}")
     s = check_positions(a, a + b, s, InvalidDents)
@@ -286,9 +292,9 @@ class WeightedGraph:
     Vertex labels are arbitrary hashable values; the vertex tuple order fixes
     the "lowest-indexed vertex" rule that makes matching enumeration
     deterministic.  ``edges`` maps each (u, v) to its weight, or lists the
-    ((u, v), w) pairs.  A weight is stored as :func:`edge_weight` reads it, or
-    as itself if a true quotient.  Instances are treated as immutable: every
-    transformation builds a new graph, usually by :meth:`derive`.
+    ((u, v), w) pairs.  A ``FracWeight`` is stored as it is, every other
+    weight as :func:`edge_weight` reads it.  Instances are treated as
+    immutable: every transformation builds a new graph, usually by :meth:`derive`.
     """
 
     __slots__ = ("vertices", "index", "_adj")
@@ -307,7 +313,7 @@ class WeightedGraph:
                 raise ValueError(f"self-loop at {u!r}")
             if v in au:
                 raise ValueError(f"duplicate edge {(u, v)!r}, parallel to one given before")
-            if not isinstance(w, FracWeight) or w.is_polynomial():
+            if not isinstance(w, FracWeight):
                 w = edge_weight((u, v), w)
             if not w:
                 raise InvalidWeight(f"weight of {(u, v)!r} is zero")
@@ -383,16 +389,13 @@ def dual_graph(region: Region, weight=None) -> WeightedGraph:
 
 
 def edge_weight(edge, w) -> LaurentPoly2:
-    """The one type rule for weights: ``w``, an int, ``Fraction``, ``LaurentPoly2``
-    or ``FracWeight`` over 1, as a LaurentPoly2; anything else raises
-    InvalidWeight naming ``edge``.  Each caller adds its own value rule."""
-    if isinstance(w, FracWeight) and w.is_polynomial():
-        return w.num
+    """The one type rule for weights: ``w``, an int, ``Fraction`` or
+    ``LaurentPoly2``, as a LaurentPoly2; anything else raises InvalidWeight
+    naming ``edge``.  Each caller adds its own value rule."""
     try:
         return as_poly(w)
     except TypeError:
-        raise InvalidWeight(f"weight of {edge} is {w!r}, not an int, Fraction, "
-                            "Laurent polynomial or FracWeight over 1") from None
+        raise InvalidWeight(f"weight of {edge} is {w!r}, not an int, Fraction or Laurent polynomial") from None
 
 
 def ar_face_cells(m: int, n: int):

@@ -17,10 +17,10 @@ diamond row at a time, each round one call per step: split every face
 corner, renew every face, trim the forced boundary chains, then rescale the
 surviving column vertices back to canonical weights.  Renewal divides
 weights by delta = x*z + y*t, which for rows past the first is a genuine
-binomial in q, so mid-round weights live in :class:`FracWeight` (a quotient
-of Laurent polynomials); the round's star rescalings clear every
-denominator, the graph stores each quotient over 1 as its numerator, and
-the round checks that no quotient survives before the next one.  Each star
+binomial in q, so mid-round weights live in :class:`FracWeight` (a true
+quotient of Laurent polynomials); the round's star rescalings clear every
+denominator, each quotient that divides out becomes its polynomial, and the
+round checks that no quotient survives before the next one.  Each star
 factor is q times the renewal delta of its own face, so the round's deltas
 and star factors cancel down to the last column's deltas over a power of
 q, and the factor is a plain product with no division.

@@ -217,7 +217,7 @@ def rank_distances(region: Region) -> dict:
     ``MAX_BRUTE_TILINGS`` tilings.
     """
     check_enumerable(region)
-    root = paths_to_tiling(minimal_path_family(*region.rect_params), region).mask
+    root = minimal_tiling(region).mask
     blocks = _flip_blocks(region)
     dist = {root: 0}
     queue = deque((root,))
@@ -306,12 +306,11 @@ def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
     return SchroderPathFamily(m, n, s, tuple(paths)).validate()
 
 
-def minimal_tiling(m: int, n: int, s) -> Tiling:
-    """The rank-0 tiling, from :func:`minimal_path_family`: a strip of
-    m - (h_i - i) up-type verticals beside the i-th hole h_i, horizontals
-    elsewhere."""
-    region = aztec_rectangle_with_holes(m, n, s)
-    return paths_to_tiling(minimal_path_family(m, n, s), region)
+def minimal_tiling(region: Region) -> Tiling:
+    """The rank-0 tiling of an Aztec rectangle or diamond, from
+    :func:`minimal_path_family`: a strip of m - (h_i - i) up-type verticals
+    beside the i-th hole h_i, horizontals elsewhere."""
+    return paths_to_tiling(minimal_path_family(*region.rect_params), region)
 
 
 def rank_via_paths(tiling: Tiling) -> int:

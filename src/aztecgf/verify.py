@@ -91,7 +91,7 @@ def suite_rank():
     """Rank equivalence and path identities on every tiling, m<=3, n<=5."""
     for m, n, s in _ar_corpus(3, 5):
         region = aztec_rectangle_with_holes(m, n, s)
-        t0 = stats.minimal_tiling(m, n, s)
+        t0 = stats.minimal_tiling(region)
         ok = stats.rank_bfs(region, t0) == 0
         min_area = None
         zero_rank = 0
@@ -189,7 +189,7 @@ def suite_lozenge():
                 region = semihexagon_with_dents(m, n - m, s)
                 tilings = list(lozenge.enumerate_lozenge_tilings(region))
                 ratio = falling_ratio(s)
-                ok = len(tilings) == ratio == q_ratio_product(s, 1).evaluate(1, 1)
+                ok = len(tilings) == ratio == q_ratio_product(s).evaluate(1, 1)
                 holes = [h for h in range(1, n + 1) if h not in set(s)]
                 seen_pis = set()
                 for tiling in tilings:

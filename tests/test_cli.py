@@ -267,6 +267,31 @@ def test_region_file_positions_must_be_ints(tmp_path, capsys):
             assert (code, out) == (2, "") and err.startswith("error: positions must be integers")
 
 
+def test_region_file_sizes_must_be_ints(tmp_path, capsys):
+    # a boolean or fractional size is refused by its builder's typed error
+    # before any comparison or range meets it, with or without a tiling
+    for kind, params in (("aztec_diamond", [True]), ("aztec_rectangle", [True, 2, [2]]),
+                         ("semihexagon", [1, True, [2]]), ("aztec_diamond", [1.5])):
+        path = tmp_path / "region.json"
+        path.write_text(json.dumps({"kind": kind, "params": params}))
+        for extra in ((), ("--tiling", "0")):
+            code, out, err = cli_exit(capsys, "render", "--in", str(path), *extra)
+            assert (code, out) == (2, "") and err.startswith("error: ") and "integer" in err, err
+            assert "Traceback" not in err
+
+
+def test_render_minimal_builds_one_region(monkeypatch, capsys):
+    # the minimal tiling is laid on the region render already holds
+    from aztecgf import regions
+
+    built = []
+    build = regions._ar_region
+    monkeypatch.setattr(regions, "_ar_region", lambda *args: built.append(args) or build(*args))
+    code, out, _ = cli_exit(capsys, "render", "--region", "aztec", "--order", "3", "--tiling", "minimal",
+                            "--format", "ascii")
+    assert code == 0 and out and built == [(3, 3, (1, 2, 3))]
+
+
 def test_region_builders_refuse_oversized_regions_from_their_parameters(monkeypatch, capsys):
     # a region's cell count follows from its parameters (2mn + 2m for a holey
     # rectangle, 2ab + a^2 - a for a dented semihexagon, 2n(n + 1) for a

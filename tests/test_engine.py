@@ -74,25 +74,22 @@ def test_matching_genfun_cancels_and_handles_empty_and_unmatchable_graphs():
     assert matching_genfun(star) == LaurentPoly2.zero()
 
 
-def weight_products(graph, unit):
+def weight_products(graph):
     """Sum over enumerate_matchings of the product of edge weights, multiplied
-    one by one from ``unit``: a route that shares no arithmetic with
-    matching_genfun.  With a ``FracWeight`` unit the products are summed over
-    one common denominator: the (n / 2)-th power of the product of the
-    distinct edge denominators, which every product's denominator divides.
-    Adding the quotients themselves would multiply their denominators
-    together at each add."""
+    one by one: a route that shares no arithmetic with matching_genfun.  The
+    products are summed over one common denominator: the (n / 2)-th power of
+    the product of the distinct edge denominators, which every quotient
+    product's denominator divides.  Adding the quotients themselves would
+    multiply their denominators together at each add."""
     dens = dict.fromkeys(w.den for _, w in graph.edge_items() if isinstance(w, FracWeight))
     common = prod(dens, start=LaurentPoly2.one()) ** (graph.n // 2)
-    total = None
+    total = LaurentPoly2.zero()
     for matching in enumerate_matchings(graph):
-        w = unit
+        w = LaurentPoly2.one()
         for u, v in matching:
             w = w * graph.weight(u, v)
-        if isinstance(w, FracWeight):
-            w = w.num * common.exact_div(w.den)
-        total = w if total is None else total + w
-    return FracWeight(total, common) if isinstance(unit, FracWeight) else total
+        total = total + (w.num * common.exact_div(w.den) if isinstance(w, FracWeight) else w * common)
+    return FracWeight(total, common)
 
 
 def random_matchable_graph(rng, weight, most, fewest=2):
@@ -119,7 +116,7 @@ def test_matching_genfun_with_multi_term_rational_laurent_weights():
 
     for case in range(60):
         g = random_matchable_graph(rng, weight, 12)
-        assert matching_genfun(g) == weight_products(g, LaurentPoly2.one()), case
+        assert matching_genfun(g) == weight_products(g), case
 
 
 def test_matching_genfun_with_quotient_weights():
@@ -142,10 +139,10 @@ def test_matching_genfun_with_quotient_weights():
     # multiplying the denominators, could not afford
     for case in range(48):
         g = random_matchable_graph(rng, weight, 8) if case < 40 else random_matchable_graph(rng, weight, 12, 12)
-        expected = weight_products(g, FracWeight(1))
+        expected = weight_products(g)
         got = matching_genfun(g)
         assert got == expected and expected == got, case
-        quotients += isinstance(got, FracWeight) and not got.is_polynomial()
+        quotients += isinstance(got, FracWeight)
     assert quotients >= 26  # most sums keep a denominator
 
 
@@ -160,8 +157,8 @@ def test_matching_genfun_with_one_quotient_written_two_ways():
     mixed = WeightedGraph(range(6), edges)
     single = WeightedGraph(range(6), {e: one_way if w == one_way else w for e, w in edges.items()})
     got = matching_genfun(mixed)
-    assert got == weight_products(mixed, FracWeight(1)) == matching_genfun(single)
-    assert isinstance(got, FracWeight) and not got.is_polynomial()
+    assert got == weight_products(mixed) == matching_genfun(single)
+    assert isinstance(got, FracWeight)
 
 
 @st.composite
@@ -185,7 +182,7 @@ def spread_weighted_graphs(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(spread_weighted_graphs())
 def test_matching_genfun_equals_weight_products_on_wide_spreads(graph):
-    assert matching_genfun(graph) == weight_products(graph, LaurentPoly2.one())
+    assert matching_genfun(graph) == weight_products(graph)
 
 
 def test_matching_genfun_fills_every_key_field():
@@ -400,16 +397,16 @@ def test_weights_the_sums_cannot_read_raise_invalid_weight():
     for _ in range(2):
         host, pattern = verify._random_spider_host(rng)
     replaced, _ = rewrite.spider_replace(host, [pattern])
-    assert any(isinstance(w, FracWeight) and not w.is_polynomial() for _, w in replaced.edge_items())
+    assert any(isinstance(w, FracWeight) for _, w in replaced.edge_items())
     with pytest.raises(InvalidWeight, match="weight of"):
         graph_genfun_dp(replaced)
     with pytest.raises(InvalidWeight, match="weight of"):
         tiling_genfun_dp(aztec_diamond(2), lambda d: 0.5)
     with pytest.raises(InvalidWeight, match="weight of"):
         matching_genfun(dual_graph(aztec_diamond(2), lambda d: 0.5))
-    # a quotient over 1 is read as its numerator
-    over_one = FracWeight(LaurentPoly2.term(3, q=1))
-    assert tiling_genfun_dp(aztec_diamond(1), lambda d: over_one) == 2 * LaurentPoly2.term(9, q=2)
+    # an exact quotient is its polynomial
+    exact = FracWeight(LaurentPoly2.term(3, q=2), LaurentPoly2.term(1, q=1))
+    assert tiling_genfun_dp(aztec_diamond(1), lambda d: exact) == 2 * LaurentPoly2.term(9, q=2)
 
 
 def test_graph_dp_edge_cases(monkeypatch):

@@ -168,7 +168,7 @@ def test_shape_of_large_instance():
 
 def test_weighted_genfun():
     region = semihexagon_with_dents(2, 1, (1, 3))
-    assert weighted_sh_genfun(region, 1, 1) == LaurentPoly2.const(2)
+    assert weighted_sh_genfun(region, lambda k: 1, 1) == LaurentPoly2.const(2)
     assert semihex_q_genfun(region) == cspp_genfun_product((1, 3), 2)
     # a/b-weighted: each tiling has sum(s_i - i) left lozenges in total
     a, b = Fraction(3), Fraction(5)

@@ -5,16 +5,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aztecgf.errors import AztecError, InexactDivision, InvalidDents, InvalidWeight, PoleAtZero
+from aztecgf.errors import InexactDivision, InvalidDents, PoleAtZero
 from aztecgf.poly import (
     FracWeight,
     LaurentPoly2,
     PackedPoly,
     falling_ratio,
     packed_weight,
+    q_ratio_packed,
     q_ratio_product,
     slot_bits,
 )
@@ -103,18 +104,29 @@ def test_eval():
         LaurentPoly2.term(1, q=-1).evaluate(0, 1)
 
 
+def q_ratio(s, alpha):
+    """The q-ratio product in q^alpha: ``q_ratio_product`` at alpha = 1, and
+    otherwise the packed weight that ``rectangle_genfun`` multiplies by."""
+    if alpha == 1:
+        return q_ratio_product(s)
+    bits = slot_bits(int(falling_ratio(s)))  # the coefficients do not depend on alpha
+    return (PackedPoly.one() * q_ratio_packed(s, alpha, bits)).decode(bits)
+
+
 def test_q_ratio_product():
     for m in range(1, 5):
-        assert q_ratio_product(tuple(range(1, m + 1)), 2) == LaurentPoly2.one()
-    assert q_ratio_product((1, 3), 1) == Q + 1
-    assert q_ratio_product((1, 4, 6), 2).evaluate(1, 1) == 15
+        s = tuple(range(1, m + 1))
+        assert q_ratio(s, 2) == q_ratio_product(s) == LaurentPoly2.one()
+    assert q_ratio_product((1, 3)) == Q + 1
+    assert q_ratio((1, 3), 2) == Q * Q + 1
+    assert q_ratio((1, 4, 6), 2).evaluate(1, 1) == 15
 
 
 def test_q_ratio_product_always_divides_with_integer_coefficients():
     for length in range(1, 5):
         for s in combinations(range(1, 9), length):
             for alpha in (1, 2):
-                p = q_ratio_product(s, alpha)  # raises InexactDivision on failure
+                p = q_ratio(s, alpha)  # raises InexactDivision on failure
                 assert p.is_polynomial()
                 assert all(
                     c.denominator == 1 and c.numerator >= 0 for _, c in p.sorted_terms()
@@ -131,17 +143,12 @@ def test_q_ratio_product_always_divides_with_integer_coefficients():
 
 def test_q_ratio_product_rejects_bad_input():
     with pytest.raises(ValueError):
-        q_ratio_product((2, 1), 1)
+        q_ratio_product((2, 1))
     with pytest.raises(ValueError):
-        q_ratio_product((1, 2, 2), 1)
+        q_ratio_product((1, 2, 2))
     for s in ((2, 1), (1, 2, 2), (0, 1), (1.5, 3), (True, 3)):  # positions are ints, and a bool is not one
         with pytest.raises(InvalidDents):
-            q_ratio_product(s, 2)
-    # alpha must be a positive int
-    for alpha in (0, -1, 1.5, "2"):
-        with pytest.raises(InvalidWeight) as exc:
-            q_ratio_product((1, 3), alpha)
-        assert isinstance(exc.value, AztecError) and isinstance(exc.value, ValueError)
+            q_ratio_product(s)
 
 
 def test_laurent_flags_and_shifts():
@@ -231,8 +238,8 @@ def nonnegative_laurent(draw):
 @given(nonnegative_laurent(), nonnegative_laurent())
 def test_packed_product_decodes_to_sparse_product(a, b):
     bits = slot_bits(int((a.evaluate(1, 1) + 1) * (b.evaluate(1, 1) + 1)))  # inputs and product
-    pa, pb = (PackedPoly.one() * packed_weight(x, bits) for x in (a, b))
-    assert (pa * pb).decode(bits) == a * b
+    packed = PackedPoly.one() * packed_weight(a, bits)
+    assert (packed * packed_weight(b, bits)).decode(bits) == a * b
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -254,9 +261,31 @@ def test_packed_weight_rejects_what_cannot_pack():
     assert packed_weight(poly, 8, 12) == ((3, 2, -16), (0, 6, 0))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(nonnegative_laurent(), nonnegative_laurent())
+def test_an_exact_quotient_is_its_polynomial(p, d):
+    assume(d)
+    got = FracWeight(p * d, d)
+    assert got == p and type(got) is LaurentPoly2
+    zero = FracWeight(0, d)
+    assert zero == 0 and type(zero) is LaurentPoly2
+
+
+def test_a_true_quotient_never_equals_a_polynomial():
+    d = 1 + Q
+    w = FracWeight(Q, d)
+    assert isinstance(w, FracWeight) and w.num == Q and w.den == d
+    for p in (0, 1, Fraction(1, 2), Q, d, w * d * d):  # w * d * d is the polynomial Q * d
+        assert w != p and p != w and not w == p
+    assert w == FracWeight(Q * Q, Q * d)
+    with pytest.raises(ZeroDivisionError):
+        FracWeight(1, 0)
+
+
 def test_quotients_are_only_multiplied_and_compared():
     w = FracWeight(1, 1 + Q)
     assert w * (1 + Q) == 1 and w * w == FracWeight(1, (1 + Q) ** 2) and bool(w)
+    assert 2 * w == w * Fraction(2) == FracWeight(2, 1 + Q) != w
     with pytest.raises(TypeError):
         hash(w)
     with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidDents, InvalidHoles, InvalidRegionFile, InvalidWeight
+from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, InvalidRegionFile, InvalidWeight
 from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_genfun
 from aztecgf.poly import FracWeight, LaurentPoly2
 from aztecgf.regions import (
@@ -71,6 +71,13 @@ def test_invalid_holes():
     for s in ((1.5, 2), (True, 3), (1, 2.0)):  # positions are ints, and a bool is not one
         with pytest.raises(InvalidHoles, match="integers"):
             aztec_rectangle_with_holes(2, 3, s)
+    # so are the sizes, checked before any comparison
+    for m, n in ((2.0, 3), (True, 2), (1, 2.0), (1, True)):
+        with pytest.raises(InvalidHoles, match="sizes must be integers"):
+            aztec_rectangle_with_holes(m, n, (1,))
+    for n in (True, 1.5, 2.0):
+        with pytest.raises(InvalidOrder, match="order must be an integer"):
+            aztec_diamond(n)
 
 
 def test_semihexagon_counts():
@@ -87,6 +94,9 @@ def test_semihexagon_counts():
     for s in ((1.5, 3), (True, 3)):
         with pytest.raises(InvalidDents, match="integers"):
             semihexagon_with_dents(2, 1, s)
+    for a, b in ((1, True), (True, 1), (2.0, 1), (2, 1.0)):
+        with pytest.raises(InvalidDents, match="sizes must be integers"):
+            semihexagon_with_dents(a, b, (1,))
 
 
 def test_dual_graph_counts():
@@ -146,13 +156,15 @@ def test_face_weights_follow_one_rule(route):
         with pytest.raises(InvalidWeight, match="face a"):
             call(bad)
     # a Laurent polynomial face weight is read as it is, a constant one as its value
-    assert call(LaurentPoly2.const(2)) == call(2) == call(Fraction(2)) == call(FracWeight(2))
+    exact = FracWeight(LaurentPoly2.term(2, q=1), LaurentPoly2.term(1, q=1))  # an exact quotient is its polynomial
+    assert call(LaurentPoly2.const(2)) == call(2) == call(Fraction(2)) == call(exact)
     call(LaurentPoly2.term(2, q=1) + Fraction(1, 3))
 
 
 def test_weighted_graph_canonicalises_and_refuses_weights():
     quotient = FracWeight(1, LaurentPoly2.term(1, q=1) + 1)
-    g = WeightedGraph([0, 1, 2, 3], {(0, 1): FracWeight(LaurentPoly2.term(3, q=1)), (1, 2): 2, (2, 3): quotient})
+    exact = FracWeight(LaurentPoly2.term(3, q=2), LaurentPoly2.term(1, q=1))
+    g = WeightedGraph([0, 1, 2, 3], {(0, 1): exact, (1, 2): 2, (2, 3): quotient})
     assert type(g.weight(0, 1)) is LaurentPoly2 and g.weight(0, 1) == LaurentPoly2.term(3, q=1)
     assert type(g.weight(1, 2)) is LaurentPoly2 and g.weight(1, 2) == 2
     assert g.weight(2, 3) is quotient

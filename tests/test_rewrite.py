@@ -76,8 +76,9 @@ def test_star_scale():
     assert matching_genfun(star_scale(g, {0: 3})) == LaurentPoly2.const(15)
     scaled = star_scale(g, {1: LaurentPoly2.term(1, q=2)})
     assert matching_genfun(scaled) == LaurentPoly2.term(5, q=2)
-    # factors follow the edge weight rule: a quotient over 1 is its numerator
-    assert star_scale(g, {0: FracWeight(LaurentPoly2.term(2, q=1))}).weight(0, 1) == LaurentPoly2.term(10, q=1)
+    # factors follow the edge weight rule, and an exact quotient is its polynomial
+    exact = FracWeight(LaurentPoly2.term(2, q=2), LaurentPoly2.term(1, q=1))
+    assert star_scale(g, {0: exact}).weight(0, 1) == LaurentPoly2.term(10, q=1)
     for bad in (0.5, "x", 0, LaurentPoly2.zero()):
         with pytest.raises(InvalidWeight):
             star_scale(g, {0: bad})
@@ -174,6 +175,7 @@ def test_connected_sum():
 def test_fracweight_arithmetic():
     q = LaurentPoly2.term(1, q=1)
     w = FracWeight(q + 1, q)
+    assert type(w) is LaurentPoly2  # q divides q + 1 in the Laurent ring
     assert (w * q) == q + 1
     assert (w * w) == FracWeight((q + 1) ** 2, q * q)
 

@@ -127,7 +127,7 @@ PAIRS = {
         lambda x: engine.count_tilings(ar()), lambda x: formulas.count_product(AR[0], AR[2]), {}),
     "search count vs q-ratio product": (
         lambda x: engine.count_tilings(sh()),
-        lambda x: (falling_ratio(SH[2]), q_ratio_product(SH[2], 1).evaluate(1, 1)), {}),
+        lambda x: (falling_ratio(SH[2]), q_ratio_product(SH[2]).evaluate(1, 1)), {}),
     "semihexagon DP vs cspp product": (
         lambda x: lozenge.semihex_q_genfun(sh()), lambda x: formulas.cspp_genfun_product(SH[2], SH[0]), {}),
     "cspp enumeration vs cspp product": (

@@ -37,7 +37,7 @@ def vertical_count(tiling):
 
 
 def test_minimal_tiling_strips():
-    t0 = minimal_tiling(3, 6, (1, 4, 6))
+    t0 = minimal_tiling(aztec_rectangle_with_holes(3, 6, (1, 4, 6)))
     assert t0.is_valid()
     # holes at 2, 3, 5 get strips of lengths 2, 2, 1
     assert vertical_count(t0) == 5
@@ -51,7 +51,7 @@ def test_minimal_tiling_strips():
 
 def test_rank_bfs_refuses_past_the_brute_force_limit():
     # the order-6 diamond has 2^21 tilings, 8 times MAX_BRUTE_TILINGS
-    t0 = minimal_tiling(6, 6, range(1, 7))
+    t0 = minimal_tiling(aztec_rectangle_with_holes(6, 6, range(1, 7)))
     with pytest.raises(TooManyTilings, match="22-bit tiling count"):
         rank_bfs(t0.region, t0)
     with pytest.raises(TooManyTilings, match="22-bit tiling count"):
@@ -67,15 +67,23 @@ def test_minimal_tiling_verticals_are_the_hole_strips():
                 holes = [h for h in range(1, n + 1) if h not in s]
                 strips = {(sq(h - l, h + l - 2), sq(h - l, h + l - 1))
                           for i, h in enumerate(holes, start=1) for l in range(1, m - (h - i) + 1)}
-                t0 = minimal_tiling(m, n, s)
+                t0 = minimal_tiling(aztec_rectangle_with_holes(m, n, s))
                 assert {(c1, c2) for c1, c2 in t0.dominoes if c1.x == c2.x} == strips, (m, n, s)
 
 
 def test_minimal_tiling_of_diamond_is_all_horizontal():
     for n in (1, 2, 3):
-        t0 = minimal_tiling(n, n, tuple(range(1, n + 1)))
+        t0 = minimal_tiling(aztec_diamond(n))
         assert vertical_count(t0) == 0
         assert vstat(t0) == 0
+
+
+def test_minimal_tiling_is_a_tiling_of_the_region_it_is_handed():
+    # a diamond's minimal tiling belongs to the diamond, not to a rectangle-keyed copy
+    for n in (1, 2, 3):
+        region = aztec_diamond(n)
+        t0 = minimal_tiling(region)
+        assert t0.region is region and t0 in set(enumerate_tilings(region))
 
 
 def test_vstat():
@@ -115,7 +123,7 @@ def test_vstat_guard_fires_on_garbage():
 
 
 def test_elementary_moves():
-    t0 = minimal_tiling(1, 1, (1,))
+    t0 = minimal_tiling(aztec_rectangle_with_holes(1, 1, (1,)))
     moves = elementary_moves(t0)
     assert len(moves) == 1
     assert vertical_count(moves[0]) == 2
@@ -133,7 +141,7 @@ def test_flip_graph_of_order_two_diamond():
 
 def test_paths_of_tiny_tilings():
     region = aztec_rectangle_with_holes(1, 1, (1,))
-    t0 = minimal_tiling(1, 1, (1,))
+    t0 = minimal_tiling(region)
     fam = tiling_to_paths(t0)
     assert fam.paths[0] == ("level",)
     assert path_stats(fam).beta == 0
@@ -208,7 +216,7 @@ def test_minimal_path_family_weight_exponent():
     assert shifted_content_exponent(3, (1, 4, 6)) == 30
     # the family reproduces the minimal tiling, and extraction recovers it
     region = aztec_rectangle_with_holes(3, 6, (1, 4, 6))
-    t0 = minimal_tiling(3, 6, (1, 4, 6))
+    t0 = minimal_tiling(region)
     assert paths_to_tiling(fam, region) == t0
     assert tiling_to_paths(t0) == fam
 
@@ -283,7 +291,7 @@ def test_genfun_via_weights_matches_closed_forms_at_frontier_scale():
 def test_minimal_weight_of_minimal_tiling():
     # wt(T0) as a path product: t^(m(m+1)/2) * q^(shifted content)
     m, n, s = 3, 6, (1, 4, 6)
-    st = path_stats(tiling_to_paths(minimal_tiling(m, n, s)))
+    st = path_stats(tiling_to_paths(minimal_tiling(aztec_rectangle_with_holes(m, n, s))))
     assert st.level_total == m * (m + 1) // 2
     assert st.beta == shifted_content_exponent(m, s)
     assert st.down == (0, 0, 0)
@@ -305,7 +313,7 @@ def test_path_bijection_along_seeded_flip_walks(case, seed):
     # tiling and that every flip moves the path rank by exactly one
     m, n, s = case
     rng = random.Random(seed)
-    tiling = minimal_tiling(m, n, s)
+    tiling = minimal_tiling(aztec_rectangle_with_holes(m, n, s))
     rank = rank_via_paths(tiling)
     assert rank == 0
     for step in range(41):
