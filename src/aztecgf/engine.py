@@ -5,10 +5,14 @@ exhaustive route here -- counting and enumerating tilings, listing the
 matchings of a weighted graph, summing their weights -- runs the one
 bitmask search in :func:`_matchings`: branch on the lowest free vertex, try
 partners in ascending index order, so repeated runs produce identical
-streams.  Each route picks what the search folds at a leaf: a tiling mask,
-a tuple of vertex pairs, an integer key, or, for a count, nothing.  The
-bijections never call it: they read paths with :meth:`Tiling.walk` and
-replay them with :meth:`Tiling.from_paths`.  The weighted sum,
+streams.  Each call keeps an outcome table that walks a run of forced moves
+once per free set it starts from; the table stores no count or value of a
+subtree, so every perfect matching is still reached one at a time and the
+search does not become a second DP.  Each route picks the labels the search
+sums with ``+`` from their zero: a tiling mask, a tuple of vertex pairs, an
+integer key, or, for a count, nothing.  The bijections never call it: they
+read paths with :meth:`Tiling.walk` and replay them with
+:meth:`Tiling.from_paths`.  The weighted sum,
 :func:`matching_genfun`, still visits every perfect matching and folds
 integers only: every edge weight is written over one common denominator
 and split into a monomial shift and a content, each edge is labelled with
@@ -47,7 +51,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, or_
 
 from .errors import BijectionViolation, InvalidTiling, InvalidWeight, RegionTooWide
 from .poly import FracWeight, LaurentPoly2, PackedPoly, packed_weight, slot_bits
@@ -192,55 +195,77 @@ class Steps(dict):
 # the backtracking oracle
 
 
-def _matchings(adj, unit, op):
-    """Yield the ``op``-fold of the edge labels of every perfect matching.
+def _matchings(adj, unit):
+    """Yield the ``+``-sum of the edge labels of every perfect matching.
 
     ``adj[i]`` lists ``(j, label)`` with partners ascending.  The search
     branches on the lowest free vertex and tries its free partners in
     ascending order, so the stream order is fixed by ``adj`` alone.  The free
-    vertices are one bitmask.  A vertex with one free partner takes it in
-    place; a frame (mask, partners left, the vertex's bit, fold before the
-    vertex was matched) is stacked only where two or more remain, so each
-    yield is O(1) however deep the search is.  With ``op`` None nothing is
-    folded and the number of perfect matchings is yielded once, at the end.
+    vertices are one bitmask; a frame (free set, partners left, branch
+    vertex, sum so far) is stacked at each branch.  Between branches the
+    lowest free vertex has one free partner and takes it: a forced run,
+    whose end depends on the free set it starts from alone.  ``runs`` maps
+    that free set to the run's outcome: None for a dead end, else (free set
+    at the end, its vertex's free partners, that vertex, sum of the run's
+    labels), with no partners at a leaf.  Each run is walked once per call
+    and looked up every later time its free set recurs.  Only outcomes of
+    forced runs are stored, never a count or a sum over a subtree, so every
+    perfect matching is still reached and yielded one at a time, in the same
+    order.  Sums start from ``unit``, the zero of the labels (0 or ()), so a
+    run's sum does not depend on the path that reached it; domino bits are
+    disjoint, so ``+`` is ``|`` on tiling masks.  With ``unit`` None nothing
+    is summed and the number of perfect matchings is yielded once, at the end.
     """
+    fold = unit is not None
     if len(adj) % 2:
-        if not op:
+        if not fold:
             yield 0
         return
     nbr = [sum(1 << j for j, _ in row) for row in adj]
-    label = {1 << i: {1 << j: lab for j, lab in row} for i, row in enumerate(adj)} if op else None
+    label = [{1 << j: lab for j, lab in row} for row in adj] if fold else None
+    runs = {}
+    get = runs.get
     leaves = 0
     stack = []
     free, acc = (1 << len(adj)) - 1, unit
     while True:
-        while free:
-            low = free & -free
-            free ^= low
-            opts = nbr[low.bit_length() - 1] & free
-            if not opts:
-                break
-            b = opts & -opts
-            if opts != b:
-                stack.append((free, opts ^ b, low, acc))
-            free ^= b
-            if op:
-                acc = op(acc, label[low][b])
-        else:
-            if op:
-                yield acc
+        run = get(free, False)
+        if run is False:
+            start, total = free, unit
+            while free:
+                low = free & -free
+                free ^= low
+                i = low.bit_length() - 1
+                opts = nbr[i] & free
+                if opts & (opts - 1) or not opts:  # a branch or a dead end ends the run
+                    run = (free, opts, i, total) if opts else None
+                    break
+                free ^= opts
+                if fold:
+                    total += label[i][opts]
             else:
-                leaves += 1
-        if not stack:
-            break
-        free, rest, low, acc = stack.pop()
-        b = rest & -rest
-        if rest != b:
-            stack.append((free, rest ^ b, low, acc))
+                run = (0, 0, 0, total)
+            runs[start] = run
+        if run:
+            free, opts, i, total = run
+            if fold:
+                acc += total
+            if not opts:
+                if fold:
+                    yield acc
+                else:
+                    leaves += 1
+        if not (run and opts):  # a dead end or a leaf: back to the last branch
+            if not stack:
+                break
+            free, opts, i, acc = stack.pop()
+        b = opts & -opts
+        if opts != b:
+            stack.append((free, opts ^ b, i, acc))
         free ^= b
-        if op:
-            acc = op(acc, label[low][b])
-    if not op:
+        if fold:
+            acc += label[i][b]
+    if not fold:
         yield leaves
 
 
@@ -251,13 +276,13 @@ def enumerate_tilings(region: Region):
     is the image of :func:`enumerate_matchings` on the dual graph under the
     tiles-to-edges bijection, which the tests check directly.
     """
-    for mask in _matchings(region.adjacency, 0, or_):
+    for mask in _matchings(region.adjacency, 0):
         yield Tiling(region, mask)
 
 
 def count_tilings(region: Region) -> int:
     """Exact tiling count by exhaustive search (no closed forms, no DP)."""
-    return next(_matchings(region.adjacency, None, None))
+    return next(_matchings(region.adjacency, None))
 
 
 def enumerate_matchings(graph: WeightedGraph):
@@ -270,7 +295,7 @@ def enumerate_matchings(graph: WeightedGraph):
     verts = graph.vertices
     adj = [[(j, ((verts[i], verts[j]),)) for j, _ in row]
            for i, row in enumerate(graph.adjacency_indexed())]
-    for pairs in _matchings(adj, (), add):
+    for pairs in _matchings(adj, ()):
         yield frozenset(pairs)
 
 
@@ -320,7 +345,7 @@ def matching_genfun(graph: WeightedGraph):
               for w, (a, b, i) in shifts.items()}
     adj = [[(j, labels[w]) for j, w in row] for row in rows]
     total = {}
-    for key, count in Counter(_matchings(adj, 0, add)).items():
+    for key, count in Counter(_matchings(adj, 0)).items():
         acc = {(half * q0 + (key & (1 << qbits) - 1), half * t0 + (key >> qbits & (1 << tbits) - 1)): count}
         key >>= qbits + tbits
         for content in contents:
@@ -347,7 +372,7 @@ def _times(acc, label):
 
 
 def count_matchings(graph: WeightedGraph) -> int:
-    return next(_matchings(graph.adjacency_indexed(), None, None))
+    return next(_matchings(graph.adjacency_indexed(), None))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidDents, InvalidHoles, InvalidOrder
+from .errors import InvalidDents, InvalidHoles
 from .poly import (
     LaurentPoly2,
     PackedPoly,
@@ -21,7 +21,7 @@ from .poly import (
     q_ratio_product,
     slot_bits,
 )
-from .regions import check_positions, face_weights
+from .regions import check_order, check_positions, face_weights
 
 
 def shifted_content_exponent(m: int, s) -> int:
@@ -47,9 +47,8 @@ def prefactor_exponent(m: int, s) -> int:
     Always <= 0, and exactly cancelled by the lowest term of the q-ratio
     product so the assembled generating function is a genuine polynomial.
     """
-    cubic = 2 * (m - 1) * m * (m + 1)
-    assert cubic % 3 == 0
-    return cubic // 3 + 2 * displacement(s) - shifted_content_exponent(m, s)
+    s = check_positions(m, None, s, InvalidHoles)
+    return 2 * (m - 1) * m * (m + 1) // 3 + 2 * displacement(s) - shifted_content_exponent(m, s)
 
 
 def aztec_diamond_genfun(n: int) -> LaurentPoly2:
@@ -58,8 +57,7 @@ def aztec_diamond_genfun(n: int) -> LaurentPoly2:
     At q = t = 1 this is 2^(n(n+1)/2), the plain tiling count, which bounds
     every coefficient and so fixes the packed slot width.
     """
-    if n < 1:
-        raise InvalidOrder(f"order must be >= 1, got {n}")
+    check_order(n)
     bits = slot_bits(2 ** (n * (n + 1) // 2))
     return _diamond_product(n, bits).decode(bits)
 

@@ -216,6 +216,14 @@ def check_positions(m: int, n, s, error) -> tuple:
     return s
 
 
+def check_order(n) -> None:
+    """Raise :class:`InvalidOrder` unless the order n is an int (not a bool) and n >= 1."""
+    if type(n) is not int:
+        raise InvalidOrder(f"order must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidOrder(f"order must be >= 1, got {n}")
+
+
 MAX_CELLS = 1 << 18  # cells a region builder builds at most; at the bound the count DP takes seconds
 
 
@@ -231,10 +239,7 @@ def aztec_diamond(n: int) -> Region:
     It has the rectangle's cells, 2n(n+1) in all, under its own key
     ``("aztec_diamond", n)``.
     """
-    if type(n) is not int:
-        raise InvalidOrder(f"order must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidOrder(f"order must be >= 1, got {n}")
+    check_order(n)
     _check_cells(2 * n * (n + 1), InvalidOrder)
     return Region("square", ("aztec_diamond", n), aztec_rectangle_with_holes(n, n, range(1, n + 1)).cells)
 

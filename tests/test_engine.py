@@ -664,6 +664,30 @@ def test_enumerate_tilings_stream_equals_the_reference(region):
     assert [t.mask for t in enumerate_tilings(region)] == expected
 
 
+def test_tiling_streams_equal_the_reference_where_forced_runs_recur():
+    # regions big enough that the search meets the same free set many times
+    regions = [aztec_rectangle_with_holes(m, n, s) for m in range(1, 4) for n in range(m, 6)
+               for s in combinations(range(1, n + 1), m)]
+    regions += [aztec_diamond(k) for k in range(1, 5)]
+    regions.append(Region("square", ("strip", 2, 12), frozenset(sq(x, y) for x in range(12) for y in range(2))))
+    for region in regions:
+        index = region.cell_index
+        edges = [(index[c1], index[c2]) for c1, c2 in region.all_dominoes]
+        expected = [sum(1 << e for e in chosen) for chosen in reference_matchings(len(index), edges)]
+        assert [t.mask for t in enumerate_tilings(region)] == expected, region.key
+        assert count_tilings(region) == len(expected), region.key
+    assert len(expected) == 233  # the 2 x 12 strip: a Fibonacci number
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_graphs())
+def test_count_matchings_equals_the_reference(case):
+    # the count path keeps its own leaf tally; the reference shares no code with it
+    labels, edges = case
+    graph = WeightedGraph(labels, {(labels[u], labels[v]): LaurentPoly2.one() for u, v in edges})
+    assert count_matchings(graph) == len(reference_matchings(len(labels), edges))
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(ragged_regions())
 def test_frontier_slots_on_random_ragged_regions(region):

@@ -16,7 +16,7 @@ from aztecgf.formulas import (
     weighted_rectangle_matching_genfun,
 )
 from aztecgf.poly import LaurentPoly2
-from aztecgf.regions import aztec_rectangle_with_holes, semihexagon_with_dents, weighted_ar_graph
+from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, weighted_ar_graph
 from aztecgf.stats import genfun_bruteforce
 
 TQ = LaurentPoly2.term(1, q=1, t=1)
@@ -29,8 +29,13 @@ def test_diamond_product():
     for n in range(1, 7):
         assert aztec_diamond_genfun(n).evaluate(1, 1) == 2 ** (n * (n + 1) // 2)
     for n in (0, -2):
-        with pytest.raises(InvalidOrder):
+        with pytest.raises(InvalidOrder, match="order must be >= 1"):
             aztec_diamond_genfun(n)
+    # the closed product and the region builder share one order check
+    for n in (True, 1.5, 2.0, "2", None):
+        for build in (aztec_diamond_genfun, aztec_diamond):
+            with pytest.raises(InvalidOrder, match="order must be an integer"):
+                build(n)
 
 
 def test_count_product_rejects_bad_positions():
@@ -70,6 +75,10 @@ def test_exponents_reject_mismatched_positions():
         shifted_content_exponent(3, (1, 2))
     with pytest.raises(InvalidHoles):
         prefactor_exponent(2, (1,))
+    # sizes and positions are ints, checked before any arithmetic
+    for m, s in ((1.5, (1, 2)), (True, (1,)), (2, (1.0, 2))):
+        with pytest.raises(InvalidHoles, match="integers"):
+            prefactor_exponent(m, s)
 
 
 def test_weighted_product_examples():
