@@ -20,7 +20,7 @@ print(f"AR({m}, {n}) keeping {s}: {az.count_tilings(region)} tilings\n")
 for k, tiling in enumerate(az.enumerate_tilings(region)):
     family = az.tiling_to_paths(tiling)
     st = az.path_stats(family)
-    r_bfs = az.rank_bfs(region, tiling)
+    r_bfs = az.rank_bfs(tiling)
     r_path = az.rank_via_paths(tiling)
     steps = ["".join(kind[0].upper() for kind in p) for p in family.paths]
     print(

@@ -19,11 +19,11 @@ from itertools import islice
 
 from . import formulas, stats, verify
 from .engine import check_frontier, count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError, InvalidRegionFile
+from .errors import AztecError, InvalidOrder, InvalidRegionFile
 from .regions import (
     aztec_diamond,
     aztec_rectangle_with_holes,
-    check_order,
+    check_size,
     region_from_json,
     semihexagon_with_dents,
 )
@@ -183,8 +183,7 @@ def cmd_render(args):
 
 
 def cmd_bench(args):
-    check_order(args.order)
-    stats._ensure_calibrated()
+    check_size("order", args.order, InvalidOrder)
     print(f"{'order':>5}  {'dp count':>28}  {'dp ms':>10}  {'brute ms':>10}  {'weighted ms':>11}")
     for n in range(1, args.order + 1):
         region = aztec_diamond(n)

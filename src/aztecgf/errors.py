@@ -48,6 +48,14 @@ class InvalidRegionFile(AztecError, ValueError):
     """A serialized region cannot be read, is not JSON, or names an unknown kind."""
 
 
+class WrongRegionKind(AztecError, ValueError):
+    """A region of another lattice or kind than the function reads."""
+
+
+class InvalidGraph(AztecError, ValueError):
+    """A graph or connected sum has duplicate or missing vertices, a self-loop or a parallel edge."""
+
+
 class InconsistentBoundary(AztecError):
     """Checkerboard coloring cannot make all northwest-side cells white."""
 
@@ -74,10 +82,6 @@ class BijectionViolation(AztecError):
 
 class NegativeRank(AztecError):
     """A path-computed rank came out negative, signalling a convention error."""
-
-
-class CalibrationMismatch(AztecError):
-    """The local domino weights disagree with brute force on the calibration regions."""
 
 
 class InvalidPartition(AztecError):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidDents, InvalidHoles
+from .errors import InvalidDents, InvalidHoles, InvalidOrder
 from .poly import (
     LaurentPoly2,
     PackedPoly,
@@ -21,7 +21,7 @@ from .poly import (
     q_ratio_product,
     slot_bits,
 )
-from .regions import check_order, check_positions, face_weights
+from .regions import NO_BOUND, check_positions, check_size, face_weights
 
 
 def shifted_content_exponent(m: int, s) -> int:
@@ -30,7 +30,7 @@ def shifted_content_exponent(m: int, s) -> int:
     This is the q-exponent of the weight of the minimal tiling's path family;
     the rank statistic measures the distance above it.
     """
-    s = check_positions(m, None, s, InvalidHoles)
+    s = check_positions(m, NO_BOUND, s, InvalidHoles)
     return sum(2 * (s[i - 1] + j - i - 1) for j in range(1, m + 1) for i in range(1, j + 1))
 
 
@@ -47,7 +47,7 @@ def prefactor_exponent(m: int, s) -> int:
     Always <= 0, and exactly cancelled by the lowest term of the q-ratio
     product so the assembled generating function is a genuine polynomial.
     """
-    s = check_positions(m, None, s, InvalidHoles)
+    s = check_positions(m, NO_BOUND, s, InvalidHoles)
     return 2 * (m - 1) * m * (m + 1) // 3 + 2 * displacement(s) - shifted_content_exponent(m, s)
 
 
@@ -57,7 +57,7 @@ def aztec_diamond_genfun(n: int) -> LaurentPoly2:
     At q = t = 1 this is 2^(n(n+1)/2), the plain tiling count, which bounds
     every coefficient and so fixes the packed slot width.
     """
-    check_order(n)
+    check_size("order", n, InvalidOrder)
     bits = slot_bits(2 ** (n * (n + 1) // 2))
     return _diamond_product(n, bits).decode(bits)
 
@@ -96,7 +96,9 @@ def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
 def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:
     """q^((m-1)m(m+1)/3) * prod_k Delta_k^(m-k+1): the factor the peeling
     pipeline must accumulate on an m-row rectangle, where
-    Delta_k = a*d*q^(k-1) + b*c is the renewal weight of the k-th peeled row."""
+    Delta_k = a*d*q^(k-1) + b*c is the renewal weight of the k-th peeled row;
+    m must be an int >= 1, else InvalidHoles."""
+    check_size("m", m, InvalidHoles)
     a, b, c, d = face_weights(a, b, c, d)
     out = LaurentPoly2.term(1, q=(m - 1) * m * (m + 1) // 3)
     for k in range(1, m + 1):
@@ -126,13 +128,13 @@ def cspp_genfun_product(s, m: int) -> LaurentPoly2:
     entries at most m; the product form is q^D * prod (q^s_j - q^s_i)/(q^j -
     q^i) with D = sum(s_i - i).
     """
-    s = check_positions(m, None, s, InvalidDents)  # the positions have no upper bound
+    s = check_positions(m, NO_BOUND, s, InvalidDents)  # the positions have no upper bound
     return (LaurentPoly2.term(1, q=displacement(s)) * q_ratio_product(s)).require_polynomial()
 
 
 def count_product(m: int, s) -> int:
     """2^(m(m+1)/2) * prod (s_j - s_i)/(j - i): the rectangle tiling count."""
-    s = check_positions(m, None, s, InvalidHoles)  # n plays no part in the count
+    s = check_positions(m, NO_BOUND, s, InvalidHoles)  # n plays no part in the count
     val = Fraction(2) ** (m * (m + 1) // 2) * falling_ratio(s)
     assert val.denominator == 1
     return int(val)

@@ -35,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
-from .errors import BijectionViolation, InvalidDents
+from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
-from .regions import Region, check_positions, dw, up
+from .regions import NO_BOUND, Region, check_positions, check_size, dw, up
 
 LEFT = "left"
 RIGHT = "right"
@@ -63,7 +63,7 @@ def classify_lozenge(pair, a: int):
 def enumerate_lozenge_tilings(region: Region):
     """Deterministic stream of all lozenge tilings (see engine for the order)."""
     if region.lattice != "triangular":
-        raise ValueError("expected a triangular-lattice region")
+        raise WrongRegionKind("expected a triangular-lattice region")
     return enumerate_tilings(region)
 
 
@@ -124,7 +124,7 @@ class ColumnStrictPlanePartition:
         for row in self.rows:
             if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
                 raise BijectionViolation(f"row {row} not weakly decreasing")
-            if row and not all(1 <= v <= self.max_entry for v in row):
+            if not all(type(v) is int and 1 <= v <= self.max_entry for v in row):
                 raise BijectionViolation(f"entries out of range in {row}")
         for upper, lower in zip(self.rows, self.rows[1:]):
             for k in range(len(lower)):
@@ -142,7 +142,7 @@ class ColumnStrictPlanePartition:
 
 def cspp_shape(m: int, s) -> tuple:
     """(s_m - m, s_{m-1} - (m-1), ..., s_1 - 1)."""
-    s = check_positions(m, None, s, InvalidDents)  # the positions have no upper bound
+    s = check_positions(m, NO_BOUND, s, InvalidDents)  # the positions have no upper bound
     return tuple(s[j] - (j + 1) for j in range(m - 1, -1, -1))
 
 
@@ -152,12 +152,14 @@ def enumerate_cspp(shape, max_entry: int):
     Rows are generated top-down, entries left-to-right and descending, which
     fixes the stream order.  This enumerator is independent of the lozenge
     bijection and serves as its oracle.  A shape that is empty, negative or
-    not weakly decreasing is no ``cspp_shape(m, s)`` and raises InvalidDents
-    at the call, before the first partition is asked for.
+    not weakly decreasing is no ``cspp_shape(m, s)``, and so is a ``max_entry``
+    that is not an int >= 1: each raises InvalidDents at the call, before the
+    first partition is asked for.
     """
     shape = tuple(shape)
     dents = tuple(x + j for j, x in enumerate(reversed(shape), start=1))  # shape == cspp_shape(m, dents)
-    check_positions(len(shape), None, dents, InvalidDents)
+    check_positions(len(shape), NO_BOUND, dents, InvalidDents)
+    check_size("max_entry", max_entry, InvalidDents)
 
     def gen_row(length, above):
         def rec(j, prev):

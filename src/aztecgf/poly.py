@@ -40,9 +40,10 @@ from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
 
 
 def _coeff(x) -> Fraction:
+    """The one type rule for coefficients: an int (not a bool) or a Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     raise TypeError(f"coefficient must be an integer or Fraction, got {type(x).__name__}")
 
@@ -63,7 +64,9 @@ class LaurentPoly2:
             for (eq, et), c in terms.items():
                 c = _coeff(c)
                 if c:
-                    clean[(int(eq), int(et))] = c
+                    if type(eq) is not int or type(et) is not int:
+                        raise TypeError(f"exponents must be integers, got {(eq, et)!r}")
+                    clean[(eq, et)] = c
         self._terms = clean
         self._hash = None
 
@@ -128,7 +131,7 @@ class LaurentPoly2:
         if isinstance(other, LaurentPoly2):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == LaurentPoly2.const(other)._terms
+            return self._terms == ({(0, 0): other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -299,7 +302,7 @@ class LaurentPoly2:
         """JSON form: {"terms": [{"q": .., "t": .., "coeff": ".."}, ...]}."""
         return {
             "terms": [
-                {"q": eq, "t": et, "coeff": _frac_text(c)}
+                {"q": eq, "t": et, "coeff": str(c)}
                 for (eq, et), c in self.sorted_terms()
             ]
         }
@@ -316,10 +319,6 @@ class LaurentPoly2:
 
     def __repr__(self):
         return f"LaurentPoly2({self.to_text()})"
-
-
-def _frac_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def as_poly(x) -> LaurentPoly2:

@@ -46,8 +46,8 @@ from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import (InconsistentBoundary, InvalidDents, InvalidHoles, InvalidOrder,
-                     InvalidRegionFile, InvalidWeight)
+from .errors import (InconsistentBoundary, InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
+                     InvalidRegionFile, InvalidWeight, WrongRegionKind)
 from .poly import FracWeight, LaurentPoly2, as_poly
 
 SQUARE = "sq"
@@ -110,13 +110,13 @@ class Region:
         if self.key[0] == "aztec_diamond":
             n = self.key[1]
             return n, n, tuple(range(1, n + 1))
-        raise ValueError(f"not an Aztec rectangle: {self.key}")
+        raise WrongRegionKind(f"not an Aztec rectangle: {self.key}")
 
     @property
     def semihex_params(self):
         """(a, b, s) of a dented semihexagon."""
         if self.key[0] != "semihexagon":
-            raise ValueError(f"not a semihexagon: {self.key}")
+            raise WrongRegionKind(f"not a semihexagon: {self.key}")
         return self.key[1], self.key[2], self.key[3]
 
     @cached_property
@@ -198,17 +198,21 @@ def sweep_key(c: Cell):
     return (c.x - c.y + (c.kind == TRI_DOWN), c.y, c.kind)
 
 
+NO_BOUND = float("inf")  # check_positions' n for no upper bound, matched by identity: a caller's inf is refused
+
+
 def check_positions(m: int, n, s, error) -> tuple:
     """``s`` as a tuple, after checking that m, n and each position are ints
-    (not bools), 1 <= m <= n and 1 <= s_1 < ... < s_m <= n (``n=None`` sets no
-    upper bound).  Raises ``error``, an :class:`AztecError` subclass, otherwise.
+    (not bools), 1 <= m <= n and 1 <= s_1 < ... < s_m <= n (``n=NO_BOUND``
+    sets no upper bound).  Raises ``error``, an :class:`AztecError` subclass,
+    otherwise.
     """
-    if type(m) is not int or type(n) not in (int, type(None)):
+    if type(m) is not int or (type(n) is not int and n is not NO_BOUND):
         raise error(f"sizes must be integers, got m={m!r}, n={n!r}")
     s = tuple(s)
     if any(type(x) is not int for x in s):
         raise error(f"positions must be integers, got {s}")
-    n = max((m, *s)) if n is None else n
+    n = max((m, *s)) if n is NO_BOUND else n
     if not 1 <= m <= n:
         raise error(f"need 1 <= m <= n, got m={m}, n={n}")
     if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
@@ -216,12 +220,12 @@ def check_positions(m: int, n, s, error) -> tuple:
     return s
 
 
-def check_order(n) -> None:
-    """Raise :class:`InvalidOrder` unless the order n is an int (not a bool) and n >= 1."""
-    if type(n) is not int:
-        raise InvalidOrder(f"order must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidOrder(f"order must be >= 1, got {n}")
+def check_size(name: str, k, error) -> None:
+    """Raise ``error`` unless the size ``k``, called ``name``, is an int (not a bool) and k >= 1."""
+    if type(k) is not int:
+        raise error(f"{name} must be an integer, got {k!r}")
+    if k < 1:
+        raise error(f"{name} must be >= 1, got {k}")
 
 
 MAX_CELLS = 1 << 18  # cells a region builder builds at most; at the bound the count DP takes seconds
@@ -239,7 +243,7 @@ def aztec_diamond(n: int) -> Region:
     It has the rectangle's cells, 2n(n+1) in all, under its own key
     ``("aztec_diamond", n)``.
     """
-    check_order(n)
+    check_size("order", n, InvalidOrder)
     _check_cells(2 * n * (n + 1), InvalidOrder)
     return Region("square", ("aztec_diamond", n), aztec_rectangle_with_holes(n, n, range(1, n + 1)).cells)
 
@@ -259,7 +263,7 @@ def _ar_region(m: int, n: int, kept: tuple) -> Region:
     """AR_{m,n} keeping the southeast squares at positions ``kept``, unchecked:
     the full weighted rectangle keeps all n of them, and may have m > n."""
     cells = {cell for quad in ar_face_cells(m, n).values() for cell in quad}
-    cells.difference_update(sq(h, h - 1) for h in range(1, n + 1) if h not in kept)
+    cells.difference_update(sq(h, h - 1) for h in set(range(1, n + 1)).difference(kept))
     return Region("square", ("aztec_rectangle", m, n, kept), frozenset(cells))
 
 
@@ -308,16 +312,16 @@ class WeightedGraph:
         self.vertices = tuple(vertices)
         self.index = {v: i for i, v in enumerate(self.vertices)}
         if len(self.index) != len(self.vertices):
-            raise ValueError("duplicate vertex labels")
+            raise InvalidGraph("duplicate vertex labels")
         self._adj = adj = {v: {} for v in self.vertices}
         for (u, v), w in edges.items() if isinstance(edges, dict) else edges:
             au, av = adj.get(u), adj.get(v)
             if au is None or av is None:
-                raise ValueError(f"edge endpoint not a vertex: {(u, v)!r}")
+                raise InvalidGraph(f"edge endpoint not a vertex: {(u, v)!r}")
             if u == v:
-                raise ValueError(f"self-loop at {u!r}")
+                raise InvalidGraph(f"self-loop at {u!r}")
             if v in au:
-                raise ValueError(f"duplicate edge {(u, v)!r}, parallel to one given before")
+                raise InvalidGraph(f"duplicate edge {(u, v)!r}, parallel to one given before")
             if not isinstance(w, FracWeight):
                 w = edge_weight((u, v), w)
             if not w:
@@ -366,7 +370,7 @@ class WeightedGraph:
     def derive(self, drop=(), vertices=(), edges=()):
         """A new graph: this one without the vertices in ``drop`` and their
         edges, with ``vertices`` appended and the ``((u, v), w)`` pairs in
-        ``edges`` added.  An added edge that already exists raises ValueError."""
+        ``edges`` added.  An added edge that already exists raises InvalidGraph."""
         drop = set(drop)
         kept = (((u, v), w) for (u, v), w in self.edge_items() if u not in drop and v not in drop)
         return WeightedGraph([v for v in self.vertices if v not in drop] + list(vertices), chain(kept, edges))
@@ -374,13 +378,7 @@ class WeightedGraph:
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return (
-            set(self.vertices) == set(other.vertices)
-            and self._canonical_edges() == other._canonical_edges()
-        )
-
-    def _canonical_edges(self):
-        return {frozenset(e): w for e, w in self.edge_dict().items()}
+        return self._adj == other._adj  # the same vertices, and each edge in both directions with its weight
 
     def __repr__(self):
         return f"WeightedGraph({self.n} vertices, {self.edge_count()} edges)"
@@ -436,8 +434,12 @@ def full_weighted_rectangle(m: int, n: int, a, b, c, d) -> WeightedGraph:
     with q symbolic; the parameters are any weights :func:`face_weights` reads.
     Its bottom row is the southeast side, ``sq(h, h-1)`` for h = 1..n.
     (Unlike the region builder this allows m > n, which the row reduction's
-    right-hand side needs.)
+    right-hand side needs; each size must be an int >= 1 and the graph hold
+    at most MAX_CELLS vertices, else InvalidHoles.)
     """
+    check_size("m", m, InvalidHoles)
+    check_size("n", n, InvalidHoles)
+    _check_cells(2 * m * n + m + n, InvalidHoles)
     return dual_graph(_ar_region(m, n, tuple(range(1, n + 1))), _face_weight(*face_weights(a, b, c, d)))
 
 
@@ -484,7 +486,7 @@ def checkerboard_coloring(region: Region) -> dict:
     the NW side is asserted rather than assumed.
     """
     if region.lattice != "square":
-        raise ValueError("checkerboard coloring applies to square-lattice regions")
+        raise WrongRegionKind("checkerboard coloring applies to square-lattice regions")
     m, n, _ = region.rect_params
     for c in (sq(j - m, m + j - 1) for j in range(1, n + 1)):
         if (c.x + c.y) % 2 == 0:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .errors import InexactDivision, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
+from .errors import InexactDivision, InvalidGraph, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor  # unused here: perfbench/jobs.py reads it as rewrite.peel_target_factor
 from .poly import FracWeight, LaurentPoly2
 from .regions import WeightedGraph, ar_face_cells, check_positions, edge_weight, face_weights, full_weighted_rectangle, sq
@@ -177,18 +177,18 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
     """Glue g2 onto g1 by identifying each (v1, v2) in ``pairs``.
 
     Other labels of g2 must be disjoint from g1's; the identified vertices
-    keep their g1 labels.  Arity or collision problems raise ValueError.
+    keep their g1 labels.  Arity or collision problems raise InvalidGraph.
     """
     ident = {}
     for v1, v2 in pairs:
         if v1 not in g1.index or v2 not in g2.index:
-            raise ValueError(f"identification {(v1, v2)!r} names missing vertices")
+            raise InvalidGraph(f"identification {(v1, v2)!r} names missing vertices")
         ident[v2] = v1
     if len(set(ident.values())) != len(ident):
-        raise ValueError("identifications collapse distinct vertices of the first summand")
+        raise InvalidGraph("identifications collapse distinct vertices of the first summand")
     extra = [v for v in g2.vertices if v not in ident]
     if any(v in g1.index for v in extra):
-        raise ValueError("label collision between summands")
+        raise InvalidGraph("label collision between summands")
     return g1.derive(vertices=extra, edges=(((ident.get(u, u), ident.get(v, v)), w) for (u, v), w in g2.edge_items()))
 
 
@@ -216,8 +216,9 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
     ``verify`` checks it against the closed-form target and the final graph
     against the weighted semihexagon.
     """
+    s = check_positions(m, n, s, InvalidHoles)
     a, b, c, d = face_weights(a, b, c, d)
-    holes = [h for h in range(1, n + 1) if h not in check_positions(m, n, s, InvalidHoles)]
+    holes = [h for h in range(1, n + 1) if h not in s]
     g = full_weighted_rectangle(m, n, a, b, c, d).derive(
         vertices=[("hole", h) for h in holes], edges=[((sq(h, h - 1), ("hole", h)), _ONE) for h in holes])
 

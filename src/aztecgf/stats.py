@@ -54,12 +54,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
     BijectionViolation,
-    CalibrationMismatch,
     InvalidHoles,
     NegativeRank,
     OddVerticalCount,
@@ -234,11 +233,12 @@ def rank_distances(region: Region) -> dict:
     return dist
 
 
-def rank_bfs(region: Region, tiling: Tiling) -> int:
-    """Flip distance from the minimal tiling; Unreachable if disconnected."""
-    dist = rank_distances(region)
+def rank_bfs(tiling: Tiling) -> int:
+    """Flip distance from the minimal tiling of the tiling's own region;
+    Unreachable if disconnected."""
+    region = tiling.region
     try:
-        return dist[tiling.mask]
+        return rank_distances(region)[tiling.mask]
     except KeyError:
         raise Unreachable(f"tiling not connected to the minimal tiling in {region.key}") from None
 
@@ -389,35 +389,19 @@ def domino_weight(dom) -> LaurentPoly2:
     return LaurentPoly2.one()
 
 
-def _genfun_via_weights_impl(m: int, n: int, s) -> LaurentPoly2:
-    s = tuple(s)
-    region = aztec_rectangle_with_holes(m, n, s)
-    weighted = tiling_genfun_dp(region, domino_weight)
-    shift_t = m * (m + 1) // 2
-    shift_q = -shifted_content_exponent(m, s)
-    return weighted.invert_t().shift(dq=shift_q, dt=shift_t).require_polynomial()
-
-
-@cache
-def _ensure_calibrated():
-    """One-time check of the frozen color conventions on two tiny regions.
-
-    The even/odd classification of dominoes is not recoverable from prose
-    alone; it is pinned by requiring the weighted route to reproduce brute
-    force on the order-1 diamond and on the 1x2 rectangle with its first
-    southeast square removed.
-    """
-    for m, n, s in ((1, 1, (1,)), (1, 2, (2,))):
-        if _genfun_via_weights_impl(m, n, s) != genfun_bruteforce(m, n, s):
-            raise CalibrationMismatch(f"weighted route disagrees with brute force on {(m, n, s)}")
-
-
 def genfun_via_weights(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) through the weighted DP route.
 
     Computes the weighted tiling sum M(t, q) with the local domino weights,
     substitutes t -> 1/t, and multiplies by q^(-beta_minimal) * t^(m(m+1)/2);
-    the result must be a polynomial and must equal genfun_bruteforce.
+    the result must be a polynomial.
     """
-    _ensure_calibrated()
-    return _genfun_via_weights_impl(m, n, s)
+    region = aztec_rectangle_with_holes(m, n, s)
+    weighted = tiling_genfun_dp(region, domino_weight)
+    beta_minimal = shifted_content_exponent(m, region.rect_params[2])
+    return weighted.invert_t().shift(dq=-beta_minimal, dt=m * (m + 1) // 2).require_polynomial()
+
+
+def _ensure_calibrated():
+    """A no-op that ``perfbench/worker.py`` still calls; ``verify``'s main
+    suite pins the colour convention by comparing this route with brute force."""

@@ -92,13 +92,13 @@ def suite_rank():
     for m, n, s in _ar_corpus(3, 5):
         region = aztec_rectangle_with_holes(m, n, s)
         t0 = stats.minimal_tiling(region)
-        ok = stats.rank_bfs(region, t0) == 0
+        ok = stats.rank_bfs(t0) == 0
         min_area = None
         zero_rank = 0
         for tiling in enumerate_tilings(region):
             family = stats.tiling_to_paths(tiling)
             st = stats.path_stats(family)
-            r_bfs = stats.rank_bfs(region, tiling)
+            r_bfs = stats.rank_bfs(tiling)
             r_paths = stats.rank_via_paths(tiling)
             if r_bfs == 0:
                 zero_rank += 1

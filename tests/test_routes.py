@@ -62,7 +62,6 @@ def sh():
 @pytest.fixture(scope="module")
 def inputs():
     """Inputs that a side takes ready-made, built outside the profile."""
-    stats._ensure_calibrated()  # a one-time self-check of the weights that runs brute force
     return {"tiling": next(islice(engine.enumerate_tilings(ar()), 100, None)),
             "final": rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).graph}
 
@@ -71,7 +70,7 @@ def calls(side, inputs):
     """The named functions that ``side(inputs)`` calls, run with cold caches."""
     for module in MODULES:
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear") and obj is not stats._ensure_calibrated:
+            if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
     seen = set()
 
@@ -146,7 +145,7 @@ PAIRS = {
         lambda x: formulas.weighted_rectangle_matching_genfun(*AR, *DRAW),
         lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), {}),
     "rank BFS vs rank via paths": (
-        lambda x: stats.rank_bfs(x["tiling"].region, x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
+        lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
             "engine.Tiling.dominoes": "the tiling's own tiles, which both sides read",
             "engine.Tiling.mate": "the tiling's own tiles, which both sides read",
             "stats.SchroderPathFamily.__init__": "the BFS starts from the minimal path family, the path rank "

@@ -46,14 +46,14 @@ def test_minimal_tiling_strips():
     assert (sq(2, 2), sq(2, 3)) in t0.dominoes
     assert (sq(1, 3), sq(1, 4)) in t0.dominoes
     assert (sq(4, 4), sq(4, 5)) in t0.dominoes
-    assert rank_bfs(t0.region, t0) == 0
+    assert rank_bfs(t0) == 0
 
 
 def test_rank_bfs_refuses_past_the_brute_force_limit():
     # the order-6 diamond has 2^21 tilings, 8 times MAX_BRUTE_TILINGS
     t0 = minimal_tiling(aztec_rectangle_with_holes(6, 6, range(1, 7)))
     with pytest.raises(TooManyTilings, match="22-bit tiling count"):
-        rank_bfs(t0.region, t0)
+        rank_bfs(t0)
     with pytest.raises(TooManyTilings, match="22-bit tiling count"):
         genfun_bruteforce(6, 6, range(1, 7))
 
@@ -135,7 +135,7 @@ def test_flip_graph_of_order_two_diamond():
     region = aztec_rectangle_with_holes(2, 2, (1, 2))
     tilings = list(enumerate_tilings(region))
     assert len(tilings) == 8
-    ranks = sorted(rank_bfs(region, t) for t in tilings)
+    ranks = sorted(rank_bfs(t) for t in tilings)
     assert ranks == [0, 1, 1, 2, 3, 4, 4, 5]
 
 
@@ -240,7 +240,7 @@ def test_rank_agreement_small():
     for m, n, s in ((2, 3, (1, 3)), (3, 4, (1, 2, 4)), (2, 4, (2, 3))):
         region = aztec_rectangle_with_holes(m, n, s)
         for tiling in enumerate_tilings(region):
-            assert rank_bfs(region, tiling) == rank_via_paths(tiling)
+            assert rank_bfs(tiling) == rank_via_paths(tiling)
 
 
 def test_diamond_tilings_have_rank_paths_and_vstat():
@@ -249,7 +249,7 @@ def test_diamond_tilings_have_rank_paths_and_vstat():
         region = aztec_diamond(n)
         f = LaurentPoly2.zero()
         for tiling in enumerate_tilings(region):
-            rank = rank_bfs(region, tiling)
+            rank = rank_bfs(tiling)
             assert rank == rank_via_paths(tiling)
             f = f + LaurentPoly2.term(1, q=rank, t=vstat(tiling))
         assert f == aztec_diamond_genfun(n)
