@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidDents, InvalidHoles, InvalidOrder
+from .errors import InexactDivision, InvalidDents, InvalidHoles, InvalidOrder
 from .poly import (
     LaurentPoly2,
     PackedPoly,
@@ -136,6 +136,7 @@ def count_product(m: int, s) -> int:
     """2^(m(m+1)/2) * prod (s_j - s_i)/(j - i): the rectangle tiling count."""
     s = check_positions(m, NO_BOUND, s, InvalidHoles)  # n plays no part in the count
     val = Fraction(2) ** (m * (m + 1) // 2) * falling_ratio(s)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InexactDivision(f"the tiling count {val} is not an integer")
     return int(val)
 

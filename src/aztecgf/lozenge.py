@@ -110,13 +110,14 @@ def top_bottom_paths(tiling: Tiling):
 
 @dataclass(frozen=True)
 class ColumnStrictPlanePartition:
-    """Rows weakly decrease; columns strictly decrease; entries in [1, max_entry]."""
+    """Rows weakly decrease; columns strictly decrease; entries in [1, max_entry]; checked when built."""
 
     shape: tuple
     rows: tuple
     max_entry: int
 
-    def validate(self):
+    def __post_init__(self):
+        check_size("max_entry", self.max_entry, BijectionViolation)
         if tuple(len(r) for r in self.rows) != self.shape:
             raise BijectionViolation(f"row lengths {self.rows} do not match shape {self.shape}")
         if any(x < y for x, y in zip(self.shape, self.shape[1:])):
@@ -130,7 +131,6 @@ class ColumnStrictPlanePartition:
             for k in range(len(lower)):
                 if upper[k] <= lower[k]:
                     raise BijectionViolation("columns must strictly decrease")
-        return self
 
     @property
     def size(self) -> int:
@@ -181,7 +181,7 @@ def enumerate_cspp(shape, max_entry: int):
             for rest in rows_from(i + 1, row):
                 yield (row,) + rest
 
-    return (ColumnStrictPlanePartition(shape, rows, max_entry).validate() for rows in rows_from(0, None))
+    return (ColumnStrictPlanePartition(shape, rows, max_entry) for rows in rows_from(0, None))
 
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
@@ -191,8 +191,8 @@ def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
     for i in range(1, m + 1):  # row i of the partition belongs to dent s_{m+1-i}
         steps, _ = tiling.walk(s[m - i] - 1, m, dw, DENT_STEPS)
         rows.append(tuple(m - y + 1 for kind, _, y in reversed(steps) if kind == LEFT))
-    # no exit check: a path crosses s_k - 1 lozenges, so validate()'s row length fixes its end
-    return ColumnStrictPlanePartition(cspp_shape(m, s), tuple(rows), m).validate()
+    # no exit check: a path crosses s_k - 1 lozenges, so the row length checked on construction fixes its end
+    return ColumnStrictPlanePartition(cspp_shape(m, s), tuple(rows), m)
 
 
 def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
@@ -201,7 +201,6 @@ def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
     right.  A dent path rises by vertical steps to the row at level e - 1 of
     each entry e, takes a left step there, and ends with verticals."""
     m, _, s = region.semihex_params
-    pi.validate()
     if pi.shape != cspp_shape(m, s) or pi.max_entry != m:
         raise BijectionViolation("partition shape does not match the region's dents")
     walks = []

@@ -48,6 +48,21 @@ def _coeff(x) -> Fraction:
     raise TypeError(f"coefficient must be an integer or Fraction, got {type(x).__name__}")
 
 
+def _exponents(eq, et) -> tuple:
+    """The one type rule for an exponent pair: two ints (not bools)."""
+    if type(eq) is not int or type(et) is not int:
+        raise TypeError(f"exponents must be integers, got {(eq, et)!r}")
+    return eq, et
+
+
+def _operand(x):
+    """The other operand of ``==`` or arithmetic by :func:`as_poly`'s one rule, else NotImplemented."""
+    try:
+        return as_poly(x)
+    except TypeError:
+        return NotImplemented
+
+
 class LaurentPoly2:
     """Sparse Laurent polynomial in q and t with exact rational coefficients.
 
@@ -64,9 +79,7 @@ class LaurentPoly2:
             for (eq, et), c in terms.items():
                 c = _coeff(c)
                 if c:
-                    if type(eq) is not int or type(et) is not int:
-                        raise TypeError(f"exponents must be integers, got {(eq, et)!r}")
-                    clean[(eq, et)] = c
+                    clean[_exponents(eq, et)] = c
         self._terms = clean
         self._hash = None
 
@@ -113,7 +126,7 @@ class LaurentPoly2:
         return sorted(self._terms.items())
 
     def coefficient(self, q: int = 0, t: int = 0) -> Fraction:
-        return self._terms.get((q, t), Fraction(0))
+        return self._terms.get(_exponents(q, t), Fraction(0))
 
     def is_polynomial(self) -> bool:
         """True when every exponent is non-negative in both variables."""
@@ -128,11 +141,8 @@ class LaurentPoly2:
     # -- arithmetic ---------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, LaurentPoly2):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == ({(0, 0): other} if other else {})
-        return NotImplemented
+        other = _operand(other)
+        return other if other is NotImplemented else self._terms == other._terms
 
     def __hash__(self):
         if self._hash is None:
@@ -143,10 +153,8 @@ class LaurentPoly2:
         return LaurentPoly2({e: -c for e, c in self._terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
+        if (other := _operand(other)) is NotImplemented:
+            return other
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -159,20 +167,16 @@ class LaurentPoly2:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly2.const(other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        return self + (-other)
+        other = _operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = _operand(other)
+        return other if other is NotImplemented else other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentPoly2({e: cc * other for e, cc in self._terms.items()})
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
+        if (other := _operand(other)) is NotImplemented:
+            return other
         out = {}
         for (aq, at), ac in self._terms.items():
             for (bq, bt), bc in other._terms.items():
@@ -187,7 +191,7 @@ class LaurentPoly2:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = LaurentPoly2.one()
         base = self
@@ -246,11 +250,12 @@ class LaurentPoly2:
         return LaurentPoly2._of(quot)
 
     def __truediv__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        """Division by a coefficient (see :func:`_coeff`); :meth:`exact_div` divides by a polynomial."""
+        if isinstance(other, LaurentPoly2) or _operand(other) is NotImplemented:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero")
-        return LaurentPoly2({e: cc / other for e, cc in self._terms.items()})
+        return self * Fraction(1, other)
 
     # -- substitutions -------------------------------------------------------
 
@@ -309,10 +314,7 @@ class LaurentPoly2:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LaurentPoly2":
-        terms = {}
-        for item in obj["terms"]:
-            terms[(int(item["q"]), int(item["t"]))] = Fraction(item["coeff"])
-        return cls(terms)
+        return cls({(item["q"], item["t"]): Fraction(item["coeff"]) for item in obj["terms"]})
 
     def __str__(self):
         return self.to_text()
@@ -322,10 +324,8 @@ class LaurentPoly2:
 
 
 def as_poly(x) -> LaurentPoly2:
-    """Coerce an int/Fraction/LaurentPoly2 into a LaurentPoly2."""
-    if isinstance(x, LaurentPoly2):
-        return x
-    return LaurentPoly2.const(_coeff(x))
+    """Coerce an int (not a bool), Fraction or LaurentPoly2 into a LaurentPoly2, else raise TypeError."""
+    return x if isinstance(x, LaurentPoly2) else LaurentPoly2.const(x)
 
 
 class FracWeight:
@@ -350,16 +350,15 @@ class FracWeight:
     def __mul__(self, other):
         if isinstance(other, FracWeight):
             return FracWeight(self.num * other.num, self.den * other.den)
-        if isinstance(other, (int, Fraction, LaurentPoly2)):
-            return FracWeight(self.num * other, self.den)
-        return NotImplemented
+        other = _operand(other)
+        return other if other is NotImplemented else FracWeight(self.num * other, self.den)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, FracWeight):
             return self.num * other.den == other.num * self.den
-        return False if isinstance(other, (int, Fraction, LaurentPoly2)) else NotImplemented
+        return NotImplemented if _operand(other) is NotImplemented else False  # never a polynomial
 
     def __repr__(self):
         return f"FracWeight(({self.num}) / ({self.den}))"

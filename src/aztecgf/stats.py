@@ -24,7 +24,8 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   and each step adds the y of its move.  Black is the even x+y parity class
   (the northwest side is white).  The path-flow parity argument forces
   up-crossed verticals to have black bottom cells and down-crossed ones white
-  bottom cells, and the suite asserts it.
+  bottom cells, and the suite asserts it.  A ``SchroderPathFamily`` checks its
+  positions and these rules when it is built (else BijectionViolation).
 
 * Domino weights (local, used by the DP), by
   :func:`~aztecgf.regions.domino_class`: a ``"level"`` domino in row y
@@ -80,7 +81,7 @@ STEPS = Steps({
 
 @dataclass(frozen=True)
 class SchroderPathFamily:
-    """m non-intersecting partial Schröder paths, innermost first.
+    """m non-intersecting partial Schröder paths, innermost first, checked when built.
 
     Path i runs from height i-1 to height s_i - 1 and satisfies
     up - down = s_i - i and down + level = i.
@@ -91,7 +92,8 @@ class SchroderPathFamily:
     s: tuple
     paths: tuple  # tuple of tuples of STEPS kinds
 
-    def validate(self):
+    def __post_init__(self):
+        check_positions(self.m, self.n, self.s, BijectionViolation)
         if len(self.paths) != len(self.s):
             raise BijectionViolation(f"number of paths {len(self.paths)} != len(s) = {len(self.s)}")
         for i, path in enumerate(self.paths, start=1):
@@ -106,7 +108,6 @@ class SchroderPathFamily:
                 raise BijectionViolation(f"path {i}: up - down != s_i - i")
             if len(path) - path.count("up") != i:
                 raise BijectionViolation(f"path {i}: down + level != i")
-        return self
 
 
 @dataclass(frozen=True)
@@ -278,18 +279,17 @@ def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
         if c1.y == c2.y and is_white(c1) == hit:
             raise BijectionViolation(f"horizontal {(c1, c2)} crossing disagrees with its color")
 
-    return SchroderPathFamily(m, n, s, tuple(paths)).validate()
+    return SchroderPathFamily(m, n, s, tuple(paths))
 
 
 def paths_to_tiling(family: SchroderPathFamily, region: Region) -> Tiling:
     """Inverse of :func:`tiling_to_paths`: :meth:`Tiling.from_paths` replays
     the walks, then pairs every cell off them with the cell to its right."""
-    family.validate()
     m, n, s = region.rect_params
     if (m, n, tuple(s)) != (family.m, family.n, tuple(family.s)):
         raise BijectionViolation("path family does not belong to this region")
     walks = [(1 - i, i - 1, path) for i, path in enumerate(family.paths, start=1)]
-    # no exit check: validate() fixed up - down = s_i - i, down + level = i, so path i ends at (s_i + 1, s_i - 1)
+    # no exit check: a built family has up - down = s_i - i, down + level = i, so path i ends at (s_i + 1, s_i - 1)
     return Tiling.from_paths(region, walks, sq, sq, STEPS)
 
 
@@ -303,7 +303,7 @@ def minimal_path_family(m: int, n: int, s) -> SchroderPathFamily:
     for prev, cur in zip((0,) + s, s):
         steps += ["up"] * (cur - prev - 1) + ["level"]
         paths.append(tuple(steps))
-    return SchroderPathFamily(m, n, s, tuple(paths)).validate()
+    return SchroderPathFamily(m, n, s, tuple(paths))
 
 
 def minimal_tiling(region: Region) -> Tiling:

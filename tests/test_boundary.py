@@ -151,6 +151,15 @@ LEAKS = [
     ("enumerate_cspp max_entry=0", lambda: list(az.enumerate_cspp((1,), 0)), InvalidDents),
     ("enumerate_cspp max_entry=True", lambda: list(az.enumerate_cspp((1, 0), True)), InvalidDents),
     ("LaurentPoly2.term q=1.5", lambda: LaurentPoly2.term(1, q=1.5), TypeError),
+    # a family or partition is checked when it is built, so no reader meets a malformed one
+    ("SchroderPathFamily m=5 with one position", lambda: SchroderPathFamily(5, 5, (1,), (("level",),)),
+     BijectionViolation),
+    ("SchroderPathFamily n=0", lambda: SchroderPathFamily(1, 0, (1,), (("level",),)), BijectionViolation),
+    ("SchroderPathFamily s=(True,)", lambda: SchroderPathFamily(1, 1, (True,), (("level",),)), BijectionViolation),
+    ("path_stats step 'x'", lambda: az.path_stats(SchroderPathFamily(1, 1, (1,), (("x",),))), BijectionViolation),
+    ("ColumnStrictPlanePartition max_entry=True", lambda: ColumnStrictPlanePartition((1,), ((1,),), True),
+     BijectionViolation),
+    ("ColumnStrictPlanePartition max_entry=0", lambda: ColumnStrictPlanePartition((), (), 0), BijectionViolation),
     ("minimal_tiling semihexagon", lambda: az.minimal_tiling(az.semihexagon_with_dents(2, 1, (1, 2))),
      WrongRegionKind),
     ("semihex_q_genfun diamond", lambda: semihex_q_genfun(az.aztec_diamond(1)), WrongRegionKind),

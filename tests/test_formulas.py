@@ -1,9 +1,13 @@
 """Closed product formulas against small independent computations."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import aztecgf
 from aztecgf.engine import count_tilings, matching_genfun
 from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, NegativeExponent
 from aztecgf.formulas import (
@@ -124,3 +128,13 @@ def test_relation_examples():
 def test_negative_exponent_guard():
     with pytest.raises(NegativeExponent):
         LaurentPoly2.term(1, q=-1).require_polynomial()
+
+
+def test_count_product_checks_its_value_under_python_O():
+    # a raise, not an assert: under -O a fractional value must not be truncated by int()
+    code = ("from fractions import Fraction; import aztecgf.formulas as f; "
+            "f.falling_ratio = lambda s: Fraction(1, 3); print(f.count_product(1, (1,)))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aztecgf.__file__)))
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 1 and not run.stdout
+    assert "InexactDivision: the tiling count 2/3 is not an integer" in run.stderr

@@ -199,15 +199,15 @@ def test_classify():
 
 def test_cspp_validation():
     with pytest.raises(BijectionViolation):
-        ColumnStrictPlanePartition((2, 1), ((1, 2), (1,)), 3).validate()
+        ColumnStrictPlanePartition((2, 1), ((1, 2), (1,)), 3)
     with pytest.raises(BijectionViolation):
-        ColumnStrictPlanePartition((1, 1), ((1,), (1,)), 3).validate()
+        ColumnStrictPlanePartition((1, 1), ((1,), (1,)), 3)
     with pytest.raises(BijectionViolation, match="do not match"):
-        ColumnStrictPlanePartition((2, 1), ((3,), (1,)), 3).validate()
+        ColumnStrictPlanePartition((2, 1), ((3,), (1,)), 3)
     with pytest.raises(BijectionViolation, match=r"shape \(1, 2\) is not"):
-        ColumnStrictPlanePartition((1, 2), ((3,), (2, 1)), 3).validate()
+        ColumnStrictPlanePartition((1, 2), ((3,), (2, 1)), 3)
     for rows in (((4, 2), (1,)), ((3, 0), (1,))):
         with pytest.raises(BijectionViolation, match="out of range"):
-            ColumnStrictPlanePartition((2, 1), rows, 3).validate()
-    pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3).validate()
+            ColumnStrictPlanePartition((2, 1), rows, 3)
+    pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3)
     assert pi.size == 6

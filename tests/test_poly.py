@@ -296,3 +296,27 @@ def test_quotients_are_only_multiplied_and_compared():
         (1 + Q) / (1 + Q)
     with pytest.raises(ZeroDivisionError):
         (1 + Q) / 0
+
+
+def test_operands_are_read_by_one_rule():
+    # an int that is not a bool, a Fraction or a LaurentPoly2; a bool is refused like any other type
+    one, frac = LaurentPoly2.one(), FracWeight(1, Q + 1)
+    for call in (lambda: one * True, lambda: True * one, lambda: one / True, lambda: one + True,
+                 lambda: one - True, lambda: True - one, lambda: frac * True, lambda: True * frac):
+        with pytest.raises(TypeError):
+            call()
+    assert (one == True) is False and (frac == True) is False
+    # the reflected operators keep working on what the rule admits
+    assert one == 1 and 3 - Q == -(Q - 3) and Q * frac == FracWeight(Q, Q + 1)
+    with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+        LaurentPoly2.term(5, q=1) ** True
+    with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+        Q / 0
+
+
+def test_exponents_are_read_by_the_constructors_rule():
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        LaurentPoly2.from_json_obj({"terms": [{"q": 1.5, "t": "2", "coeff": "1"}]})
+    with pytest.raises(TypeError, match="exponents must be integers"):
+        LaurentPoly2.term(5, q=1).coefficient(True, False)
+    assert LaurentPoly2.term(5, q=1).coefficient(1, 0) == 5

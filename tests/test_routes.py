@@ -150,7 +150,7 @@ PAIRS = {
             "engine.Tiling.mate": "the tiling's own tiles, which both sides read",
             "stats.SchroderPathFamily.__init__": "the BFS starts from the minimal path family, the path rank "
                                                  "from the tiling's own paths",
-            "stats.SchroderPathFamily.validate": "each family is validated where it is built",
+            "stats.SchroderPathFamily.__post_init__": "each family is validated where it is built",
         }),
     "pipeline factor vs target": (
         lambda x: rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).factor,

@@ -171,15 +171,13 @@ def test_path_family_validation_refuses_broken_paths():
                           (("up", "level"), "up - down"),
                           ((), "down \\+ level")):
         with pytest.raises(BijectionViolation, match=message):
-            SchroderPathFamily(1, 1, (1,), (path,)).validate()
-    assert SchroderPathFamily(1, 1, (1,), (("level",),)).validate()
+            SchroderPathFamily(1, 1, (1,), (path,))
+    assert SchroderPathFamily(1, 1, (1,), (("level",),))
     # one path too few on the order-2 diamond, and one too many on AR(1, 1; 1)
-    too_few = SchroderPathFamily(2, 2, (1, 2), (("level",),))
-    too_many = SchroderPathFamily(1, 1, (1,), (("level",), ("level", "level")))
-    for family, message in ((too_few, r"number of paths 1 != len\(s\) = 2"),
-                            (too_many, r"number of paths 2 != len\(s\) = 1")):
+    for m, s, paths, message in ((2, (1, 2), (("level",),), r"number of paths 1 != len\(s\) = 2"),
+                                 (1, (1,), (("level",), ("level", "level")), r"number of paths 2 != len\(s\) = 1")):
         with pytest.raises(BijectionViolation, match=message):
-            family.validate()
+            SchroderPathFamily(m, m, s, paths)
 
 
 def _kind_tuples(i, s_i):
@@ -200,14 +198,58 @@ def test_path_families_biject_with_tilings_exhaustively():
                 region = aztec_rectangle_with_holes(m, n, s)
                 replayed = 0
                 for paths in product(*(list(_kind_tuples(i, s_i)) for i, s_i in enumerate(s, start=1))):
-                    family = SchroderPathFamily(m, n, s, paths)
                     try:
+                        family = SchroderPathFamily(m, n, s, paths)
                         tiling = paths_to_tiling(family, region)
                     except BijectionViolation:
                         continue
                     replayed += 1
                     assert tiling_to_paths(tiling) == family
                 assert replayed == count_tilings(region), (m, n, s)
+
+
+@st.composite
+def drawn_families(draw):
+    """(m, n, s, paths) on the m <= 3, n <= 5 corpus, with at times one flaw in
+    the positions; each path's step counts are right, and at times one step is
+    replaced by an unknown kind, a bool or another kind."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 5))
+    s = sorted(draw(st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True)))
+    flaw = draw(st.sampled_from((None, None, None, "m", "n", "s", "bool")))
+    if flaw == "m":
+        m = 0
+    elif flaw == "n":
+        n = m - 1
+    elif flaw == "s":
+        s[-1] = n + 1
+    elif flaw == "bool":
+        s[0] = draw(st.booleans())
+    paths = []
+    for i, s_i in enumerate(s, start=1):
+        down = draw(st.integers(0, i))
+        path = draw(st.permutations(["down"] * down + ["level"] * (i - down) + ["up"] * (s_i - i + down)))
+        if path and draw(st.integers(0, 3)) == 0:
+            path[draw(st.integers(0, len(path) - 1))] = draw(st.sampled_from(("sideways", True, False, "up")))
+        paths.append(tuple(path))
+    return m, n, tuple(s), tuple(paths)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn_families())
+def test_a_drawn_family_is_refused_when_built_or_read_without_error(case):
+    m, n, s, paths = case
+    try:
+        family = SchroderPathFamily(m, n, s, paths)
+    except BijectionViolation:
+        return
+    stats = path_stats(family)
+    assert sum(stats.down) + stats.level_total == m * (m + 1) // 2
+    try:
+        tiling = paths_to_tiling(family, aztec_rectangle_with_holes(m, n, s))
+    except BijectionViolation:
+        return
+    assert tiling_to_paths(tiling) == family
 
 
 def test_minimal_path_family_weight_exponent():
