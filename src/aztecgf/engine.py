@@ -43,7 +43,9 @@ wider than ``MAX_FRONTIER`` bits is refused before any state is swept.
 Weighted sweeps keep each state's polynomial Kronecker-packed
 (:class:`~aztecgf.poly.PackedPoly`): a monomial weight only updates the
 value's pending shift, and two states that merge cost one shift and one
-integer add per power of t.
+integer add per power of t.  The integer sweep relabels states instead of
+rebuilding the dict at most cells, through a ``flip`` mask that every
+stored key is XORed with (:func:`_sweep`).
 """
 
 from __future__ import annotations
@@ -491,12 +493,37 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
     key is under ``MAX_FRONTIER`` bits.  ``nbr_earlier[k]`` lists (slot bit,
     edge index) for vertex k's earlier neighbours.  Returns the value of the
     empty final profile, or None when no matching reaches it.
+
+    Each state is stored at its mask XOR ``flip``.  Where vertex k frees one
+    slot r and takes it back (most cells of a diamond, a holey rectangle or
+    a semihexagon), and its edge to r's vertex weighs the int 1, every state
+    either clears r (k meets r's vertex) or sets r (k waits) with its value
+    unchanged: toggling r in ``flip`` does both without touching the dict.
+    Only a state without r that also meets another earlier neighbour p
+    moves, by one in-place add.  Every other vertex, and every packed sweep,
+    first stores each state at its mask (``flip`` = 0) and rebuilds the
+    dict.  So the keys of a layer taken mid-sweep are relative to ``flip``:
+    a generator of layers must XOR them with ``flip`` before it yields one.
     """
-    states = {0: one}
+    states, flip = {0: one}, 0
     for k, nbrs in enumerate(nbr_earlier):
         if not states:
             break
         nbrs = [(pb, weights[i]) for pb, i in nbrs]
+        r = last_mask[k]
+        if r and r == bit[k] and (r, 1) in nbrs:
+            moves = []
+            for pb, w in nbrs:
+                if pb != r:  # a mask with pb and without r, stored at u, moves to u ^ pb ^ r
+                    both = r | pb
+                    want = (flip & both) ^ pb
+                    moves += [(u ^ both, val * w) for u, val in states.items() if u & both == want]
+            for key, val in moves:
+                states[key] = states.get(key, 0) + val
+            flip ^= r
+            continue
+        if flip:
+            states, flip = {u ^ flip: val for u, val in states.items()}, 0
         nxt = {}
         get = nxt.get
         lm = last_mask[k]
@@ -520,4 +547,4 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
                     cur = get(key := s | bit_k)
                     nxt[key] = val if cur is None else cur + val
         states = nxt
-    return states.get(0)
+    return states.get(0)  # the last vertex takes no slot, so it stored every state at its mask

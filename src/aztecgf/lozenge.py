@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
-from .regions import NO_BOUND, Region, check_positions, check_size, dw, up
+from .regions import NO_BOUND, Region, check_positions, check_rows, check_size, dw, up
 
 LEFT = "left"
 RIGHT = "right"
@@ -118,15 +118,16 @@ class ColumnStrictPlanePartition:
 
     def __post_init__(self):
         check_size("max_entry", self.max_entry, BijectionViolation)
+        object.__setattr__(self, "rows", check_rows("rows", self.rows, BijectionViolation))
         if tuple(len(r) for r in self.rows) != self.shape:
             raise BijectionViolation(f"row lengths {self.rows} do not match shape {self.shape}")
         if any(x < y for x, y in zip(self.shape, self.shape[1:])):
             raise BijectionViolation(f"shape {self.shape} is not weakly decreasing")
         for row in self.rows:
-            if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
-                raise BijectionViolation(f"row {row} not weakly decreasing")
             if not all(type(v) is int and 1 <= v <= self.max_entry for v in row):
                 raise BijectionViolation(f"entries out of range in {row}")
+            if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
+                raise BijectionViolation(f"row {row} not weakly decreasing")
         for upper, lower in zip(self.rows, self.rows[1:]):
             for k in range(len(lower)):
                 if upper[k] <= lower[k]:

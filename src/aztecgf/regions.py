@@ -209,7 +209,10 @@ def check_positions(m: int, n, s, error) -> tuple:
     """
     if type(m) is not int or (type(n) is not int and n is not NO_BOUND):
         raise error(f"sizes must be integers, got m={m!r}, n={n!r}")
-    s = tuple(s)
+    try:
+        s = tuple(s)
+    except TypeError:
+        raise error(f"positions must be a sequence, got {s!r}") from None
     if any(type(x) is not int for x in s):
         raise error(f"positions must be integers, got {s}")
     n = max((m, *s)) if n is NO_BOUND else n
@@ -218,6 +221,14 @@ def check_positions(m: int, n, s, error) -> tuple:
     if len(s) != m or any(x >= y for x, y in zip(s, s[1:])) or not all(1 <= x <= n for x in s):
         raise error(f"s must be strictly increasing in [1, {n}] with {m} entries, got {s}")
     return s
+
+
+def check_rows(name: str, rows, error) -> tuple:
+    """``rows``, called ``name``, as a tuple of tuples; raises ``error`` unless it and each row are iterable."""
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:
+        raise error(f"{name} must be a sequence of sequences, got {rows!r}") from None
 
 
 def check_size(name: str, k, error) -> None:

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .formulas import count_product, displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
-from .regions import Region, aztec_rectangle_with_holes, check_positions, domino_class, is_white, sq
+from .regions import Region, aztec_rectangle_with_holes, check_positions, check_rows, domino_class, is_white, sq
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
@@ -93,13 +93,14 @@ class SchroderPathFamily:
     paths: tuple  # tuple of tuples of STEPS kinds
 
     def __post_init__(self):
-        check_positions(self.m, self.n, self.s, BijectionViolation)
+        object.__setattr__(self, "s", check_positions(self.m, self.n, self.s, BijectionViolation))
+        object.__setattr__(self, "paths", check_rows("paths", self.paths, BijectionViolation))
         if len(self.paths) != len(self.s):
             raise BijectionViolation(f"number of paths {len(self.paths)} != len(s) = {len(self.s)}")
         for i, path in enumerate(self.paths, start=1):
             h = i - 1
             for kind in path:
-                if kind not in STEPS:
+                if type(kind) is not str or kind not in STEPS:
                     raise BijectionViolation(f"path {i} has the unknown step {kind!r}")
                 h += STEPS[kind][1][1]
                 if h < 0:

@@ -160,6 +160,15 @@ LEAKS = [
     ("ColumnStrictPlanePartition max_entry=True", lambda: ColumnStrictPlanePartition((1,), ((1,),), True),
      BijectionViolation),
     ("ColumnStrictPlanePartition max_entry=0", lambda: ColumnStrictPlanePartition((), (), 0), BijectionViolation),
+    # structure: a path or row that is not a sequence, a step kind that cannot be hashed (bare TypeErrors)
+    ("SchroderPathFamily path 5", lambda: SchroderPathFamily(1, 1, (1,), (5,)), BijectionViolation),
+    ("SchroderPathFamily step []", lambda: SchroderPathFamily(1, 1, (1,), (([],),)), BijectionViolation),
+    ("SchroderPathFamily paths 5", lambda: SchroderPathFamily(1, 1, (1,), 5), BijectionViolation),
+    ("SchroderPathFamily s=5", lambda: SchroderPathFamily(1, 1, 5, (("level",),)), BijectionViolation),
+    ("ColumnStrictPlanePartition row 5", lambda: ColumnStrictPlanePartition((1,), (5,), 2), BijectionViolation),
+    ("ColumnStrictPlanePartition entry 'a'", lambda: ColumnStrictPlanePartition((2,), (("a", 1),), 2),
+     BijectionViolation),
+    ("rectangle_genfun s=5", lambda: az.rectangle_genfun(2, 3, 5), InvalidHoles),
     ("minimal_tiling semihexagon", lambda: az.minimal_tiling(az.semihexagon_with_dents(2, 1, (1, 2))),
      WrongRegionKind),
     ("semihex_q_genfun diamond", lambda: semihex_q_genfun(az.aztec_diamond(1)), WrongRegionKind),

@@ -1,6 +1,7 @@
 """The matching kernels -- one search, one DP -- and their exact agreement."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
 from math import prod
@@ -425,18 +426,18 @@ def test_graph_dp_edge_cases(monkeypatch):
         graph_genfun_dp(dual_graph(aztec_diamond(13)))
 
 
-def last_neighbours(region):
-    # max_nbr[p]: the sweep position of cell p's last neighbour (-1 if none)
-    pos = {c: k for k, c in enumerate(sorted(region.cells, key=sweep_key))}
+def last_neighbours(order, edges):
+    # max_nbr[p]: the sweep position of vertex p's last neighbour (-1 if none)
+    pos = {v: k for k, v in enumerate(order)}
     max_nbr = [-1] * len(pos)
-    for a, b in region.all_dominoes:
+    for a, b in edges:
         p, k = sorted((pos[a], pos[b]))
         max_nbr[p] = max(max_nbr[p], k)
     return max_nbr
 
 
 def check_frontier_slots(region):
-    max_nbr = last_neighbours(region)
+    max_nbr = last_neighbours(sorted(region.cells, key=sweep_key), region.all_dominoes)
     bit, last_mask, width = _frontier_slots(max_nbr)
     # reference width: the most intervals [p, max_nbr[p]) open at once
     opened = [0] * len(max_nbr)
@@ -454,6 +455,55 @@ def check_frontier_slots(region):
         # the cells swept while p waits hold intervals that overlap p's
         assert all(bit[r] != bit[p] for r in range(p + 1, last))
     assert sum(m.bit_count() for m in last_mask) == sum(1 for b in bit if b)
+
+
+def vertex_kinds(order, edges):
+    """What each vertex of the sweep over ``order`` does to the frontier slots."""
+    bit, last_mask, _ = _frontier_slots(last_neighbours(order, edges))
+    kinds = Counter()
+    for freed, taken in zip(last_mask, bit):
+        if freed and freed == taken:
+            kinds["frees one slot and takes it back"] += 1
+        elif freed & (freed - 1):
+            kinds["frees two slots"] += 1
+        elif freed:
+            kinds["frees one slot and takes another" if taken else "frees one slot and takes none"] += 1
+        else:
+            kinds["takes a slot" if taken else "frees and takes none"] += 1
+    return kinds
+
+
+def test_relabelled_sweep_equals_the_search_in_any_order():
+    # the integer sweep relabels a vertex that frees one slot and takes it
+    # back; shuffled and reversed orders mix such vertices with every other kind
+    rng = random.Random(2718)
+    kinds, relabelled = Counter(), 0
+    cases = []
+    for _ in range(200):
+        n = rng.randrange(2, 15, 2)
+        density = rng.choice((0.2, 0.35, 0.5))
+        edges = {(u, v): 1 for u, v in combinations(range(n), 2) if rng.random() < density}
+        skeleton = rng.sample(range(n), n)
+        for u, v in zip(skeleton[::2], skeleton[1::2]):
+            edges.setdefault((min(u, v), max(u, v)), 1)
+        cases.append((rng.sample(range(n), n), WeightedGraph(list(range(n)), edges)))
+    regions = [aztec_rectangle_with_holes(m, n, s)
+               for m in range(1, 4) for n in range(m, 6) for s in combinations(range(1, n + 1), m)]
+    regions += [semihexagon_with_dents(m, n - m, s)
+                for m in range(1, 4) for n in range(m, 7) for s in combinations(range(1, n + 1), m)]
+    for region in regions:
+        graph = dual_graph(region)
+        swept = sorted(region.cells, key=sweep_key)
+        cases += [(swept[::-1], graph), (rng.sample(swept, len(swept)), graph)]
+    for order, graph in cases:
+        edges = tuple(graph.edge_dict())
+        count = count_matchings(graph)  # shares no code with the sweep
+        assert engine._genfun_dp(order, edges, None) == count, (graph.vertices, order)
+        case_kinds = vertex_kinds(order, edges)
+        kinds += case_kinds
+        relabelled += count > 0 and case_kinds["frees one slot and takes it back"] > 0
+    assert len(kinds) == 6 and min(kinds.values()) >= 100, kinds
+    assert relabelled >= 300
 
 
 def test_frontier_slots_match_the_width_count():

@@ -211,3 +211,6 @@ def test_cspp_validation():
             ColumnStrictPlanePartition((2, 1), rows, 3)
     pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3)
     assert pi.size == 6
+    # rows may arrive as lists; the partition keeps them as tuples, so it hashes
+    listed = ColumnStrictPlanePartition((2, 1), [[3, 2], [1]], 3)
+    assert listed == pi and hash(listed) == hash(pi) and listed.rows == ((3, 2), (1,))

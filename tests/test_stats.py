@@ -180,6 +180,16 @@ def test_path_family_validation_refuses_broken_paths():
             SchroderPathFamily(m, m, s, paths)
 
 
+def test_a_family_keeps_tuples_so_it_hashes_and_equals_the_one_read_back():
+    # s and the paths may arrive as lists; the family keeps them as tuples
+    tiling = minimal_tiling(aztec_rectangle_with_holes(1, 1, (1,)))
+    read_back = tiling_to_paths(tiling)
+    for family in (SchroderPathFamily(1, 1, [1], (("level",),)), SchroderPathFamily(1, 1, (1,), [["level"]])):
+        assert family == read_back and hash(family) == hash(read_back)
+        assert family.s == (1,) and family.paths == (("level",),)
+        assert paths_to_tiling(family, tiling.region) == tiling
+
+
 def _kind_tuples(i, s_i):
     """Every tuple of step kinds with down + level = i and up - down = s_i - i."""
     for length in range(s_i, s_i + i + 1):  # s_i + down steps
