@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 bad flags.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, when this module is imported, and every call parses with it.
+``verify`` and ``render`` are imported only when their command runs, so
+``genfun`` and ``count`` start without compiling or loading them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import time
 from itertools import islice
 
-from . import formulas, stats, verify
+from . import formulas, stats
 from .engine import check_frontier, count_tilings, enumerate_tilings, tiling_genfun_dp
 from .errors import AztecError, InvalidOrder, InvalidRegionFile
 from .regions import (
@@ -27,7 +29,6 @@ from .regions import (
     region_from_json,
     semihexagon_with_dents,
 )
-from .render import render_ascii, render_svg
 
 
 def _positions(text):
@@ -36,6 +37,10 @@ def _positions(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
+
+
+# verify.SUITES in order, and "all"; a test holds the two together
+SUITES = ("main", "diamond", "weighted", "lozenge", "relation", "rewrite", "all")
 
 
 def build_parser():
@@ -59,7 +64,7 @@ def build_parser():
     p.add_argument("--method", choices=("enumerate", "dp"), default="enumerate")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=(*verify.SUITES, "all"), required=True)
+    p.add_argument("--suite", choices=SUITES, required=True)
 
     p = sub.add_parser("render", help="draw a region or one of its tilings")
     p.add_argument("--region", choices=("aztec", "rect", "semihex"))
@@ -141,6 +146,8 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
+    from . import verify
+
     failures = verify.run_suite(args.suite, sys.stdout)
     total = "all suites" if args.suite == "all" else f"suite {args.suite}"
     if failures:
@@ -151,6 +158,8 @@ def cmd_verify(args):
 
 
 def cmd_render(args):
+    from .render import render_ascii, render_svg
+
     region = _build_region(args)
     if (args.tiling == "minimal" or args.paths) and region.lattice != "square":
         PARSER.error("--tiling minimal and --paths need an aztec or rect region")

@@ -512,14 +512,18 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
         nbrs = [(pb, weights[i]) for pb, i in nbrs]
         r = last_mask[k]
         if r and r == bit[k] and (r, 1) in nbrs:
-            moves = []
+            get = states.get
             for pb, w in nbrs:
                 if pb != r:  # a mask with pb and without r, stored at u, moves to u ^ pb ^ r
                     both = r | pb
                     want = (flip & both) ^ pb
-                    moves += [(u ^ both, val * w) for u, val in states.items() if u & both == want]
-            for key, val in moves:
-                states[key] = states.get(key, 0) + val
+                    sources = [u for u in states if u & both == want]  # no target lacks r, so none is a source
+                    if w == 1:
+                        for u in sources:
+                            states[key] = get(key := u ^ both, 0) + states[u]
+                    else:
+                        for u in sources:
+                            states[key] = get(key := u ^ both, 0) + states[u] * w
             flip ^= r
             continue
         if flip:

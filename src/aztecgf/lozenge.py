@@ -32,12 +32,10 @@ Two path systems read a tiling, each a step table (``TOP_STEPS``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
-from .regions import NO_BOUND, Region, check_positions, check_rows, check_size, dw, up
+from .regions import NO_BOUND, Record, Region, check_positions, check_rows, check_size, dw, up
 
 LEFT = "left"
 RIGHT = "right"
@@ -108,13 +106,14 @@ def top_bottom_paths(tiling: Tiling):
 # column-strict plane partitions
 
 
-@dataclass(frozen=True)
-class ColumnStrictPlanePartition:
+class ColumnStrictPlanePartition(Record):
     """Rows weakly decrease; columns strictly decrease; entries in [1, max_entry]; checked when built."""
 
-    shape: tuple
-    rows: tuple
-    max_entry: int
+    FIELDS = ("shape", "rows", "max_entry")
+
+    def __init__(self, shape: tuple, rows: tuple, max_entry: int):
+        vars(self).update(shape=shape, rows=rows, max_entry=max_entry)
+        self.__post_init__()
 
     def __post_init__(self):
         check_size("max_entry", self.max_entry, BijectionViolation)

@@ -41,7 +41,6 @@ positions ``s_1 < ... < s_a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -73,8 +72,32 @@ def dw(x: int, y: int) -> Cell:
     return Cell(x, y, TRI_DOWN)
 
 
-@dataclass(frozen=True)
-class Region:
+class Record:
+    """A frozen record, as a frozen dataclass would be: it equals a record of
+    its own type whose ``FIELDS`` are equal, hashes and shows them in that
+    order, and refuses assignment, so ``__init__`` stores them in ``vars``."""
+
+    FIELDS = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.FIELDS)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.FIELDS)})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a {type(self).__name__} is frozen: cannot assign to or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Region(Record):
     """A finite cell set plus the key of its construction.
 
     ``key`` identifies the construction (used as a cache key and for cheap
@@ -82,9 +105,10 @@ class Region:
     coordinates by a formula (see the module docstring).
     """
 
-    lattice: str
-    key: tuple
-    cells: frozenset
+    FIELDS = ("lattice", "key", "cells")
+
+    def __init__(self, lattice: str, key: tuple, cells: frozenset):
+        vars(self).update(lattice=lattice, key=key, cells=cells)
 
     def __hash__(self):
         return hash(self.key)

@@ -34,8 +34,8 @@ the one-row reduction that the peeling generalises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .errors import InexactDivision, InvalidGraph, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor  # unused here: perfbench/jobs.py reads it as rewrite.peel_target_factor
@@ -196,8 +196,7 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
 # peeling a holey rectangle down to a dented semihexagon
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     factor: LaurentPoly2   # M(start) = factor * M(graph): per round, the last column's deltas over q^(scales)
     graph: WeightedGraph   # final graph, polynomial weights
     spider_count: int

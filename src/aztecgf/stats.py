@@ -53,9 +53,9 @@ Conventions (all pinned by the acceptance suite, none adjustable):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
@@ -68,7 +68,8 @@ from .errors import (
 )
 from .formulas import count_product, displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
-from .regions import Region, aztec_rectangle_with_holes, check_positions, check_rows, domino_class, is_white, sq
+from .regions import (Record, Region, aztec_rectangle_with_holes, check_positions, check_rows, domino_class,
+                      is_white, sq)
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
@@ -79,18 +80,18 @@ STEPS = Steps({
 })
 
 
-@dataclass(frozen=True)
-class SchroderPathFamily:
+class SchroderPathFamily(Record):
     """m non-intersecting partial Schröder paths, innermost first, checked when built.
 
     Path i runs from height i-1 to height s_i - 1 and satisfies
     up - down = s_i - i and down + level = i.
     """
 
-    m: int
-    n: int
-    s: tuple
-    paths: tuple  # tuple of tuples of STEPS kinds
+    FIELDS = ("m", "n", "s", "paths")  # paths: a tuple of tuples of STEPS kinds
+
+    def __init__(self, m: int, n: int, s: tuple, paths: tuple):
+        vars(self).update(m=m, n=n, s=s, paths=paths)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "s", check_positions(self.m, self.n, self.s, BijectionViolation))
@@ -111,8 +112,7 @@ class SchroderPathFamily:
                 raise BijectionViolation(f"path {i}: down + level != i")
 
 
-@dataclass(frozen=True)
-class PathStats:
+class PathStats(NamedTuple):
     up: tuple
     down: tuple
     level: tuple

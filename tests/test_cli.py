@@ -458,3 +458,22 @@ def test_verify_suite_exits_zero():
     text = out.stdout.decode()
     assert "FAIL" not in text
     assert text.strip().endswith("suite diamond: ok")
+
+
+def test_start_up_loads_neither_verify_render_nor_dataclasses():
+    # -I -S keeps site and the environment out, so nothing is loaded beforehand:
+    # what is left in sys.modules is what importing the CLI itself loaded
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import aztecgf.cli; "
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'aztecgf.verify', 'aztecgf.render')"
+             " if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, check=True)
+    assert out.stdout == b"[]\n"
+
+
+def test_suite_choices_are_the_verify_suites():
+    # cli spells the --suite choices out so that it need not import verify to build its parser
+    from aztecgf import cli, verify
+
+    assert cli.SUITES == (*verify.SUITES, "all")  # the same names in the same order, so --help is unchanged
+    for suite in cli.SUITES:
+        assert cli.PARSER.parse_args(["verify", "--suite", suite]).suite == suite

@@ -8,7 +8,10 @@ from aztecgf.engine import matching_genfun
 from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, InvalidRegionFile, InvalidWeight
 from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_genfun
 from aztecgf.poly import FracWeight, LaurentPoly2
+from aztecgf.lozenge import ColumnStrictPlanePartition, cspp_to_tiling, tiling_to_cspp
 from aztecgf.regions import (
+    Record,
+    Region,
     WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
@@ -21,7 +24,8 @@ from aztecgf.regions import (
     sq,
     weighted_ar_graph,
 )
-from aztecgf.rewrite import reduce_rectangle_to_semihexagon
+from aztecgf.rewrite import PipelineResult, reduce_rectangle_to_semihexagon
+from aztecgf.stats import PathStats, SchroderPathFamily, minimal_tiling, path_stats, tiling_to_paths
 from aztecgf.verify import row_reduction_sides
 
 
@@ -252,3 +256,46 @@ def test_region_json_roundtrip():
         assert region_from_json(region.to_json_obj()) == region
     with pytest.raises(InvalidRegionFile):
         region_from_json({"kind": "blob", "params": []})
+
+
+def test_records_keep_their_value_semantics_and_reprs():
+    # Region, SchroderPathFamily, ColumnStrictPlanePartition, PathStats and
+    # PipelineResult compare, hash and print as the frozen dataclasses they were
+    cell = frozenset({sq(0, 0)})
+    family = SchroderPathFamily(1, 1, (1,), (("level",),))
+    pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3)
+    factor = LaurentPoly2.term(2, q=1)
+    cases = {  # record: (an equal one built apart, one with a field changed, its repr)
+        Region("square", ("one",), cell): (
+            Region("square", ("one",), frozenset(cell)), Region("square", ("two",), cell),
+            "Region(lattice='square', key=('one',), cells=frozenset({Cell(x=0, y=0, kind='sq')}))"),
+        family: (
+            SchroderPathFamily(1, 1, [1], [["level"]]), SchroderPathFamily(1, 2, (1,), (("level",),)),
+            "SchroderPathFamily(m=1, n=1, s=(1,), paths=(('level',),))"),
+        pi: (
+            ColumnStrictPlanePartition((2, 1), [[3, 2], [1]], 3),
+            ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 4),
+            "ColumnStrictPlanePartition(shape=(2, 1), rows=((3, 2), (1,)), max_entry=3)"),
+        path_stats(family): (
+            PathStats((0,), (0,), (1,), Fraction(0), 0), PathStats((0,), (0,), (1,), Fraction(0), 1),
+            "PathStats(up=(0,), down=(0,), level=(1,), area=Fraction(0, 1), beta=0)"),
+        PipelineResult(factor, None, 3): (
+            PipelineResult(LaurentPoly2.term(2, q=1), None, 3), PipelineResult(factor, None, 4),
+            "PipelineResult(factor=LaurentPoly2(2*q), graph=None, spider_count=3)"),
+    }
+    for record, (equal, other, text) in cases.items():
+        assert record == equal and hash(record) == hash(equal) and not record != equal
+        assert record != other and not record == other
+        assert repr(record) == text
+        with pytest.raises(AttributeError):  # frozen
+            setattr(record, (record.FIELDS if isinstance(record, Record) else record._fields)[0], None)
+    assert family != pi and Region("square", ("one",), cell) != ("one",)
+    assert Region("square", ("one",), cell).sorted_cells == (sq(0, 0),)  # a cached_property of a frozen record
+    assert path_stats(tiling_to_paths(minimal_tiling(aztec_rectangle_with_holes(2, 4, (1, 3))))).level_total == 3
+
+    # a family or partition built from lists equals the one read back from its tiling
+    tiling = minimal_tiling(aztec_rectangle_with_holes(1, 1, (1,)))
+    assert SchroderPathFamily(1, 1, [1], [["level"]]) == tiling_to_paths(tiling)
+    region = semihexagon_with_dents(2, 1, (1, 3))
+    listed = ColumnStrictPlanePartition((1, 0), [[2], []], 2)
+    assert tiling_to_cspp(cspp_to_tiling(listed, region)) == listed
