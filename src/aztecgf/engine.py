@@ -518,12 +518,14 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
                     both = r | pb
                     want = (flip & both) ^ pb
                     sources = [u for u in states if u & both == want]  # no target lacks r, so none is a source
-                    if w == 1:
+                    if w == 1:  # one loop multiplying by w made an order-16 count 12-21% slower
                         for u in sources:
-                            states[key] = get(key := u ^ both, 0) + states[u]
+                            t = u ^ both
+                            states[t] = get(t, 0) + states[u]
                     else:
                         for u in sources:
-                            states[key] = get(key := u ^ both, 0) + states[u] * w
+                            t = u ^ both
+                            states[t] = get(t, 0) + states[u] * w
             flip ^= r
             continue
         if flip:

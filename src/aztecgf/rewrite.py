@@ -35,12 +35,12 @@ the one-row reduction that the peeling generalises.
 from __future__ import annotations
 
 from math import prod
-from typing import NamedTuple
 
 from .errors import InexactDivision, InvalidGraph, InvalidHoles, InvalidPartition, PatternMismatch, ZeroDelta
 from .formulas import peel_target_factor  # unused here: perfbench/jobs.py reads it as rewrite.peel_target_factor
 from .poly import FracWeight, LaurentPoly2
-from .regions import WeightedGraph, ar_face_cells, check_positions, edge_weight, face_weights, full_weighted_rectangle, sq
+from .regions import (Record, WeightedGraph, ar_face_cells, check_positions, edge_weight, face_weights,
+                      full_weighted_rectangle, sq)
 
 
 _ONE = LaurentPoly2.one()
@@ -196,10 +196,13 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
 # peeling a holey rectangle down to a dented semihexagon
 
 
-class PipelineResult(NamedTuple):
-    factor: LaurentPoly2   # M(start) = factor * M(graph): per round, the last column's deltas over q^(scales)
-    graph: WeightedGraph   # final graph, polynomial weights
-    spider_count: int
+class PipelineResult(Record):
+    # factor: M(start) = factor * M(graph), per round the last column's deltas over q^(scales);
+    # graph: the final graph, polynomial weights
+    FIELDS = ("factor", "graph", "spider_count")
+
+    def __init__(self, factor: LaurentPoly2, graph: WeightedGraph, spider_count: int):
+        vars(self).update(factor=factor, graph=graph, spider_count=spider_count)
 
 
 def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineResult:

@@ -55,7 +55,6 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
@@ -112,12 +111,11 @@ class SchroderPathFamily(Record):
                 raise BijectionViolation(f"path {i}: down + level != i")
 
 
-class PathStats(NamedTuple):
-    up: tuple
-    down: tuple
-    level: tuple
-    area: Fraction
-    beta: int
+class PathStats(Record):
+    FIELDS = ("up", "down", "level", "area", "beta")
+
+    def __init__(self, up: tuple, down: tuple, level: tuple, area: Fraction, beta: int):
+        vars(self).update(up=up, down=down, level=level, area=area, beta=beta)
 
     @property
     def level_total(self) -> int:

@@ -10,7 +10,6 @@ from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_gen
 from aztecgf.poly import FracWeight, LaurentPoly2
 from aztecgf.lozenge import ColumnStrictPlanePartition, cspp_to_tiling, tiling_to_cspp
 from aztecgf.regions import (
-    Record,
     Region,
     WeightedGraph,
     aztec_diamond,
@@ -260,7 +259,8 @@ def test_region_json_roundtrip():
 
 def test_records_keep_their_value_semantics_and_reprs():
     # Region, SchroderPathFamily, ColumnStrictPlanePartition, PathStats and
-    # PipelineResult compare, hash and print as the frozen dataclasses they were
+    # PipelineResult compare, hash and print as frozen dataclasses do (all were
+    # dataclasses; PipelineResult was not frozen), and none equals a tuple
     cell = frozenset({sq(0, 0)})
     family = SchroderPathFamily(1, 1, (1,), (("level",),))
     pi = ColumnStrictPlanePartition((2, 1), ((3, 2), (1,)), 3)
@@ -287,8 +287,9 @@ def test_records_keep_their_value_semantics_and_reprs():
         assert record == equal and hash(record) == hash(equal) and not record != equal
         assert record != other and not record == other
         assert repr(record) == text
+        assert record != record._values()  # not a tuple
         with pytest.raises(AttributeError):  # frozen
-            setattr(record, (record.FIELDS if isinstance(record, Record) else record._fields)[0], None)
+            setattr(record, record.FIELDS[0], None)
     assert family != pi and Region("square", ("one",), cell) != ("one",)
     assert Region("square", ("one",), cell).sorted_cells == (sq(0, 0),)  # a cached_property of a frozen record
     assert path_stats(tiling_to_paths(minimal_tiling(aztec_rectangle_with_holes(2, 4, (1, 3))))).level_total == 3
