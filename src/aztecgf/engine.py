@@ -56,7 +56,7 @@ from math import lcm, prod
 
 from .errors import BijectionViolation, InvalidTiling, InvalidWeight, RegionTooWide
 from .poly import FracWeight, LaurentPoly2, PackedPoly, packed_weight, slot_bits
-from .regions import Region, WeightedGraph, edge_weight, sweep_key
+from .regions import Region, WeightedGraph, check_rows, edge_weight, sweep_key
 
 MAX_FRONTIER = 24  # bits; 2^24 states of packed polynomials is out of reach
 _ONE = LaurentPoly2.one()
@@ -82,10 +82,10 @@ class Tiling:
     def from_dominoes(cls, region: Region, dominoes) -> "Tiling":
         index = region.domino_index
         mask = 0
-        for d in dominoes:
+        for d in check_rows("dominoes", dominoes, InvalidTiling):
             i = index.get(tuple(sorted(d)))
             if i is None:
-                raise InvalidTiling(f"{tuple(d)} is not a tile of region {region.key}")
+                raise InvalidTiling(f"{d} is not a tile of region {region.key}")
             mask |= 1 << i
         return cls(region, mask)
 

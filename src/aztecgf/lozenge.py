@@ -111,26 +111,21 @@ class ColumnStrictPlanePartition(Record):
 
     FIELDS = ("shape", "rows", "max_entry")
 
-    def __init__(self, shape: tuple, rows: tuple, max_entry: int):
-        vars(self).update(shape=shape, rows=rows, max_entry=max_entry)
-        self.__post_init__()
-
-    def __post_init__(self):
-        check_size("max_entry", self.max_entry, BijectionViolation)
-        object.__setattr__(self, "rows", check_rows("rows", self.rows, BijectionViolation))
-        if tuple(len(r) for r in self.rows) != self.shape:
-            raise BijectionViolation(f"row lengths {self.rows} do not match shape {self.shape}")
-        if any(x < y for x, y in zip(self.shape, self.shape[1:])):
-            raise BijectionViolation(f"shape {self.shape} is not weakly decreasing")
-        for row in self.rows:
-            if not all(type(v) is int and 1 <= v <= self.max_entry for v in row):
+    def _checked(self, shape: tuple, rows: tuple, max_entry: int) -> tuple:
+        check_size("max_entry", max_entry, BijectionViolation)
+        rows = check_rows("rows", rows, BijectionViolation)
+        if tuple(len(r) for r in rows) != shape:
+            raise BijectionViolation(f"row lengths {rows} do not match shape {shape}")
+        if any(x < y for x, y in zip(shape, shape[1:])):
+            raise BijectionViolation(f"shape {shape} is not weakly decreasing")
+        for row in rows:
+            if not all(type(v) is int and 1 <= v <= max_entry for v in row):
                 raise BijectionViolation(f"entries out of range in {row}")
             if any(row[k] < row[k + 1] for k in range(len(row) - 1)):
                 raise BijectionViolation(f"row {row} not weakly decreasing")
-        for upper, lower in zip(self.rows, self.rows[1:]):
-            for k in range(len(lower)):
-                if upper[k] <= lower[k]:
-                    raise BijectionViolation("columns must strictly decrease")
+        if any(a <= b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower)):
+            raise BijectionViolation("columns must strictly decrease")
+        return shape, rows, max_entry
 
     @property
     def size(self) -> int:
@@ -151,13 +146,17 @@ def enumerate_cspp(shape, max_entry: int):
 
     Rows are generated top-down, entries left-to-right and descending, which
     fixes the stream order.  This enumerator is independent of the lozenge
-    bijection and serves as its oracle.  A shape that is empty, negative or
-    not weakly decreasing is no ``cspp_shape(m, s)``, and so is a ``max_entry``
-    that is not an int >= 1: each raises InvalidDents at the call, before the
-    first partition is asked for.
+    bijection and serves as its oracle.  A shape that is no sequence of ints
+    (bools refused), empty, negative or not weakly decreasing is no
+    ``cspp_shape(m, s)``, and so is a ``max_entry`` that is not an int >= 1:
+    each raises InvalidDents at the call, before the first partition is asked for.
     """
-    shape = tuple(shape)
-    dents = tuple(x + j for j, x in enumerate(reversed(shape), start=1))  # shape == cspp_shape(m, dents)
+    try:
+        shape = tuple(shape)
+    except TypeError:
+        raise InvalidDents(f"shape must be a sequence, got {shape!r}") from None
+    # shape == cspp_shape(m, dents); an entry that is no int is passed on for check_positions to refuse
+    dents = tuple(x + j if type(x) is int else x for j, x in enumerate(reversed(shape), start=1))
     check_positions(len(shape), NO_BOUND, dents, InvalidDents)
     check_size("max_entry", max_entry, InvalidDents)
 

@@ -463,7 +463,10 @@ def q_ratio_product(s) -> LaurentPoly2:
     That value bounds every coefficient, so one slot width suffices and the
     quotient is a single big-int division (see :func:`q_ratio_packed`).
     """
-    s = tuple(s)
+    try:
+        s = tuple(s)
+    except TypeError:
+        raise InvalidDents(f"s must be a sequence, got {s!r}") from None
     if any(type(x) is not int or x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise InvalidDents("s must be a strictly increasing sequence of positive integers")
     bits = slot_bits(int(falling_ratio(s)))

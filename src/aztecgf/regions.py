@@ -41,9 +41,9 @@ positions ``s_1 < ... < s_a``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 from .errors import (InconsistentBoundary, InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
                      InvalidRegionFile, InvalidWeight, WrongRegionKind)
@@ -54,10 +54,7 @@ TRI_UP = "up"
 TRI_DOWN = "dw"
 
 
-class Cell(NamedTuple):
-    x: int
-    y: int
-    kind: str = SQUARE
+Cell = namedtuple("Cell", "x y kind", defaults=(SQUARE,))
 
 
 def sq(x: int, y: int) -> Cell:
@@ -73,11 +70,21 @@ def dw(x: int, y: int) -> Cell:
 
 
 class Record:
-    """A frozen record, as a frozen dataclass would be: it equals a record of
-    its own type whose ``FIELDS`` are equal, hashes and shows them in that
-    order, and refuses assignment, so ``__init__`` stores them in ``vars``."""
+    """A frozen record, as a frozen dataclass would be, built from one value per
+    name in ``FIELDS``: :meth:`_checked`, where a subclass's invariants live, checks
+    them and returns them in canonical form to be stored once in ``vars``.  It equals
+    a record of its own type with equal fields, hashes and shows them in that order,
+    and refuses assignment."""
 
     FIELDS = ()
+
+    def __init__(self, *values):
+        vars(self).update(zip(self.FIELDS, self._checked(*values)))
+
+    def _checked(self, *values) -> tuple:
+        if len(values) != len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes {len(self.FIELDS)} values, got {len(values)}")
+        return values
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.FIELDS)
@@ -106,9 +113,6 @@ class Region(Record):
     """
 
     FIELDS = ("lattice", "key", "cells")
-
-    def __init__(self, lattice: str, key: tuple, cells: frozenset):
-        vars(self).update(lattice=lattice, key=key, cells=cells)
 
     def __hash__(self):
         return hash(self.key)

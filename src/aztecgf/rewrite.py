@@ -201,9 +201,6 @@ class PipelineResult(Record):
     # graph: the final graph, polynomial weights
     FIELDS = ("factor", "graph", "spider_count")
 
-    def __init__(self, factor: LaurentPoly2, graph: WeightedGraph, spider_count: int):
-        vars(self).update(factor=factor, graph=graph, spider_count=spider_count)
-
 
 def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineResult:
     """Run the full m-round peeling pipeline on the holey rectangle graph.

@@ -88,16 +88,12 @@ class SchroderPathFamily(Record):
 
     FIELDS = ("m", "n", "s", "paths")  # paths: a tuple of tuples of STEPS kinds
 
-    def __init__(self, m: int, n: int, s: tuple, paths: tuple):
-        vars(self).update(m=m, n=n, s=s, paths=paths)
-        self.__post_init__()
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", check_positions(self.m, self.n, self.s, BijectionViolation))
-        object.__setattr__(self, "paths", check_rows("paths", self.paths, BijectionViolation))
-        if len(self.paths) != len(self.s):
-            raise BijectionViolation(f"number of paths {len(self.paths)} != len(s) = {len(self.s)}")
-        for i, path in enumerate(self.paths, start=1):
+    def _checked(self, m: int, n: int, s: tuple, paths: tuple) -> tuple:
+        s = check_positions(m, n, s, BijectionViolation)
+        paths = check_rows("paths", paths, BijectionViolation)
+        if len(paths) != len(s):
+            raise BijectionViolation(f"number of paths {len(paths)} != len(s) = {len(s)}")
+        for i, path in enumerate(paths, start=1):
             h = i - 1
             for kind in path:
                 if type(kind) is not str or kind not in STEPS:
@@ -105,17 +101,15 @@ class SchroderPathFamily(Record):
                 h += STEPS[kind][1][1]
                 if h < 0:
                     raise BijectionViolation(f"path {i} went below the baseline")
-            if h != self.s[i - 1] - 1:  # it started at i - 1
+            if h != s[i - 1] - 1:  # it started at i - 1
                 raise BijectionViolation(f"path {i}: up - down != s_i - i")
             if len(path) - path.count("up") != i:
                 raise BijectionViolation(f"path {i}: down + level != i")
+        return m, n, s, paths
 
 
 class PathStats(Record):
-    FIELDS = ("up", "down", "level", "area", "beta")
-
-    def __init__(self, up: tuple, down: tuple, level: tuple, area: Fraction, beta: int):
-        vars(self).update(up=up, down=down, level=level, area=area, beta=beta)
+    FIELDS = ("up", "down", "level", "area", "beta")  # see path_stats
 
     @property
     def level_total(self) -> int:

@@ -175,6 +175,12 @@ LEAKS = [
     ("enumerate_lozenge_tilings diamond", lambda: az.enumerate_lozenge_tilings(az.aztec_diamond(1)), WrongRegionKind),
     ("checkerboard_coloring semihexagon",
      lambda: az.checkerboard_coloring(az.semihexagon_with_dents(2, 1, (1, 2))), WrongRegionKind),
+    # a container that is no sequence, or holds no ints or cells (bare TypeErrors); the generator refuses at the call
+    *((f"q_ratio_product s={s!r}", lambda s=s: az.q_ratio_product(s), InvalidDents) for s in (5, None)),
+    *((f"enumerate_cspp shape={shape!r}", lambda shape=shape: az.enumerate_cspp(shape, 1), InvalidDents)
+      for shape in (5, ((1,),), ("ab",), (True,))),
+    *((f"Tiling.from_dominoes {dominoes!r}", lambda dominoes=dominoes: az.Tiling.from_dominoes(AR, dominoes),
+       InvalidTiling) for dominoes in (5, [1.0])),
 ]
 
 

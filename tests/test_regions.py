@@ -300,3 +300,20 @@ def test_records_keep_their_value_semantics_and_reprs():
     region = semihexagon_with_dents(2, 1, (1, 3))
     listed = ColumnStrictPlanePartition((1, 0), [[2], []], 2)
     assert tiling_to_cspp(cspp_to_tiling(listed, region)) == listed
+
+
+def test_records_take_one_value_per_field():
+    # every record is built by Record.__init__, which stores one value per field and
+    # nothing else; too few or too many values is a TypeError, as a dataclass's would be
+    records = {
+        Region: ("square", ("one",), frozenset()),
+        SchroderPathFamily: (1, 1, (1,), (("level",),)),
+        ColumnStrictPlanePartition: ((1,), ((1,),), 1),
+        PathStats: ((0,), (0,), (1,), Fraction(0), 0),
+        PipelineResult: (LaurentPoly2.one(), None, 0),
+    }
+    for cls, values in records.items():
+        assert vars(cls(*values)).keys() == set(cls.FIELDS)
+        for wrong in (values[:-1], (*values, None)):
+            with pytest.raises(TypeError):
+                cls(*wrong)

@@ -148,9 +148,9 @@ PAIRS = {
         lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
             "engine.Tiling.dominoes": "the tiling's own tiles, which both sides read",
             "engine.Tiling.mate": "the tiling's own tiles, which both sides read",
-            "stats.SchroderPathFamily.__init__": "the BFS starts from the minimal path family, the path rank "
-                                                 "from the tiling's own paths",
-            "stats.SchroderPathFamily.__post_init__": "each family is validated where it is built",
+            "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts "
+                                                 "from the minimal path family, the path rank from the tiling's "
+                                                 "own paths",
         }),
     "pipeline factor vs target": (
         lambda x: rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).factor,
