@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 verification failure, 2 bad flags.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, when this module is imported, and every call parses with it.
-``verify`` and ``render`` are imported only when their command runs, so
+``verify``, ``render`` and ``json`` are imported only where they are used, so
 ``genfun`` and ``count`` start without compiling or loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from itertools import islice
@@ -92,6 +91,8 @@ PARSER = build_parser()
 
 def _build_region(args):
     if getattr(args, "infile", None):
+        import json
+
         try:
             with open(args.infile, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -122,6 +123,8 @@ def cmd_genfun(args):
     }[args.method]
     poly = fn(args.m, args.n, args.holes)
     if args.json:
+        import json
+
         print(json.dumps(poly.to_json_obj(), separators=(",", ":")))
     else:
         print(poly.to_text())

@@ -83,10 +83,10 @@ class Tiling:
         index = region.domino_index
         mask = 0
         for d in check_rows("dominoes", dominoes, InvalidTiling):
-            i = index.get(tuple(sorted(d)))
-            if i is None:
-                raise InvalidTiling(f"{d} is not a tile of region {region.key}")
-            mask |= 1 << i
+            try:
+                mask |= 1 << index[tuple(sorted(d))]
+            except (KeyError, TypeError):  # not a tile, or cells that cannot be sorted or hashed
+                raise InvalidTiling(f"{d} is not a tile of region {region.key}") from None
         return cls(region, mask)
 
     @property

@@ -284,7 +284,7 @@ def aztec_diamond(n: int) -> Region:
     """
     check_size("order", n, InvalidOrder)
     _check_cells(2 * n * (n + 1), InvalidOrder)
-    return Region("square", ("aztec_diamond", n), aztec_rectangle_with_holes(n, n, range(1, n + 1)).cells)
+    return Region("square", ("aztec_diamond", n), _ar_region(n, n, tuple(range(1, n + 1))).cells)
 
 
 def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
@@ -528,9 +528,9 @@ def checkerboard_coloring(region: Region) -> dict:
         raise WrongRegionKind("checkerboard coloring applies to square-lattice regions")
     m, n, _ = region.rect_params
     for c in (sq(j - m, m + j - 1) for j in range(1, n + 1)):
-        if (c.x + c.y) % 2 == 0:
+        if not is_white(c):
             raise InconsistentBoundary(f"northwest cell {c} has even parity")
-    return {c: ("white" if (c.x + c.y) % 2 else "black") for c in region.sorted_cells}
+    return {c: ("white" if is_white(c) else "black") for c in region.sorted_cells}
 
 
 def is_white(cell: Cell) -> bool:

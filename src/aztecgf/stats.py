@@ -190,16 +190,16 @@ def _flip_blocks(region: Region):
     return tuple(blocks)
 
 
+def _flips(mask: int, blocks):
+    """Each mask one flip from ``mask``: every block whose horizontal or vertical pair it holds, rotated."""
+    for hmask, vmask in blocks:
+        if mask & hmask == hmask or mask & vmask == vmask:
+            yield mask ^ hmask ^ vmask
+
+
 def elementary_moves(tiling: Tiling):
-    """All tilings one flip away (rotating a 2x2 block of parallel dominoes)."""
-    out = []
-    mask = tiling.mask
-    for hmask, vmask in _flip_blocks(tiling.region):
-        if mask & hmask == hmask:
-            out.append(mask ^ hmask ^ vmask)
-        elif mask & vmask == vmask:
-            out.append(mask ^ hmask ^ vmask)
-    return [Tiling(tiling.region, m) for m in sorted(out)]
+    """All tilings one flip away (rotating a 2x2 block of parallel dominoes), by the rank BFS's move rule."""
+    return [Tiling(tiling.region, m) for m in sorted(_flips(tiling.mask, _flip_blocks(tiling.region)))]
 
 
 @lru_cache(maxsize=4)  # each holds every tiling mask of its region
@@ -217,13 +217,10 @@ def rank_distances(region: Region) -> dict:
     while queue:
         cur = queue.popleft()
         d = dist[cur] + 1
-        for hmask, vmask in blocks:
-            both = hmask | vmask
-            if cur & hmask == hmask or cur & vmask == vmask:
-                nxt = cur ^ both
-                if nxt not in dist:
-                    dist[nxt] = d
-                    queue.append(nxt)
+        for nxt in _flips(cur, blocks):
+            if nxt not in dist:
+                dist[nxt] = d
+                queue.append(nxt)
     return dist
 
 

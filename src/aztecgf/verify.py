@@ -54,14 +54,11 @@ from .regions import (
 )
 
 
-def kept_sets(n, m):
-    return combinations(range(1, n + 1), m)
-
-
 def _ar_corpus(max_m, max_n):
+    """Every (m, n, s) with m <= max_m, m <= n <= max_n and s a kept set, in lexicographic order."""
     for m in range(1, max_m + 1):
         for n in range(m, max_n + 1):
-            for s in kept_sets(n, m):
+            for s in combinations(range(1, n + 1), m):
                 yield m, n, s
 
 
@@ -183,54 +180,50 @@ def suite_weighted():
 
 def suite_lozenge():
     """Counts, bijection round trips, weight preservation, and the q-product."""
-    for m in range(1, 5):
-        for n in range(m, 9):
-            for s in kept_sets(n, m):
-                region = semihexagon_with_dents(m, n - m, s)
-                tilings = list(lozenge.enumerate_lozenge_tilings(region))
-                ratio = falling_ratio(s)
-                ok = len(tilings) == ratio == q_ratio_product(s).evaluate(1, 1)
-                holes = [h for h in range(1, n + 1) if h not in set(s)]
-                seen_pis = set()
-                for tiling in tilings:
-                    pi = lozenge.tiling_to_cspp(tiling)
-                    seen_pis.add(pi.rows)
-                    ok = ok and lozenge.cspp_to_tiling(pi, region) == tiling
-                    left_weight = sum(
-                        level + 1
-                        for pair in tiling.dominoes
-                        for kind, level in (lozenge.classify_lozenge(pair, m),)
-                        if kind == lozenge.LEFT
-                    )
-                    ok = ok and left_weight == pi.size
-                    decomp = lozenge.top_bottom_paths(tiling)
-                    ok = ok and [e for _, _, e in decomp] == holes
-                    ok = ok and all(
-                        lefts == m - (holes[j] - (j + 1)) and rights == holes[j] - (j + 1)
-                        for j, (lefts, rights, _) in enumerate(decomp)
-                    )
-                shape = lozenge.cspp_shape(m, s)
-                all_pis = list(lozenge.enumerate_cspp(shape, m))
-                ok = ok and len(all_pis) == len(tilings)
-                ok = ok and {pi.rows for pi in all_pis} == seen_pis
-                q_sum = LaurentPoly2.zero()
-                for pi in all_pis:
-                    q_sum = q_sum + pi.q_weight()
-                product = formulas.cspp_genfun_product(s, m)
-                ok = ok and q_sum == product
-                ok = ok and lozenge.semihex_q_genfun(region) == product
-                yield f"lozenge m={m} n={n} s={s}", ok
+    for m, n, s in _ar_corpus(4, 8):
+        region = semihexagon_with_dents(m, n - m, s)
+        tilings = list(lozenge.enumerate_lozenge_tilings(region))
+        ratio = falling_ratio(s)
+        ok = len(tilings) == ratio == q_ratio_product(s).evaluate(1, 1)
+        holes = [h for h in range(1, n + 1) if h not in set(s)]
+        seen_pis = set()
+        for tiling in tilings:
+            pi = lozenge.tiling_to_cspp(tiling)
+            seen_pis.add(pi.rows)
+            ok = ok and lozenge.cspp_to_tiling(pi, region) == tiling
+            left_weight = sum(
+                level + 1
+                for pair in tiling.dominoes
+                for kind, level in (lozenge.classify_lozenge(pair, m),)
+                if kind == lozenge.LEFT
+            )
+            ok = ok and left_weight == pi.size
+            decomp = lozenge.top_bottom_paths(tiling)
+            ok = ok and [e for _, _, e in decomp] == holes
+            ok = ok and all(
+                lefts == m - (holes[j] - (j + 1)) and rights == holes[j] - (j + 1)
+                for j, (lefts, rights, _) in enumerate(decomp)
+            )
+        shape = lozenge.cspp_shape(m, s)
+        all_pis = list(lozenge.enumerate_cspp(shape, m))
+        ok = ok and len(all_pis) == len(tilings)
+        ok = ok and {pi.rows for pi in all_pis} == seen_pis
+        q_sum = LaurentPoly2.zero()
+        for pi in all_pis:
+            q_sum = q_sum + pi.q_weight()
+        product = formulas.cspp_genfun_product(s, m)
+        ok = ok and q_sum == product
+        ok = ok and lozenge.semihex_q_genfun(region) == product
+        yield f"lozenge m={m} n={n} s={s}", ok
 
 
 def suite_relation():
     """Domino count == 2^(m(m+1)/2) * lozenge count, both sides brute forced."""
-    for m in range(1, 5):
-        for n in range(m, 8):
-            for s in kept_sets(n, m):
-                lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
-                rhs = count_tilings(semihexagon_with_dents(m, n - m, s))
-                ok = lhs == 2 ** (m * (m + 1) // 2) * rhs == formulas.count_product(m, s)
-                yield f"relation m={m} n={n} s={s}", ok
+    for m, n, s in _ar_corpus(4, 7):
+        lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
+        rhs = count_tilings(semihexagon_with_dents(m, n - m, s))
+        ok = lhs == 2 ** (m * (m + 1) // 2) * rhs == formulas.count_product(m, s)
+        yield f"relation m={m} n={n} s={s}", ok
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +274,13 @@ def suite_rewrite():
             f"rewrite spider case {case:02d}",
             matching_genfun(g) == delta * matching_genfun(replaced),
         )
-    for m in (1, 2):
-        for n in (2, 3):
-            ok = True
-            for _ in range(2):
-                a, b, c, d = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(4))
-                lhs, rhs = row_reduction_sides(m, n, a, b, c, d)
-                ok = ok and lhs == rhs
-            yield f"rewrite row_reduction m={m} n={n}", ok
+    for m, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
+        ok = True
+        for _ in range(2):
+            a, b, c, d = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(4))
+            lhs, rhs = row_reduction_sides(m, n, a, b, c, d)
+            ok = ok and lhs == rhs
+        yield f"rewrite row_reduction m={m} n={n}", ok
     yield from suite_pipeline()
 
 
@@ -349,13 +341,11 @@ def _random_spider_host(rng):
 def suite_pipeline():
     """The peeling chain, by the backtracker and then by the graph DP."""
     rng = random.Random(31415926)
-    for m in (1, 2):
-        for n in range(m, 4):
-            for s in kept_sets(n, m):
-                draws = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
-                draws.append(tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4)))
-                ok = all(_chain_ok(m, n, s, *draw, matching_genfun) for draw in draws)
-                yield f"rewrite pipeline m={m} n={n} s={s}", ok
+    for m, n, s in _ar_corpus(2, 3):
+        draws = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
+        draws.append(tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4)))
+        ok = all(_chain_ok(m, n, s, *draw, matching_genfun) for draw in draws)
+        yield f"rewrite pipeline m={m} n={n} s={s}", ok
     rng = random.Random(27182818)
     for m in range(1, 7):
         for n in range(m, 2 * m + 1):

@@ -180,7 +180,7 @@ LEAKS = [
     *((f"enumerate_cspp shape={shape!r}", lambda shape=shape: az.enumerate_cspp(shape, 1), InvalidDents)
       for shape in (5, ((1,),), ("ab",), (True,))),
     *((f"Tiling.from_dominoes {dominoes!r}", lambda dominoes=dominoes: az.Tiling.from_dominoes(AR, dominoes),
-       InvalidTiling) for dominoes in (5, [1.0])),
+       InvalidTiling) for dominoes in (5, [1.0], [(sq(0, 0), 5)], [([1], [2])])),
 ]
 
 

@@ -464,7 +464,7 @@ def test_start_up_loads_neither_verify_render_nor_dataclasses():
     # -I -S keeps site and the environment out, so nothing is loaded beforehand:
     # what is left in sys.modules is what importing the CLI itself loaded
     probe = (f"import sys; sys.path.insert(0, {SRC!r}); import aztecgf.cli; "
-             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'aztecgf.verify', 'aztecgf.render')"
+             "print(sorted(m for m in ('dataclasses', 'inspect', 'typing', 'json', 'aztecgf.verify', 'aztecgf.render')"
              " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, check=True)
     assert out.stdout == b"[]\n"

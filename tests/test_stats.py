@@ -139,6 +139,22 @@ def test_flip_graph_of_order_two_diamond():
     assert ranks == [0, 1, 1, 2, 3, 4, 4, 5]
 
 
+def test_every_flip_is_undone_by_a_flip_and_moves_the_rank_by_one():
+    # the flip graph is graded by rank, on every tiling of every m <= 3, n <= 5
+    # holey rectangle; suite_rank equates rank_bfs with rank_via_paths there
+    flips = 0
+    for m in range(1, 4):
+        for n in range(m, 6):
+            for s in combinations(range(1, n + 1), m):
+                for tiling in enumerate_tilings(aztec_rectangle_with_holes(m, n, s)):
+                    rank = rank_bfs(tiling)
+                    for move in elementary_moves(tiling):
+                        assert tiling in elementary_moves(move)
+                        assert abs(rank_bfs(move) - rank) == 1, (m, n, s)
+                        flips += 1
+    assert flips == 15698
+
+
 def test_paths_of_tiny_tilings():
     region = aztec_rectangle_with_holes(1, 1, (1,))
     t0 = minimal_tiling(region)
