@@ -117,6 +117,11 @@ class Tiling:
         mate = self.mate
         return len(mate) == 2 * len(self.dominoes) and mate.keys() == self.region.cells
 
+    def require_valid(self) -> None:
+        """Raise BijectionViolation unless :meth:`is_valid`: the path readers' one refusal of a non-tiling."""
+        if not self.is_valid():
+            raise BijectionViolation(f"not a tiling of {self.region.key}: a cell is uncovered or covered twice")
+
     def walk(self, x: int, y: int, cell, steps: Steps):
         """Follow the path entering ``cell(x, y)`` to the region's edge: the
         offset of each cell's mate names the step, whose move gives the next

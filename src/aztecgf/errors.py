@@ -56,10 +56,6 @@ class InvalidGraph(AztecError, ValueError):
     """A graph or connected sum has duplicate or missing vertices, a self-loop or a parallel edge."""
 
 
-class InconsistentBoundary(AztecError):
-    """Checkerboard coloring cannot make all northwest-side cells white."""
-
-
 class RegionTooWide(AztecError):
     """The dynamic-programming frontier exceeded the configured width bound."""
 

@@ -42,13 +42,12 @@ def displacement(s) -> int:
 def prefactor_exponent(m: int, s) -> int:
     """q-exponent of the monomial prefactor in the rectangle generating function.
 
-    Equals 2(m-1)m(m+1)/3 + 2*sum(s_i - i) - shifted_content_exponent(m, s);
-    the cubic term is an integer because (m-1)m(m+1) is divisible by 3.
-    Always <= 0, and exactly cancelled by the lowest term of the q-ratio
-    product so the assembled generating function is a genuine polynomial.
+    -2 * sum (m - i)(s_i - i): always <= 0, and exactly cancelled by the
+    lowest term of the alpha=2 q-ratio product, so the assembled generating
+    function is a genuine polynomial.
     """
     s = check_positions(m, NO_BOUND, s, InvalidHoles)
-    return 2 * (m - 1) * m * (m + 1) // 3 + 2 * displacement(s) - shifted_content_exponent(m, s)
+    return -2 * sum((m - i) * (x - i) for i, x in enumerate(s, start=1))
 
 
 def aztec_diamond_genfun(n: int) -> LaurentPoly2:

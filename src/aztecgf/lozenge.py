@@ -90,9 +90,10 @@ def top_bottom_paths(tiling: Tiling):
     """Decompose a tiling into its b top-to-bottom paths.
 
     Returns one (lefts, rights, exit_position) triple per path, in order of
-    the starting top edge.  Raises BijectionViolation if a walk meets a
-    vertical lozenge, which the geometry forbids.
+    the starting top edge.  Raises BijectionViolation if the mask is no
+    tiling, or if a walk meets a vertical lozenge, which the geometry forbids.
     """
+    tiling.require_valid()
     b = tiling.region.semihex_params[1]
     out = []
     for j in range(1, b + 1):
@@ -184,7 +185,8 @@ def enumerate_cspp(shape, max_entry: int):
 
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
-    """Read the plane partition off the dent-to-northwest path system."""
+    """Read the plane partition off the dent-to-northwest path system; BijectionViolation for a non-tiling."""
+    tiling.require_valid()
     m, _, s = tiling.region.semihex_params
     rows = []
     for i in range(1, m + 1):  # row i of the partition belongs to dent s_{m+1-i}

@@ -45,7 +45,7 @@ from collections import namedtuple
 from functools import cached_property
 from itertools import chain
 
-from .errors import (InconsistentBoundary, InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
+from .errors import (InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
                      InvalidRegionFile, InvalidWeight, WrongRegionKind)
 from .poly import FracWeight, LaurentPoly2, as_poly
 
@@ -520,16 +520,12 @@ def domino_class(dom) -> tuple:
 def checkerboard_coloring(region: Region) -> dict:
     """Cell -> "black"/"white" so neighbors differ and the NW side is white.
 
-    In the block coordinates the northwest-side cells ``(j-m, m+j-1)`` all
-    have odd x + y, so white is the odd parity class.  The parity check on
-    the NW side is asserted rather than assumed.
+    White is the odd x + y class (:func:`is_white`), and in the block
+    coordinates every northwest-side cell ``(j-m, m+j-1)`` has x + y = 2j - 1,
+    which is odd whatever m and j are.
     """
     if region.lattice != "square":
         raise WrongRegionKind("checkerboard coloring applies to square-lattice regions")
-    m, n, _ = region.rect_params
-    for c in (sq(j - m, m + j - 1) for j in range(1, n + 1)):
-        if not is_white(c):
-            raise InconsistentBoundary(f"northwest cell {c} has even parity")
     return {c: ("white" if is_white(c) else "black") for c in region.sorted_cells}
 
 

@@ -124,22 +124,17 @@ def path_stats(family: SchroderPathFamily) -> PathStats:
     the product of the local domino weights.  The area under a path is exact
     and may be a half-integer for shifted partial paths.
     """
-    beta = 0
-    area = Fraction(0)
+    beta = area2 = 0  # area2: twice the area
     for i, path in enumerate(family.paths, start=1):
         h = i - 1
         for kind in path:
-            if kind == "level":
-                beta += 2 * h
-                area += 2 * h
-            elif kind == "up":
-                area += Fraction(2 * h + 1, 2)
-            else:
-                beta += 2 * h - 1
-                area += Fraction(2 * h - 1, 2)
-            h += STEPS[kind][1][1]
+            dx, dy = STEPS[kind][1]
+            area2 += dx * (2 * h + dy)  # the trapezoid under the step
+            if kind != "up":
+                beta += 2 * h + dy
+            h += dy
     counts = [tuple(path.count(kind) for path in family.paths) for kind in ("up", "down", "level")]
-    return PathStats(*counts, area, beta)
+    return PathStats(*counts, Fraction(area2, 2), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -241,25 +236,18 @@ def rank_bfs(tiling: Tiling) -> int:
 def tiling_to_paths(tiling: Tiling) -> SchroderPathFamily:
     """Extract the path family of a tiling with :meth:`Tiling.walk`.
 
-    Raises BijectionViolation whenever a walk breaks one of the module-level
-    conventions (wrong exit, a path entering a white-left horizontal, a
-    domino crossed twice, a vertical left uncrossed, ...).
+    Raises BijectionViolation if the mask is no tiling, a walk meets a tile
+    no step crosses, a vertical is left uncrossed, a horizontal's crossing
+    disagrees with its colour, or the family refuses the paths; its rules fix
+    each exit, and every entry cell has even x + y, so nothing else can break.
     """
+    tiling.require_valid()
     m, n, s = tiling.region.rect_params
-    mate = tiling.mate
     crossed = set()  # the entry cells of crossed dominoes
     paths = []
     for i in range(1, m + 1):
-        steps, end = tiling.walk(1 - i, i - 1, sq, STEPS)
-        for kind, x, y in steps:
-            cell = sq(x, y)
-            if cell in crossed or mate[cell] in crossed:
-                raise BijectionViolation(f"domino {(cell, mate[cell])} crossed twice")
-            crossed.add(cell)
-            if kind == "level" and is_white(cell):
-                raise BijectionViolation(f"path entered a white-left horizontal {(cell, mate[cell])}")
-        if end != (s[i - 1] + 1, s[i - 1] - 1):
-            raise BijectionViolation(f"path {i} exited at {end}, expected {(s[i - 1] + 1, s[i - 1] - 1)}")
+        steps, _ = tiling.walk(1 - i, i - 1, sq, STEPS)
+        crossed.update(sq(x, y) for _, x, y in steps)
         paths.append(tuple(kind for kind, _, _ in steps))
 
     for c1, c2 in tiling.dominoes:

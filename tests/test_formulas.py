@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from aztecgf.formulas import (
     aztec_diamond_genfun,
     count_product,
     cspp_genfun_product,
+    displacement,
     prefactor_exponent,
     rectangle_genfun,
     shifted_content_exponent,
@@ -72,6 +74,12 @@ def test_prefactor_exponent():
         assert prefactor_exponent(m, tuple(range(1, m + 1))) == 0
     assert prefactor_exponent(2, (1, 3)) <= 0
     assert shifted_content_exponent(3, (1, 4, 6)) == 30
+    # reference: the cubic term plus twice the displacement less the minimal tiling's beta
+    for m in range(1, 6):
+        for n in range(m, 11):
+            for s in combinations(range(1, n + 1), m):
+                reference = 2 * (m - 1) * m * (m + 1) // 3 + 2 * displacement(s) - shifted_content_exponent(m, s)
+                assert prefactor_exponent(m, s) == reference, s
 
 
 def test_exponents_reject_mismatched_positions():

@@ -103,13 +103,9 @@ PAIRS = {
     "brute F vs closed F": (
         lambda x: stats.genfun_bruteforce(*AR), lambda x: formulas.rectangle_genfun(*AR), {
             "formulas.count_product": "the brute side reads it only to refuse a region too big to enumerate",
-            "formulas.displacement": "vstat checks its count against it; the count comes from the tiling",
         }),
     "weighted-DP F vs closed F": (
-        lambda x: stats.genfun_via_weights(*AR), lambda x: formulas.rectangle_genfun(*AR), {
-            "formulas.shifted_content_exponent":
-                "both normalise by the minimal tiling's beta; brute F vs weighted-DP F shares nothing",
-        }),
+        lambda x: stats.genfun_via_weights(*AR), lambda x: formulas.rectangle_genfun(*AR), {}),
     "brute F vs weighted-DP F": (
         lambda x: stats.genfun_bruteforce(*AR), lambda x: stats.genfun_via_weights(*AR), {}),
     "weighted-DP F vs diamond product": (
@@ -147,6 +143,8 @@ PAIRS = {
     "rank BFS vs rank via paths": (
         lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
             "engine.Tiling.dominoes": "the tiling's own tiles, which both sides read",
+            "engine.Tiling.is_valid": "each side checks that its tiling covers the region: the BFS its minimal "
+                                      "tiling, the path rank the tiling it reads",
             "engine.Tiling.mate": "the tiling's own tiles, which both sides read",
             "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts "
                                                  "from the minimal path family, the path rank from the tiling's "

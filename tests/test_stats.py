@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aztecgf.engine import Tiling, count_tilings, enumerate_tilings
 from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
+from aztecgf.lozenge import tiling_to_cspp, top_bottom_paths
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
 from aztecgf.stats import (
@@ -173,6 +174,25 @@ def test_tiling_to_paths_rejects_an_uncovered_cell():
     partial = Tiling.from_dominoes(region, [(sq(1, 0), sq(1, 1))])  # path 1 starts at sq(0, 0)
     with pytest.raises(BijectionViolation, match="uncovered"):
         tiling_to_paths(partial)
+
+
+def test_readers_refuse_every_tiling_with_one_extra_tile():
+    # such a mask covers some cell twice; each reader refuses it before it walks,
+    # whichever of the overlapping tiles a walk would meet
+    readers = [(aztec_rectangle_with_holes(m, n, s), (tiling_to_paths,))
+               for m, n in ((1, 3), (2, 3), (2, 4), (3, 4)) for s in combinations(range(1, n + 1), m)]
+    readers += [(semihexagon_with_dents(a, b, s), (tiling_to_cspp, top_bottom_paths))
+                for a, b in ((2, 1), (3, 1), (3, 2)) for s in combinations(range(1, a + b + 1), a)]
+    masks = 0
+    for region, reads in readers:
+        for tiling in enumerate_tilings(region):
+            for k in range(len(region.all_dominoes)):
+                if not tiling.mask >> k & 1:
+                    masks += 1
+                    for read in reads:
+                        with pytest.raises(BijectionViolation, match="not a tiling"):
+                            read(Tiling(region, tiling.mask | 1 << k))
+    assert masks == 18252
 
 
 def test_minimal_path_family_rejects_mismatched_holes():
