@@ -5,9 +5,12 @@ exhaustive route here -- counting and enumerating tilings, listing the
 matchings of a weighted graph, summing their weights -- runs the one
 bitmask search in :func:`_matchings`: branch on the lowest free vertex, try
 partners in ascending index order, so repeated runs produce identical
-streams.  Each call keeps an outcome table that walks a run of forced moves
-once per free set it starts from; the table stores no count or value of a
-subtree, so every perfect matching is still reached one at a time and the
+streams.  Each call first fills an outcome table that walks a run of forced
+moves once per free set it starts from and keeps only the partners after
+which a perfect matching remains, so the search never enters a dead end.
+The table stores only whether a perfect matching exists and the labels of
+one path, no count or value of a subtree, so every perfect matching is
+still reached one at a time, in the same order, and the
 search does not become a second DP.  Each route picks the labels the search
 sums with ``+`` from their zero: a tiling mask, a tuple of vertex pairs, an
 integer key, or, for a count, nothing.  The bijections never call it: they
@@ -206,22 +209,20 @@ def _matchings(adj, unit):
     """Yield the ``+``-sum of the edge labels of every perfect matching.
 
     ``adj[i]`` lists ``(j, label)`` with partners ascending.  The search
-    branches on the lowest free vertex and tries its free partners in
-    ascending order, so the stream order is fixed by ``adj`` alone.  The free
-    vertices are one bitmask; a frame (free set, partners left, branch
-    vertex, sum so far) is stacked at each branch.  Between branches the
-    lowest free vertex has one free partner and takes it: a forced run,
-    whose end depends on the free set it starts from alone.  ``runs`` maps
-    that free set to the run's outcome: None for a dead end, else (free set
-    at the end, its vertex's free partners, that vertex, sum of the run's
-    labels), with no partners at a leaf.  Each run is walked once per call
-    and looked up every later time its free set recurs.  Only outcomes of
-    forced runs are stored, never a count or a sum over a subtree, so every
-    perfect matching is still reached and yielded one at a time, in the same
-    order.  Sums start from ``unit``, the zero of the labels (0 or ()), so a
-    run's sum does not depend on the path that reached it; domino bits are
-    disjoint, so ``+`` is ``|`` on tiling masks.  With ``unit`` None nothing
-    is summed and the number of perfect matchings is yielded once, at the end.
+    branches on the lowest free vertex of a bitmask and tries its partners
+    in ascending order, so ``adj`` alone fixes the stream.  A vertex with
+    one free partner takes it: a forced run, whose end depends on its
+    starting free set alone.  Before the first yield, a stack fills ``runs``
+    children first, mapping each run's free set to None when no perfect
+    matching follows, else to (free set at its branch, the partners a
+    matching follows, the branch vertex, the run's label sum), with no
+    partners at a leaf.  A branch with one such partner is spliced into its
+    run, so the search never enters a dead end.  The fill visits the free
+    sets a full search visits, so the first item waits for it.  No count or
+    sum over a subtree is stored, so the perfect matchings are still yielded
+    one at a time, in the same order.  Sums start from ``unit``, the labels'
+    zero (0 or ()); on tiling masks ``+`` is ``|``.  With ``unit`` None the
+    number of perfect matchings is yielded once, at the end.
     """
     fold = unit is not None
     if len(adj) % 2:
@@ -230,48 +231,61 @@ def _matchings(adj, unit):
         return
     nbr = [sum(1 << j for j, _ in row) for row in adj]
     label = [{1 << j: lab for j, lab in row} for row in adj] if fold else None
+    full = (1 << len(adj)) - 1
     runs = {}
-    get = runs.get
-    leaves = 0
-    stack = []
-    free, acc = (1 << len(adj)) - 1, unit
-    while True:
-        run = get(free, False)
-        if run is False:
-            start, total = free, unit
+    todo = [full]
+    while todo:
+        start = todo.pop()
+        if start.__class__ is tuple:  # a branch whose partners' runs are all filled
+            start, free, opts, i, total = start
+            live = 0
+            while opts:
+                b = opts & -opts
+                opts ^= b
+                if runs[free ^ b]:
+                    live |= b
+            if live & (live - 1) or not live:
+                runs[start] = (free, live, i, total) if live else None
+            else:  # one live partner: splice its run into this one
+                free, opts, j, sub = runs[free ^ live]
+                runs[start] = (free, opts, j, total + label[i][live] + sub if fold else None)
+        elif start not in runs:
+            free, total = start, unit
             while free:
                 low = free & -free
                 free ^= low
                 i = low.bit_length() - 1
                 opts = nbr[i] & free
                 if opts & (opts - 1) or not opts:  # a branch or a dead end ends the run
-                    run = (free, opts, i, total) if opts else None
                     break
                 free ^= opts
                 if fold:
                     total += label[i][opts]
+            if free and opts:  # a branch, resolved once its partners' runs are filled
+                todo.append((start, free, opts, i, total))
+                while opts:
+                    b = opts & -opts
+                    opts ^= b
+                    if free ^ b not in runs:
+                        todo.append(free ^ b)
             else:
-                run = (0, 0, 0, total)
-            runs[start] = run
-        if run:
-            free, opts, i, total = run
+                runs[start] = None if free else (0, 0, 0, total)
+    leaves = 0
+    stack = [runs[full]] if runs[full] else []
+    while stack:
+        free, opts, i, acc = stack.pop()
+        while opts:  # take the lowest partner, stack the others
+            b = opts & -opts
+            if opts != b:
+                stack.append((free, opts ^ b, i, acc))
+            free, opts, j, total = runs[free ^ b]
             if fold:
-                acc += total
-            if not opts:
-                if fold:
-                    yield acc
-                else:
-                    leaves += 1
-        if not (run and opts):  # a dead end or a leaf: back to the last branch
-            if not stack:
-                break
-            free, opts, i, acc = stack.pop()
-        b = opts & -opts
-        if opts != b:
-            stack.append((free, opts ^ b, i, acc))
-        free ^= b
+                acc += label[i][b] + total
+            i = j
         if fold:
-            acc += label[i][b]
+            yield acc
+        else:
+            leaves += 1
     if not fold:
         yield leaves
 
@@ -279,9 +293,9 @@ def _matchings(adj, unit):
 def enumerate_tilings(region: Region):
     """Yield every tiling exactly once, in deterministic order.
 
-    Branches on the lowest-indexed uncovered cell, partners ascending; this
-    is the image of :func:`enumerate_matchings` on the dual graph under the
-    tiles-to-edges bijection, which the tests check directly.
+    The image of :func:`enumerate_matchings` on the dual graph under the
+    tiles-to-edges bijection, which the tests check; the first tiling waits
+    for the search's outcome table over every free set (:func:`_matchings`).
     """
     for mask in _matchings(region.adjacency, 0):
         yield Tiling(region, mask)

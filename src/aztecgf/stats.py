@@ -193,7 +193,9 @@ def _flips(mask: int, blocks):
 
 
 def elementary_moves(tiling: Tiling):
-    """All tilings one flip away (rotating a 2x2 block of parallel dominoes), by the rank BFS's move rule."""
+    """All tilings one flip away (rotating a 2x2 block of parallel dominoes), by the rank BFS's move rule;
+    raises BijectionViolation if the mask is no tiling."""
+    tiling.require_valid()
     return [Tiling(tiling.region, m) for m in sorted(_flips(tiling.mask, _flip_blocks(tiling.region)))]
 
 

@@ -1,6 +1,9 @@
 """The matching kernels -- one search, one DP -- and their exact agreement."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations, islice
@@ -271,6 +274,33 @@ def test_count_matchings_equals_enumeration_on_random_graphs():
 def test_count_tilings_runs_a_long_strip_without_recursion():
     # 6,002 cells: a recursive search would pass Python's recursion limit
     assert count_tilings(aztec_rectangle_with_holes(1, 3000, (1500,))) == count_product(1, (1500,))
+
+
+# K four-cycles, then a K_{1,3} star last in vertex order: 2^K partial matchings
+# all end at the star, which no perfect matching covers
+DEAD_AFTER_CYCLES = """
+import time
+from aztecgf import WeightedGraph, count_matchings, enumerate_matchings, matching_genfun
+k = 200
+edges = {(4 * c + i, 4 * c + (i + 1) % 4): 1 for c in range(k) for i in range(4)}
+edges.update({(4 * k, 4 * k + i): 1 for i in (1, 2, 3)})
+graph = WeightedGraph(range(4 * k + 4), edges)
+start = time.perf_counter()
+print(count_matchings(graph), list(enumerate_matchings(graph)), matching_genfun(graph).sorted_terms())
+print(time.perf_counter() - start)
+"""
+
+
+def test_a_dead_component_after_many_cycles_is_refused_at_once():
+    # a search that re-entered the dead star once per partial matching would double
+    # its time with every cycle; a fresh process, so a hang fails at the timeout
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(engine.__file__)))
+    run = subprocess.run([sys.executable, "-c", DEAD_AFTER_CYCLES], capture_output=True, text=True, env=env,
+                         timeout=30)
+    assert run.returncode == 0, run.stderr
+    found, seconds = run.stdout.splitlines()
+    assert found == "0 [] []"
+    assert float(seconds) < 1.0
 
 
 def test_full_rectangle_without_holes_has_no_matchings():

@@ -195,6 +195,24 @@ def test_readers_refuse_every_tiling_with_one_extra_tile():
     assert masks == 18252
 
 
+def test_elementary_moves_refuses_every_tiling_with_one_extra_tile():
+    # such a mask covers some cell twice; a flip of it would be no tiling either
+    masks = refused = 0
+    for m in range(1, 4):
+        for n in range(m, 6):
+            for s in combinations(range(1, n + 1), m):
+                region = aztec_rectangle_with_holes(m, n, s)
+                for tiling in enumerate_tilings(region):
+                    for k in range(len(region.all_dominoes)):
+                        if not tiling.mask >> k & 1:
+                            masks += 1
+                            try:
+                                elementary_moves(Tiling(region, tiling.mask | 1 << k))
+                            except BijectionViolation as error:  # pytest.raises on each mask doubled the time
+                                refused += str(error).startswith("not a tiling")
+    assert masks == refused == 108156
+
+
 def test_minimal_path_family_rejects_mismatched_holes():
     with pytest.raises(InvalidHoles):
         minimal_path_family(2, 3, (1,))
