@@ -427,15 +427,14 @@ def _genfun_dp(vertices, edges, weight):
     ``edges`` lists vertex pairs and ``weight(edge)`` their weights; ``None``
     counts perfect matchings in integers.  Raises :class:`RegionTooWide`
     before sweeping when the profile could exceed ``MAX_FRONTIER`` bits, and
-    :class:`InvalidWeight` for a weight with a negative coefficient.
+    :class:`InvalidWeight` naming the first edge with a negative coefficient.
 
-    A weighted sweep runs on :class:`~aztecgf.poly.PackedPoly` values, which
-    take Laurent exponents as they come.  Every perfect matching has
-    ``len(vertices) / 2`` edges, so one common denominator L makes all
-    coefficients integers and the result is divided by L^(len(vertices) / 2)
-    on decoding.  The slot width comes from a first, integer sweep with
-    every weight at q = t = 1, whose value bounds every coefficient of the
-    result.
+    Each distinct weight is checked, scaled by the common denominator L,
+    valued at q = t = 1 and packed once.  A first, integer sweep at q = t = 1
+    bounds every coefficient of the result and so picks the slot width; the
+    second sweeps :class:`~aztecgf.poly.PackedPoly` values, with Laurent
+    exponents as they come, and every perfect matching has len(vertices) / 2
+    edges, so its decode divides by L^(len(vertices) / 2).
     """
     n = len(vertices)
     if n % 2:
@@ -462,20 +461,21 @@ def _genfun_dp(vertices, edges, weight):
     if weight is None:
         return sweep([1] * len(edges), 1) or 0
 
-    polys = []
+    distinct, index = {}, []  # weight -> its place among the distinct ones; each edge's place
     for edge in edges:
         w = edge_weight(edge, weight(edge))
-        if any(c.numerator < 0 for _, c in w.sorted_terms()):
-            raise InvalidWeight(f"weight of {edge} has a negative coefficient")
-        polys.append(w)
-    den = lcm(*(c.denominator for w in polys for _, c in w.sorted_terms()))
-    total = sweep([sum(c.numerator * den // c.denominator for _, c in w.sorted_terms())
-                   for w in polys], 1)
-    if not total:
+        if (k := distinct.get(w)) is None:
+            if any(c.numerator < 0 for _, c in w.sorted_terms()):
+                raise InvalidWeight(f"weight of {edge} has a negative coefficient")
+            k = distinct[w] = len(distinct)
+        index.append(k)
+    den = lcm(*(c.denominator for w in distinct for _, c in w.sorted_terms()))
+    ones = [sum(c.numerator * den // c.denominator for _, c in w.sorted_terms()) for w in distinct]
+    if not (total := sweep([ones[k] for k in index], 1)):
         return LaurentPoly2.zero()
     bits = slot_bits(total)
-    packed = [packed_weight(w, bits, den) for w in polys]
-    return sweep(packed, PackedPoly.one()).decode(bits, den ** (n // 2))
+    packed = [packed_weight(w, bits, den) for w in distinct]
+    return sweep([packed[k] for k in index], PackedPoly.one()).decode(bits, den ** (n // 2))
 
 
 def check_frontier(width: int) -> None:

@@ -15,7 +15,8 @@ q-ratio product -- run on :class:`PackedPoly` instead: polynomials with
 non-negative integer coefficients, one big int per power of ``t`` holding the
 ``q``-coefficients in fixed-width bit slots (Kronecker substitution,
 ``q = 2**bits``).  Each result leaves through one :meth:`PackedPoly.decode`
-into a ``LaurentPoly2``.
+into a ``LaurentPoly2`` whose terms are already in print order, (e_q, e_t)
+ascending, and whose equal coefficients share one ``Fraction``.
 
 A :class:`FracWeight` is a true quotient of two ``LaurentPoly2`` values: the
 edge weight that graph rewrites leave behind when a renewal divides by a
@@ -32,9 +33,8 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from itertools import zip_longest
 from math import prod
-from operator import add
 
 from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
 
@@ -118,11 +118,9 @@ class LaurentPoly2:
         return len(self._terms)
 
     def sorted_terms(self):
-        """Terms as ((e_q, e_t), coeff), ordered lexicographically ascending.
-
-        This is the canonical serialization order; all text/JSON output is
-        derived from it, which is what makes CLI output bit-stable.
-        """
+        """Terms as ((e_q, e_t), coeff), ordered lexicographically ascending:
+        the canonical serialization order, from which all text/JSON output is
+        derived, so CLI output is bit-stable."""
         return sorted(self._terms.items())
 
     def coefficient(self, q: int = 0, t: int = 0) -> Fraction:
@@ -272,34 +270,34 @@ class LaurentPoly2:
 
     def invert_t(self) -> "LaurentPoly2":
         """Substitute t -> 1/t, i.e. negate every t-exponent."""
-        return LaurentPoly2({(eq, -et): c for (eq, et), c in self._terms.items()})
+        return LaurentPoly2._of({(eq, -et): c for (eq, et), c in self._terms.items()})
 
     def shift(self, dq: int = 0, dt: int = 0) -> "LaurentPoly2":
         """Multiply by the monomial q**dq * t**dt."""
-        return LaurentPoly2({(eq + dq, et + dt): c for (eq, et), c in self._terms.items()})
+        _exponents(dq, dt)
+        return LaurentPoly2._of({(eq + dq, et + dt): c for (eq, et), c in self._terms.items()})
 
     # -- serialization -------------------------------------------------------
 
     def to_text(self) -> str:
         """Human-readable sorted term list, e.g. ``1 + 2*t*q + t^2*q^2``.
 
-        Terms are ordered by (q-exponent, t-exponent); within a term the
-        coefficient comes first (omitted when 1), then the t part, then the
-        q part, joined by ``*``.
+        Terms are ordered by (q-exponent, t-exponent), the order
+        :meth:`PackedPoly.decode` inserts them in; within a term the
+        coefficient (omitted when 1), the t part and the q part are joined by ``*``.
         """
         if not self:
             return "0"
-        pieces = []
+        pieces, tparts, last_q = [], {}, None
         for (eq, et), c in self.sorted_terms():
-            num, den = c.numerator, c.denominator
-            mag = -num if num < 0 else num
-            coeff = str(mag) if den == 1 else f"{mag}/{den}"
-            parts = [] if coeff == "1" and (eq or et) else [coeff]
-            if et:
-                parts.append("t" if et == 1 else f"t^{et}")
-            if eq:
-                parts.append("q" if eq == 1 else f"q^{eq}")
-            pieces.append((" - " if num < 0 else " + ") + "*".join(parts))
+            if eq != last_q:
+                last_q, qpart = eq, "" if not eq else "*q" if eq == 1 else f"*q^{eq}"
+            mono = tparts.get(et) or tparts.setdefault(et, "" if not et else "*t" if et == 1 else f"*t^{et}")
+            mono += qpart
+            num, den = c.as_integer_ratio()
+            sign, num = (" + ", num) if num > 0 else (" - ", -num)
+            pieces.append(f"{sign}{num}/{den}{mono}" if den != 1 else f"{sign}{num}{mono}" if num != 1 or not mono
+                          else sign + mono[1:])
         text = "".join(pieces)  # the first term's separator becomes its sign
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
@@ -406,17 +404,16 @@ class PackedPoly:
         return cls({0: 1})
 
     def decode(self, bits: int, den: int = 1) -> LaurentPoly2:
-        """This polynomial divided by ``den``, as a LaurentPoly2."""
-        width = bits // 8
-        low = self.shift // bits
-        terms = {}
-        for et, x in self.rows.items():
-            raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
-            for k in range(0, len(raw), width):
-                c = int.from_bytes(raw[k:k + width], "little")
-                if c:
-                    terms[(k // width + low, et + self.dt)] = Fraction(c) if den == 1 else Fraction(c, den)
-        return LaurentPoly2._of(terms)
+        """This polynomial divided by ``den``, as a LaurentPoly2 with its terms
+        inserted in (e_q, e_t) order and one Fraction per distinct coefficient."""
+        width, rows = bits // 8, sorted(self.rows.items())
+        columns = [[int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+                   for raw in (x.to_bytes((x.bit_length() + 7) // 8, "little") for _, x in rows)]
+        shared = {c: Fraction(c) if den == 1 else Fraction(c, den) for c in set().union(*columns)}
+        ets = [et + self.dt for et, _ in rows]
+        return LaurentPoly2._of({(eq, et): shared[c]
+                                 for eq, column in enumerate(zip_longest(*columns, fillvalue=0), self.shift // bits)
+                                 for et, c in zip(ets, column) if c})
 
     def __add__(self, other: "PackedPoly") -> "PackedPoly":
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)
@@ -429,12 +426,12 @@ class PackedPoly:
         return PackedPoly(rows, lo.shift, lo.dt)
 
     def __mul__(self, weight) -> "PackedPoly":
-        terms = [
-            PackedPoly(self.rows if c == 1 else {et: x * c for et, x in self.rows.items()},
-                       self.shift + shift, self.dt + dt)
-            for dt, c, shift in weight
-        ]
-        return reduce(add, terms) if terms else PackedPoly({})
+        out = None
+        for dt, c, shift in weight:
+            term = PackedPoly(self.rows if c == 1 else {et: x * c for et, x in self.rows.items()},
+                              self.shift + shift, self.dt + dt)
+            out = term if out is None else out + term
+        return out or PackedPoly({})
 
 
 def packed_weight(poly: LaurentPoly2, bits: int, scale: int = 1) -> tuple:

@@ -359,14 +359,18 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     return LaurentPoly2(counts)
 
 
+_DOMINO_WEIGHTS = {}  # (kind, row) -> one shared weight, which the DP's weight table finds by identity
+
+
 def domino_weight(dom) -> LaurentPoly2:
-    """Local weight of one domino under the path-step weighting."""
-    kind, row = domino_class(dom)
-    if kind == "level":
-        return LaurentPoly2.term(1, q=2 * row, t=1)
-    if kind == "down":
-        return LaurentPoly2.term(1, q=2 * row + 1)
-    return LaurentPoly2.one()
+    """Local weight of one domino under the path-step weighting; the first 4,096 classes share theirs."""
+    if (w := _DOMINO_WEIGHTS.get(key := domino_class(dom))) is None:
+        kind, row = key
+        w = (LaurentPoly2.term(1, q=2 * row, t=1) if kind == "level" else
+             LaurentPoly2.term(1, q=2 * row + 1) if kind == "down" else LaurentPoly2.one())
+        if len(_DOMINO_WEIGHTS) < 4096:
+            _DOMINO_WEIGHTS[key] = w
+    return w
 
 
 def genfun_via_weights(m: int, n: int, s) -> LaurentPoly2:

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -360,6 +361,36 @@ def test_dp_weights_constants_and_negative_coefficients():
     for bad in (-1, LaurentPoly2.term(1, q=1) - 1):
         with pytest.raises(InvalidWeight):
             tiling_genfun_dp(region, lambda dom: bad)
+
+
+def test_a_repeated_negative_weight_names_its_first_edge():
+    # each distinct weight is checked once, where it first appears, so the
+    # error names the first bad edge in edge order whether the bad weights are
+    # one shared value or equal copies
+    region = aztec_diamond(2)
+    edges = region.all_dominoes
+    good, bad = LaurentPoly2.term(2, q=1), LaurentPoly2.term(1, q=1) - 1
+    for first in (0, 3, len(edges) - 1):
+        for copy in (False, True):
+            weights = {d: (bad * 1 if copy else bad) if i >= first and i % 2 == first % 2 else good
+                       for i, d in enumerate(edges)}
+            with pytest.raises(InvalidWeight, match=f"weight of {re.escape(str(edges[first]))} has"):
+                tiling_genfun_dp(region, weights.__getitem__)
+    other = LaurentPoly2.const(-1)  # two bad weights: `other` at edges 2 and 6, `bad` at 4 and 5
+    weights = {d: other if i in (2, 6) else bad if i in (4, 5) else good for i, d in enumerate(edges)}
+    with pytest.raises(InvalidWeight, match=f"weight of {re.escape(str(edges[2]))} has"):
+        tiling_genfun_dp(region, weights.__getitem__)
+
+
+def test_one_in_every_type_gives_the_plain_count():
+    # 1, Fraction(1) and LaurentPoly2.one() are one weight to the DP's table
+    ones = (1, Fraction(1), LaurentPoly2.one())
+    for region in (aztec_diamond(3), aztec_rectangle_with_holes(3, 5, (1, 3, 4)),
+                   semihexagon_with_dents(3, 2, (1, 3, 5))):
+        weights = {d: ones[i % 3] for i, d in enumerate(region.all_dominoes)}
+        got = tiling_genfun_dp(region, weights.__getitem__)
+        assert type(got) is LaurentPoly2
+        assert got == LaurentPoly2.const(tiling_genfun_dp(region)) == count_tilings(region)
 
 
 def test_dp_counts_diamonds():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -156,6 +157,22 @@ def test_laurent_flags_and_shifts():
     assert not p.is_polynomial()
     assert p.shift(dq=2).is_polynomial()
     assert (1 + TQ).invert_t() == 1 + LaurentPoly2.term(1, q=1, t=-1)
+    # shift builds its result without the constructor's checks, but still refuses a non-int exponent
+    for poly in (p, LaurentPoly2.zero()):
+        for bad in ({"dq": 1.5}, {"dt": 1.5}, {"dq": True}):
+            with pytest.raises(TypeError):
+                poly.shift(**bad)
+
+
+def test_invert_t_and_shift_equal_the_validating_constructor():
+    rng = random.Random(2718)
+    for _ in range(60):
+        p = rand_poly(rng, terms=rng.randint(0, 6))
+        dq, dt = rng.randint(-4, 4), rng.randint(-4, 4)
+        terms = p.sorted_terms()
+        for got, want in ((p.invert_t(), LaurentPoly2({(eq, -et): c for (eq, et), c in terms})),
+                          (p.shift(dq, dt), LaurentPoly2({(eq + dq, et + dt): c for (eq, et), c in terms}))):
+            assert got == want and hash(got) == hash(want) and got.sorted_terms() == want.sorted_terms()
 
 
 def test_serialization():
@@ -234,12 +251,23 @@ def nonnegative_laurent(draw):
     return LaurentPoly2(terms)
 
 
+def check_decoded(p):
+    """What decode promises beyond the value: Fractions in lowest terms,
+    inserted in print order, one object per distinct coefficient."""
+    coeffs = [c for _, c in p.sorted_terms()]
+    assert all(type(c) is Fraction and c.denominator > 0 and gcd(c.numerator, c.denominator) == 1 for c in coeffs)
+    assert list(p._terms) == sorted(p._terms)  # so to_text's sort meets a sorted list
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(nonnegative_laurent(), nonnegative_laurent())
 def test_packed_product_decodes_to_sparse_product(a, b):
     bits = slot_bits(int((a.evaluate(1, 1) + 1) * (b.evaluate(1, 1) + 1)))  # inputs and product
     packed = PackedPoly.one() * packed_weight(a, bits)
-    assert (packed * packed_weight(b, bits)).decode(bits) == a * b
+    got = (packed * packed_weight(b, bits)).decode(bits)
+    assert got == a * b
+    check_decoded(got)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -249,7 +277,23 @@ def test_packed_weight_product_and_sum(a, weight, den):
     bits = slot_bits(int((a.evaluate(1, 1) + 1) * (weight.evaluate(1, 1) + 1)))
     packed = PackedPoly.one() * packed_weight(a, bits)
     out = packed * packed_weight(weight / den, bits, den) + packed
-    assert out.decode(bits, den) == (a * weight + a) / den
+    got = out.decode(bits, den)
+    assert got == (a * weight + a) / den
+    check_decoded(got)
+
+
+def test_decode_reduces_and_shares_coefficients():
+    # negative shift and dt, a denominator, and coefficients that reduce to equal values
+    a = LaurentPoly2({(-2, -1): 2, (1, -1): 6, (0, 0): 6, (3, 2): 4, (1, 2): 2, (-1, 3): 8})
+    bits = slot_bits(8)
+    packed = PackedPoly.one() * packed_weight(a, bits)
+    assert (packed.shift, packed.dt) == (-2 * bits, -1)
+    got = packed.decode(bits, 4)
+    assert got == a / 4
+    check_decoded(got)
+    assert got.coefficient(-2, -1) is got.coefficient(1, 2) == Fraction(1, 2)
+    assert got.coefficient(0, 0) is got.coefficient(1, -1) == Fraction(3, 2)
+    assert got.to_text() == "1/2*t^-1*q^-2 + 2*t^3*q^-1 + 3/2 + 3/2*t^-1*q + 1/2*t^2*q + t^2*q^3"
 
 
 def test_packed_weight_rejects_what_cannot_pack():
