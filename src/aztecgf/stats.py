@@ -52,7 +52,7 @@ Conventions (all pinned by the acceptance suite, none adjustable):
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -146,8 +146,11 @@ def vstat(tiling: Tiling) -> int:
 
     Cross-checked against (verticals - sum(s_i - i)) / 2; a mismatch or odd
     difference raises OddVerticalCount.  On Aztec diamonds this is exactly
-    half the vertical dominoes.
+    half the vertical dominoes.  A mask whose tile count is not half the cells
+    raises BijectionViolation; one of the right count with overlapping tiles is not caught.
     """
+    if 2 * tiling.mask.bit_count() != len(tiling.region.cells):
+        tiling.require_valid()
     vertical, down, offset = _vertical_masks(tiling.region)
     verticals, downs = (tiling.mask & vertical).bit_count(), (tiling.mask & down).bit_count()
     if verticals - offset != 2 * downs:
@@ -171,53 +174,57 @@ def _vertical_masks(region: Region):
 
 @lru_cache(maxsize=16)
 def _flip_blocks(region: Region):
-    """Masks (horizontal pair, vertical pair) for every 2x2 block in the region."""
-    cells = region.cells
-    dindex = region.domino_index
-    blocks = []
-    for c in region.sorted_cells:
-        x, y = c.x, c.y
-        quad = (sq(x, y), sq(x + 1, y), sq(x, y + 1), sq(x + 1, y + 1))
-        if all(cc in cells for cc in quad):
-            hmask = (1 << dindex[(quad[0], quad[1])]) | (1 << dindex[(quad[2], quad[3])])
-            vmask = (1 << dindex[(quad[0], quad[2])]) | (1 << dindex[(quad[1], quad[3])])
-            blocks.append((hmask, vmask))
-    return tuple(blocks)
-
-
-def _flips(mask: int, blocks):
-    """Each mask one flip from ``mask``: every block whose horizontal or vertical pair it holds, rotated."""
-    for hmask, vmask in blocks:
-        if mask & hmask == hmask or mask & vmask == vmask:
-            yield mask ^ hmask ^ vmask
+    """Each 2x2 block as (bit, horizontal pair, vertical pair), and by bit its flip: (both pairs, the bits
+    outside its near blocks, its near blocks), those that share a domino with it, itself included."""
+    right, up = {}, {}  # by (x, y): the bit of the domino to the right of that cell, and of the one above it
+    for i, (c1, c2) in enumerate(region.all_dominoes if region.lattice == "square" else ()):  # lozenges: none
+        (right if c1.y == c2.y else up)[c1.x, c1.y] = 1 << i
+    at = {}  # each block by its south-west (x, y), in cell order
+    for (x, y), bottom in right.items():
+        if (x, y) in up and (x + 1, y) in up:
+            at[x, y] = (1 << len(at), bottom | right[x, y + 1], up[x, y] | up[x + 1, y])
+    near = {(x, y): tuple(at[c] for c in ((x, y), (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)) if c in at)
+            for x, y in at}
+    return tuple(at.values()), {bit: (h | v, ~sum(b for b, _, _ in near[c]), near[c])
+                                for c, (bit, h, v) in at.items()}
 
 
 def elementary_moves(tiling: Tiling):
     """All tilings one flip away (rotating a 2x2 block of parallel dominoes), by the rank BFS's move rule;
     raises BijectionViolation if the mask is no tiling."""
     tiling.require_valid()
-    return [Tiling(tiling.region, m) for m in sorted(_flips(tiling.mask, _flip_blocks(tiling.region)))]
+    mask, blocks = tiling.mask, _flip_blocks(tiling.region)[0]
+    moves = sorted(mask ^ h ^ v for _, h, v in blocks if mask & h == h or mask & v == v)
+    return [Tiling(tiling.region, m) for m in moves]
 
 
 @lru_cache(maxsize=4)  # each holds every tiling mask of its region
 def rank_distances(region: Region) -> dict:
     """BFS distances in the flip graph from the minimal tiling, by mask.
 
-    Raises TooManyTilings, before searching, when the region has more than
-    ``MAX_BRUTE_TILINGS`` tilings.
+    A layer at a time, each state carrying its flippable blocks as bits: a flip of block k re-tests only
+    k's near blocks.  Raises TooManyTilings, before searching, over ``MAX_BRUTE_TILINGS`` tilings.
     """
     check_enumerable(region)
     root = minimal_tiling(region).mask
-    blocks = _flip_blocks(region)
-    dist = {root: 0}
-    queue = deque((root,))
-    while queue:
-        cur = queue.popleft()
-        d = dist[cur] + 1
-        for nxt in _flips(cur, blocks):
-            if nxt not in dist:
-                dist[nxt] = d
-                queue.append(nxt)
+    blocks, flips = _flip_blocks(region)
+    dist, d, states, lives, nears = {root: 0}, 0, [root], [0], [blocks]  # lives: bits known live, nears: to re-test
+    while states:
+        d, last = d + 1, zip(states, lives, nears)
+        states, lives, nears = [], [], []  # three lists: a tuple per state held more memory
+        for cur, live, near in last:
+            for b, hmask, vmask in near:  # elementary_moves' rule, inline: a call per state ran 15-25% slower
+                if cur & hmask == hmask or cur & vmask == vmask:
+                    live |= b
+            rest = live
+            while rest:
+                rest ^= (bit := rest & -rest)  # the lowest first, so the flips come in block order
+                pair, keep, near = flips[bit]
+                if (nxt := cur ^ pair) not in dist:
+                    dist[nxt] = d
+                    states.append(nxt)
+                    lives.append(live & keep)
+                    nears.append(near)
     return dist
 
 
@@ -307,7 +314,7 @@ def rank_via_paths(tiling: Tiling) -> int:
 # generating functions
 
 
-MAX_BRUTE_TILINGS = 2**18  # enumeration plus rank BFS costs tens of microseconds a tiling
+MAX_BRUTE_TILINGS = 2**18  # brute-force F(q, t) at the limit: about 10 µs a tiling (2.4-2.7 s, Xeon, Python 3.11)
 MAX_BRUTE_CELLS = 4096  # each search step costs time linear in the cell count
 
 
@@ -340,22 +347,15 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) by full enumeration, BFS rank, and the vertical statistic.
 
     Raises TooManyTilings, before enumerating, when the region has more
-    than ``MAX_BRUTE_TILINGS`` tilings, and Unreachable if any tiling is
-    missing from the flip BFS (rank would then be undefined; it never
-    happens on these regions).
+    than ``MAX_BRUTE_TILINGS`` tilings, and Unreachable, after counting,
+    unless the flip BFS reached exactly the enumerated tilings (rank would
+    otherwise be undefined; it never happens on these regions).
     """
     region = aztec_rectangle_with_holes(m, n, s)
     dist = rank_distances(region)
-    counts = {}
-    seen = 0
-    for tiling in enumerate_tilings(region):
-        seen += 1
-        if tiling.mask not in dist:
-            raise Unreachable(f"flip graph of {region.key} is disconnected")
-        e = (dist[tiling.mask], vstat(tiling))
-        counts[e] = counts.get(e, 0) + 1
-    if seen != len(dist):
-        raise Unreachable(f"flip BFS reached {len(dist)} tilings, enumeration found {seen}")
+    counts = Counter((dist.get(t.mask), vstat(t)) for t in enumerate_tilings(region))
+    if (tilings := sum(counts.values())) != len(dist) or any(rank is None for rank, _ in counts):
+        raise Unreachable(f"flip BFS of {region.key} reached {len(dist)} masks, not exactly its {tilings} tilings")
     return LaurentPoly2(counts)
 
 

@@ -1,15 +1,16 @@
 """Minimal tilings, flips, rank, the path bijection, and the two F(q,t) routes."""
 
 import random
+from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztecgf.engine import Tiling, count_tilings, enumerate_tilings
-from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings
+from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings, Unreachable
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.lozenge import tiling_to_cspp, top_bottom_paths
 from aztecgf.poly import LaurentPoly2
@@ -25,6 +26,7 @@ from aztecgf.stats import (
     path_stats,
     paths_to_tiling,
     rank_bfs,
+    rank_distances,
     rank_via_paths,
     tiling_to_paths,
     vstat,
@@ -117,10 +119,14 @@ def test_vstat_counts_white_bottomed_verticals_exhaustively():
 
 
 def test_vstat_guard_fires_on_garbage():
+    # two tiles on four cells, one covered twice: the tile count is right, so only the
+    # vertical cross-check can see it; one tile alone is refused before that check
     region = aztec_rectangle_with_holes(1, 1, (1,))
-    fake = Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1))])
+    fake = Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1)), (sq(0, 0), sq(1, 0))])
     with pytest.raises(OddVerticalCount):
         vstat(fake)
+    with pytest.raises(BijectionViolation, match="not a tiling"):
+        vstat(Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1))]))
 
 
 def test_elementary_moves():
@@ -130,6 +136,8 @@ def test_elementary_moves():
     assert vertical_count(moves[0]) == 2
     # involution
     assert t0 in elementary_moves(moves[0])
+    # a lozenge tiling has no 2x2 block of dominoes to rotate
+    assert elementary_moves(next(enumerate_tilings(semihexagon_with_dents(3, 2, (1, 3, 4))))) == []
 
 
 def test_flip_graph_of_order_two_diamond():
@@ -154,6 +162,47 @@ def test_every_flip_is_undone_by_a_flip_and_moves_the_rank_by_one():
                         assert abs(rank_bfs(move) - rank) == 1, (m, n, s)
                         flips += 1
     assert flips == 15698
+
+
+def flip_blocks_from_cells(region):
+    # every 2x2 block of the region, as its (horizontal, vertical) pairs of domino indices
+    index, blocks = region.domino_index, []
+    for c in region.sorted_cells:
+        se, nw, ne = sq(c.x + 1, c.y), sq(c.x, c.y + 1), sq(c.x + 1, c.y + 1)
+        if {se, nw, ne} <= region.cells:
+            blocks.append(({index[c, se], index[nw, ne]}, {index[c, nw], index[se, ne]}))
+    return blocks
+
+
+def flips_from_cells(tiling, blocks):
+    # each tiling one flip away, as a set of domino indices: every block re-tested
+    for hpair, vpair in blocks:
+        for held, put in ((hpair, vpair), (vpair, hpair)):
+            if held <= tiling:
+                yield (tiling - held) | put
+
+
+def reference_rank_distances(region):
+    # the flip BFS written plainly: a deque of tilings as sets of domino indices,
+    # and every block of the region re-tested at every tiling
+    blocks = flip_blocks_from_cells(region)
+    root = frozenset(k for k in range(len(region.all_dominoes)) if minimal_tiling(region).mask >> k & 1)
+    dist, queue = {root: 0}, deque([root])
+    while queue:
+        cur = queue.popleft()
+        for nxt in flips_from_cells(cur, blocks):
+            if nxt not in dist:
+                dist[nxt] = dist[cur] + 1
+                queue.append(nxt)
+    return [(sum(1 << k for k in tiling), d) for tiling, d in dist.items()]
+
+
+def test_rank_distances_match_a_plain_bfs_in_order():
+    # same masks, same ranks, same insertion order, on every m <= 3, n <= 5 region and two m = 4, n = 7 ones
+    cases = [(m, n, s) for m in range(1, 4) for n in range(m, 6) for s in combinations(range(1, n + 1), m)]
+    for m, n, s in cases + [(4, 7, (1, 3, 4, 5)), (4, 7, (3, 5, 6, 7))]:
+        region = aztec_rectangle_with_holes(m, n, s)
+        assert list(rank_distances(region).items()) == reference_rank_distances(region), (m, n, s)
 
 
 def test_paths_of_tiny_tilings():
@@ -196,8 +245,9 @@ def test_readers_refuse_every_tiling_with_one_extra_tile():
 
 
 def test_elementary_moves_refuses_every_tiling_with_one_extra_tile():
-    # such a mask covers some cell twice; a flip of it would be no tiling either
-    masks = refused = 0
+    # such a mask covers some cell twice; a flip of it would be no tiling either, and
+    # vstat, which sees only the vertical counts, refuses it by its tile count
+    masks, refused = 0, {elementary_moves: 0, vstat: 0}
     for m in range(1, 4):
         for n in range(m, 6):
             for s in combinations(range(1, n + 1), m):
@@ -206,11 +256,13 @@ def test_elementary_moves_refuses_every_tiling_with_one_extra_tile():
                     for k in range(len(region.all_dominoes)):
                         if not tiling.mask >> k & 1:
                             masks += 1
-                            try:
-                                elementary_moves(Tiling(region, tiling.mask | 1 << k))
-                            except BijectionViolation as error:  # pytest.raises on each mask doubled the time
-                                refused += str(error).startswith("not a tiling")
-    assert masks == refused == 108156
+                            extra = Tiling(region, tiling.mask | 1 << k)
+                            for read in refused:
+                                try:
+                                    read(extra)
+                                except BijectionViolation as error:  # pytest.raises on each mask doubled the time
+                                    refused[read] += str(error).startswith("not a tiling")
+    assert masks == refused[elementary_moves] == refused[vstat] == 108156
 
 
 def test_minimal_path_family_rejects_mismatched_holes():
@@ -381,6 +433,20 @@ def test_genfun_bruteforce_builds_its_region_once(monkeypatch):
     assert built == [(3, 5, (1, 3, 4))]
 
 
+def test_genfun_bruteforce_refuses_a_flip_bfs_that_missed_or_invented_a_tiling(monkeypatch):
+    from aztecgf import stats
+
+    region = aztec_rectangle_with_holes(2, 4, (1, 3))
+    dist = stats.rank_distances(region)
+    dropped = dict(list(dist.items())[:-1])
+    invented = {(1 << len(region.all_dominoes)) - 1: 1}  # every tile at once: no tiling
+    # one tiling dropped, one mask that is no tiling added, and both at once (the right total)
+    for broken in (dropped, {**dist, **invented}, {**dropped, **invented}):
+        monkeypatch.setattr(stats, "rank_distances", lambda region, broken=broken: broken)
+        with pytest.raises(Unreachable, match=f"reached {len(broken)} masks, not exactly its {len(dist)} tilings"):
+            genfun_bruteforce(2, 4, (1, 3))
+
+
 def test_genfun_via_weights_matches_bruteforce():
     for m, n, s in ((1, 1, (1,)), (1, 3, (2,)), (2, 3, (1, 3)), (3, 3, (1, 2, 3)), (2, 4, (2, 4))):
         assert genfun_via_weights(m, n, s) == genfun_bruteforce(m, n, s)
@@ -404,9 +470,9 @@ def test_minimal_weight_of_minimal_tiling():
 
 
 @st.composite
-def holey_rectangles(draw):
+def holey_rectangles(draw, max_n=10):
     m = draw(st.integers(1, 5))
-    n = draw(st.integers(m, 10))
+    n = draw(st.integers(m, max_n))
     s = draw(st.lists(st.integers(1, n), min_size=m, max_size=m, unique=True))
     return m, n, tuple(sorted(s))
 
@@ -433,3 +499,13 @@ def test_path_bijection_along_seeded_flip_walks(case, seed):
         fam = tiling_to_paths(tiling)
         assert paths_to_tiling(fam, tiling.region) == tiling
         assert vstat(tiling) + path_stats(fam).level_total == m * (m + 1) // 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(holey_rectangles(max_n=6), st.integers(0, 2**32))
+def test_elementary_moves_match_a_full_retest_of_every_block(case, index):
+    region = aztec_rectangle_with_holes(*case)
+    tiling = next(islice(enumerate_tilings(region), index % count_tilings(region), None))
+    held = frozenset(k for k in range(len(region.all_dominoes)) if tiling.mask >> k & 1)
+    want = sorted(sum(1 << k for k in move) for move in flips_from_cells(held, flip_blocks_from_cells(region)))
+    assert [move.mask for move in elementary_moves(tiling)] == want
