@@ -3,7 +3,7 @@
 Subcommands: genfun, count, verify, render, bench.  All computational
 output is deterministic (identical invocations give byte-identical stdout
 and files); bench prints wall-clock timings and is the one exception.
-Exit codes: 0 success, 1 verification failure, 2 bad flags.
+Exit codes: 0 success, 1 verification failure (a suite that raises is one), 2 bad flags.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, when this module is imported, and every call parses with it.
@@ -59,7 +59,7 @@ def build_parser():
 
     p = sub.add_parser("count", help="print an exact tiling count")
     p.add_argument("--region", choices=("aztec", "rect", "semihex"), required=True)
-    _add_region_flags(p, order_help="order of the Aztec diamond")
+    _add_region_flags(p)
     p.add_argument("--method", choices=("enumerate", "dp"), default="enumerate")
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -79,11 +79,11 @@ def build_parser():
     return parser
 
 
-def _add_region_flags(p, order_help=None):
+def _add_region_flags(p):
     """The flags that build a region, shared by count and render."""
     for flag, kind in (("--order", int), ("--m", int), ("--n", int), ("--holes", _positions),
                        ("--a", int), ("--b", int), ("--dents", _positions)):
-        p.add_argument(flag, type=kind, help=order_help if flag == "--order" else None)
+        p.add_argument(flag, type=kind, help="order of the Aztec diamond" if flag == "--order" else None)
 
 
 PARSER = build_parser()

@@ -125,12 +125,13 @@ class Tiling:
         if not self.is_valid():
             raise BijectionViolation(f"not a tiling of {self.region.key}: a cell is uncovered or covered twice")
 
-    def walk(self, x: int, y: int, cell, steps: Steps):
-        """Follow the path entering ``cell(x, y)`` to the region's edge: the
-        offset of each cell's mate names the step, whose move gives the next
-        cell.  Returns the ``(kind, x, y)`` steps and the exit point; raises
-        BijectionViolation at an uncovered cell or a tile no step crosses."""
-        cells, mate, by_mate = self.region.cells, self.mate, steps.by_mate
+    def walk(self, x: int, y: int, cell, steps: dict):
+        """Follow the path entering ``cell(x, y)`` to the region's edge by the step table
+        ``steps``, kind -> (mate offset, move): each cell's mate offset names the step,
+        whose move gives the next cell.  Returns the ``(kind, x, y)`` steps and the exit
+        point; raises BijectionViolation at an uncovered cell or a tile no step crosses."""
+        by_mate = {offset: kind for kind, (offset, _) in steps.items()}
+        cells, mate = self.region.cells, self.mate
         out = []
         while (c := cell(x, y)) in cells:
             other = mate.get(c)
@@ -145,13 +146,13 @@ class Tiling:
         return out, (x, y)
 
     @classmethod
-    def from_paths(cls, region: Region, paths, cell, partner, steps: Steps):
-        """Replay ``paths``, each ``(x, y, kinds)`` entering ``cell(x, y)``: a
-        step places the tile of its cell and ``partner`` at its mate offset,
-        then moves.  Every uncovered cell of ``cell``'s kind is then paired
-        with ``partner(x + 1, y)``.  Returns the tiling; raises
-        BijectionViolation for a tile outside the region or over a placed
-        one, and for a cell left over."""
+    def from_paths(cls, region: Region, paths, cell, partner, steps: dict):
+        """Replay ``paths``, each ``(x, y, kinds)`` entering ``cell(x, y)``: a step
+        of the table ``steps`` (as in :meth:`walk`) places the tile of its cell and
+        ``partner`` at its mate offset, then moves.  Every uncovered cell of ``cell``'s
+        kind is then paired with ``partner(x + 1, y)``.  Returns the tiling; raises
+        BijectionViolation for a tile outside the region or over a placed one, so
+        the cells placed are the cells covered, and for a cell left over."""
         index = region.domino_index
         used = set()
         mask = 0
@@ -173,10 +174,9 @@ class Tiling:
         for c in region.sorted_cells:  # sorted by x: a cell's left neighbour is paired first
             if c.kind == kind and c not in used:
                 place(c, partner(c.x + 1, c.y))
-        tiling = cls(region, mask)
-        if not tiling.is_valid():
+        if len(used) != len(region.cells):
             raise BijectionViolation("the placed tiles leave a cell of the region uncovered")
-        return tiling
+        return cls(region, mask)
 
     def __eq__(self, other):
         return (
@@ -190,15 +190,6 @@ class Tiling:
 
     def __repr__(self):
         return f"Tiling({self.region.key}, {len(self.dominoes)} tiles)"
-
-
-class Steps(dict):
-    """A path system's step table, kind -> (offset of the mate of the entry
-    cell, move to the next entry cell), with its inverse ``by_mate`` built once."""
-
-    def __init__(self, table):
-        super().__init__(table)
-        self.by_mate = {mate: kind for kind, (mate, _) in table.items()}
 
 
 # ---------------------------------------------------------------------------

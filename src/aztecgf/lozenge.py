@@ -10,7 +10,7 @@ level a - y):
 * ``right``:    up(x, y) + dw(x-1, y) — the other in-row kind;
 * ``vertical``: up(x, y) + dw(x, y+1) — spans two rows, never weighted.
 
-Two path systems read a tiling, each a step table (``TOP_STEPS``,
+Two path systems read a tiling, each a plain-dict step table (``TOP_STEPS``,
 ``DENT_STEPS``) that ``Tiling.walk`` reads and ``Tiling.from_paths`` replays:
 
 * b = n - m disjoint top-to-bottom paths enter through the top edges and
@@ -32,7 +32,7 @@ Two path systems read a tiling, each a step table (``TOP_STEPS``,
 
 from __future__ import annotations
 
-from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
+from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
 from .regions import NO_BOUND, Record, Region, check_positions, check_rows, check_size, dw, up
@@ -42,8 +42,8 @@ RIGHT = "right"
 VERTICAL = "vertical"
 
 # kind -> (offset of the entry cell dw(x, y)'s mate up(...), move from (x, y))
-TOP_STEPS = Steps({LEFT: ((0, 0), (0, 1)), RIGHT: ((1, 0), (1, 1))})
-DENT_STEPS = Steps({LEFT: ((0, 0), (-1, 0)), VERTICAL: ((0, -1), (-1, -1))})
+TOP_STEPS = {LEFT: ((0, 0), (0, 1)), RIGHT: ((1, 0), (1, 1))}
+DENT_STEPS = {LEFT: ((0, 0), (-1, 0)), VERTICAL: ((0, -1), (-1, -1))}
 
 
 def classify_lozenge(pair, a: int):

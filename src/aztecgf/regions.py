@@ -124,10 +124,6 @@ class Region(Record):
     def sorted_cells(self) -> tuple:
         return tuple(sorted(self.cells))
 
-    @cached_property
-    def cell_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.sorted_cells)}
-
     # -- accessors for Aztec-rectangle metadata ---------------------------
 
     @property
@@ -170,7 +166,7 @@ class Region(Record):
     def adjacency(self) -> list:
         """For each cell index, the ascending list of (neighbor index, domino
         bit ``1 << domino index``): the dual graph as the oracle searches it."""
-        cindex = self.cell_index
+        cindex = {c: i for i, c in enumerate(self.sorted_cells)}
         adj = [[] for _ in self.sorted_cells]
         for di, (c1, c2) in enumerate(self.all_dominoes):
             i, j = cindex[c1], cindex[c2]

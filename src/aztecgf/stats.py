@@ -9,9 +9,9 @@ Conventions (all pinned by the acceptance suite, none adjustable):
   Schröder paths.  Path i enters through the midpoint of the left edge of
   southwest-side cell (1-i, i-1) and leaves through the right edge of
   southeast-side cell (s_i, s_i - 1).  A path crosses one domino per step
-  (``STEPS`` gives each kind's mate offset and move; it is one of three step
-  tables, with the two of :mod:`aztecgf.lozenge`, that the one walker
-  ``Tiling.walk`` reads and the one replayer ``Tiling.from_paths`` replays):
+  (``STEPS``, a plain dict, gives each kind's mate offset and move; it is one
+  of three step tables, with the two of :mod:`aztecgf.lozenge`, that the one
+  walker ``Tiling.walk`` reads and the one replayer ``Tiling.from_paths`` replays):
 
   - a horizontal domino whose left cell is black: level step (2, 0);
   - a vertical domino entered at its bottom cell: up step (1, 1);
@@ -56,7 +56,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .engine import Steps, Tiling, enumerate_tilings, tiling_genfun_dp
+from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import (
     BijectionViolation,
     InvalidHoles,
@@ -72,11 +72,11 @@ from .regions import (Record, Region, aztec_rectangle_with_holes, check_position
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
-STEPS = Steps({
+STEPS = {
     "level": ((1, 0), (2, 0)),
     "up": ((0, 1), (1, 1)),
     "down": ((0, -1), (1, -1)),
-})
+}
 
 
 class SchroderPathFamily(Record):

@@ -40,6 +40,7 @@ from itertools import combinations
 
 from . import formulas, lozenge, rewrite, stats
 from .engine import count_tilings, enumerate_tilings, graph_genfun_dp, matching_genfun, tiling_genfun_dp
+from .errors import AztecError
 from .poly import LaurentPoly2, falling_ratio, q_ratio_product
 from .regions import (
     WeightedGraph,
@@ -383,10 +384,15 @@ SUITES = {
 
 def run_suite(name, out):
     """Print one PASS/FAIL line per case of suite ``name``, or of every suite
-    in order for "all"; return the number of failures."""
+    in order for "all", and one FAIL line for a suite that raises an AztecError,
+    whose later cases do not run; return the number of failures."""
     failures = 0
-    for suite in SUITES.values() if name == "all" else (SUITES[name],):
-        for label, ok in suite():
-            out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
-            failures += not ok
+    for key in SUITES if name == "all" else (name,):
+        try:
+            for label, ok in SUITES[key]():
+                out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
+                failures += not ok
+        except AztecError as exc:
+            out.write(f"FAIL  {key}: {type(exc).__name__}: {exc}; the rest of suite {key} did not run\n")
+            failures += 1
     return failures

@@ -460,6 +460,30 @@ def test_verify_suite_exits_zero():
     assert text.strip().endswith("suite diamond: ok")
 
 
+def test_verify_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    # a route that raises part-way is one failure, not bad input: the later suites still run
+    from aztecgf import verify
+    from aztecgf.errors import InexactDivision
+
+    def raising():
+        yield "relation case 1", True
+        raise InexactDivision("planted")
+
+    suites = {name: (lambda name=name: iter([(f"{name} case", True)])) for name in verify.SUITES}
+    monkeypatch.setattr(verify, "SUITES", {**suites, "relation": raising})
+    code, out, err = cli_exit(capsys, "verify", "--suite", "all")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "PASS  main case", "PASS  diamond case", "PASS  weighted case", "PASS  lozenge case",
+        "PASS  relation case 1",
+        "FAIL  relation: InexactDivision: planted; the rest of suite relation did not run",
+        "PASS  rewrite case",
+        "all suites: 1 FAILED",
+    ]
+    code, out, err = cli_exit(capsys, "verify", "--suite", "relation")
+    assert (code, err, out.splitlines()[-1]) == (1, "", "suite relation: 1 FAILED")
+
+
 def test_start_up_loads_neither_verify_render_nor_dataclasses():
     # -I -S keeps site and the environment out, so nothing is loaded beforehand:
     # what is left in sys.modules is what importing the CLI itself loaded

@@ -142,10 +142,6 @@ PAIRS = {
         lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), {}),
     "rank BFS vs rank via paths": (
         lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
-            "engine.Tiling.dominoes": "the tiling's own tiles, which both sides read",
-            "engine.Tiling.is_valid": "each side checks that its tiling covers the region: the BFS its minimal "
-                                      "tiling, the path rank the tiling it reads",
-            "engine.Tiling.mate": "the tiling's own tiles, which both sides read",
             "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts "
                                                  "from the minimal path family, the path rank from the tiling's "
                                                  "own paths",

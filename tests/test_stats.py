@@ -14,10 +14,11 @@ from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, T
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.lozenge import tiling_to_cspp, top_bottom_paths
 from aztecgf.poly import LaurentPoly2
-from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, semihexagon_with_dents, sq
+from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, domino_class, semihexagon_with_dents, sq
 from aztecgf.stats import (
     STEPS,
     SchroderPathFamily,
+    domino_weight,
     elementary_moves,
     genfun_bruteforce,
     genfun_via_weights,
@@ -445,6 +446,14 @@ def test_genfun_bruteforce_refuses_a_flip_bfs_that_missed_or_invented_a_tiling(m
         monkeypatch.setattr(stats, "rank_distances", lambda region, broken=broken: broken)
         with pytest.raises(Unreachable, match=f"reached {len(broken)} masks, not exactly its {len(dist)} tilings"):
             genfun_bruteforce(2, 4, (1, 3))
+
+
+def test_domino_weight_shares_one_object_per_class():
+    # the DP prepares each distinct weight once, found by identity: one (kind, row) class, one object
+    for s in ((1, 2, 3, 4, 5), (1, 3, 5, 7, 9), (2, 4, 6, 8, 9), (5, 6, 7, 8, 9)):
+        shared = {}
+        for dom in aztec_rectangle_with_holes(5, 9, s).all_dominoes:
+            assert domino_weight(dom) is shared.setdefault(domino_class(dom), domino_weight(dom))
 
 
 def test_genfun_via_weights_matches_bruteforce():
