@@ -422,10 +422,10 @@ def _genfun_dp(vertices, edges, weight):
 
     Each distinct weight is checked, scaled by the common denominator L,
     valued at q = t = 1 and packed once.  A first, integer sweep at q = t = 1
-    bounds every coefficient of the result and so picks the slot width; the
-    second sweeps :class:`~aztecgf.poly.PackedPoly` values, with Laurent
-    exponents as they come, and every perfect matching has len(vertices) / 2
-    edges, so its decode divides by L^(len(vertices) / 2).
+    bounds every coefficient of the result and so picks the slot width, or is
+    the result when every weight is a constant; the second sweeps
+    :class:`~aztecgf.poly.PackedPoly` values.  Every perfect matching has
+    len(vertices) / 2 edges, so either total is divided by L^(len(vertices) / 2).
     """
     n = len(vertices)
     if n % 2:
@@ -464,6 +464,8 @@ def _genfun_dp(vertices, edges, weight):
     ones = [sum(c.numerator * den // c.denominator for _, c in w.sorted_terms()) for w in distinct]
     if not (total := sweep([ones[k] for k in index], 1)):
         return LaurentPoly2.zero()
+    if all(w == LaurentPoly2.const(w.coefficient()) for w in distinct):  # constants: the integer sweep is the answer
+        return LaurentPoly2.const(Fraction(total, den ** (n // 2)))
     bits = slot_bits(total)
     packed = [packed_weight(w, bits, den) for w in distinct]
     return sweep([packed[k] for k in index], PackedPoly.one()).decode(bits, den ** (n // 2))

@@ -174,27 +174,30 @@ def _vertical_masks(region: Region):
 
 @lru_cache(maxsize=16)
 def _flip_blocks(region: Region):
-    """Each 2x2 block as (bit, horizontal pair, vertical pair), and by bit its flip: (both pairs, the bits
-    outside its near blocks, its near blocks), those that share a domino with it, itself included."""
+    """Each 2x2 block as (bit, rising pair, falling pair), and by bit its flip: (both pairs, the bits outside its
+    near blocks, its near blocks), those that share a domino with it, itself included.  Flipping the rising pair
+    raises the rank by 1, the falling pair lowers it (Thurston's height moves by 4 at the block's centre), and
+    the horizontal pair rises where the block's south-west cell is black, the vertical pair where it is white."""
     right, up = {}, {}  # by (x, y): the bit of the domino to the right of that cell, and of the one above it
     for i, (c1, c2) in enumerate(region.all_dominoes if region.lattice == "square" else ()):  # lozenges: none
         (right if c1.y == c2.y else up)[c1.x, c1.y] = 1 << i
     at = {}  # each block by its south-west (x, y), in cell order
     for (x, y), bottom in right.items():
         if (x, y) in up and (x + 1, y) in up:
-            at[x, y] = (1 << len(at), bottom | right[x, y + 1], up[x, y] | up[x + 1, y])
+            h, v = bottom | right[x, y + 1], up[x, y] | up[x + 1, y]
+            at[x, y] = (1 << len(at), v, h) if is_white(sq(x, y)) else (1 << len(at), h, v)
     near = {(x, y): tuple(at[c] for c in ((x, y), (x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)) if c in at)
             for x, y in at}
-    return tuple(at.values()), {bit: (h | v, ~sum(b for b, _, _ in near[c]), near[c])
-                                for c, (bit, h, v) in at.items()}
+    return tuple(at.values()), {bit: (rise | fall, ~sum(b for b, _, _ in near[c]), near[c])
+                                for c, (bit, rise, fall) in at.items()}
 
 
 def elementary_moves(tiling: Tiling):
-    """All tilings one flip away (rotating a 2x2 block of parallel dominoes), by the rank BFS's move rule;
+    """All tilings one flip away (rotating a 2x2 block of parallel dominoes), rising and falling, sorted by mask;
     raises BijectionViolation if the mask is no tiling."""
     tiling.require_valid()
     mask, blocks = tiling.mask, _flip_blocks(tiling.region)[0]
-    moves = sorted(mask ^ h ^ v for _, h, v in blocks if mask & h == h or mask & v == v)
+    moves = sorted(mask ^ rise ^ fall for _, rise, fall in blocks if mask & rise == rise or mask & fall == fall)
     return [Tiling(tiling.region, m) for m in moves]
 
 
@@ -202,19 +205,20 @@ def elementary_moves(tiling: Tiling):
 def rank_distances(region: Region) -> dict:
     """BFS distances in the flip graph from the minimal tiling, by mask.
 
-    A layer at a time, each state carrying its flippable blocks as bits: a flip of block k re-tests only
-    k's near blocks.  Raises TooManyTilings, before searching, over ``MAX_BRUTE_TILINGS`` tilings.
+    A layer at a time, each state carrying as bits its blocks that can rise: a flip of block k re-tests only
+    k's near blocks.  A falling flip leads back a layer (``_flip_blocks``), to a tiling already in ``dist``, so
+    only rising flips are tested.  Raises TooManyTilings, before searching, over ``MAX_BRUTE_TILINGS`` tilings.
     """
     check_enumerable(region)
     root = minimal_tiling(region).mask
     blocks, flips = _flip_blocks(region)
-    dist, d, states, lives, nears = {root: 0}, 0, [root], [0], [blocks]  # lives: bits known live, nears: to re-test
+    dist, d, states, lives, nears = {root: 0}, 0, [root], [0], [blocks]  # lives: bits known to rise, nears: to re-test
     while states:
         d, last = d + 1, zip(states, lives, nears)
         states, lives, nears = [], [], []  # three lists: a tuple per state held more memory
         for cur, live, near in last:
-            for b, hmask, vmask in near:  # elementary_moves' rule, inline: a call per state ran 15-25% slower
-                if cur & hmask == hmask or cur & vmask == vmask:
+            for b, rise, _ in near:  # inline: a call per state ran 15-25% slower
+                if cur & rise == rise:
                     live |= b
             rest = live
             while rest:
@@ -314,7 +318,7 @@ def rank_via_paths(tiling: Tiling) -> int:
 # generating functions
 
 
-MAX_BRUTE_TILINGS = 2**18  # brute-force F(q, t) at the limit: about 10 µs a tiling (2.4-2.7 s, Xeon, Python 3.11)
+MAX_BRUTE_TILINGS = 2**18  # brute F(q, t) at the limit, AR(4, 15; 7, 11, 13, 15): 1.3-1.9 s, Xeon, Python 3.11
 MAX_BRUTE_CELLS = 4096  # each search step costs time linear in the cell count
 
 

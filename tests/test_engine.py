@@ -393,6 +393,39 @@ def test_one_in_every_type_gives_the_plain_count():
         assert got == LaurentPoly2.const(tiling_genfun_dp(region)) == count_tilings(region)
 
 
+def test_one_constant_on_every_edge_scales_the_count():
+    # the integer pre-sweep is the answer when every weight is a constant
+    for m in range(1, 4):
+        for n in range(m, 6):
+            for s in combinations(range(1, n + 1), m):
+                region = aztec_rectangle_with_holes(m, n, s)
+                for c in (2, Fraction(3, 2), Fraction(1, 7)):
+                    want = c ** (len(region.cells) // 2) * count_tilings(region)
+                    assert tiling_genfun_dp(region, lambda dom: c) == LaurentPoly2.const(want), (m, n, s, c)
+
+
+def test_seeded_rational_constants_match_the_search():
+    rng = random.Random(38)
+    for region in (aztec_diamond(3), aztec_rectangle_with_holes(3, 5, (1, 3, 4)),
+                   semihexagon_with_dents(3, 2, (1, 3, 5))):
+        weights = {d: Fraction(rng.randint(1, 9), rng.randint(1, 6)) for d in region.all_dominoes}
+        want = matching_genfun(dual_graph(region, weights.__getitem__))
+        assert tiling_genfun_dp(region, weights.__getitem__) == want, region.key
+        assert graph_genfun_dp(dual_graph(region, weights.__getitem__)) == want, region.key
+
+
+def test_constant_weights_never_pack(monkeypatch):
+    def no_packing(*args):
+        raise AssertionError("packed_weight called")
+
+    monkeypatch.setattr(engine, "packed_weight", no_packing)
+    region = aztec_rectangle_with_holes(3, 5, (1, 3, 4))
+    weights = {d: Fraction(i % 5 + 1, i % 3 + 2) for i, d in enumerate(region.all_dominoes)}
+    assert tiling_genfun_dp(region, weights.__getitem__) == matching_genfun(dual_graph(region, weights.__getitem__))
+    with pytest.raises(AssertionError, match="packed_weight called"):  # a weight in q still packs
+        tiling_genfun_dp(region, lambda dom: LaurentPoly2.term(1, q=1))
+
+
 def test_dp_counts_diamonds():
     # Elkies-Kuperberg-Larsen-Propp: an order-n diamond has 2^(n(n+1)/2) tilings
     for n in range(1, 15):

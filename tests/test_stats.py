@@ -1,7 +1,7 @@
 """Minimal tilings, flips, rank, the path bijection, and the two F(q,t) routes."""
 
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -18,6 +18,7 @@ from aztecgf.regions import aztec_diamond, aztec_rectangle_with_holes, domino_cl
 from aztecgf.stats import (
     STEPS,
     SchroderPathFamily,
+    _flip_blocks,
     domino_weight,
     elementary_moves,
     genfun_bruteforce,
@@ -163,6 +164,29 @@ def test_every_flip_is_undone_by_a_flip_and_moves_the_rank_by_one():
                         assert abs(rank_bfs(move) - rank) == 1, (m, n, s)
                         flips += 1
     assert flips == 15698
+
+
+def test_flipping_the_first_pair_raises_the_path_rank_by_one():
+    # the grading the rank BFS relies on when it follows only rising flips, read off the path
+    # route, which shares no code with the BFS: on every tiling of every m <= 3, n <= 5 holey
+    # rectangle and of the diamonds of order <= 4, flipping a block's first pair away raises
+    # rank_via_paths by exactly 1, flipping its second pair away lowers it by exactly 1, and the
+    # minimal tiling has no falling flip
+    regions = [aztec_rectangle_with_holes(m, n, s) for m in range(1, 4) for n in range(m, 6)
+               for s in combinations(range(1, n + 1), m)] + [aztec_diamond(k) for k in range(1, 5)]
+    flips = Counter()
+    for region in regions:
+        blocks = _flip_blocks(region)[0]
+        rank = {tiling.mask: rank_via_paths(tiling) for tiling in enumerate_tilings(region)}
+        for mask, r in rank.items():
+            for _, rise, fall in blocks:
+                for held, step in ((rise, 1), (fall, -1)):
+                    if mask & held == held:
+                        assert rank[mask ^ rise ^ fall] == r + step, (region.key, mask)
+                        flips[step] += 1
+        root = minimal_tiling(region).mask
+        assert rank[root] == 0 and not any(root & fall == fall for _, _, fall in blocks), region.key
+    assert flips[1] == flips[-1] == 11195
 
 
 def flip_blocks_from_cells(region):
