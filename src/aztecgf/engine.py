@@ -68,9 +68,8 @@ _ONE = LaurentPoly2.one()
 class Tiling:
     """A perfect tiling of a region, stored as a bitmask over its domino pool.
 
-    The mask representation keeps flip-graph search and hashing cheap; the
-    ``dominoes`` property decodes to explicit sorted cell pairs on demand,
-    and ``mate`` maps each covered cell to the other cell of its tile.
+    The mask keeps flip-graph search and hashing cheap; ``dominoes`` decodes it to sorted cell pairs on demand,
+    and ``mate``, cell -> the other cell of its tile, is decoded once or kept from the replay of :meth:`from_paths`.
     """
 
     __slots__ = ("region", "mask", "_dominoes", "_mate")
@@ -109,16 +108,14 @@ class Tiling:
     def mate(self) -> dict:
         """Cell -> the other cell of its tile."""
         if self._mate is None:
-            mate = {}
-            for c1, c2 in self.dominoes:
-                mate[c1], mate[c2] = c2, c1
-            self._mate = mate
+            self._mate = dict(self.dominoes)
+            self._mate.update((c2, c1) for c1, c2 in self.dominoes)
         return self._mate
 
     def is_valid(self) -> bool:
-        """True when the tiles cover every cell of the region exactly once."""
-        mate = self.mate
-        return len(mate) == 2 * len(self.dominoes) and mate.keys() == self.region.cells
+        """True when the mask names only tiles of the pool and they cover every cell of the region exactly once."""
+        return (self.mask >> len(self.region.all_dominoes) == 0  # not negative, no bit past the pool: decodable
+                and len(self.mate) == 2 * self.mask.bit_count() and self.mate.keys() == self.region.cells)
 
     def require_valid(self) -> None:
         """Raise BijectionViolation unless :meth:`is_valid`: the path readers' one refusal of a non-tiling."""
@@ -129,20 +126,20 @@ class Tiling:
         """Follow the path entering ``cell(x, y)`` to the region's edge by the step table
         ``steps``, kind -> (mate offset, move): each cell's mate offset names the step,
         whose move gives the next cell.  Returns the ``(kind, x, y)`` steps and the exit
-        point; raises BijectionViolation at an uncovered cell or a tile no step crosses."""
+        point; raises BijectionViolation at an uncovered cell or a tile no step crosses.
+        It stops at the first cell with no mate, and asks only there whether that cell is in the region."""
         by_mate = {offset: kind for kind, (offset, _) in steps.items()}
-        cells, mate = self.region.cells, self.mate
+        mate = self.mate
         out = []
-        while (c := cell(x, y)) in cells:
-            other = mate.get(c)
-            if other is None:
-                raise BijectionViolation(f"path reached the uncovered cell {c}")
+        while (other := mate.get(c := cell(x, y))) is not None:
             kind = by_mate.get((other.x - x, other.y - y))
             if kind is None:
                 raise BijectionViolation(f"no step crosses the tile {(c, other)}")
             out.append((kind, x, y))
             dx, dy = steps[kind][1]
             x, y = x + dx, y + dy
+        if c in self.region.cells:
+            raise BijectionViolation(f"path reached the uncovered cell {c}")
         return out, (x, y)
 
     @classmethod
@@ -150,19 +147,19 @@ class Tiling:
         """Replay ``paths``, each ``(x, y, kinds)`` entering ``cell(x, y)``: a step
         of the table ``steps`` (as in :meth:`walk`) places the tile of its cell and
         ``partner`` at its mate offset, then moves.  Every uncovered cell of ``cell``'s
-        kind is then paired with ``partner(x + 1, y)``.  Returns the tiling; raises
-        BijectionViolation for a tile outside the region or over a placed one, so
-        the cells placed are the cells covered, and for a cell left over."""
+        kind is then paired with ``partner(x + 1, y)``.  Returns the tiling with the mates
+        placed as its ``mate``; raises BijectionViolation for a tile outside the region or
+        over a placed one, so the cells placed are the cells covered, and for a cell left over."""
         index = region.domino_index
-        used = set()
+        mate = {}
         mask = 0
 
         def place(c1, c2):
             nonlocal mask
             i = index.get((c1, c2) if c1 < c2 else (c2, c1))
-            if i is None or c1 in used or c2 in used:
+            if i is None or c1 in mate or c2 in mate:
                 raise BijectionViolation(f"cannot place the tile {(c1, c2)}")
-            used.update((c1, c2))
+            mate[c1], mate[c2] = c2, c1
             mask |= 1 << i
 
         for x, y, kinds in paths:
@@ -172,11 +169,12 @@ class Tiling:
                 x, y = x + dx, y + dy
         kind = cell(0, 0).kind
         for c in region.sorted_cells:  # sorted by x: a cell's left neighbour is paired first
-            if c.kind == kind and c not in used:
+            if c.kind == kind and c not in mate:
                 place(c, partner(c.x + 1, c.y))
-        if len(used) != len(region.cells):
+        if len(mate) != len(region.cells):
             raise BijectionViolation("the placed tiles leave a cell of the region uncovered")
-        return cls(region, mask)
+        (tiling := cls(region, mask))._mate = mate
+        return tiling
 
     def __eq__(self, other):
         return (

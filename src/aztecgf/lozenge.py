@@ -136,10 +136,13 @@ class ColumnStrictPlanePartition(Record):
         return LaurentPoly2.term(1, q=self.size)
 
 
+def _shape(s) -> tuple:  # cspp_shape of positions already checked, as a semihexagon's dents are
+    return tuple(s[j] - (j + 1) for j in reversed(range(len(s))))
+
+
 def cspp_shape(m: int, s) -> tuple:
     """(s_m - m, s_{m-1} - (m-1), ..., s_1 - 1)."""
-    s = check_positions(m, NO_BOUND, s, InvalidDents)  # the positions have no upper bound
-    return tuple(s[j] - (j + 1) for j in range(m - 1, -1, -1))
+    return _shape(check_positions(m, NO_BOUND, s, InvalidDents))  # the positions have no upper bound
 
 
 def enumerate_cspp(shape, max_entry: int):
@@ -193,7 +196,7 @@ def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:
         steps, _ = tiling.walk(s[m - i] - 1, m, dw, DENT_STEPS)
         rows.append(tuple(m - y + 1 for kind, _, y in reversed(steps) if kind == LEFT))
     # no exit check: a path crosses s_k - 1 lozenges, so the row length checked on construction fixes its end
-    return ColumnStrictPlanePartition(cspp_shape(m, s), tuple(rows), m)
+    return ColumnStrictPlanePartition(_shape(s), tuple(rows), m)
 
 
 def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
@@ -202,7 +205,7 @@ def cspp_to_tiling(pi: ColumnStrictPlanePartition, region: Region) -> Tiling:
     right.  A dent path rises by vertical steps to the row at level e - 1 of
     each entry e, takes a left step there, and ends with verticals."""
     m, _, s = region.semihex_params
-    if pi.shape != cspp_shape(m, s) or pi.max_entry != m:
+    if pi.shape != _shape(s) or pi.max_entry != m:
         raise BijectionViolation("partition shape does not match the region's dents")
     walks = []
     for i, row in enumerate(pi.rows, start=1):

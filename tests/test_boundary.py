@@ -22,7 +22,7 @@ from aztecgf.errors import (BijectionViolation, InvalidDents, InvalidGraph, Inva
                             InvalidPartition, InvalidTiling, InvalidWeight, PatternMismatch, WrongRegionKind,
                             ZeroDelta)
 from aztecgf.formulas import peel_target_factor
-from aztecgf.lozenge import ColumnStrictPlanePartition, semihex_q_genfun
+from aztecgf.lozenge import ColumnStrictPlanePartition, semihex_q_genfun, top_bottom_paths
 from aztecgf.poly import LaurentPoly2
 from aztecgf.regions import edge_weight, face_weights, full_weighted_rectangle, sq
 from aztecgf.stats import SchroderPathFamily
@@ -184,6 +184,14 @@ LEAKS = [
       for shape in (5, ((1,),), ("ab",), (True,))),
     *((f"Tiling.from_dominoes {dominoes!r}", lambda dominoes=dominoes: az.Tiling.from_dominoes(AR, dominoes),
        InvalidTiling) for dominoes in (5, [1.0], [(sq(0, 0), 5)], [([1], [2])])),
+    # a mask that is negative or names a bit past the domino pool is no tiling: is_valid says so before it
+    # decodes the mask, where each reader raised a bare IndexError from the decoding
+    *((f"{reader.__name__} mask={name}",
+       lambda reader=reader, region=region, mask=mask: reader(az.Tiling(region, mask)), BijectionViolation)
+      for region, readers in ((AR, (az.Tiling.require_valid, az.vstat, az.tiling_to_paths, az.elementary_moves)),
+                              (SH, (az.tiling_to_cspp, top_bottom_paths)))
+      for reader in readers
+      for name, mask in (("-1", -1), ("past-the-pool", 1 << (len(region.all_dominoes) + 3)))),
 ]
 
 

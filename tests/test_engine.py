@@ -642,6 +642,10 @@ def test_is_valid_rejects_overlaps_and_gaps():
     incomplete = Tiling.from_dominoes(region, [(sq(0, 0), sq(1, 0))])
     assert not incomplete.is_valid()
     assert not Tiling(region, 0).is_valid()
+    # a negative mask, or one past the pool, is refused before the mask is decoded (it would raise IndexError)
+    pool = len(region.all_dominoes)
+    for mask in (-1, -(1 << pool), 1 << pool, (1 << pool + 3) | 0b1001):
+        assert not Tiling(region, mask).is_valid()
 
 
 def semihexagon_tilings():
@@ -684,8 +688,15 @@ def test_every_step_table_can_be_inverted():
 def test_walk_rejects_uncovered_cells_and_uncrossed_tiles():
     diamond = aztec_diamond(1)
     region, t1, _ = semihexagon_tilings()
-    for tiling, start in ((Tiling(diamond, 0), (0, 0, sq, STEPS)), (Tiling(region, 0), (1, 1, dw, TOP_STEPS))):
-        with pytest.raises(BijectionViolation, match="uncovered"):
+    # uncovered where the path enters, and after a step: the walk stops at a cell with no mate,
+    # and only there tells the region's edge from an uncovered cell
+    up_only = Tiling.from_dominoes(diamond, [(sq(0, 0), sq(0, 1))])  # "up" steps to sq(1, 1)
+    left_only = Tiling.from_dominoes(region, [(up(1, 1), dw(1, 1))])  # a left step leads to dw(1, 2)
+    for tiling, start, cell in ((Tiling(diamond, 0), (0, 0, sq, STEPS), sq(0, 0)),
+                                (Tiling(region, 0), (1, 1, dw, TOP_STEPS), dw(1, 1)),
+                                (up_only, (0, 0, sq, STEPS), sq(1, 1)),
+                                (left_only, (1, 1, dw, TOP_STEPS), dw(1, 2))):
+        with pytest.raises(BijectionViolation, match=re.escape(f"path reached the uncovered cell {cell}")):
             tiling.walk(*start)
     flat = Tiling.from_dominoes(diamond, [(sq(0, 0), sq(1, 0)), (sq(0, 1), sq(1, 1))])
     with pytest.raises(BijectionViolation, match="no step"):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aztecgf import engine
-from aztecgf.engine import count_tilings, tiling_genfun_dp
+from aztecgf.engine import Tiling, count_tilings, tiling_genfun_dp
 from aztecgf.errors import BijectionViolation, InvalidDents
 from aztecgf.formulas import cspp_genfun_product
 from aztecgf.lozenge import (
@@ -126,6 +126,8 @@ def test_bijection_roundtrip_on_sampled_tilings_and_partitions(case, seed):
         assert left_level_sum(tiling, a) == pi.size
     for pi in pis:
         tiling = cspp_to_tiling(pi, region)
+        # the replay hands its mate to the tiling: it must be the one the mask decodes to
+        assert tiling.mate == Tiling(region, tiling.mask).mate and tiling.is_valid()
         assert tiling_to_cspp(tiling) == pi
         assert left_level_sum(tiling, a) == pi.size
 

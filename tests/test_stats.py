@@ -530,7 +530,10 @@ def test_path_bijection_along_seeded_flip_walks(case, seed):
             last, rank = rank, rank_via_paths(tiling)
             assert abs(rank - last) == 1
         fam = tiling_to_paths(tiling)
-        assert paths_to_tiling(fam, tiling.region) == tiling
+        again = paths_to_tiling(fam, tiling.region)  # at step 0, fam is minimal_path_family(m, n, s)
+        assert again == tiling and again.is_valid()
+        # the replay hands its mate to the tiling: it must be the one the mask decodes to
+        assert again.mate == Tiling(tiling.region, again.mask).mate
         assert vstat(tiling) + path_stats(fam).level_total == m * (m + 1) // 2
 
 
