@@ -94,9 +94,9 @@ class Tiling:
     @property
     def dominoes(self) -> frozenset:
         if self._dominoes is None:
-            pool = self.region.all_dominoes
-            mask = self.mask
-            out = []
+            pool, mask, out = self.region.all_dominoes, self.mask, []
+            if mask >> len(pool):  # negative, or a bit past the pool
+                raise BijectionViolation(f"mask {mask} names no set of tiles of {self.region.key}")
             while mask:
                 low = mask & -mask
                 out.append(pool[low.bit_length() - 1])

@@ -11,12 +11,11 @@ polynomials via :meth:`LaurentPoly2.require_polynomial`.  Its coefficients
 are ``fractions.Fraction`` (lowest terms, positive denominator).
 
 The hot paths -- the weighted frontier DP, the diamond product and the
-q-ratio product -- run on :class:`PackedPoly` instead: polynomials with
-non-negative integer coefficients, one big int per power of ``t`` holding the
-``q``-coefficients in fixed-width bit slots (Kronecker substitution,
-``q = 2**bits``).  Each result leaves through one :meth:`PackedPoly.decode`
-into a ``LaurentPoly2`` whose terms are already in print order, (e_q, e_t)
-ascending, and whose equal coefficients share one ``Fraction``.
+q-ratio product -- run on :class:`PackedPoly`: non-negative integer polynomials,
+one big int per power of ``t`` with the ``q``-coefficients in whole-byte slots
+(Kronecker substitution, ``q = 2**bits``).  Each result leaves through one
+:meth:`PackedPoly.decode`, which reads all its slots in one C call, into a
+``LaurentPoly2`` in print order whose equal coefficients share one ``Fraction``.
 
 A :class:`FracWeight` is a true quotient of two ``LaurentPoly2`` values: the
 edge weight that graph rewrites leave behind when a renewal divides by a
@@ -32,9 +31,11 @@ across threads.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import compress, product, repeat
 from math import prod
+from operator import lshift, or_
 
 from .errors import InexactDivision, InvalidDents, NegativeExponent, PoleAtZero
 
@@ -191,8 +192,7 @@ class LaurentPoly2:
     def __pow__(self, k: int):
         if type(k) is not int or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = LaurentPoly2.one()
-        base = self
+        result, base = LaurentPoly2.one(), self
         while k:
             if k & 1:
                 result = result * base
@@ -214,8 +214,7 @@ class LaurentPoly2:
             return LaurentPoly2.zero()
 
         def spans(p):
-            qs = [eq for eq, _ in p._terms]
-            ts = [et for _, et in p._terms]
+            qs, ts = zip(*p._terms)
             return min(qs), max(qs), min(ts), max(ts)
 
         nq0, nq1, nt0, nt1 = spans(self)
@@ -232,8 +231,7 @@ class LaurentPoly2:
         quot = {}
         while rem:
             lead_r = max(rem)
-            eq = lead_r[0] - lead_d[0]
-            et = lead_r[1] - lead_d[1]
+            eq, et = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
             if not (uq0 <= eq <= uq1 and ut0 <= et <= ut1):
                 raise InexactDivision("remainder is not divisible")
             c = rem[lead_r] / lead_dc
@@ -259,8 +257,7 @@ class LaurentPoly2:
 
     def evaluate(self, q0, t0) -> Fraction:
         """Exact value at q=q0, t=t0; raises :class:`PoleAtZero` on 0**negative."""
-        q0 = _coeff(q0)
-        t0 = _coeff(t0)
+        q0, t0 = _coeff(q0), _coeff(t0)
         total = Fraction(0)
         for (eq, et), c in self._terms.items():
             if (eq < 0 and q0 == 0) or (et < 0 and t0 == 0):
@@ -303,12 +300,7 @@ class LaurentPoly2:
 
     def to_json_obj(self) -> dict:
         """JSON form: {"terms": [{"q": .., "t": .., "coeff": ".."}, ...]}."""
-        return {
-            "terms": [
-                {"q": eq, "t": et, "coeff": str(c)}
-                for (eq, et), c in self.sorted_terms()
-            ]
-        }
+        return {"terms": [{"q": eq, "t": et, "coeff": str(c)} for (eq, et), c in self.sorted_terms()]}
 
     @classmethod
     def from_json_obj(cls, obj) -> "LaurentPoly2":
@@ -405,15 +397,23 @@ class PackedPoly:
 
     def decode(self, bits: int, den: int = 1) -> LaurentPoly2:
         """This polynomial divided by ``den``, as a LaurentPoly2 with its terms
-        inserted in (e_q, e_t) order and one Fraction per distinct coefficient."""
-        width, rows = bits // 8, sorted(self.rows.items())
-        columns = [[int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
-                   for raw in (x.to_bytes((x.bit_length() + 7) // 8, "little") for _, x in rows)]
-        shared = {c: Fraction(c) if den == 1 else Fraction(c, den) for c in set().union(*columns)}
-        ets = [et + self.dt for et, _ in rows]
-        return LaurentPoly2._of({(eq, et): shared[c]
-                                 for eq, column in enumerate(zip_longest(*columns, fillvalue=0), self.shift // bits)
-                                 for et, c in zip(ets, column) if c})
+        inserted in (e_q, e_t) order and one Fraction per distinct coefficient.
+        One strided copy per slot byte lays every row's n slots out (e_q, e_t) ascending,
+        each in its own native 8-byte lanes, and one ``memoryview.cast`` reads them all."""
+        w, rows = bits // 8, sorted(self.rows.items())
+        n, lanes = -(-max((x.bit_length() for _, x in rows), default=0) // bits), -(-w // 8)
+        stride, flip = 8 * lanes * len(rows), 7 if sys.byteorder == "big" else 0
+        buf = bytearray(stride * n)
+        for r, raw in enumerate(x.to_bytes(n * w, "little") for _, x in rows):
+            for j in range(w):  # slot byte j is byte j % 8 of lane j // 8, counted from the high end if big-endian
+                buf[8 * lanes * r + (j ^ flip)::stride] = raw[j::w]
+        words = memoryview(buf).cast("Q").tolist()
+        slots = words[::lanes]
+        for k in range(1, lanes):
+            slots = list(map(or_, slots, map(lshift, words[k::lanes], repeat(64 * k))))
+        shared = {c: Fraction(c) if den == 1 else Fraction(c, den) for c in set(slots)}
+        keys = product(range(self.shift // bits, self.shift // bits + n), [et + self.dt for et, _ in rows])
+        return LaurentPoly2._of(dict(zip(compress(keys, slots), map(shared.__getitem__, filter(None, slots)))))
 
     def __add__(self, other: "PackedPoly") -> "PackedPoly":
         lo, hi = (self, other) if self.shift <= other.shift else (other, self)

@@ -146,10 +146,10 @@ def vstat(tiling: Tiling) -> int:
 
     Cross-checked against (verticals - sum(s_i - i)) / 2; a mismatch or odd
     difference raises OddVerticalCount.  On Aztec diamonds this is exactly
-    half the vertical dominoes.  A mask whose tile count is not half the cells
-    raises BijectionViolation; one of the right count with overlapping tiles is not caught.
+    half the vertical dominoes.  A mask with a tile count other than half the cells, or a bit
+    outside the pool, raises BijectionViolation; one with overlapping tiles is not caught.
     """
-    if 2 * tiling.mask.bit_count() != len(tiling.region.cells):
+    if 2 * tiling.mask.bit_count() != len(tiling.region.cells) or tiling.mask >> len(tiling.region.all_dominoes):
         tiling.require_valid()
     vertical, down, offset = _vertical_masks(tiling.region)
     verticals, downs = (tiling.mask & vertical).bit_count(), (tiling.mask & down).bit_count()

@@ -192,6 +192,16 @@ LEAKS = [
                               (SH, (az.tiling_to_cspp, top_bottom_paths)))
       for reader in readers
       for name, mask in (("-1", -1), ("past-the-pool", 1 << (len(region.all_dominoes) + 3)))),
+    # the mask decoders themselves, which raised that bare IndexError
+    *((f"Tiling.{name} mask={label}", lambda read=read, mask=mask: read(az.Tiling(AR, mask)), BijectionViolation)
+      for name, read in (("dominoes", lambda t: t.dominoes), ("mate", lambda t: t.mate), ("repr", repr))
+      for label, mask in (("-1", -1), ("past-the-pool", 1 << (len(AR.all_dominoes) + 3)))),
+    # the minimal tiling with its lowest tile swapped for a bit past the pool keeps its tile count;
+    # vstat counted it and returned the minimal tiling's 0
+    ("vstat past-the-pool at the right tile count",
+     lambda: az.vstat(az.Tiling(AR, (m := az.minimal_tiling(AR).mask) & (m - 1)
+                                | 1 << (len(AR.all_dominoes) + 3))),
+     BijectionViolation),
 ]
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd
 
 import pytest
@@ -294,6 +294,37 @@ def test_decode_reduces_and_shares_coefficients():
     assert got.coefficient(-2, -1) is got.coefficient(1, 2) == Fraction(1, 2)
     assert got.coefficient(0, 0) is got.coefficient(1, -1) == Fraction(3, 2)
     assert got.to_text() == "1/2*t^-1*q^-2 + 2*t^3*q^-1 + 3/2 + 3/2*t^-1*q + 1/2*t^2*q + t^2*q^3"
+
+
+def reference_decode(packed, bits, den=1):
+    """decode one slot at a time, one int.from_bytes per slot: the packed core's first decoder."""
+    width, rows = bits // 8, sorted(packed.rows.items())
+    columns = [[int.from_bytes(raw[k:k + width], "little") for k in range(0, len(raw), width)]
+               for raw in (x.to_bytes((x.bit_length() + 7) // 8, "little") for _, x in rows)]
+    return {(eq, et + packed.dt): Fraction(c, den)
+            for eq, column in enumerate(zip_longest(*columns, fillvalue=0), packed.shift // bits)
+            for (et, _), c in zip(rows, column) if c}
+
+
+@st.composite
+def packed_cases(draw):
+    # slots of 1-32 bytes (1-4 lanes) holding up to 2^200; rows of 0-6 slots, some all zero, or no row at all.
+    # A coefficient's bit length is drawn first, so wide slots hold wide values.
+    bits = 8 * draw(st.integers(1, 32))
+    coeff = st.one_of(st.just(0), st.integers(1, min(bits, 200)).flatmap(lambda n: st.integers(2**(n - 1), 2**n - 1)))
+    rows = draw(st.dictionaries(st.integers(-3, 3), st.lists(coeff, max_size=6), max_size=4))
+    packed = PackedPoly({et: sum(c << bits * k for k, c in enumerate(row)) for et, row in rows.items()},
+                        bits * draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    return packed, bits, draw(st.integers(1, 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(packed_cases())
+def test_decode_equals_the_slot_by_slot_reference(case):
+    packed, bits, den = case
+    got = packed.decode(bits, den)
+    assert got._terms == reference_decode(packed, bits, den)
+    check_decoded(got)
 
 
 def test_packed_weight_rejects_what_cannot_pack():
