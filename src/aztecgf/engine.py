@@ -2,30 +2,25 @@
 
 Every tiling is a perfect matching of the region's dual graph, so every
 exhaustive route here -- counting and enumerating tilings, listing the
-matchings of a weighted graph, summing their weights -- runs the one
-bitmask search in :func:`_matchings`: branch on the lowest free vertex, try
-partners in ascending index order, so repeated runs produce identical
-streams.  Each call first fills an outcome table that walks a run of forced
-moves once per free set it starts from and keeps only the partners after
-which a perfect matching remains, so the search never enters a dead end.
-The table stores only whether a perfect matching exists and the labels of
-one path, no count or value of a subtree, so every perfect matching is
-still reached one at a time, in the same order, and the
+matchings of a weighted graph, summing their weights -- runs the one bitmask
+search in :func:`_matchings`: branch on the lowest free vertex, try partners in
+ascending index order, so repeated runs produce identical streams.  Each call
+first fills an outcome table that walks a run of forced moves once per free set
+it starts from and keeps only the partners after which a perfect matching
+remains, so the search never enters a dead end.  The table stores whether a
+perfect matching exists, the labels of one path and, for a count, a mark on
+each last branch (one whose partners all end at a leaf), no count or value of a
+subtree, so every perfect matching is still reached in the same order and the
 search does not become a second DP.  Each route picks the labels the search
 sums with ``+`` from their zero: a tiling mask, a tuple of vertex pairs, an
-integer key, or, for a count, nothing.  The bijections never call it: they
-read paths with :meth:`Tiling.walk` and replay them with
-:meth:`Tiling.from_paths`.  The weighted sum,
-:func:`matching_genfun`, still visits every perfect matching and folds
-integers only: every edge weight is written over one common denominator
-and split into a monomial shift and a content, each edge is labelled with
-one int of bit fields (its two shifts and a 1 in its content's count
-field), each matching sums its labels into one key, and the leaves are
-counted per key.  Only the distinct keys are expanded into polynomials,
-and the sum is divided by the denominator's (n / 2)-th power once at the
-end.  Its values are never packed, so the search shares no arithmetic with
-the DP.  The DP is the fast path; it must agree with the search exactly,
-and the test suite holds it to bit-identical polynomial equality.
+integer key, or, for a count, nothing, where a marked branch adds its leaves at
+once.  The bijections never call it: they read paths with :meth:`Tiling.walk`
+and replay them with :meth:`Tiling.from_paths`.  The weighted sum,
+:func:`matching_genfun`, still visits every perfect matching and folds integer
+keys only, counted per key; its values are never packed, so the search shares
+no arithmetic with the DP.  The DP is the fast path; it must agree with the
+search exactly, and the test suite holds it to bit-identical polynomial
+equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -206,12 +201,12 @@ def _matchings(adj, unit):
     matching follows, else to (free set at its branch, the partners a
     matching follows, the branch vertex, the run's label sum), with no
     partners at a leaf.  A branch with one such partner is spliced into its
-    run, so the search never enters a dead end.  The fill visits the free
-    sets a full search visits, so the first item waits for it.  No count or
-    sum over a subtree is stored, so the perfect matchings are still yielded
-    one at a time, in the same order.  Sums start from ``unit``, the labels'
-    zero (0 or ()); on tiling masks ``+`` is ``|``.  With ``unit`` None the
-    number of perfect matchings is yielded once, at the end.
+    run, so the search never enters a dead end; the first item waits for the
+    fill.  Sums start from ``unit``, the labels' zero (0 or ()); on tiling
+    masks ``+`` is ``|``.  With ``unit`` None the number of perfect matchings
+    is yielded once, at the end, and a last branch, whose partners' runs all
+    end at a leaf, is stored with vertex ``~i`` and adds a leaf per partner
+    at once.  No count or sum over a subtree is stored.
     """
     fold = unit is not None
     if len(adj) % 2:
@@ -227,14 +222,15 @@ def _matchings(adj, unit):
         start = todo.pop()
         if start.__class__ is tuple:  # a branch whose partners' runs are all filled
             start, free, opts, i, total = start
-            live = 0
+            live = deep = 0
             while opts:
                 b = opts & -opts
                 opts ^= b
-                if runs[free ^ b]:
+                if run := runs[free ^ b]:
                     live |= b
-            if live & (live - 1) or not live:
-                runs[start] = (free, live, i, total) if live else None
+                    deep |= run[1]
+            if live & (live - 1) or not live:  # a count marks a last branch, whose live partners all end at leaves
+                runs[start] = (free, live, i if fold or deep else ~i, total) if live else None
             else:  # one live partner: splice its run into this one
                 free, opts, j, sub = runs[free ^ live]
                 runs[start] = (free, opts, j, total + label[i][live] + sub if fold else None)
@@ -270,6 +266,9 @@ def _matchings(adj, unit):
             free, opts, j, total = runs[free ^ b]
             if fold:
                 acc += label[i][b] + total
+            elif j < 0:  # a last branch: one leaf per partner
+                leaves += opts.bit_count() - 1
+                break
             i = j
         if fold:
             yield acc

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, combinations, islice
 from math import prod
 
@@ -234,15 +235,17 @@ def test_tiling_counts():
 
 
 def test_count_tilings_equals_enumeration_on_small_holey_regions():
-    # the count and the enumeration are two uses of the one search; the DP
-    # shares no code with it
-    for m in range(1, 4):
-        for n in range(m, 6):
-            for s in combinations(range(1, n + 1), m):
-                for region in (aztec_rectangle_with_holes(m, n, s), semihexagon_with_dents(m, n - m, s)):
-                    count = count_tilings(region)
-                    assert count == sum(1 for _ in enumerate_tilings(region)), region.key
-                    assert count == tiling_genfun_dp(region), region.key
+    # the count and the enumeration are two uses of the one search, which adds a last
+    # branch's leaves at once only when counting; the DP and the closed forms share no code with it
+    cases = [(aztec_rectangle_with_holes(m, n, s), count_product(m, s))
+             for m in range(1, 4) for n in range(m, 6) for s in combinations(range(1, n + 1), m)]
+    cases += [(semihexagon_with_dents(a, b, s), falling_ratio(s))
+              for a in range(1, 4) for b in range(7 - a) for s in combinations(range(1, a + b + 1), a)]
+    cases += [(aztec_diamond(k), 2 ** (k * (k + 1) // 2)) for k in range(1, 5)]
+    for region, closed in cases:
+        count = count_tilings(region)
+        assert count == sum(1 for _ in enumerate_tilings(region)) == closed, region.key
+        assert count == tiling_genfun_dp(region), region.key
 
 
 def test_count_matchings_equals_enumeration_on_random_graphs():
@@ -270,6 +273,53 @@ def test_count_matchings_equals_enumeration_on_random_graphs():
     for g, c in zip(graphs, counts):
         assert c == len(list(enumerate_matchings(g))), g.vertices
         assert graph_genfun_dp(g) == LaurentPoly2.const(c), g.vertices  # shares no code with the search
+
+
+def search_branches(n, edges):
+    """(live, partners, leaves) at each branch the search meets on vertices 0..n-1, by plain
+    recursion over sets: a branch is a lowest free vertex with two or more free partners,
+    ``live`` counts those a perfect matching follows and ``leaves`` those exactly one follows."""
+    nbr = [set() for _ in range(n)]
+    for u, v in edges:
+        nbr[u].add(v)
+        nbr[v].add(u)
+
+    @lru_cache(maxsize=None)
+    def count(free):
+        v = min(free, default=None)
+        return 1 if v is None else sum(count(free - {u, v}) for u in nbr[v] & free)
+
+    out, todo = [], [frozenset(range(n))]
+    while todo:
+        if free := todo.pop():
+            v = min(free)
+            after = {u: count(free - {u, v}) for u in nbr[v] & free}
+            if len(after) >= 2:
+                out.append((sum(c > 0 for c in after.values()), len(after), sum(c == 1 for c in after.values())))
+            todo += [free - {u, v} for u, c in after.items() if c]
+    return out
+
+
+def test_count_adds_last_branches_at_once_on_random_graphs():
+    # a count adds one leaf per live partner of a last branch (every live partner's run ends at a
+    # leaf) at once; the draws hold last branches with dead partners, last branches with three or
+    # more live partners, and branches where a partner's run ends at a further branch
+    rng = random.Random(41)
+    one = LaurentPoly2.one()
+    seen = Counter()
+    for _ in range(120):
+        n = rng.choice((4, 6, 8, 10))
+        density = rng.choice((0.3, 0.5, 0.8))
+        edges = {(u, v) for u, v in combinations(range(n), 2) if rng.random() < density}
+        skeleton = sorted(range(n), key=lambda v: rng.random())
+        edges |= {(min(u, v), max(u, v)) for u, v in zip(skeleton[::2], skeleton[1::2])}
+        graph = WeightedGraph(list(range(n)), dict.fromkeys(edges, one))
+        assert count_matchings(graph) == sum(1 for _ in enumerate_matchings(graph)), sorted(edges)
+        for live, partners, leaves in search_branches(n, edges):
+            seen["dead partner"] += live == leaves >= 2 and live < partners
+            seen["three live"] += live == leaves >= 3
+            seen["further branch"] += 2 <= live and leaves < live
+    assert min(seen.values()) >= 100 and len(seen) == 3, seen
 
 
 def test_count_tilings_runs_a_long_strip_without_recursion():

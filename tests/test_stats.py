@@ -121,11 +121,11 @@ def test_vstat_counts_white_bottomed_verticals_exhaustively():
 
 
 def test_vstat_guard_fires_on_garbage():
-    # two tiles on four cells, one covered twice: the tile count is right, so only the
-    # vertical cross-check can see it; one tile alone is refused before that check
+    # two tiles on four cells, one covered twice: the tile count is right, but vstat
+    # validates the tiling before it counts; one tile alone is refused the same way
     region = aztec_rectangle_with_holes(1, 1, (1,))
     fake = Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1)), (sq(0, 0), sq(1, 0))])
-    with pytest.raises(OddVerticalCount):
+    with pytest.raises(BijectionViolation, match="not a tiling"):
         vstat(fake)
     with pytest.raises(BijectionViolation, match="not a tiling"):
         vstat(Tiling.from_dominoes(region, [(sq(0, 0), sq(0, 1))]))
@@ -470,6 +470,22 @@ def test_genfun_bruteforce_refuses_a_flip_bfs_that_missed_or_invented_a_tiling(m
         monkeypatch.setattr(stats, "rank_distances", lambda region, broken=broken: broken)
         with pytest.raises(Unreachable, match=f"reached {len(broken)} masks, not exactly its {len(dist)} tilings"):
             genfun_bruteforce(2, 4, (1, 3))
+
+
+def test_genfun_bruteforce_cross_checks_every_vertical_count(monkeypatch):
+    # the fold counts masks by (rank, verticals, downs) and checks verticals - offset == 2 * downs once per
+    # key; an offset off by 2 breaks that on every key, so the check must fire before any term is kept
+    from aztecgf import stats
+
+    vertical_masks = stats._vertical_masks
+
+    def shifted(region):
+        vertical, down, offset = vertical_masks(region)
+        return vertical, down, offset + 2
+
+    monkeypatch.setattr(stats, "_vertical_masks", shifted)
+    with pytest.raises(OddVerticalCount, match="offset=4"):
+        genfun_bruteforce(2, 4, (1, 4))
 
 
 def test_domino_weight_shares_one_object_per_class():
