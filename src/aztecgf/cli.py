@@ -187,8 +187,11 @@ def cmd_render(args):
     else:
         data = render_ascii(region, tiling).encode("utf-8")
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            PARSER.exit(2, f"error: cannot write {args.out}: {exc.strerror}\n")
     else:
         sys.stdout.write(data.decode("utf-8"))
     return 0

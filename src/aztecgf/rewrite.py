@@ -62,8 +62,8 @@ def vertex_split(graph: WeightedGraph, splits) -> WeightedGraph:
     """
     halves = {v: set(half) for v, half in splits.items()}
     for v, half in halves.items():
-        if not half <= graph.neighbors(v).keys():
-            raise InvalidPartition(f"{half!r} is not a set of neighbours of {v!r}")
+        if v not in graph.index or not half <= graph.neighbors(v).keys():
+            raise InvalidPartition(f"{half!r} is not a set of neighbours of a vertex {v!r} of the graph")
 
     def end(v, other):  # the label of v's copy that keeps the edge to ``other``
         return v if v not in halves else ("vh" if other in halves[v] else "vk", v)
@@ -86,6 +86,8 @@ def star_scale(graph: WeightedGraph, factors) -> WeightedGraph:
     between two scaled vertices takes both factors.
     """
     factors = {v: edge_weight(f"the factor at {v!r}", f) for v, f in factors.items()}
+    if absent := [v for v in factors if v not in graph.index]:
+        raise InvalidGraph(f"star_scale names vertices the graph does not have: {absent!r}")
     edges = {}
     for (a_, b_), w in graph.edge_items():
         for v in (a_, b_):

@@ -1,9 +1,12 @@
 """Named verification suites: every closed form against its independent oracle.
 
-Each suite is a generator of (label, ok) pairs with deterministic labels and
-ordering, so `verify --suite all` output is byte-stable across runs.  The
-suites are exactly the acceptance checks; the CLI and the test suite both
-run them from here.
+Each suite is a generator of (label, failed) pairs with deterministic labels
+and ordering, so `verify --suite all` output is byte-stable across runs;
+``failed`` names the case's equalities that did not hold, and is empty on a
+pass.  Every equality of a case runs, under a name declared in
+:data:`CHECKS` (an undeclared name fails its case), and ``tests/test_routes.py``
+ties each name to two routes that share no code, or to a self-check.  The
+suites are exactly the acceptance checks; the CLI and the tests run them here.
 
 Corpus bounds (exact equality everywhere, no tolerances):
 
@@ -55,6 +58,29 @@ from .regions import (
 )
 
 
+# every name an equality is checked under, in suite order
+CHECKS = (
+    "brute F vs closed F", "weighted-DP F vs closed F", "closed F at q = t = 1 vs count_product",
+    "rank BFS vs rank via paths", "path statistic identities", "path bijection round trip",
+    "minimal tiling identities", "weighted-DP F vs diamond product", "brute F vs weighted-DP F",
+    "DP count vs diamond count", "oracle vs region DP, AR", "weighted closed form vs oracle",
+    "weighted closed form vs graph DP", "search count vs q-ratio product", "cspp bijection round trip",
+    "cspp bijection weight", "lozenge path identities", "cspp enumeration vs search count", "cspp bijection onto",
+    "cspp enumeration vs cspp product", "semihexagon DP vs cspp product", "domino vs lozenge search count",
+    "search count vs count_product", "vertex split identity", "star scaling identity", "renewal identity",
+    "row reduction identity", "pipeline factor vs target", "pipeline start vs factor times endpoint",
+    "pipeline endpoint vs weighted semihexagon", "pipeline start vs target times weighted semihexagon",
+    "pipeline endpoint vs weighted semihexagon, both by the DP",
+    "pipeline start vs target times weighted semihexagon, both by the DP",
+)
+
+
+def _failed(checks):
+    """The names of the (name, equal) ``checks`` that do not hold, each once, in order of first failure.
+    A name missing from :data:`CHECKS` never holds."""
+    return tuple(dict.fromkeys(name for name, equal in checks if not equal or name not in CHECKS))
+
+
 def _ar_corpus(max_m, max_n):
     """Every (m, n, s) with m <= max_m, m <= n <= max_n and s a kept set, in lexicographic order."""
     for m in range(1, max_m + 1):
@@ -74,44 +100,36 @@ def suite_main():
 def main_formula_cases():
     """All three F(q,t) routes agree, plus the count specialization."""
     for m, n, s in _ar_corpus(5, 5):
-        brute = stats.genfun_bruteforce(m, n, s)
         closed = formulas.rectangle_genfun(m, n, s)
-        via = stats.genfun_via_weights(m, n, s)
-        ok = (
-            brute == closed
-            and via == closed
-            and closed.evaluate(1, 1) == formulas.count_product(m, s)
-        )
-        yield f"main F(q,t) m={m} n={n} s={s}", ok
+        yield f"main F(q,t) m={m} n={n} s={s}", _failed([
+            ("brute F vs closed F", stats.genfun_bruteforce(m, n, s) == closed),
+            ("weighted-DP F vs closed F", stats.genfun_via_weights(m, n, s) == closed),
+            ("closed F at q = t = 1 vs count_product", closed.evaluate(1, 1) == formulas.count_product(m, s))])
 
 
 def suite_rank():
     """Rank equivalence and path identities on every tiling, m<=3, n<=5."""
     for m, n, s in _ar_corpus(3, 5):
         region = aztec_rectangle_with_holes(m, n, s)
-        t0 = stats.minimal_tiling(region)
-        ok = stats.rank_bfs(t0) == 0
-        min_area = None
-        zero_rank = 0
+        checks, ranks, areas = [], [], []
         for tiling in enumerate_tilings(region):
             family = stats.tiling_to_paths(tiling)
             st = stats.path_stats(family)
-            r_bfs = stats.rank_bfs(tiling)
-            r_paths = stats.rank_via_paths(tiling)
-            if r_bfs == 0:
-                zero_rank += 1
-            ok = ok and r_bfs == r_paths
-            ok = ok and stats.vstat(tiling) + st.level_total == m * (m + 1) // 2
-            ok = ok and all(
-                st.up[i] - st.down[i] == s[i] - (i + 1) for i in range(m)
-            )
-            ok = ok and all(st.down[i] + st.level[i] == i + 1 for i in range(m))
-            ok = ok and stats.paths_to_tiling(family, region) == tiling
-            if min_area is None or st.area < min_area:
-                min_area = st.area
+            ranks.append(stats.rank_bfs(tiling))
+            areas.append(st.area)
+            checks += [
+                ("rank BFS vs rank via paths", ranks[-1] == stats.rank_via_paths(tiling)),
+                ("path statistic identities", stats.vstat(tiling) + st.level_total == m * (m + 1) // 2),
+                ("path statistic identities", all(st.up[i] - st.down[i] == s[i] - (i + 1) for i in range(m))),
+                ("path statistic identities", all(st.down[i] + st.level[i] == i + 1 for i in range(m))),
+                ("path bijection round trip", stats.paths_to_tiling(family, region) == tiling),
+            ]
+        t0 = stats.minimal_tiling(region)
         t0_area = stats.path_stats(stats.tiling_to_paths(t0)).area
-        ok = ok and zero_rank == 1 and t0_area == min_area
-        yield f"rank m={m} n={n} s={s}", ok
+        # the minimal tiling has rank 0 and the least area, and no other tiling has rank 0
+        checks.append(("minimal tiling identities",
+                       (stats.rank_bfs(t0), ranks.count(0), t0_area) == (0, 1, min(areas))))
+        yield f"rank m={m} n={n} s={s}", _failed(checks)
 
 
 def suite_diamond():
@@ -125,34 +143,31 @@ def diamond_genfun_cases():
     for n in range(1, 7):
         s = tuple(range(1, n + 1))
         via = stats.genfun_via_weights(n, n, s)
-        ok = via == formulas.aztec_diamond_genfun(n)
+        checks = [("weighted-DP F vs diamond product", via == formulas.aztec_diamond_genfun(n))]
         if n <= 4:
-            ok = ok and via == stats.genfun_bruteforce(n, n, s)
-        yield f"diamond genfun order {n}", ok
+            checks.append(("brute F vs weighted-DP F", via == stats.genfun_bruteforce(n, n, s)))
+        yield f"diamond genfun order {n}", _failed(checks)
 
 
 def diamond_count_cases():
     for n in range(1, 13):
         count = tiling_genfun_dp(aztec_diamond(n))
-        yield f"diamond count order {n}", count == 2 ** (n * (n + 1) // 2)
+        yield f"diamond count order {n}", _failed([("DP count vs diamond count", count == 2 ** (n * (n + 1) // 2))])
 
 
 def kernel_cases():
     """tiling_genfun_dp == matching_genfun(dual graph) on every corpus region."""
     rng = random.Random(424243)
     regions = [aztec_diamond(n) for n in range(1, 5)]
-    regions += [
-        aztec_rectangle_with_holes(m, n, s) for m, n, s in _ar_corpus(3, 5)
-    ]
+    regions += [aztec_rectangle_with_holes(m, n, s) for m, n, s in _ar_corpus(3, 5)]
     for region in regions:
-        ok = tiling_genfun_dp(region) == matching_genfun(dual_graph(region)).evaluate(1, 1)
-        rand_w = {
-            d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
-            for d in region.all_dominoes
-        }
-        for weight in (stats.domino_weight, rand_w.__getitem__):
-            ok = ok and tiling_genfun_dp(region, weight) == matching_genfun(dual_graph(region, weight))
-        yield f"kernel {region.key}", ok
+        checks = [("oracle vs region DP, AR",
+                   tiling_genfun_dp(region) == matching_genfun(dual_graph(region)).evaluate(1, 1))]
+        rand_w = {d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
+                  for d in region.all_dominoes}
+        checks += [("oracle vs region DP, AR", tiling_genfun_dp(region, w) == matching_genfun(dual_graph(region, w)))
+                   for w in (stats.domino_weight, rand_w.__getitem__)]
+        yield f"kernel {region.key}", _failed(checks)
 
 
 def suite_weighted():
@@ -160,23 +175,18 @@ def suite_weighted():
     by the backtracker, then by the graph DP."""
     rng = random.Random(57721566)
     for m, n, s in _ar_corpus(3, 5):
-        ok = True
-        for _ in range(3):
-            a, b, c, d = (
-                Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4)
-            )
-            closed = formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
-            direct = matching_genfun(weighted_ar_graph(m, n, s, a, b, c, d))
-            ok = ok and closed == direct
-        yield f"weighted m={m} n={n} s={s}", ok
+        draws = [[Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4)] for _ in range(3)]
+        yield f"weighted m={m} n={n} s={s}", _failed(
+            ("weighted closed form vs oracle", formulas.weighted_rectangle_matching_genfun(m, n, s, *draw)
+             == matching_genfun(weighted_ar_graph(m, n, s, *draw))) for draw in draws)
     rng = random.Random(14142135)
     for m in range(1, 7):
         for n in range(m, 13):
             s = tuple(sorted(rng.sample(range(1, n + 1), m)))
             weights = tuple(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4))
-            ok = (graph_genfun_dp(weighted_ar_graph(m, n, s, *weights))
-                  == formulas.weighted_rectangle_matching_genfun(m, n, s, *weights))
-            yield f"weighted dp m={m} n={n} s={s}", ok
+            yield f"weighted dp m={m} n={n} s={s}", _failed([(
+                "weighted closed form vs graph DP", graph_genfun_dp(weighted_ar_graph(m, n, s, *weights))
+                == formulas.weighted_rectangle_matching_genfun(m, n, s, *weights))])
 
 
 def suite_lozenge():
@@ -184,38 +194,34 @@ def suite_lozenge():
     for m, n, s in _ar_corpus(4, 8):
         region = semihexagon_with_dents(m, n - m, s)
         tilings = list(lozenge.enumerate_lozenge_tilings(region))
-        ratio = falling_ratio(s)
-        ok = len(tilings) == ratio == q_ratio_product(s).evaluate(1, 1)
+        checks = [("search count vs q-ratio product",
+                   len(tilings) == falling_ratio(s) == q_ratio_product(s).evaluate(1, 1))]
         holes = [h for h in range(1, n + 1) if h not in set(s)]
         seen_pis = set()
         for tiling in tilings:
             pi = lozenge.tiling_to_cspp(tiling)
             seen_pis.add(pi.rows)
-            ok = ok and lozenge.cspp_to_tiling(pi, region) == tiling
-            left_weight = sum(
-                level + 1
-                for pair in tiling.dominoes
-                for kind, level in (lozenge.classify_lozenge(pair, m),)
-                if kind == lozenge.LEFT
-            )
-            ok = ok and left_weight == pi.size
+            left_weight = sum(level + 1 for kind, level in (lozenge.classify_lozenge(p, m) for p in tiling.dominoes)
+                              if kind == lozenge.LEFT)
             decomp = lozenge.top_bottom_paths(tiling)
-            ok = ok and [e for _, _, e in decomp] == holes
-            ok = ok and all(
-                lefts == m - (holes[j] - (j + 1)) and rights == holes[j] - (j + 1)
-                for j, (lefts, rights, _) in enumerate(decomp)
-            )
-        shape = lozenge.cspp_shape(m, s)
-        all_pis = list(lozenge.enumerate_cspp(shape, m))
-        ok = ok and len(all_pis) == len(tilings)
-        ok = ok and {pi.rows for pi in all_pis} == seen_pis
-        q_sum = LaurentPoly2.zero()
-        for pi in all_pis:
-            q_sum = q_sum + pi.q_weight()
+            checks += [
+                ("cspp bijection round trip", lozenge.cspp_to_tiling(pi, region) == tiling),
+                ("cspp bijection weight", left_weight == pi.size),
+                ("lozenge path identities", [e for _, _, e in decomp] == holes),
+                ("lozenge path identities", all(
+                    lefts == m - (holes[j] - (j + 1)) and rights == holes[j] - (j + 1)
+                    for j, (lefts, rights, _) in enumerate(decomp))),
+            ]
+        all_pis = list(lozenge.enumerate_cspp(lozenge.cspp_shape(m, s), m))
         product = formulas.cspp_genfun_product(s, m)
-        ok = ok and q_sum == product
-        ok = ok and lozenge.semihex_q_genfun(region) == product
-        yield f"lozenge m={m} n={n} s={s}", ok
+        checks += [
+            ("cspp enumeration vs search count", len(all_pis) == len(tilings)),
+            ("cspp bijection onto", {pi.rows for pi in all_pis} == seen_pis),
+            ("cspp enumeration vs cspp product",
+             sum((pi.q_weight() for pi in all_pis), LaurentPoly2.zero()) == product),
+            ("semihexagon DP vs cspp product", lozenge.semihex_q_genfun(region) == product),
+        ]
+        yield f"lozenge m={m} n={n} s={s}", _failed(checks)
 
 
 def suite_relation():
@@ -223,8 +229,9 @@ def suite_relation():
     for m, n, s in _ar_corpus(4, 7):
         lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
         rhs = count_tilings(semihexagon_with_dents(m, n - m, s))
-        ok = lhs == 2 ** (m * (m + 1) // 2) * rhs == formulas.count_product(m, s)
-        yield f"relation m={m} n={n} s={s}", ok
+        yield f"relation m={m} n={n} s={s}", _failed([
+            ("domino vs lozenge search count", lhs == 2 ** (m * (m + 1) // 2) * rhs),
+            ("search count vs count_product", lhs == formulas.count_product(m, s))])
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +239,7 @@ def suite_relation():
 
 
 def _random_weight(rng):
-    return LaurentPoly2.term(
-        Fraction(rng.randint(1, 12), rng.randint(1, 6)), q=rng.randint(0, 2)
-    )
+    return LaurentPoly2.term(Fraction(rng.randint(1, 12), rng.randint(1, 6)), q=rng.randint(0, 2))
 
 
 def _random_graph(rng, nverts):
@@ -255,33 +260,26 @@ def suite_rewrite():
     for case in range(50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
-        nbrs = sorted(g.neighbors(v))
-        half = {u for u in nbrs if rng.random() < 0.5}
+        half = {u for u in sorted(g.neighbors(v)) if rng.random() < 0.5}
         split = rewrite.vertex_split(g, {v: half})
-        yield f"rewrite vertex_split case {case:02d}", matching_genfun(split) == matching_genfun(g)
+        yield f"rewrite vertex_split case {case:02d}", _failed([
+            ("vertex split identity", matching_genfun(split) == matching_genfun(g))])
     for case in range(50):
         g = _random_graph(rng, rng.randrange(6, 13, 2))
         v = rng.choice(g.vertices)
         factor = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = rewrite.star_scale(g, {v: factor})
-        yield (
-            f"rewrite star_scale case {case:02d}",
-            matching_genfun(scaled) == matching_genfun(g) * factor,
-        )
+        yield f"rewrite star_scale case {case:02d}", _failed([
+            ("star scaling identity", matching_genfun(scaled) == matching_genfun(g) * factor)])
     for case in range(50):
         g, site = _random_spider_host(rng)
         replaced, (delta,) = rewrite.spider_replace(g, [site])
-        yield (
-            f"rewrite spider case {case:02d}",
-            matching_genfun(g) == delta * matching_genfun(replaced),
-        )
+        yield f"rewrite spider case {case:02d}", _failed([
+            ("renewal identity", matching_genfun(g) == delta * matching_genfun(replaced))])
     for m, n in ((1, 2), (1, 3), (2, 2), (2, 3)):
-        ok = True
-        for _ in range(2):
-            a, b, c, d = (Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(4))
-            lhs, rhs = row_reduction_sides(m, n, a, b, c, d)
-            ok = ok and lhs == rhs
-        yield f"rewrite row_reduction m={m} n={n}", ok
+        draws = [[Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(4)] for _ in range(2)]
+        sides = [row_reduction_sides(m, n, *draw) for draw in draws]
+        yield f"rewrite row_reduction m={m} n={n}", _failed(("row reduction identity", x == y) for x, y in sides)
     yield from suite_pipeline()
 
 
@@ -342,56 +340,53 @@ def _random_spider_host(rng):
 def suite_pipeline():
     """The peeling chain, by the backtracker and then by the graph DP."""
     rng = random.Random(31415926)
+    names = ("pipeline endpoint vs weighted semihexagon", "pipeline start vs target times weighted semihexagon",
+             "weighted closed form vs oracle")
     for m, n, s in _ar_corpus(2, 3):
-        draws = [(Fraction(1), Fraction(1), Fraction(1), Fraction(1))]
-        draws.append(tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4)))
-        ok = all(_chain_ok(m, n, s, *draw, matching_genfun) for draw in draws)
-        yield f"rewrite pipeline m={m} n={n} s={s}", ok
+        draws = [(Fraction(1),) * 4, tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4))]
+        checks = [check for draw in draws for check in _chain(m, n, s, *draw, matching_genfun, names)]
+        yield f"rewrite pipeline m={m} n={n} s={s}", _failed(checks)
     rng = random.Random(27182818)
+    # the weighted semihexagon is summed by the region DP, so with the graph DP it checks the DP against itself
+    names = ("pipeline endpoint vs weighted semihexagon, both by the DP",
+             "pipeline start vs target times weighted semihexagon, both by the DP", "weighted closed form vs graph DP")
     for m in range(1, 7):
         for n in range(m, 2 * m + 1):
             s = tuple(sorted(rng.sample(range(1, n + 1), m)))
             draw = tuple(Fraction(rng.randint(1, 7), rng.randint(1, 4)) for _ in range(4))
-            yield f"rewrite pipeline dp m={m} n={n} s={s}", _chain_ok(m, n, s, *draw, graph_genfun_dp)
+            yield f"rewrite pipeline dp m={m} n={n} s={s}", _failed(_chain(m, n, s, *draw, graph_genfun_dp, names))
 
 
-def _chain_ok(m, n, s, a, b, c, d, matchings):
-    """The chain's equalities, each matching sum M computed by ``matchings``."""
+def _chain(m, n, s, a, b, c, d, matchings, names):
+    """The chain's equalities, each matching sum M computed by ``matchings``; ``names`` names the last three,
+    which compare M with the weighted semihexagon's sum M~ and with the closed form."""
     res = rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
     target = formulas.peel_target_factor(m, a, b, c, d)
     start = matchings(weighted_ar_graph(m, n, s, a, b, c, d))
     final = matchings(res.graph)
     m_tilde = lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
                                          lambda k: LaurentPoly2.term(a, q=k + 1), b)
-    return (
-        res.factor == target
-        and start == res.factor * final
-        and final == m_tilde
-        and start == target * m_tilde
-        and start == formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
-    )
+    closed = formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
+    return [("pipeline factor vs target", res.factor == target),
+            ("pipeline start vs factor times endpoint", start == res.factor * final),
+            *zip(names, (final == m_tilde, start == target * m_tilde, start == closed))]
 
 
-SUITES = {
-    "main": suite_main,
-    "diamond": suite_diamond,
-    "weighted": suite_weighted,
-    "lozenge": suite_lozenge,
-    "relation": suite_relation,
-    "rewrite": suite_rewrite,
-}
+SUITES = {"main": suite_main, "diamond": suite_diamond, "weighted": suite_weighted, "lozenge": suite_lozenge,
+          "relation": suite_relation, "rewrite": suite_rewrite}
 
 
 def run_suite(name, out):
     """Print one PASS/FAIL line per case of suite ``name``, or of every suite
-    in order for "all", and one FAIL line for a suite that raises an AztecError,
-    whose later cases do not run; return the number of failures."""
+    in order for "all", a FAIL line naming the checks that failed, and one FAIL
+    line for a suite that raises an AztecError, whose later cases do not run;
+    return the number of failures."""
     failures = 0
     for key in SUITES if name == "all" else (name,):
         try:
-            for label, ok in SUITES[key]():
-                out.write(f"{'PASS' if ok else 'FAIL'}  {label}\n")
-                failures += not ok
+            for label, failed in SUITES[key]():
+                out.write(f"FAIL  {label}  ({', '.join(failed)})\n" if failed else f"PASS  {label}\n")
+                failures += bool(failed)
         except AztecError as exc:
             out.write(f"FAIL  {key}: {type(exc).__name__}: {exc}; the rest of suite {key} did not run\n")
             failures += 1

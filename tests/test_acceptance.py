@@ -21,7 +21,7 @@ def _report(number, description, ok):
 
 
 def _all_ok(cases):
-    failures = [label for label, ok in cases if not ok]
+    failures = [(label, failed) for label, failed in cases if failed]
     return not failures, failures
 
 

@@ -146,6 +146,10 @@ LEAKS = [
     # the vertex count is bounded before building; at the bound the build took about a minute
     ("full_weighted_rectangle n=87382", lambda: full_weighted_rectangle(1, 87382, 1, 1, 1, 1), InvalidHoles),
     ("tiling_genfun_dp weight=True", lambda: az.tiling_genfun_dp(az.aztec_diamond(2), lambda d: True), InvalidWeight),
+    # a vertex the graph does not have: star_scale returned M(g) where it promised 2 * M(g), and
+    # vertex_split raised a bare KeyError
+    ("star_scale absent vertex", lambda: az.star_scale(EDGE, {"ghost": 2}), InvalidGraph),
+    ("vertex_split absent vertex", lambda: az.vertex_split(EDGE, {"ghost": set()}), InvalidPartition),
     ("edge_weight True", lambda: edge_weight("e", True), InvalidWeight),
     ("face_weights a=True", lambda: face_weights(True, 1, 1, 1), InvalidWeight),
     ("enumerate_cspp max_entry=0", lambda: list(az.enumerate_cspp((1,), 0)), InvalidDents),

@@ -255,6 +255,13 @@ def test_invalid_flags_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_render_out_to_a_path_it_cannot_write_exits_2(tmp_path, capsys):
+    # a missing directory or a directory in place of a file: one error line naming the path, no traceback
+    for path, reason in ((tmp_path / "missing" / "x.svg", "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = parser_exit(capsys, "render", "--region", "aztec", "--order", "2", "--out", str(path))
+        assert (code, out, err) == (2, "", f"error: cannot write {path}: {reason}\n")
+
+
 def test_region_file_positions_must_be_ints(tmp_path, capsys):
     # a fractional or boolean position is refused by the builder, before a
     # count or a cell lookup meets it, whether or not a tiling is asked for
@@ -466,19 +473,21 @@ def test_verify_reports_a_suite_that_raises_and_runs_the_rest(monkeypatch, capsy
     from aztecgf.errors import InexactDivision
 
     def raising():
-        yield "relation case 1", True
+        yield "relation case 1", ()
         raise InexactDivision("planted")
 
-    suites = {name: (lambda name=name: iter([(f"{name} case", True)])) for name in verify.SUITES}
-    monkeypatch.setattr(verify, "SUITES", {**suites, "relation": raising})
+    suites = {name: (lambda name=name: iter([(f"{name} case", ())])) for name in verify.SUITES}
+    failing = iter([("lozenge case 1", ()), ("lozenge case 2", ("cspp bijection onto", "cspp bijection weight"))])
+    monkeypatch.setattr(verify, "SUITES", {**suites, "lozenge": lambda: failing, "relation": raising})
     code, out, err = cli_exit(capsys, "verify", "--suite", "all")
     assert (code, err) == (1, "")
     assert out.splitlines() == [
-        "PASS  main case", "PASS  diamond case", "PASS  weighted case", "PASS  lozenge case",
+        "PASS  main case", "PASS  diamond case", "PASS  weighted case",
+        "PASS  lozenge case 1", "FAIL  lozenge case 2  (cspp bijection onto, cspp bijection weight)",
         "PASS  relation case 1",
         "FAIL  relation: InexactDivision: planted; the rest of suite relation did not run",
         "PASS  rewrite case",
-        "all suites: 1 FAILED",
+        "all suites: 2 FAILED",
     ]
     code, out, err = cli_exit(capsys, "verify", "--suite", "relation")
     assert (code, err, out.splitlines()[-1]) == (1, "", "suite relation: 1 FAILED")

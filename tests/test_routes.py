@@ -1,6 +1,8 @@
 """Route independence: the two sides of every cross-check share no route code.
 
-Each pairing of routes that the ``verify`` suites compare is run here side
+Each name that the ``verify`` suites check an equality under, as declared in
+``verify.CHECKS``, is either a pairing of routes in ``PAIRS`` or a
+self-check in ``SELF_CHECKS``, with its reason.  Each pair is run here side
 by side under ``sys.setprofile``, on AR(3, 5; 1, 3, 4) and SH(3, 2; 1, 3, 5).
 Each side collects the functions of ``engine``, ``formulas``, ``lozenge``,
 ``rewrite`` and ``stats`` that it calls; ``regions``, ``poly`` and ``errors``
@@ -9,11 +11,6 @@ route stands on) are left out.  The functions both sides call must be
 exactly that pair's allowlist, each entry with the reason it does not let
 one route check the other.  A merge that routes one side through the other
 adds a shared function and fails here.
-
-Checks that compare one route with itself on purpose are not pairs: the
-relation suite counts both of its sides by the search, and the rewrite
-identities (vertex split, star scaling, renewal, row reduction) run one
-oracle before and after a rewrite, since the rewrite is what they test.
 """
 
 import sys
@@ -22,9 +19,10 @@ from itertools import islice
 
 import pytest
 
-from aztecgf import engine, formulas, lozenge, rewrite, stats
+from aztecgf import engine, formulas, lozenge, rewrite, stats, verify
 from aztecgf.poly import LaurentPoly2, falling_ratio, q_ratio_product
-from aztecgf.regions import aztec_rectangle_with_holes, dual_graph, semihexagon_with_dents, weighted_ar_graph
+from aztecgf.regions import (aztec_diamond, aztec_rectangle_with_holes, dual_graph, semihexagon_with_dents,
+                             weighted_ar_graph)
 
 AR = (3, 5, (1, 3, 4))  # m, n and the kept positions
 SH = (3, 2, (1, 3, 5))  # a, b and the dents
@@ -98,6 +96,10 @@ def sh_left_weight(level):
     return LaurentPoly2.term(DRAW[0], q=level + 1)
 
 
+def target_times_sh(inputs):
+    return formulas.peel_target_factor(AR[0], *DRAW) * lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1])
+
+
 # name -> (one side, the other side, {function both call: why that is harmless})
 PAIRS = {
     "brute F vs closed F": (
@@ -120,6 +122,8 @@ PAIRS = {
         lambda x: engine.count_tilings(sh()), lambda x: engine.tiling_genfun_dp(sh()), {}),
     "search count vs count_product": (
         lambda x: engine.count_tilings(ar()), lambda x: formulas.count_product(AR[0], AR[2]), {}),
+    "DP count vs diamond count": (
+        lambda x: engine.tiling_genfun_dp(aztec_diamond(3)), lambda x: 2 ** (3 * 4 // 2), {}),
     "search count vs q-ratio product": (
         lambda x: engine.count_tilings(sh()),
         lambda x: (falling_ratio(SH[2]), q_ratio_product(SH[2]).evaluate(1, 1)), {}),
@@ -127,6 +131,9 @@ PAIRS = {
         lambda x: lozenge.semihex_q_genfun(sh()), lambda x: formulas.cspp_genfun_product(SH[2], SH[0]), {}),
     "cspp enumeration vs cspp product": (
         cspp_sum, lambda x: formulas.cspp_genfun_product(SH[2], SH[0]), {}),
+    "cspp enumeration vs search count": (
+        lambda x: len(list(lozenge.enumerate_cspp(lozenge.cspp_shape(SH[0], SH[2]), SH[0]))),
+        lambda x: len(list(lozenge.enumerate_lozenge_tilings(sh()))), {}),
     "oracle vs region DP, AR": (
         lambda x: engine.matching_genfun(dual_graph(ar(), stats.domino_weight)),
         lambda x: engine.tiling_genfun_dp(ar(), stats.domino_weight), {
@@ -140,6 +147,9 @@ PAIRS = {
     "weighted closed form vs oracle": (
         lambda x: formulas.weighted_rectangle_matching_genfun(*AR, *DRAW),
         lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), {}),
+    "weighted closed form vs graph DP": (
+        lambda x: formulas.weighted_rectangle_matching_genfun(*AR, *DRAW),
+        lambda x: engine.graph_genfun_dp(weighted_ar_graph(*AR, *DRAW)), {}),
     "rank BFS vs rank via paths": (
         lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
             "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts "
@@ -152,6 +162,33 @@ PAIRS = {
     "pipeline endpoint vs weighted semihexagon": (
         lambda x: engine.matching_genfun(x["final"]),
         lambda x: lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1]), {}),
+    "pipeline start vs target times weighted semihexagon": (
+        lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), target_times_sh, {}),
+}
+
+REWRITE = "one oracle before and after a rewrite, since the rewrite is what it tests"
+BY_THE_DP = ("the weighted semihexagon is summed by the region DP, so with the graph DP both sides run "
+             "engine._genfun_dp; the backtracker's pipeline lines make the same comparison as a pair")
+# name -> why it compares one route with itself on purpose
+SELF_CHECKS = {
+    "path statistic identities": "identities among the statistics of the one path family tiling_to_paths reads",
+    "path bijection round trip": "tiling_to_paths then paths_to_tiling: the bijection is what it tests",
+    "minimal tiling identities": "the minimal tiling's rank and area against every other tiling's, by the same "
+                                 "routes; the rank routes meet as a pair in 'rank BFS vs rank via paths'",
+    "cspp bijection round trip": "tiling_to_cspp then cspp_to_tiling: the bijection is what it tests",
+    "cspp bijection weight": "a tiling's left lozenges against the size of the partition the bijection maps it to",
+    "cspp bijection onto": "the bijection's image against every partition of its shape; the two counts meet as a "
+                           "pair in 'cspp enumeration vs search count'",
+    "lozenge path identities": "the path decomposition of a tiling against the region's own dents and sizes",
+    "domino vs lozenge search count": "the search counts both lattices that the relation joins; each side meets a "
+                                      "product as a pair",
+    "vertex split identity": REWRITE,
+    "star scaling identity": REWRITE,
+    "renewal identity": REWRITE,
+    "row reduction identity": REWRITE,
+    "pipeline start vs factor times endpoint": REWRITE + ": the whole peeling chain",
+    "pipeline endpoint vs weighted semihexagon, both by the DP": BY_THE_DP,
+    "pipeline start vs target times weighted semihexagon, both by the DP": BY_THE_DP,
 }
 
 
@@ -167,3 +204,29 @@ def test_a_merged_route_is_caught(monkeypatch, inputs):
     monkeypatch.setattr(engine, "count_tilings", engine.tiling_genfun_dp)
     left, right, _ = PAIRS["search count vs DP count, AR"]
     assert {"engine.tiling_genfun_dp", "engine._genfun_dp"} <= calls(left, inputs) & calls(right, inputs)
+
+
+def test_every_verify_check_is_a_pair_or_a_self_check():
+    assert len(set(verify.CHECKS)) == len(verify.CHECKS)
+    assert set(verify.CHECKS) <= set(PAIRS) | set(SELF_CHECKS)
+    assert not set(PAIRS) & set(SELF_CHECKS)
+
+
+def test_the_graph_dp_pipeline_self_checks_share_the_dp(inputs):
+    # measured, so the reason BY_THE_DP stays true: a split of the two DPs would make these pairs
+    endpoint = calls(lambda x: engine.graph_genfun_dp(x["final"]), inputs)
+    start = calls(lambda x: engine.graph_genfun_dp(weighted_ar_graph(*AR, *DRAW)), inputs)
+    semihexagon = calls(target_times_sh, inputs)
+    assert {"engine._genfun_dp", "engine._sweep"} <= endpoint & semihexagon & start
+
+
+def test_a_wrong_closed_f_fails_exactly_its_three_pairs(monkeypatch):
+    closed = formulas.rectangle_genfun
+    monkeypatch.setattr(formulas, "rectangle_genfun", lambda m, n, s: closed(m, n, s) + LaurentPoly2.one())
+    assert [failed for _, failed in islice(verify.main_formula_cases(), 4)] == 4 * [(
+        "brute F vs closed F", "weighted-DP F vs closed F", "closed F at q = t = 1 vs count_product")]
+
+
+def test_a_check_under_an_undeclared_name_fails_its_case(monkeypatch):
+    monkeypatch.setattr(verify, "CHECKS", tuple(c for c in verify.CHECKS if c != "weighted-DP F vs closed F"))
+    assert next(verify.main_formula_cases()) == ("main F(q,t) m=1 n=1 s=(1,)", ("weighted-DP F vs closed F",))
