@@ -19,15 +19,9 @@ import time
 from itertools import islice
 
 from . import formulas, stats
-from .engine import check_frontier, count_tilings, enumerate_tilings, tiling_genfun_dp
-from .errors import AztecError, InvalidOrder, InvalidRegionFile
-from .regions import (
-    aztec_diamond,
-    aztec_rectangle_with_holes,
-    check_size,
-    region_from_json,
-    semihexagon_with_dents,
-)
+from .engine import count_tilings, enumerate_tilings, tiling_genfun_dp
+from .errors import AztecError, InvalidRegionFile
+from .regions import aztec_diamond, region_from_json
 
 
 def _positions(text):
@@ -89,39 +83,38 @@ def _add_region_flags(p):
 PARSER = build_parser()
 
 
-def _build_region(args):
-    if getattr(args, "infile", None):
-        import json
+REGIONS = {"aztec": ("aztec_diamond", "order"), "rect": ("aztec_rectangle", "m", "n", "holes"),
+           "semihex": ("semihexagon", "a", "b", "dents")}
 
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise InvalidRegionFile(f"cannot read region from {args.infile}: {exc}") from None
-        return region_from_json(obj)
-    kind = args.region
-    if kind is None:
+
+def _region_key(args):
+    """The key of the region the flags name, as :attr:`Region.key` spells it; nothing is built."""
+    if args.region is None:
         PARSER.error("either --region or --in is required")
-    if kind == "aztec":
-        if args.order is None:
-            PARSER.error("--region aztec requires --order")
-        return aztec_diamond(args.order)
-    if kind == "rect":
-        if args.m is None or args.n is None or args.holes is None:
-            PARSER.error("--region rect requires --m, --n and --holes")
-        return aztec_rectangle_with_holes(args.m, args.n, args.holes)
-    if args.a is None or args.b is None or args.dents is None:
-        PARSER.error("--region semihex requires --a, --b and --dents")
-    return semihexagon_with_dents(args.a, args.b, args.dents)
+    kind, *flags = REGIONS[args.region]
+    if None in (params := [getattr(args, flag) for flag in flags]):
+        PARSER.error(f"--region {args.region} requires --{', --'.join(flags)}")
+    return (kind, *params)
+
+
+def _build_region(args):
+    if not getattr(args, "infile", None):
+        kind, *params = _region_key(args)
+        return region_from_json({"kind": kind, "params": params})
+    import json
+
+    try:
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidRegionFile(f"cannot read region from {args.infile}: {exc}") from None
+    return region_from_json(obj)
 
 
 def cmd_genfun(args):
-    fn = {
-        "brute": stats.genfun_bruteforce,
-        "dp": stats.genfun_via_weights,
-        "closed": formulas.rectangle_genfun,
-    }[args.method]
-    poly = fn(args.m, args.n, args.holes)
+    stats.admit("genfun", args.method, ("aztec_rectangle", args.m, args.n, args.holes))
+    fn = {"brute": stats.genfun_bruteforce, "dp": stats.genfun_via_weights, "closed": formulas.rectangle_genfun}
+    poly = fn[args.method](args.m, args.n, args.holes)
     if args.json:
         import json
 
@@ -132,18 +125,8 @@ def cmd_genfun(args):
 
 
 def cmd_count(args):
-    if args.region == "aztec" and args.order is not None and args.order >= 1:
-        # an order-n diamond sweeps n + 1 bits and has 2^(n(n+1)/2) tilings, over
-        # MAX_BRUTE_TILINGS exactly when that count has more bits (an order below 1
-        # is refused as such when the region is built)
-        bits = args.order * (args.order + 1) // 2 + 1
-        if args.method == "dp":
-            check_frontier(args.order + 1)
-        elif bits > stats.MAX_BRUTE_TILINGS.bit_length():
-            raise stats.too_many_tilings(bits)
+    stats.admit("count", args.method, _region_key(args))
     region = _build_region(args)
-    if args.method == "enumerate":
-        stats.check_enumerable(region)
     print(tiling_genfun_dp(region) if args.method == "dp" else count_tilings(region))
     return 0
 
@@ -163,29 +146,23 @@ def cmd_verify(args):
 def cmd_render(args):
     from .render import render_ascii, render_svg
 
+    if args.paths and (args.tiling is None or args.format == "ascii"):
+        PARSER.error("--paths needs a tiling, and draws in svg only")
     region = _build_region(args)
     if (args.tiling == "minimal" or args.paths) and region.lattice != "square":
         PARSER.error("--tiling minimal and --paths need an aztec or rect region")
-    tiling = None
-    if args.tiling is not None:
-        if args.tiling == "minimal":
-            tiling = stats.minimal_tiling(region)
-        else:
-            try:
-                index = int(args.tiling)
-            except ValueError:
-                PARSER.error("--tiling takes 'minimal' or an integer index")
-            if not 0 <= index < stats.closed_count(region):
-                PARSER.error(f"tiling index {index} out of range")
-            stats.check_enumerable(region, "render has no such limit without --tiling,"
-                                           " or with --tiling minimal on an aztec or rect region")
-            tiling = next(islice(enumerate_tilings(region), index, None))
-    if args.paths and tiling is None:
-        PARSER.error("--paths needs a tiling")
-    if args.format == "svg":
-        data = render_svg(region, tiling, paths=args.paths)
-    else:
-        data = render_ascii(region, tiling).encode("utf-8")
+    tiling = stats.minimal_tiling(region) if args.tiling == "minimal" else None
+    if args.tiling not in (None, "minimal"):
+        try:
+            index = int(args.tiling)
+        except ValueError:
+            PARSER.error("--tiling takes 'minimal' or an integer index")
+        if not 0 <= index < stats.tiling_count(region.key):
+            PARSER.error(f"tiling index {index} out of range")
+        stats.admit("render", "enumerate", region.key)
+        tiling = next(islice(enumerate_tilings(region), index, None))
+    data = (render_svg(region, tiling, paths=args.paths) if args.format == "svg"
+            else render_ascii(region, tiling).encode("utf-8"))
     if args.out:
         try:
             with open(args.out, "wb") as fh:
@@ -197,32 +174,31 @@ def cmd_render(args):
     return 0
 
 
+def _timed(fn, *args):
+    """fn(*args) and the milliseconds it took."""
+    t0 = time.perf_counter()
+    return fn(*args), (time.perf_counter() - t0) * 1000
+
+
 def cmd_bench(args):
-    check_size("order", args.order, InvalidOrder)
+    stats.admit("count", "dp", ("aztec_diamond", args.order))  # its largest diamond, counted as count --method dp
     print(f"{'order':>5}  {'dp count':>28}  {'dp ms':>10}  {'brute ms':>10}  {'weighted ms':>11}")
     for n in range(1, args.order + 1):
         region = aztec_diamond(n)
-        t0 = time.perf_counter()
-        count = tiling_genfun_dp(region)
-        dp_ms = (time.perf_counter() - t0) * 1000
+        count, dp_ms = _timed(tiling_genfun_dp, region)
+        brute_ms, weighted_ms = f"{'-':>10}", f"{'-':>11}"
         if n <= 4:
-            t0 = time.perf_counter()
-            brute = count_tilings(region)
-            brute_ms = f"{(time.perf_counter() - t0) * 1000:10.2f}"
+            brute, ms = _timed(count_tilings, region)
             if brute != count:
                 print(f"bench: order {n}: backtracker count {brute} != dp count {count}", file=sys.stderr)
                 return 1
-        else:
-            brute_ms = f"{'-':>10}"
+            brute_ms = f"{ms:10.2f}"
         if n <= 8:
-            t0 = time.perf_counter()
-            weighted = stats.genfun_via_weights(n, n, range(1, n + 1))
-            weighted_ms = f"{(time.perf_counter() - t0) * 1000:11.2f}"
+            weighted, ms = _timed(stats.genfun_via_weights, n, n, range(1, n + 1))
             if weighted != formulas.aztec_diamond_genfun(n):
                 print(f"bench: order {n}: weighted route != aztec_diamond_genfun", file=sys.stderr)
                 return 1
-        else:
-            weighted_ms = f"{'-':>11}"
+            weighted_ms = f"{ms:11.2f}"
         print(f"{n:>5}  {count:>28}  {dp_ms:10.2f}  {brute_ms}  {weighted_ms}")
     return 0
 

@@ -57,7 +57,7 @@ class InvalidGraph(AztecError, ValueError):
 
 
 class RegionTooWide(AztecError):
-    """The dynamic-programming frontier exceeded the configured width bound."""
+    """A DP frontier is wider than its bound, or a DP's or the closed product's predicted cost is over its cap."""
 
 
 class TooManyTilings(AztecError):

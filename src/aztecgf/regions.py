@@ -272,25 +272,33 @@ def _check_cells(cells: int, error) -> None:
         raise error(f"a region of {cells} cells, over the region size limit of {MAX_CELLS} cells")
 
 
-def aztec_diamond(n: int) -> Region:
-    """The Aztec diamond of order n: AR(n, n; 1, ..., n), every southeast square kept.
+def region_size(key) -> tuple:
+    """(cells, s) of the region ``key`` (a :attr:`Region.key`) from its parameters, checked as its builder checks
+    them: 2n(n + 1) cells and s None for a diamond, 2mn + 2m for AR(m, n; s), 2ab + a^2 - a for SH(a, b; s)."""
+    if key[0] == "aztec_diamond":
+        check_size("order", n := key[1], InvalidOrder)
+        return 2 * n * (n + 1), None
+    if key[0] == "aztec_rectangle":
+        s = check_positions(m := key[1], n := key[2], key[3], InvalidHoles)
+        return 2 * m * n + 2 * m, s
+    _, a, b, s = key
+    if type(a) is not int or type(b) is not int:  # a bool b would pass as part of a + b
+        raise InvalidDents(f"sizes must be integers, got a={a!r}, b={b!r}")
+    return 2 * a * b + a * a - a, check_positions(a, a + b, s, InvalidDents)  # it refuses a < 1 and b < 0
 
-    It has the rectangle's cells, 2n(n+1) in all, under its own key
-    ``("aztec_diamond", n)``.
-    """
-    check_size("order", n, InvalidOrder)
-    _check_cells(2 * n * (n + 1), InvalidOrder)
+
+def aztec_diamond(n: int) -> Region:
+    """The Aztec diamond of order n: AR(n, n; 1, ..., n), every southeast square kept,
+    under its own key ``("aztec_diamond", n)``."""
+    _check_cells(region_size(("aztec_diamond", n))[0], InvalidOrder)
     return Region("square", ("aztec_diamond", n), _ar_region(n, n, tuple(range(1, n + 1))).cells)
 
 
 def aztec_rectangle_with_holes(m: int, n: int, s) -> Region:
-    """Aztec rectangle AR_{m,n} keeping only the southeast squares at positions s.
-
-    The full rectangle has 2mn + m + n cells; each of the n - m removed
-    southeast squares ("holes") drops one, leaving 2mn + 2m, at most MAX_CELLS.
-    """
-    s = check_positions(m, n, s, InvalidHoles)
-    _check_cells(2 * m * n + 2 * m, InvalidHoles)
+    """Aztec rectangle AR_{m,n} keeping only the southeast squares at positions s; each of the
+    n - m removed southeast squares ("holes") drops one of the full rectangle's 2mn + m + n cells."""
+    size, s = region_size(("aztec_rectangle", m, n, s))
+    _check_cells(size, InvalidHoles)
     return _ar_region(m, n, s)
 
 
@@ -306,15 +314,10 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     """Upper half of the a,b,b,a,b,b semi-regular hexagon with dents at s.
 
     Row y (1 = top) has b+y up-triangles and b+y-1 down-triangles; the a
-    up-triangles at base positions s are removed.  The remaining cell count,
-    2ab + a^2 - a, is always even and at most MAX_CELLS.
+    up-triangles at base positions s are removed.
     """
-    if type(a) is not int or type(b) is not int:
-        raise InvalidDents(f"sizes must be integers, got a={a!r}, b={b!r}")
-    if a < 1 or b < 0:
-        raise InvalidDents(f"need a >= 1 and b >= 0, got a={a}, b={b}")
-    s = check_positions(a, a + b, s, InvalidDents)
-    _check_cells(2 * a * b + a * a - a, InvalidDents)
+    size, s = region_size(("semihexagon", a, b, s))
+    _check_cells(size, InvalidDents)
     cells = set()
     for y in range(1, a + 1):
         for x in range(1, b + y + 1):

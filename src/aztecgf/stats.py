@@ -55,20 +55,16 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .engine import Tiling, _matchings, enumerate_tilings, tiling_genfun_dp  # perfbench's self-test looks it up here
-from .errors import (
-    BijectionViolation,
-    InvalidHoles,
-    NegativeRank,
-    OddVerticalCount,
-    TooManyTilings,
-    Unreachable,
-)
-from .formulas import count_product, displacement, shifted_content_exponent
+from .engine import MAX_FRONTIER, Tiling, _matchings, tiling_genfun_dp
+from .engine import enumerate_tilings  # perfbench's self-test looks it up here
+from .errors import (BijectionViolation, InvalidHoles, NegativeRank, OddVerticalCount, RegionTooWide, TooManyTilings,
+                     Unreachable)
+from .formulas import displacement, shifted_content_exponent
 from .poly import LaurentPoly2, falling_ratio
-from .regions import (Record, Region, aztec_rectangle_with_holes, check_positions, check_rows, domino_class,
-                      is_white, sq)
+from .regions import (MAX_CELLS, Record, Region, aztec_rectangle_with_holes, check_positions, check_rows,
+                      domino_class, is_white, region_size, sq)
 
 
 # kind -> (offset of the entry cell sq(x, y)'s mate, move from (x, y))
@@ -206,9 +202,9 @@ def rank_distances(region: Region) -> dict:
 
     A layer at a time, each state carrying as bits its blocks that can rise: a flip of block k re-tests only
     k's near blocks.  A falling flip leads back a layer (``_flip_blocks``), to a tiling already in ``dist``, so
-    only rising flips are tested.  Raises TooManyTilings, before searching, over ``MAX_BRUTE_TILINGS`` tilings.
+    only rising flips are tested.  Raises what :func:`admit` raises on genfun's brute force, before searching.
     """
-    check_enumerable(region)
+    admit("genfun", "brute", region.key)
     root = minimal_tiling(region).mask
     blocks, flips = _flip_blocks(region)
     dist, d, states, lives, nears = {root: 0}, 0, [root], [0], [blocks]  # lives: bits known to rise, nears: to re-test
@@ -319,38 +315,62 @@ def rank_via_paths(tiling: Tiling) -> int:
 
 MAX_BRUTE_TILINGS = 2**18  # brute F(q, t) at the limit, AR(4, 15; 7, 11, 13, 15): 1.1 s, Xeon, Python 3.11
 MAX_BRUTE_CELLS = 4096  # each search step costs time linear in the cell count
+# route -> the most its predicted cost (see _refusal) may be: each lies above the largest size timed under a minute
+# and below the next size timed, on a 2-core x86_64 with Python 3.11.7 (README has the table)
+CAPS = {"count DP": 750_000_000_000, "weighted DP": 1 << 45, "closed product": 2_150_000_000}
+# command -> method -> the route it runs (render --tiling INDEX walks the enumeration)
+ROUTES = {"count": {"enumerate": "brute force", "dp": "count DP"}, "render": {"enumerate": "brute force"},
+          "genfun": {"brute": "brute force", "dp": "weighted DP", "closed": "closed product"}}
 
 
-def closed_count(region: Region) -> int:
-    """The tiling count by closed form (``count_product`` or ``falling_ratio``)."""
-    if region.lattice == "square":
-        m, _, s = region.rect_params
-        return count_product(m, s)
-    return int(falling_ratio(region.semihex_params[2]))
+def admit(command: str, method: str, key: tuple) -> None:
+    """Refuse ``command --method method`` on the region ``key`` (a :attr:`Region.key`) when it is predicted, from
+    the parameters alone, to run past a minute, naming another method that admits the input, or saying none does."""
+    routes = ROUTES[command]
+    if reason := _refusal(routes[method], key):
+        other = next((m for m, route in routes.items() if m != method and not _refusal(route, key)), None)
+        remedy = f"the {other} method has no such limit" if other else "no other method admits it"
+        raise (TooManyTilings if routes[method] == "brute force" else RegionTooWide)(f"{reason}; {remedy}")
 
 
-def check_enumerable(region: Region, remedy: str = "the dp method has no such limit") -> None:
-    """Raise TooManyTilings when the closed-form tiling count is over
-    ``MAX_BRUTE_TILINGS`` or the region has more than ``MAX_BRUTE_CELLS`` cells."""
-    tilings = closed_count(region)
-    if tilings > MAX_BRUTE_TILINGS:
-        raise too_many_tilings(tilings.bit_length(), remedy)
-    if len(region.cells) > MAX_BRUTE_CELLS:
-        raise TooManyTilings(f"a region of {len(region.cells)} cells, over the brute-force limit of"
-                             f" {MAX_BRUTE_CELLS} cells; {remedy}")
+def tiling_count(key: tuple) -> int:
+    """The tiling count of the region ``key``: falling_ratio(s), times 2^(m(m+1)/2) on AR(m, n; s)."""
+    _, s = region_size(key)
+    m = key[1]
+    ratio = 1 if s is None or s == tuple(range(1, m + 1)) else int(falling_ratio(s))  # 1 on a diamond's s
+    return ratio if key[0] == "semihexagon" else ratio << m * (m + 1) // 2
 
 
-def too_many_tilings(bits: int, remedy: str = "the dp method has no such limit") -> TooManyTilings:
-    """The refusal of a ``bits``-bit tiling count over ``MAX_BRUTE_TILINGS``, ending in ``remedy``."""
-    return TooManyTilings(f"a {bits}-bit tiling count, over the brute-force limit of"
-                          f" {MAX_BRUTE_TILINGS} tilings; {remedy}")
+def _refusal(route: str, key: tuple) -> str:
+    """Why ``route`` is predicted to run past a minute on the region ``key``; false if it is not."""
+    cells, s = region_size(key)
+    m, brute, builds = key[1], route == "brute force", route != "closed product"
+    if builds and cells > MAX_CELLS:  # first: the count of a region too big to build is never taken
+        return f"a region of {cells} cells, over the region size limit of {MAX_CELLS} cells"
+    tilings, width = tiling_count(key), m - 1 if key[0] == "semihexagon" else m + 1  # SH(a, b; s): a - 1 or a
+    if brute and tilings > MAX_BRUTE_TILINGS:
+        return f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of {MAX_BRUTE_TILINGS} tilings"
+    if brute:
+        return cells > MAX_BRUTE_CELLS and (
+            f"a region of {cells} cells, over the brute-force limit of {MAX_BRUTE_CELLS} cells")
+    if builds and width > MAX_FRONTIER:  # check_frontier holds SH(a, b; s) to its exact width once it is built
+        return f"DP frontier would be at least {width} bits wide, over {MAX_FRONTIER}"
+    # a DP: cells x largest layer C(w, w // 2) x value bits (the count's, or packed F's: t-rows x q-slots x slot bits).
+    # The closed product pays packed F with the q-ratio product's slots four times: it multiplies every row by them.
+    bits = tilings.bit_length()
+    diamond, qratio = m * (m + 1) * (2 * m + 1) // 6 + 1, 2 * sum(
+        (x - i) * (2 * i - m - 1) for i, x in enumerate(s or (), 1))
+    per_q, layer = (m * (m + 1) // 2 + 1) * -(-bits // 8) * 8, cells * comb(width, width // 2)
+    cost = {"count DP": layer * bits, "weighted DP": layer * per_q * (diamond + qratio),
+            "closed product": per_q * (diamond + 4 * qratio)}[route]
+    return cost > CAPS[route] and f"a predicted {route} cost of {cost}, over its limit of {CAPS[route]}"
 
 
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) by full enumeration, BFS rank, and the vertical statistic: the search's tiling
     masks are counted by (rank, verticals, downs), and :func:`vstat`'s cross-check runs once a key.
 
-    Raises TooManyTilings, before enumerating, over ``MAX_BRUTE_TILINGS`` tilings, and Unreachable,
+    Raises what :func:`admit` raises on genfun's brute force, before enumerating, and Unreachable,
     after counting, unless the flip BFS reached exactly the enumerated tilings.
     """
     region = aztec_rectangle_with_holes(m, n, s)

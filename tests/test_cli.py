@@ -1,11 +1,15 @@
 """CLI surface: golden outputs, determinism, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -66,6 +70,9 @@ def test_render_determinism(tmp_path):
     semihex = ("render", "--region", "semihex", "--a", "2", "--b", "1", "--dents", "1,3")
     assert run_cli(*semihex, "--tiling", "minimal", check=False).returncode == 2
     assert run_cli(*semihex, "--tiling", "0", "--paths", check=False).returncode == 2
+    # ASCII draws no paths: --paths with --format ascii is a flag error, not dropped without a word
+    ascii_paths = run_cli(*args[:-1], "ascii", check=False)
+    assert ascii_paths.returncode == 2 and b"--paths" in ascii_paths.stderr and not ascii_paths.stdout
 
 
 ASCII_DRAWINGS = [
@@ -241,6 +248,9 @@ def test_invalid_flags_exit_2(tmp_path, capsys):
     for order in ("0", "-3"):
         code, out, err = cli_exit(capsys, "bench", "--order", order)
         assert code == 2 and out == "" and err.startswith("error: order")
+    # bench is admitted by its largest order before it prints its header
+    assert cli_exit(capsys, "bench", "--order", "30") == (
+        2, "", "error: DP frontier would be at least 31 bits wide, over 24; no other method admits it\n")
     # unreadable serialized regions: missing, not JSON, unknown kind
     (tmp_path / "bad.json").write_text("not json")
     (tmp_path / "kind.json").write_text(json.dumps({"kind": "blob", "params": []}))
@@ -321,13 +331,16 @@ def test_region_builders_refuse_oversized_regions_from_their_parameters(monkeypa
                         (["count", "--region", "semihex", "--a", "1", "--b", "1000000", "--dents", "1",
                           "--method", "dp"], 2000000),
                         (["render", "--region", "aztec", "--order", "400"], 320800)):
+        # count's admission refuses before building and says no method admits it; render's builder refuses
+        remedy = "" if argv[0] == "render" else "; no other method admits it"
         assert cli_exit(capsys, *argv) == (
-            2, "", f"error: a region of {cells} cells, over the region size limit of 262144 cells\n")
+            2, "", f"error: a region of {cells} cells, over the region size limit of 262144 cells{remedy}\n")
 
 
 def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys):
     # an order-n diamond sweeps n + 1 bits, so the width is known from the
-    # order alone and the region is never built
+    # order alone and the region is never built; order 23 fits the width, but
+    # its predicted cost is refused; enumeration refuses them all too
     from aztecgf import cli
 
     def no_build(*args):
@@ -338,7 +351,11 @@ def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys)
         assert cli.main(["count", "--region", "aztec", "--order", str(order), "--method", "dp"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: DP frontier would be {order + 1} bits wide, over 24\n"
+        assert captured.err == (f"error: DP frontier would be at least {order + 1} bits wide, over 24;"
+                                " no other method admits it\n")
+    assert cli.main(["count", "--region", "aztec", "--order", "23", "--method", "dp"]) == 2
+    assert capsys.readouterr().err == ("error: a predicted count DP cost of 826952538048, over its limit of"
+                                       " 750000000000; no other method admits it\n")
 
 
 def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, capsys):
@@ -353,12 +370,16 @@ def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, c
         raise AssertionError("built a region the enumeration refuses")
 
     monkeypatch.setattr(cli, "_build_region", no_build)
-    for order, bits in ((6, 22), (170, 14536), (400, 80201)):
+    count = "a {}-bit tiling count, over the brute-force limit of 262144 tilings"
+    # order 400 is over the region size limit, which the admission checks first, so its count is never taken
+    for order, reason in ((6, count.format(22) + "; the dp method has no such limit"),
+                          (170, count.format(14536) + "; no other method admits it"),
+                          (400, "a region of 320800 cells, over the region size limit of 262144 cells;"
+                                " no other method admits it")):
         assert cli.main(["count", "--region", "aztec", "--order", str(order)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: a {bits}-bit tiling count, over the brute-force limit of 262144 tilings;"
-                                " the dp method has no such limit\n")
+        assert captured.err == f"error: {reason}\n"
 
 
 def test_enumeration_refuses_a_region_with_too_many_cells(monkeypatch, capsys):
@@ -409,8 +430,7 @@ def test_render_by_index_refuses_a_region_too_big_to_enumerate(monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: a 3241-bit tiling count, over the brute-force limit of 262144 tilings;"
-                            " render has no such limit without --tiling, or with --tiling minimal"
-                            " on an aztec or rect region\n")
+                            " no other method admits it\n")
 
 
 def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):
@@ -448,7 +468,7 @@ def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):
 
 def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
     # 2^14535 tilings has more digits than Python turns into a string, so the
-    # refusal states the count's bit length
+    # refusal states the count's bit length; the DPs and the closed product refuse it too
     from aztecgf import cli
 
     holes = ",".join(map(str, range(1, 171)))
@@ -457,7 +477,8 @@ def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: a 14536-bit tiling count")
-        assert captured.err.count("\n") == 1 and len(captured.err) < 120 and "dp method" in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err) < 120
+        assert captured.err.endswith("; no other method admits it\n")
 
 
 def test_verify_suite_exits_zero():
@@ -510,3 +531,56 @@ def test_suite_choices_are_the_verify_suites():
     assert cli.SUITES == (*verify.SUITES, "all")  # the same names in the same order, so --help is unchanged
     for suite in cli.SUITES:
         assert cli.PARSER.parse_args(["verify", "--suite", suite]).suite == suite
+
+
+@st.composite
+def cli_argvs(draw):
+    """count, genfun and bench over sizes up to past the patched-down limits below; n = m - 1 is invalid."""
+    command = draw(st.sampled_from(("count", "genfun", "bench")))
+    if command == "bench":
+        return ["bench", "--order", str(draw(st.integers(0, 7)))]
+    kind = "rect" if command == "genfun" else draw(st.sampled_from(("aztec", "rect", "semihex")))
+    if kind == "aztec":
+        flags = ["--order", str(draw(st.integers(0, 7)))]
+    else:
+        m = draw(st.integers(1, 6))
+        n = m + draw(st.integers(-1, 8))
+        s = ",".join(map(str, sorted(draw(st.sets(st.integers(1, max(n, m)), min_size=m, max_size=m)))))
+        flags = ["--m", str(m), "--n", str(n), "--holes", s] if kind == "rect" else [
+            "--a", str(m), "--b", str(n - m), "--dents", s]
+    methods = ("brute", "dp", "closed") if command == "genfun" else ("enumerate", "dp")
+    return [command, *([] if command == "genfun" else ["--region", kind]), *flags,
+            "--method", draw(st.sampled_from(methods))]
+
+
+def test_every_refusal_comes_before_the_build_and_names_an_admitted_method(monkeypatch):
+    # with every limit patched down, small commands meet each refusal: each call exits 0, or exits 2 with one
+    # error line before any region is built, and a method a refusal names runs the same input
+    from aztecgf import cli, stats
+
+    for name, value in (("MAX_BRUTE_TILINGS", 2**7), ("MAX_BRUTE_CELLS", 40), ("MAX_CELLS", 128), ("MAX_FRONTIER", 5),
+                        ("CAPS", {"count DP": 8000, "weighted DP": 2 * 10**5, "closed product": 20000})):
+        monkeypatch.setattr(stats, name, value)
+    built, build = [], cli._build_region
+    monkeypatch.setattr(cli, "_build_region", lambda args: built.append(args) or build(args))
+
+    def run(argv):
+        built.clear()
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(cli_argvs())
+    def check(argv):
+        code, out, err = run(argv)
+        if code == 0:
+            assert err == "" and out
+            return
+        assert (code, out, built) == (2, "", []) and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if "; the " in err:  # "...; the dp method has no such limit"
+            method = err.split("; the ")[1].split()[0]
+            assert run([*argv[:-1], method])[0] == 0, (argv, err)
+
+    check()
