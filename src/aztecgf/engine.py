@@ -440,7 +440,8 @@ def _genfun_dp(vertices, edges, weight):
         nbr_earlier[k].append((p, i))
 
     bit, last_mask, width = _frontier_slots(max_nbr)
-    check_frontier(width)
+    if width > MAX_FRONTIER:
+        raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
     nbr_earlier = [[(bit[p], i) for p, i in sorted(row)] for row in nbr_earlier]
 
     def sweep(weights, one):
@@ -466,12 +467,6 @@ def _genfun_dp(vertices, edges, weight):
     bits = slot_bits(total)
     packed = [packed_weight(w, bits, den) for w in distinct]
     return sweep([packed[k] for k in index], PackedPoly.one()).decode(bits, den ** (n // 2))
-
-
-def check_frontier(width: int) -> None:
-    """Raise :class:`RegionTooWide` when a sweep needs more than ``MAX_FRONTIER`` bits."""
-    if width > MAX_FRONTIER:
-        raise RegionTooWide(f"DP frontier would be {width} bits wide, over {MAX_FRONTIER}")
 
 
 def _frontier_slots(max_nbr):

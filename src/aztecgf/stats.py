@@ -347,23 +347,28 @@ def _refusal(route: str, key: tuple) -> str:
     m, brute, builds = key[1], route == "brute force", route != "closed product"
     if builds and cells > MAX_CELLS:  # first: the count of a region too big to build is never taken
         return f"a region of {cells} cells, over the region size limit of {MAX_CELLS} cells"
-    tilings, width = tiling_count(key), m - 1 if key[0] == "semihexagon" else m + 1  # SH(a, b; s): a - 1 or a
-    if brute and tilings > MAX_BRUTE_TILINGS:
+    width = m - 1 if key[0] == "semihexagon" else m + 1  # SH(a, b; s): a - 1 or a
+    if brute and (tilings := tiling_count(key)) > MAX_BRUTE_TILINGS:
         return f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of {MAX_BRUTE_TILINGS} tilings"
     if brute:
         return cells > MAX_BRUTE_CELLS and (
             f"a region of {cells} cells, over the brute-force limit of {MAX_BRUTE_CELLS} cells")
-    if builds and width > MAX_FRONTIER:  # check_frontier holds SH(a, b; s) to its exact width once it is built
+    if builds and width > MAX_FRONTIER:  # _genfun_dp holds SH(a, b; s) to its exact width once it is built
         return f"DP frontier would be at least {width} bits wide, over {MAX_FRONTIER}"
     # a DP: cells x largest layer C(w, w // 2) x value bits (the count's, or packed F's: t-rows x q-slots x slot bits).
     # The closed product pays packed F with the q-ratio product's slots four times: it multiplies every row by them.
-    bits = tilings.bit_length()
     diamond, qratio = m * (m + 1) * (2 * m + 1) // 6 + 1, 2 * sum(
         (x - i) * (2 * i - m - 1) for i, x in enumerate(s or (), 1))
-    per_q, layer = (m * (m + 1) // 2 + 1) * -(-bits // 8) * 8, cells * comb(width, width // 2)
-    cost = {"count DP": layer * bits, "weighted DP": layer * per_q * (diamond + qratio),
-            "closed product": per_q * (diamond + 4 * qratio)}[route]
-    return cost > CAPS[route] and f"a predicted {route} cost of {cost}, over its limit of {CAPS[route]}"
+    layer = cells * comb(width, width // 2)
+
+    def over(bits):  # the cost at a count of ``bits`` bits, if it is over the cap; it grows with ``bits``
+        per_q = (m * (m + 1) // 2 + 1) * -(-bits // 8) * 8
+        cost = {"count DP": layer * bits, "weighted DP": layer * per_q * (diamond + qratio),
+                "closed product": per_q * (diamond + 4 * qratio)}[route]
+        return cost > CAPS[route] and f"a predicted {route} cost of {cost}, over its limit of {CAPS[route]}"
+    # a count on AR(m, n; s) has at least the diamond's m(m + 1)/2 + 1 bits (its ratio is >= 1), so a cost refused
+    # at that many is refused before the count is taken: with many holes, falling_ratio takes seconds
+    return over(1 if key[0] == "semihexagon" else m * (m + 1) // 2 + 1) or over(tiling_count(key).bit_length())
 
 
 def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:

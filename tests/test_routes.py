@@ -13,10 +13,12 @@ one route check the other.  A merge that routes one side through the other
 adds a shared function and fails here.
 """
 
+import importlib.util
 import random
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +221,19 @@ def test_every_verify_check_is_a_pair_or_a_self_check():
     assert len(set(verify.CHECKS)) == len(verify.CHECKS)
     assert set(verify.CHECKS) <= set(PAIRS) | set(SELF_CHECKS)
     assert not set(PAIRS) & set(SELF_CHECKS)
+
+
+def test_the_at_scale_rows_are_the_golden_lines_and_declare_their_names():
+    # the script's table, read without running a check: its labels in order are the golden file's lines, and each
+    # name it uses is a verify check, or a byte pin, with its reason, on a row that compares a digest
+    spec = importlib.util.spec_from_file_location("at_scale", Path(__file__).with_name("at_scale.py"))
+    spec.loader.exec_module(at_scale := importlib.util.module_from_spec(spec))
+    golden = Path(__file__).with_name("data").joinpath("at_scale.txt").read_text().splitlines()
+    assert [f"PASS  {label}" for label in at_scale.LABELS] == golden
+    pinned = {name for names, _, _, other in at_scale.ROWS if other.startswith("sha256 ") for name in names}
+    paired = {name for names, _, _, other in at_scale.ROWS if not other.startswith("sha256 ") for name in names}
+    assert pinned == set(at_scale.PINS) and all(at_scale.PINS.values())
+    assert paired <= set(verify.CHECKS) and not pinned & set(verify.CHECKS)
 
 
 def test_the_graph_dp_pipeline_self_checks_share_the_dp(inputs):

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aztecgf import stats
 from aztecgf.engine import Tiling, count_tilings, enumerate_tilings
-from aztecgf.errors import BijectionViolation, InvalidHoles, OddVerticalCount, TooManyTilings, Unreachable
+from aztecgf.errors import (BijectionViolation, InvalidHoles, OddVerticalCount, RegionTooWide, TooManyTilings,
+                           Unreachable)
 from aztecgf.formulas import aztec_diamond_genfun, rectangle_genfun, shifted_content_exponent
 from aztecgf.lozenge import tiling_to_cspp, top_bottom_paths
 from aztecgf.poly import LaurentPoly2
@@ -61,6 +63,35 @@ def test_rank_bfs_refuses_past_the_brute_force_limit():
         rank_bfs(t0)
     with pytest.raises(TooManyTilings, match="22-bit tiling count"):
         genfun_bruteforce(6, 6, range(1, 7))
+
+
+def test_admit_gives_every_case_of_the_cap_table_its_verdict(monkeypatch):
+    # README's limits table, by route: each admitted case is under its cap and each refused one over it; and
+    # the closed product refuses AR(600, 1200; 2, 4, ..., 1200) without taking its tiling count
+    def key(kind, a, b, first, last, step=2):
+        return kind, a, b, tuple(range(first, last + 1, step))
+
+    table = [("count", "dp", ("aztec_diamond", 22), True), ("count", "dp", key("semihexagon", 24, 24, 2, 48), True),
+             ("count", "dp", ("aztec_diamond", 23), False),
+             ("count", "dp", key("semihexagon", 24, 48, 3, 72, 3), False),
+             ("genfun", "dp", key("aztec_rectangle", 12, 24, 2, 24), True),
+             ("genfun", "dp", key("aztec_rectangle", 13, 26, 2, 26), False),
+             ("genfun", "closed", key("aztec_rectangle", 21, 42, 2, 42), True),
+             ("genfun", "closed", key("aztec_rectangle", 30, 30, 1, 30, 1), True),
+             ("genfun", "closed", key("aztec_rectangle", 22, 44, 2, 44), False)]
+    for command, method, region, admitted in table:
+        if admitted:
+            stats.admit(command, method, region)
+        else:
+            with pytest.raises(RegionTooWide, match=f"^a predicted {stats.ROUTES[command][method]} cost of "):
+                stats.admit(command, method, region)
+
+    def no_count(s):
+        raise AssertionError("took the tiling count of a region the closed product refuses")
+
+    monkeypatch.setattr(stats, "falling_ratio", no_count)
+    with pytest.raises(RegionTooWide, match="^a predicted closed product cost of "):
+        stats.admit("genfun", "closed", key("aztec_rectangle", 600, 1200, 2, 1200))
 
 
 def test_minimal_tiling_verticals_are_the_hole_strips():
