@@ -3,7 +3,7 @@
 Subcommands: genfun, count, verify, render, bench.  All computational
 output is deterministic (identical invocations give byte-identical stdout
 and files); bench prints wall-clock timings and is the one exception.
-Exit codes: 0 success, 1 verification failure (a suite that raises is one), 2 bad flags.
+Exit codes: 0 success, 1 a failure in ``verify`` only (a suite that raises is one), 2 bad flags or input.
 
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, when this module is imported, and every call parses with it.
@@ -186,20 +186,9 @@ def cmd_bench(args):
     for n in range(1, args.order + 1):
         region = aztec_diamond(n)
         count, dp_ms = _timed(tiling_genfun_dp, region)
-        brute_ms, weighted_ms = f"{'-':>10}", f"{'-':>11}"
-        if n <= 4:
-            brute, ms = _timed(count_tilings, region)
-            if brute != count:
-                print(f"bench: order {n}: backtracker count {brute} != dp count {count}", file=sys.stderr)
-                return 1
-            brute_ms = f"{ms:10.2f}"
-        if n <= 8:
-            weighted, ms = _timed(stats.genfun_via_weights, n, n, range(1, n + 1))
-            if weighted != formulas.aztec_diamond_genfun(n):
-                print(f"bench: order {n}: weighted route != aztec_diamond_genfun", file=sys.stderr)
-                return 1
-            weighted_ms = f"{ms:11.2f}"
-        print(f"{n:>5}  {count:>28}  {dp_ms:10.2f}  {brute_ms}  {weighted_ms}")
+        brute_ms = f"{_timed(count_tilings, region)[1]:.2f}" if n <= 4 else "-"
+        weighted_ms = f"{_timed(stats.genfun_via_weights, n, n, range(1, n + 1))[1]:.2f}" if n <= 8 else "-"
+        print(f"{n:>5}  {count:>28}  {dp_ms:10.2f}  {brute_ms:>10}  {weighted_ms:>11}")
     return 0
 
 

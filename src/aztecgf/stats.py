@@ -202,9 +202,10 @@ def rank_distances(region: Region) -> dict:
 
     A layer at a time, each state carrying as bits its blocks that can rise: a flip of block k re-tests only
     k's near blocks.  A falling flip leads back a layer (``_flip_blocks``), to a tiling already in ``dist``, so
-    only rising flips are tested.  Raises what :func:`admit` raises on genfun's brute force, before searching.
+    only rising flips are tested.  Raises TooManyTilings, before searching, past brute force's limits.
     """
-    admit("genfun", "brute", region.key)
+    if reason := _refusal("brute force", region.key):
+        raise TooManyTilings(reason)
     root = minimal_tiling(region).mask
     blocks, flips = _flip_blocks(region)
     dist, d, states, lives, nears = {root: 0}, 0, [root], [0], [blocks]  # lives: bits known to rise, nears: to re-test
@@ -348,11 +349,11 @@ def _refusal(route: str, key: tuple) -> str:
     if builds and cells > MAX_CELLS:  # first: the count of a region too big to build is never taken
         return f"a region of {cells} cells, over the region size limit of {MAX_CELLS} cells"
     width = m - 1 if key[0] == "semihexagon" else m + 1  # SH(a, b; s): a - 1 or a
-    if brute and (tilings := tiling_count(key)) > MAX_BRUTE_TILINGS:
-        return f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of {MAX_BRUTE_TILINGS} tilings"
+    if brute and cells > MAX_BRUTE_CELLS:  # before the count: with many rows, falling_ratio takes seconds
+        return f"a region of {cells} cells, over the brute-force limit of {MAX_BRUTE_CELLS} cells"
     if brute:
-        return cells > MAX_BRUTE_CELLS and (
-            f"a region of {cells} cells, over the brute-force limit of {MAX_BRUTE_CELLS} cells")
+        return (tilings := tiling_count(key)) > MAX_BRUTE_TILINGS and (
+            f"a {tilings.bit_length()}-bit tiling count, over the brute-force limit of {MAX_BRUTE_TILINGS} tilings")
     if builds and width > MAX_FRONTIER:  # _genfun_dp holds SH(a, b; s) to its exact width once it is built
         return f"DP frontier would be at least {width} bits wide, over {MAX_FRONTIER}"
     # a DP: cells x largest layer C(w, w // 2) x value bits (the count's, or packed F's: t-rows x q-slots x slot bits).
@@ -375,7 +376,7 @@ def genfun_bruteforce(m: int, n: int, s) -> LaurentPoly2:
     """F(q, t) by full enumeration, BFS rank, and the vertical statistic: the search's tiling
     masks are counted by (rank, verticals, downs), and :func:`vstat`'s cross-check runs once a key.
 
-    Raises what :func:`admit` raises on genfun's brute force, before enumerating, and Unreachable,
+    Raises what :func:`rank_distances` raises, before enumerating, and Unreachable,
     after counting, unless the flip BFS reached exactly the enumerated tilings.
     """
     region = aztec_rectangle_with_holes(m, n, s)

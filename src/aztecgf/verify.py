@@ -32,7 +32,7 @@ Corpus bounds (exact equality everywhere, no tolerances):
             the graph DP for m<=6, m<=n<=2m.
 
 The library routes return only what they compute; every comparison between
-two routes is made here.
+two routes is made here, or at larger sizes by ``tests/at_scale.py``.
 """
 
 from __future__ import annotations

@@ -42,6 +42,10 @@ ROWS = (
        *(f"genfun --m {m} --n 15 --holes {s} --method {method}" for method in ("brute", "closed"))) for m, s in AR15),
     (("weighted-DP F vs closed F",), "AR(8, 16; 2,4,...,16), genfun dp vs closed",
      *(f"genfun --m 8 --n 16 --holes {EVENS[16]} --method {method}" for method in ("dp", "closed"))),
+    *((("weighted-DP F vs diamond product",), f"order-{n} diamond, genfun dp vs aztec_diamond_genfun",
+       f"genfun --m {n} --n {n} --holes {','.join(map(str, range(1, n + 1)))} --method dp",
+       f"-c from aztecgf.formulas import aztec_diamond_genfun; print(aztec_diamond_genfun({n}).to_text())")
+      for n in (7, 8)),
     (("closed F text sha256",), "AR(12, 24; 2,4,...,24), genfun closed",
      f"genfun --m 12 --n 24 --holes {EVENS[24]} --method closed",
      "sha256 9b41277a21869864c0c0fd6e3581ebcae16d6094d438bf79f4ef18afda107939"),

@@ -189,16 +189,6 @@ def test_bench_table():
     assert text.count("\n") == 4  # header plus one row per order
 
 
-def test_bench_mismatch_exits_1(monkeypatch, capsys):
-    from aztecgf import cli
-
-    monkeypatch.setattr(cli, "count_tilings", lambda region: -1)
-    assert cli.main(["bench", "--order", "2"]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == "bench: order 1: backtracker count -1 != dp count 2\n"
-    assert captured.out.count("\n") == 1  # the header only
-
-
 def cli_exit(capsys, *argv):
     """Exit code, stdout and stderr of ``cli.main(argv)`` run in this process."""
     from aztecgf import cli
@@ -358,6 +348,48 @@ def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys)
                                        " 750000000000; no other method admits it\n")
 
 
+def test_genfun_refuses_past_the_closed_and_weighted_dp_caps_before_the_work(monkeypatch, capsys):
+    # closed F on 24x48 and the weighted DP on 14x28 would each run for minutes; every genfun route is patched
+    # to raise, so a refusal that came after the work would fail here instead of hanging
+    from aztecgf import cli, formulas, stats
+
+    def no_work(*args):
+        raise AssertionError("ran a genfun route on an input it refuses")
+
+    for module, name in ((formulas, "rectangle_genfun"), (stats, "genfun_via_weights"), (stats, "genfun_bruteforce")):
+        monkeypatch.setattr(module, name, no_work)
+    for m, method, reason in (
+            (24, "closed", "a predicted closed product cost of 4095942984, over its limit of 2150000000;"
+                           " no other method admits it"),
+            (14, "dp", "a predicted weighted DP cost of 119477121603840, over its limit of 35184372088832;"
+                       " the closed method has no such limit")):
+        holes = ",".join(map(str, range(2, 2 * m + 1, 2)))
+        assert cli_exit(capsys, "genfun", "--m", str(m), "--n", str(2 * m), "--holes", holes, "--method", method) == (
+            2, "", f"error: {reason}\n")
+
+
+def test_a_refusal_takes_no_tiling_count_of_a_region_brute_force_refuses_by_its_cells(monkeypatch, capsys):
+    # the remedy search asks brute force too, and it checks its cell limit before the count: with hundreds of
+    # rows, falling_ratio took seconds before any of these was refused
+    from aztecgf import cli, formulas, stats
+
+    def no_work(*args):
+        raise AssertionError("took a tiling count or ran a route on an input it refuses")
+
+    for module, name in ((stats, "falling_ratio"), (cli, "_build_region"), (formulas, "rectangle_genfun"),
+                         (stats, "genfun_via_weights")):
+        monkeypatch.setattr(module, name, no_work)
+    dents, holes = ",".join(map(str, (*range(1, 500), 510))), ",".join(map(str, (*range(1, 360), 363)))
+    for argv, reason in (
+            (["count", "--region", "semihex", "--a", "500", "--b", "10", "--dents", dents, "--method", "dp"],
+             "DP frontier would be at least 499 bits wide, over 24"),
+            (["genfun", "--m", "360", "--n", "363", "--holes", holes, "--method", "dp"],
+             "DP frontier would be at least 361 bits wide, over 24"),
+            (["genfun", "--m", "360", "--n", "363", "--holes", holes, "--method", "closed"],
+             "a predicted closed product cost of 65982097114970008, over its limit of 2150000000")):
+        assert cli_exit(capsys, *argv) == (2, "", f"error: {reason}; no other method admits it\n")
+
+
 def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, capsys):
     # an order-n diamond has 2^(n(n+1)/2) tilings, so the refusal is known from
     # the order alone and the region is never built
@@ -370,10 +402,12 @@ def test_count_enumerate_refuses_a_big_diamond_before_building_it(monkeypatch, c
         raise AssertionError("built a region the enumeration refuses")
 
     monkeypatch.setattr(cli, "_build_region", no_build)
-    count = "a {}-bit tiling count, over the brute-force limit of 262144 tilings"
-    # order 400 is over the region size limit, which the admission checks first, so its count is never taken
-    for order, reason in ((6, count.format(22) + "; the dp method has no such limit"),
-                          (170, count.format(14536) + "; no other method admits it"),
+    # orders 170 and 400 are over the brute-force cell limit and the region size limit, which the admission checks
+    # first, so their counts are never taken
+    for order, reason in ((6, "a 22-bit tiling count, over the brute-force limit of 262144 tilings;"
+                              " the dp method has no such limit"),
+                          (170, "a region of 58140 cells, over the brute-force limit of 4096 cells;"
+                                " no other method admits it"),
                           (400, "a region of 320800 cells, over the region size limit of 262144 cells;"
                                 " no other method admits it")):
         assert cli.main(["count", "--region", "aztec", "--order", str(order)]) == 2
@@ -429,7 +463,7 @@ def test_render_by_index_refuses_a_region_too_big_to_enumerate(monkeypatch, caps
     assert cli.main(["render", "--region", "aztec", "--order", "80", "--tiling", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: a 3241-bit tiling count, over the brute-force limit of 262144 tilings;"
+    assert captured.err == ("error: a region of 12960 cells, over the brute-force limit of 4096 cells;"
                             " no other method admits it\n")
 
 
@@ -467,8 +501,8 @@ def test_main_reuses_one_parser_across_calls(monkeypatch, capsys):
 
 
 def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
-    # 2^14535 tilings has more digits than Python turns into a string, so the
-    # refusal states the count's bit length; the DPs and the closed product refuse it too
+    # 2^14535 tilings has more digits than Python turns into a string; the refusal names the region's
+    # 58,140 cells instead, which are checked first, and the DPs and the closed product refuse it too
     from aztecgf import cli
 
     holes = ",".join(map(str, range(1, 171)))
@@ -476,7 +510,7 @@ def test_enumerate_refuses_a_huge_count_by_its_size(capsys):
                  ["genfun", "--m", "170", "--n", "170", "--holes", holes, "--method", "brute"]):
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: a 14536-bit tiling count")
+        assert captured.out == "" and captured.err.startswith("error: a region of 58140 cells")
         assert captured.err.count("\n") == 1 and len(captured.err) < 120
         assert captured.err.endswith("; no other method admits it\n")
 
