@@ -157,6 +157,8 @@ def cmd_render(args):
             index = int(args.tiling)
         except ValueError:
             PARSER.error("--tiling takes 'minimal' or an integer index")
+        if len(region.cells) > stats.MAX_BRUTE_CELLS:  # refused first: with many rows, its count takes seconds
+            stats.admit("render", "enumerate", region.key)
         if not 0 <= index < stats.tiling_count(region.key):
             PARSER.error(f"tiling index {index} out of range")
         stats.admit("render", "enumerate", region.key)

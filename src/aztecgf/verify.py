@@ -3,10 +3,10 @@
 Each suite is a generator of (label, failed) pairs with deterministic labels
 and ordering, so `verify --suite all` output is byte-stable across runs;
 ``failed`` names the case's equalities that did not hold, and is empty on a
-pass.  Every equality of a case runs, under a name declared in
-:data:`CHECKS` (an undeclared name fails its case), and ``tests/test_routes.py``
-ties each name to two routes that share no code, or to a self-check.  The
-suites are exactly the acceptance checks; the CLI and the tests run them here.
+pass.  Every equality of a case runs, under a name declared in :data:`CHECKS` (an undeclared name fails
+its case).  An equality of two routes is ``_pair(name, left, right)``, whose sides ``tests/test_routes.py``
+profiles to hold the name to two routes that share no code; any other is a self-check, with its reason there.
+The suites are exactly the acceptance checks; the CLI and the tests run them here.
 
 Corpus bounds (exact equality everywhere, no tolerances):
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from . import formulas, lozenge, rewrite, stats
@@ -75,6 +76,11 @@ CHECKS = (
 )
 
 
+def _pair(name, left, right):
+    """The check ``name`` of two routes, each a zero-argument callable: (name, left() == right())."""
+    return name, left() == right()
+
+
 def _failed(checks):
     """The names of the (name, equal) ``checks`` that do not hold, each once, in order of first failure.
     A name missing from :data:`CHECKS` never holds."""
@@ -100,11 +106,12 @@ def suite_main():
 def main_formula_cases():
     """All three F(q,t) routes agree, plus the count specialization."""
     for m, n, s in _ar_corpus(5, 5):
-        closed = formulas.rectangle_genfun(m, n, s)
+        closed = cache(lambda: formulas.rectangle_genfun(m, n, s))
         yield f"main F(q,t) m={m} n={n} s={s}", _failed([
-            ("brute F vs closed F", stats.genfun_bruteforce(m, n, s) == closed),
-            ("weighted-DP F vs closed F", stats.genfun_via_weights(m, n, s) == closed),
-            ("closed F at q = t = 1 vs count_product", closed.evaluate(1, 1) == formulas.count_product(m, s))])
+            _pair("brute F vs closed F", lambda: stats.genfun_bruteforce(m, n, s), closed),
+            _pair("weighted-DP F vs closed F", lambda: stats.genfun_via_weights(m, n, s), closed),
+            _pair("closed F at q = t = 1 vs count_product", lambda: closed().evaluate(1, 1),
+                  lambda: formulas.count_product(m, s))])
 
 
 def suite_rank():
@@ -118,7 +125,8 @@ def suite_rank():
             ranks.append(stats.rank_bfs(tiling))
             areas.append(st.area)
             checks += [
-                ("rank BFS vs rank via paths", ranks[-1] == stats.rank_via_paths(tiling)),
+                _pair("rank BFS vs rank via paths", lambda: stats.rank_bfs(tiling),
+                      lambda: stats.rank_via_paths(tiling)),
                 ("path statistic identities", stats.vstat(tiling) + st.level_total == m * (m + 1) // 2),
                 ("path statistic identities", all(st.up[i] - st.down[i] == s[i] - (i + 1) for i in range(m))),
                 ("path statistic identities", all(st.down[i] + st.level[i] == i + 1 for i in range(m))),
@@ -142,17 +150,17 @@ def suite_diamond():
 def diamond_genfun_cases():
     for n in range(1, 7):
         s = tuple(range(1, n + 1))
-        via = stats.genfun_via_weights(n, n, s)
-        checks = [("weighted-DP F vs diamond product", via == formulas.aztec_diamond_genfun(n))]
+        via = cache(lambda: stats.genfun_via_weights(n, n, s))
+        checks = [_pair("weighted-DP F vs diamond product", via, lambda: formulas.aztec_diamond_genfun(n))]
         if n <= 4:
-            checks.append(("brute F vs weighted-DP F", via == stats.genfun_bruteforce(n, n, s)))
+            checks.append(_pair("brute F vs weighted-DP F", lambda: stats.genfun_bruteforce(n, n, s), via))
         yield f"diamond genfun order {n}", _failed(checks)
 
 
 def diamond_count_cases():
     for n in range(1, 13):
-        count = tiling_genfun_dp(aztec_diamond(n))
-        yield f"diamond count order {n}", _failed([("DP count vs diamond count", count == 2 ** (n * (n + 1) // 2))])
+        yield f"diamond count order {n}", _failed([_pair(
+            "DP count vs diamond count", lambda: tiling_genfun_dp(aztec_diamond(n)), lambda: 2 ** (n * (n + 1) // 2))])
 
 
 def kernel_cases():
@@ -161,12 +169,12 @@ def kernel_cases():
     regions = [aztec_diamond(n) for n in range(1, 5)]
     regions += [aztec_rectangle_with_holes(m, n, s) for m, n, s in _ar_corpus(3, 5)]
     for region in regions:
-        checks = [("oracle vs region DP, AR",
-                   tiling_genfun_dp(region) == matching_genfun(dual_graph(region)).evaluate(1, 1))]
+        checks = [_pair("oracle vs region DP, AR", lambda: matching_genfun(dual_graph(region)).evaluate(1, 1),
+                        lambda: tiling_genfun_dp(region))]
         rand_w = {d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
                   for d in region.all_dominoes}
-        checks += [("oracle vs region DP, AR", tiling_genfun_dp(region, w) == matching_genfun(dual_graph(region, w)))
-                   for w in (stats.domino_weight, rand_w.__getitem__)]
+        checks += [_pair("oracle vs region DP, AR", lambda: matching_genfun(dual_graph(region, w)),
+                         lambda: tiling_genfun_dp(region, w)) for w in (stats.domino_weight, rand_w.__getitem__)]
         yield f"kernel {region.key}", _failed(checks)
 
 
@@ -176,29 +184,29 @@ def suite_weighted():
     rng = random.Random(57721566)
     for m, n, s in _ar_corpus(3, 5):
         draws = [[Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4)] for _ in range(3)]
-        yield f"weighted m={m} n={n} s={s}", _failed(
-            ("weighted closed form vs oracle", formulas.weighted_rectangle_matching_genfun(m, n, s, *draw)
-             == matching_genfun(weighted_ar_graph(m, n, s, *draw))) for draw in draws)
+        yield f"weighted m={m} n={n} s={s}", _failed([_pair(
+            "weighted closed form vs oracle", lambda: formulas.weighted_rectangle_matching_genfun(m, n, s, *draw),
+            lambda: matching_genfun(weighted_ar_graph(m, n, s, *draw))) for draw in draws])
     rng = random.Random(14142135)
     for m in range(1, 7):
         for n in range(m, 13):
             s = tuple(sorted(rng.sample(range(1, n + 1), m)))
             weights = tuple(Fraction(rng.randint(1, 20), rng.randint(1, 20)) for _ in range(4))
-            yield f"weighted dp m={m} n={n} s={s}", _failed([(
-                "weighted closed form vs graph DP", graph_genfun_dp(weighted_ar_graph(m, n, s, *weights))
-                == formulas.weighted_rectangle_matching_genfun(m, n, s, *weights))])
+            yield f"weighted dp m={m} n={n} s={s}", _failed([_pair(
+                "weighted closed form vs graph DP", lambda: graph_genfun_dp(weighted_ar_graph(m, n, s, *weights)),
+                lambda: formulas.weighted_rectangle_matching_genfun(m, n, s, *weights))])
 
 
 def suite_lozenge():
     """Counts, bijection round trips, weight preservation, and the q-product."""
     for m, n, s in _ar_corpus(4, 8):
         region = semihexagon_with_dents(m, n - m, s)
-        tilings = list(lozenge.enumerate_lozenge_tilings(region))
-        checks = [("search count vs q-ratio product",
-                   len(tilings) == falling_ratio(s) == q_ratio_product(s).evaluate(1, 1))]
+        tilings = cache(lambda: list(lozenge.enumerate_lozenge_tilings(region)))
+        checks = [_pair("search count vs q-ratio product", lambda: len(tilings()), ratio)
+                  for ratio in (lambda: falling_ratio(s), lambda: q_ratio_product(s).evaluate(1, 1))]
         holes = [h for h in range(1, n + 1) if h not in set(s)]
         seen_pis = set()
-        for tiling in tilings:
+        for tiling in tilings():
             pi = lozenge.tiling_to_cspp(tiling)
             seen_pis.add(pi.rows)
             left_weight = sum(level + 1 for kind, level in (lozenge.classify_lozenge(p, m) for p in tiling.dominoes)
@@ -212,14 +220,14 @@ def suite_lozenge():
                     lefts == m - (holes[j] - (j + 1)) and rights == holes[j] - (j + 1)
                     for j, (lefts, rights, _) in enumerate(decomp))),
             ]
-        all_pis = list(lozenge.enumerate_cspp(lozenge.cspp_shape(m, s), m))
-        product = formulas.cspp_genfun_product(s, m)
+        all_pis = cache(lambda: list(lozenge.enumerate_cspp(lozenge.cspp_shape(m, s), m)))
+        product = cache(lambda: formulas.cspp_genfun_product(s, m))
         checks += [
-            ("cspp enumeration vs search count", len(all_pis) == len(tilings)),
-            ("cspp bijection onto", {pi.rows for pi in all_pis} == seen_pis),
-            ("cspp enumeration vs cspp product",
-             sum((pi.q_weight() for pi in all_pis), LaurentPoly2.zero()) == product),
-            ("semihexagon DP vs cspp product", lozenge.semihex_q_genfun(region) == product),
+            _pair("cspp enumeration vs search count", lambda: len(all_pis()), lambda: len(tilings())),
+            ("cspp bijection onto", {pi.rows for pi in all_pis()} == seen_pis),
+            _pair("cspp enumeration vs cspp product",
+                  lambda: sum((pi.q_weight() for pi in all_pis()), LaurentPoly2.zero()), product),
+            _pair("semihexagon DP vs cspp product", lambda: lozenge.semihex_q_genfun(region), product),
         ]
         yield f"lozenge m={m} n={n} s={s}", _failed(checks)
 
@@ -227,11 +235,11 @@ def suite_lozenge():
 def suite_relation():
     """Domino count == 2^(m(m+1)/2) * lozenge count, both sides brute forced."""
     for m, n, s in _ar_corpus(4, 7):
-        lhs = count_tilings(aztec_rectangle_with_holes(m, n, s))
+        lhs = cache(lambda: count_tilings(aztec_rectangle_with_holes(m, n, s)))
         rhs = count_tilings(semihexagon_with_dents(m, n - m, s))
         yield f"relation m={m} n={n} s={s}", _failed([
-            ("domino vs lozenge search count", lhs == 2 ** (m * (m + 1) // 2) * rhs),
-            ("search count vs count_product", lhs == formulas.count_product(m, s))])
+            ("domino vs lozenge search count", lhs() == 2 ** (m * (m + 1) // 2) * rhs),
+            _pair("search count vs count_product", lhs, lambda: formulas.count_product(m, s))])
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +368,16 @@ def suite_pipeline():
 def _chain(m, n, s, a, b, c, d, matchings, names):
     """The chain's equalities, each matching sum M computed by ``matchings``; ``names`` names the last three,
     which compare M with the weighted semihexagon's sum M~ and with the closed form."""
-    res = rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d)
-    target = formulas.peel_target_factor(m, a, b, c, d)
-    start = matchings(weighted_ar_graph(m, n, s, a, b, c, d))
-    final = matchings(res.graph)
-    m_tilde = lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
-                                         lambda k: LaurentPoly2.term(a, q=k + 1), b)
-    closed = formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)
-    return [("pipeline factor vs target", res.factor == target),
-            ("pipeline start vs factor times endpoint", start == res.factor * final),
-            *zip(names, (final == m_tilde, start == target * m_tilde, start == closed))]
+    res = cache(lambda: rewrite.reduce_rectangle_to_semihexagon(m, n, s, a, b, c, d))
+    target = cache(lambda: formulas.peel_target_factor(m, a, b, c, d))
+    start = cache(lambda: matchings(weighted_ar_graph(m, n, s, a, b, c, d)))
+    final = cache(lambda: matchings(res().graph))
+    m_tilde = cache(lambda: lozenge.weighted_sh_genfun(semihexagon_with_dents(m, n - m, s),
+                                                       lambda k: LaurentPoly2.term(a, q=k + 1), b))
+    return [_pair("pipeline factor vs target", lambda: res().factor, target),
+            ("pipeline start vs factor times endpoint", start() == res().factor * final()),
+            *map(_pair, names, (final, start, start), (m_tilde, lambda: target() * m_tilde(),
+                 lambda: formulas.weighted_rectangle_matching_genfun(m, n, s, a, b, c, d)))]
 
 
 SUITES = {"main": suite_main, "diamond": suite_diamond, "weighted": suite_weighted, "lozenge": suite_lozenge,

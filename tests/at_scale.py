@@ -4,12 +4,15 @@ Each row of ``ROWS`` runs two sides, CLI arguments or ``-c <python source>``, ea
 that no cache carries over, and compares their stdout line by line, its last check taking the rest; a byte pin,
 ``sha256 <digest>``, takes the place of the other side.  A side that does not exit 0 within a minute fails its row.
 A row prints ``PASS  <label>`` or ``FAIL  <label>  (<names>)``, as ``aztecgf verify`` does, its label starting with
-its check names, each in ``aztecgf.verify.CHECKS`` or in ``PINS``.  Wall times go to stderr; any FAIL exits 1."""
+its check names, each in ``aztecgf.verify.CHECKS`` or in ``PINS``.  Wall times, and each side's peak RSS, go to
+stderr; any FAIL exits 1."""
 
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from itertools import zip_longest
 from pathlib import Path
@@ -62,19 +65,26 @@ ROWS = (
 LABELS = tuple(f"{', '.join(names)}: {what}" for names, what, _, _ in ROWS)
 
 
-def run(side):
-    """The stdout of ``side`` in a fresh process, or None unless it exits 0 within a minute."""
+def run(side, peaks):
+    """The stdout of ``side`` in a fresh process, or None unless it exits 0 within a minute; its peak RSS in MB goes
+    to ``peaks``.  ``os.wait4`` reads the peak of this one child, where ``RUSAGE_CHILDREN`` keeps the largest yet."""
     argv = ["-c", side[3:]] if side.startswith("-c ") else ["-m", "aztecgf.cli", *side.split()]
-    try:
-        done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=ENV, capture_output=True, timeout=60)
-    except subprocess.TimeoutExpired:
-        return None
-    return done.stdout if done.returncode == 0 else None
+    with tempfile.TemporaryFile() as out:  # a file, not a pipe, so that a large stdout never blocks the child
+        child = subprocess.Popen([sys.executable, *argv], cwd=ROOT, env=ENV, stdout=out, stderr=subprocess.DEVNULL)
+        timer = threading.Timer(60, child.kill)
+        timer.start()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)  # so that a late timer kills no other process
+        timer.cancel()
+        peaks.append(usage.ru_maxrss / 1024)
+        out.seek(0)
+        return out.read() if child.returncode == 0 else None
 
 
-def failed(names, side, other):
+def failed(names, side, other, peaks):
     """The names of the row's checks that do not hold."""
-    got, want = run(side), other.removeprefix("sha256 ").encode() if other.startswith("sha256 ") else run(other)
+    got = run(side, peaks)
+    want = other.removeprefix("sha256 ").encode() if other.startswith("sha256 ") else run(other, peaks)
     if other.startswith("sha256 ") and got is not None:
         got = hashlib.sha256(got).hexdigest().encode()
     if got is None or want is None:
@@ -86,9 +96,11 @@ def failed(names, side, other):
 def main():
     status = 0
     for (names, _, side, other), label in zip(ROWS, LABELS):
-        start, fails = time.perf_counter(), failed(names, side, other)
+        start, peaks = time.perf_counter(), []
+        fails = failed(names, side, other, peaks)
         print(f"FAIL  {label}  ({', '.join(fails)})" if fails else f"PASS  {label}", flush=True)
-        print(f"{time.perf_counter() - start:6.2f} s  {label}", file=sys.stderr, flush=True)
+        rss = ", ".join(f"{peak:.0f}" for peak in peaks)
+        print(f"{time.perf_counter() - start:6.2f} s  {rss:>9} MB  {label}", file=sys.stderr, flush=True)
         status |= bool(fails)
     return status
 

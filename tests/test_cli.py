@@ -255,6 +255,17 @@ def test_invalid_flags_exit_2(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_render_refuses_a_region_over_the_cell_limit_before_it_counts_its_tilings(capsys, monkeypatch):
+    from aztecgf import stats
+
+    def no_count(key):
+        raise AssertionError("the tiling count was taken")
+
+    monkeypatch.setattr(stats, "tiling_count", no_count)  # with many rows, falling_ratio takes seconds
+    code, out, err = cli_exit(capsys, "render", "--region", "aztec", "--order", "45", "--tiling", "0")
+    assert (code, out) == (2, "") and "over the brute-force limit of 4096 cells" in err
+
+
 def test_render_out_to_a_path_it_cannot_write_exits_2(tmp_path, capsys):
     # a missing directory or a directory in place of a file: one error line naming the path, no traceback
     for path, reason in ((tmp_path / "missing" / "x.svg", "No such file or directory"), (tmp_path, "Is a directory")):

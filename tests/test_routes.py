@@ -1,20 +1,17 @@
 """Route independence: the two sides of every cross-check share no route code.
 
-Each name that the ``verify`` suites check an equality under, as declared in
-``verify.CHECKS``, is either a pairing of routes in ``PAIRS`` or a
-self-check in ``SELF_CHECKS``, with its reason.  Each pair is run here side
-by side under ``sys.setprofile``, on AR(3, 5; 1, 3, 4) and SH(3, 2; 1, 3, 5).
-Each side collects the functions of ``engine``, ``formulas``, ``lozenge``,
-``rewrite`` and ``stats`` that it calls; ``regions``, ``poly`` and ``errors``
-(the region builders, the exact arithmetic and the error types, which every
-route stands on) are left out.  The functions both sides call must be
-exactly that pair's allowlist, each entry with the reason it does not let
-one route check the other.  A merge that routes one side through the other
-adds a shared function and fails here.
+Each name in ``verify.CHECKS`` is a pairing of routes in ``PAIRS`` or a self-check in ``SELF_CHECKS``, with its
+reason.  ``verify`` checks a pair as ``_pair(name, left, right)``, each side a zero-argument callable; here
+``_pair`` also runs both sides under ``sys.setprofile`` while ``WALKS`` walks each suite to its named cases,
+AR(3, 5; 1, 3, 4), SH(3, 2; 1, 3, 5) or the nearest.  A side collects the functions of ``MODULES`` it calls:
+``regions``, ``poly`` and ``errors``, the builders, arithmetic and error types every route stands on, are left out.
+The functions both sides of a name's pairs call must be its allowlist, each entry with why it does not let one route
+check the other, so a merge of one side into the other fails here.  ``TIER1_PAIRS`` holds the pairs no ``verify``
+check makes, each with the tier-1 test that compares them.
 """
 
+import ast
 import importlib.util
-import random
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -23,14 +20,12 @@ from pathlib import Path
 import pytest
 
 from aztecgf import engine, formulas, lozenge, rewrite, stats, verify
-from aztecgf.poly import LaurentPoly2, falling_ratio, q_ratio_product
-from aztecgf.regions import (aztec_diamond, aztec_rectangle_with_holes, dual_graph, semihexagon_with_dents,
-                             weighted_ar_graph)
+from aztecgf.poly import LaurentPoly2
+from aztecgf.regions import aztec_rectangle_with_holes, dual_graph, semihexagon_with_dents, weighted_ar_graph
 
-AR = (3, 5, (1, 3, 4))  # m, n and the kept positions
-SH = (3, 2, (1, 3, 5))  # a, b and the dents
-DRAW = (Fraction(2, 3), Fraction(5, 4), Fraction(3, 7), Fraction(1, 2))  # face weights a, b, c, d
 MODULES = (engine, formulas, lozenge, rewrite, stats)
+LABELS = [line.removeprefix("PASS  ") for line in
+          Path(__file__).with_name("data").joinpath("verify_all.txt").read_text().splitlines()]
 
 
 def _names():
@@ -52,129 +47,87 @@ def _names():
 NAMES = _names()
 
 
-def ar():
-    return aztec_rectangle_with_holes(*AR)
-
-
-def sh():
-    return semihexagon_with_dents(*SH)
-
-
-@pytest.fixture(scope="module")
-def inputs():
-    """Inputs that a side takes ready-made, built outside the profile."""
-    return {"tiling": next(islice(engine.enumerate_tilings(ar()), 100, None)),
-            "final": rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).graph}
-
-
-def calls(side, inputs):
-    """The named functions that ``side(inputs)`` calls, run with cold caches."""
-    for module in MODULES:
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+def calls(side):
+    """The named functions that ``side()`` calls, run with cold caches: the modules', and those of ``side`` and of
+    the values it closes over, which hold what several checks of a case compute once."""
+    closure = [cell.cell_contents for cell in getattr(side, "__closure__", None) or ()]
+    for obj in (side, *closure, *(value for module in MODULES for value in vars(module).values())):
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
     seen = set()
 
-    def profile(frame, event, arg):
+    def hook(frame, event, arg):
         if event == "call" and frame.f_code in NAMES:
             seen.add(NAMES[frame.f_code])
 
-    sys.setprofile(profile)
+    sys.setprofile(hook)
     try:
-        side(inputs)
+        side()
     finally:
         sys.setprofile(None)
     return seen
 
 
-def cspp_sum(inputs):
-    m, _, s = SH
-    total = LaurentPoly2.zero()
-    for pi in lozenge.enumerate_cspp(lozenge.cspp_shape(m, s), m):
-        total = total + pi.q_weight()
-    return total
+def profile(cases, *labels):
+    """Name -> the functions that both sides of its pairs call in the cases ``labels`` of ``cases()``.  Each pair is
+    profiled while its case runs: a side that a loop builds reads the loop's values, which move on once it yields."""
+    shared, before, on = {}, {LABELS[LABELS.index(label) - 1] for label in labels}, False
+    check = verify._pair
+
+    def pair(name, left, right):
+        if on:
+            shared.setdefault(name, set()).update(calls(left) & calls(right))
+        return check(name, left, right)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(verify, "_pair", pair)
+        for label, _ in cases():
+            if label == labels[-1]:
+                return shared
+            on = label in before
 
 
-def sh_left_weight(level):
-    return LaurentPoly2.term(DRAW[0], q=level + 1)
+# the verify cases whose pairs are profiled, after the function that yields them
+WALKS = (
+    (verify.main_formula_cases, "main F(q,t) m=3 n=5 s=(1, 3, 4)"),
+    (verify.suite_rank, "rank m=2 n=3 s=(1, 3)"),  # with cold caches each tiling's rank takes a whole BFS
+    (verify.diamond_genfun_cases, "diamond genfun order 3"),
+    (verify.diamond_count_cases, "diamond count order 3"),
+    (verify.kernel_cases, "kernel ('aztec_rectangle', 3, 5, (1, 3, 4))"),
+    (verify.suite_weighted, "weighted m=3 n=5 s=(1, 3, 4)", "weighted dp m=3 n=5 s=(1, 2, 3)"),
+    (verify.suite_lozenge, "lozenge m=3 n=5 s=(1, 3, 5)"),
+    (verify.suite_relation, "relation m=3 n=5 s=(1, 3, 4)"),
+    (verify.suite_pipeline, "rewrite pipeline m=2 n=3 s=(1, 3)", "rewrite pipeline dp m=3 n=5 s=(2, 4, 5)"),
+)
 
+# name -> {function both sides call: why that is harmless}
+PAIRS = dict.fromkeys((
+    "brute F vs closed F", "weighted-DP F vs closed F", "brute F vs weighted-DP F", "weighted-DP F vs diamond product",
+    "search count vs count_product", "DP count vs diamond count", "search count vs q-ratio product",
+    "semihexagon DP vs cspp product", "cspp enumeration vs cspp product", "cspp enumeration vs search count",
+    "weighted closed form vs oracle", "weighted closed form vs graph DP", "pipeline factor vs target",
+    "pipeline endpoint vs weighted semihexagon", "pipeline start vs target times weighted semihexagon"), {}) | {
+    "closed F at q = t = 1 vs count_product": {
+        "formulas.count_product": "the closed F reads it only for its slot width; too small a count garbles F"},
+    "oracle vs region DP, AR": {"stats.domino_weight": "the weight both sides are asked to sum, not a route"},
+    "rank BFS vs rank via paths": {
+        "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts from the "
+                                             "minimal path family, the path rank from the tiling's own paths"},
+}
 
-def kernel_sums():
-    """The sums ``verify.kernel_cases`` asks of both kernels: the plain count, the domino
-    weights and seeded random weights, on a diamond and on AR."""
-    rng = random.Random(424243)
-    for region in (aztec_diamond(2), ar()):
-        rand_w = {d: LaurentPoly2.term(Fraction(rng.randint(1, 9)), q=rng.randint(0, 2), t=rng.randint(0, 1))
-                  for d in region.all_dominoes}
-        yield from ((region, w) for w in (None, stats.domino_weight, rand_w.__getitem__))
-
-
-def target_times_sh(inputs):
-    return formulas.peel_target_factor(AR[0], *DRAW) * lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1])
-
-
-# name -> (one side, the other side, {function both call: why that is harmless})
-PAIRS = {
-    "brute F vs closed F": (
-        lambda x: stats.genfun_bruteforce(*AR), lambda x: formulas.rectangle_genfun(*AR), {}),
-    "weighted-DP F vs closed F": (
-        lambda x: stats.genfun_via_weights(*AR), lambda x: formulas.rectangle_genfun(*AR), {}),
-    "brute F vs weighted-DP F": (
-        lambda x: stats.genfun_bruteforce(*AR), lambda x: stats.genfun_via_weights(*AR), {}),
-    "weighted-DP F vs diamond product": (
-        lambda x: stats.genfun_via_weights(3, 3, (1, 2, 3)), lambda x: formulas.aztec_diamond_genfun(3), {}),
-    "closed F at q = t = 1 vs count_product": (
-        lambda x: formulas.rectangle_genfun(*AR).evaluate(1, 1), lambda x: formulas.count_product(AR[0], AR[2]), {
-            "formulas.count_product": "the closed F reads it only for its slot width; too small a count garbles F",
-        }),
-    "search count vs DP count, AR": (
-        lambda x: engine.count_tilings(ar()), lambda x: engine.tiling_genfun_dp(ar()), {}),
-    "search count vs DP count, SH": (
-        lambda x: engine.count_tilings(sh()), lambda x: engine.tiling_genfun_dp(sh()), {}),
-    "search count vs count_product": (
-        lambda x: engine.count_tilings(ar()), lambda x: formulas.count_product(AR[0], AR[2]), {}),
-    "DP count vs diamond count": (
-        lambda x: engine.tiling_genfun_dp(aztec_diamond(3)), lambda x: 2 ** (3 * 4 // 2), {}),
-    "search count vs q-ratio product": (
-        lambda x: len(list(lozenge.enumerate_lozenge_tilings(sh()))),
-        lambda x: (falling_ratio(SH[2]), q_ratio_product(SH[2]).evaluate(1, 1)), {}),
-    "semihexagon DP vs cspp product": (
-        lambda x: lozenge.semihex_q_genfun(sh()), lambda x: formulas.cspp_genfun_product(SH[2], SH[0]), {}),
-    "cspp enumeration vs cspp product": (
-        cspp_sum, lambda x: formulas.cspp_genfun_product(SH[2], SH[0]), {}),
-    "cspp enumeration vs search count": (
-        lambda x: len(list(lozenge.enumerate_cspp(lozenge.cspp_shape(SH[0], SH[2]), SH[0]))),
-        lambda x: len(list(lozenge.enumerate_lozenge_tilings(sh()))), {}),
-    "oracle vs region DP, AR": (
-        lambda x: [engine.matching_genfun(dual_graph(region, w)) for region, w in kernel_sums()],
-        lambda x: [engine.tiling_genfun_dp(region, w) for region, w in kernel_sums()], {
-            "stats.domino_weight": "the weight both sides are asked to sum, not a route",
-        }),
-    "oracle vs region DP, SH": (
-        lambda x: engine.matching_genfun(dual_graph(sh())), lambda x: engine.tiling_genfun_dp(sh()), {}),
-    "oracle vs graph DP": (
-        lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)),
-        lambda x: engine.graph_genfun_dp(weighted_ar_graph(*AR, *DRAW)), {}),
-    "weighted closed form vs oracle": (
-        lambda x: formulas.weighted_rectangle_matching_genfun(*AR, *DRAW),
-        lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), {}),
-    "weighted closed form vs graph DP": (
-        lambda x: formulas.weighted_rectangle_matching_genfun(*AR, *DRAW),
-        lambda x: engine.graph_genfun_dp(weighted_ar_graph(*AR, *DRAW)), {}),
-    "rank BFS vs rank via paths": (
-        lambda x: stats.rank_bfs(x["tiling"]), lambda x: stats.rank_via_paths(x["tiling"]), {
-            "stats.SchroderPathFamily._checked": "each family is validated where it is built: the BFS starts "
-                                                 "from the minimal path family, the path rank from the tiling's "
-                                                 "own paths",
-        }),
-    "pipeline factor vs target": (
-        lambda x: rewrite.reduce_rectangle_to_semihexagon(*AR, *DRAW).factor,
-        lambda x: formulas.peel_target_factor(AR[0], *DRAW), {}),
-    "pipeline endpoint vs weighted semihexagon": (
-        lambda x: engine.matching_genfun(x["final"]),
-        lambda x: lozenge.weighted_sh_genfun(sh(), sh_left_weight, DRAW[1]), {}),
-    "pipeline start vs target times weighted semihexagon": (
-        lambda x: engine.matching_genfun(weighted_ar_graph(*AR, *DRAW)), target_times_sh, {}),
+AR, SH = aztec_rectangle_with_holes(3, 5, (1, 3, 4)), semihexagon_with_dents(3, 2, (1, 3, 5))
+GRAPH = weighted_ar_graph(3, 5, (1, 3, 4), Fraction(2, 3), Fraction(5, 4), Fraction(3, 7), Fraction(1, 2))
+# name -> (the tier-1 test that compares its two routes, one side, the other side): pairs that no verify check makes,
+# each with no function shared
+TIER1_PAIRS = {
+    "search count vs DP count, AR": ("test_engine.py::test_backtracker_equals_dp_on_random_ragged_regions",
+                                     lambda: engine.count_tilings(AR), lambda: engine.tiling_genfun_dp(AR)),
+    "search count vs DP count, SH": ("test_lozenge.py::test_semihexagon_count_equals_ratio_product_on_random_dents",
+                                     lambda: engine.count_tilings(SH), lambda: engine.tiling_genfun_dp(SH)),
+    "oracle vs region DP, SH": ("test_engine.py::test_dp_equals_oracle_with_weights",
+                                lambda: engine.matching_genfun(dual_graph(SH)), lambda: engine.tiling_genfun_dp(SH)),
+    "oracle vs graph DP": ("test_engine.py::test_graph_dp_equals_oracle_on_random_graphs",
+                           lambda: engine.matching_genfun(GRAPH), lambda: engine.graph_genfun_dp(GRAPH)),
 }
 
 REWRITE = "one oracle before and after a rewrite, since the rewrite is what it tests"
@@ -193,34 +146,64 @@ SELF_CHECKS = {
     "lozenge path identities": "the path decomposition of a tiling against the region's own dents and sizes",
     "domino vs lozenge search count": "the search counts both lattices that the relation joins; each side meets a "
                                       "product as a pair",
-    "vertex split identity": REWRITE,
-    "star scaling identity": REWRITE,
-    "renewal identity": REWRITE,
-    "row reduction identity": REWRITE,
+    **dict.fromkeys(("vertex split identity", "star scaling identity", "renewal identity", "row reduction identity"),
+                    REWRITE),
     "pipeline start vs factor times endpoint": REWRITE + ": the whole peeling chain",
     "pipeline endpoint vs weighted semihexagon, both by the DP": BY_THE_DP,
     "pipeline start vs target times weighted semihexagon, both by the DP": BY_THE_DP,
 }
 
 
-@pytest.mark.parametrize("name", PAIRS)
-def test_routes_share_only_allowlisted_functions(name, inputs):
-    left, right, allowed = PAIRS[name]
-    assert calls(left, inputs) & calls(right, inputs) == set(allowed)
+@pytest.fixture(scope="module")
+def shared():
+    """Name -> the functions that both sides of its pairs call, in every case of ``WALKS`` and ``TIER1_PAIRS``."""
+    shared = {name: calls(left) & calls(right) for name, (_, left, right) in TIER1_PAIRS.items()}
+    for walk in WALKS:
+        for name, functions in profile(*walk).items():
+            shared.setdefault(name, set()).update(functions)
+    return shared
 
 
-def test_a_merged_route_is_caught(monkeypatch, inputs):
-    # a search count computed by the DP it is checked against
-    assert {"engine.count_tilings", "engine._matchings"} <= calls(PAIRS["search count vs DP count, AR"][0], inputs)
-    monkeypatch.setattr(engine, "count_tilings", engine.tiling_genfun_dp)
-    left, right, _ = PAIRS["search count vs DP count, AR"]
-    assert {"engine.tiling_genfun_dp", "engine._genfun_dp"} <= calls(left, inputs) & calls(right, inputs)
+@pytest.mark.parametrize("name", [*PAIRS, *TIER1_PAIRS])
+def test_routes_share_only_allowlisted_functions(name, shared):
+    assert shared[name] == set(PAIRS.get(name, {}))
+
+
+def test_a_merged_route_is_caught(monkeypatch):
+    # the closed F computed by the weighted DP it is checked against
+    monkeypatch.setattr(formulas, "rectangle_genfun", stats.genfun_via_weights)
+    shared = profile(verify.main_formula_cases, "main F(q,t) m=1 n=2 s=(2,)")
+    assert {"stats.genfun_via_weights", "engine._genfun_dp"} <= shared["weighted-DP F vs closed F"]
+
+
+def test_a_merge_on_the_lozenge_search_or_a_kernel_side_is_caught(monkeypatch):
+    # the q-ratio product counted by the lozenge search that verify's own search side runs, not count_tilings
+    monkeypatch.setattr(verify, "falling_ratio", lambda s: len(list(lozenge.enumerate_lozenge_tilings(SH))))
+    shared = profile(verify.suite_lozenge, "lozenge m=1 n=2 s=(2,)")
+    assert "lozenge.enumerate_lozenge_tilings" in shared["search count vs q-ratio product"]
+    # the DP side of the plain count, then of the random weights, summed by the oracle: each side is profiled, not
+    # only the domino weights'
+    dp = engine.tiling_genfun_dp
+    for merged in (lambda w: w is None, lambda w: w not in (None, stats.domino_weight)):
+        monkeypatch.setattr(verify, "tiling_genfun_dp", lambda region, w=None: (
+            engine.matching_genfun(dual_graph(region, w)) if merged(w) else dp(region, w)))
+        shared = profile(verify.kernel_cases, "kernel ('aztec_diamond', 2)")
+        assert "engine.matching_genfun" in shared["oracle vs region DP, AR"]
+
+
+def test_the_graph_dp_pipeline_self_checks_share_the_dp(shared):
+    # measured, so the reason BY_THE_DP stays true: a split of the two DPs would make these pairs
+    for name in (name for name, why in SELF_CHECKS.items() if why == BY_THE_DP):
+        assert {"engine._genfun_dp", "engine._sweep"} <= shared[name]
 
 
 def test_every_verify_check_is_a_pair_or_a_self_check():
     assert len(set(verify.CHECKS)) == len(verify.CHECKS)
-    assert set(verify.CHECKS) <= set(PAIRS) | set(SELF_CHECKS)
-    assert not set(PAIRS) & set(SELF_CHECKS)
+    assert set(verify.CHECKS) == set(PAIRS) | set(SELF_CHECKS)
+    assert not set(PAIRS) & set(SELF_CHECKS) and not set(TIER1_PAIRS) & set(verify.CHECKS)
+    for path, name in (test.split("::") for test, _, _ in TIER1_PAIRS.values()):  # each names a tier-1 test
+        tree = ast.parse(Path(__file__).with_name(path).read_text())
+        assert name in {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_the_at_scale_rows_are_the_golden_lines_and_declare_their_names():
@@ -234,14 +217,6 @@ def test_the_at_scale_rows_are_the_golden_lines_and_declare_their_names():
     paired = {name for names, _, _, other in at_scale.ROWS if not other.startswith("sha256 ") for name in names}
     assert pinned == set(at_scale.PINS) and all(at_scale.PINS.values())
     assert paired <= set(verify.CHECKS) and not pinned & set(verify.CHECKS)
-
-
-def test_the_graph_dp_pipeline_self_checks_share_the_dp(inputs):
-    # measured, so the reason BY_THE_DP stays true: a split of the two DPs would make these pairs
-    endpoint = calls(lambda x: engine.graph_genfun_dp(x["final"]), inputs)
-    start = calls(lambda x: engine.graph_genfun_dp(weighted_ar_graph(*AR, *DRAW)), inputs)
-    semihexagon = calls(target_times_sh, inputs)
-    assert {"engine._genfun_dp", "engine._sweep"} <= endpoint & semihexagon & start
 
 
 def test_a_wrong_closed_f_fails_exactly_its_three_pairs(monkeypatch):
