@@ -3,24 +3,15 @@
 Every tiling is a perfect matching of the region's dual graph, so every
 exhaustive route here -- counting and enumerating tilings, listing the
 matchings of a weighted graph, summing their weights -- runs the one bitmask
-search in :func:`_matchings`: branch on the lowest free vertex, try partners in
-ascending index order, so repeated runs produce identical streams.  Each call
-first fills an outcome table that walks a run of forced moves once per free set
-it starts from and keeps only the partners after which a perfect matching
-remains, so the search never enters a dead end.  The table stores whether a
-perfect matching exists, the labels of one path and, for a count, a mark on
-each last branch (one whose partners all end at a leaf), no count or value of a
-subtree, so every perfect matching is still reached in the same order and the
-search does not become a second DP.  Each route picks the labels the search
-sums with ``+`` from their zero: a tiling mask, a tuple of vertex pairs, an
-integer key, or, for a count, nothing, where a marked branch adds its leaves at
-once.  The bijections never call it: they read paths with :meth:`Tiling.walk`
-and replay them with :meth:`Tiling.from_paths`.  The weighted sum,
-:func:`matching_genfun`, still visits every perfect matching and folds integer
-keys only, counted per key; its values are never packed, so the search shares
-no arithmetic with the DP.  The DP is the fast path; it must agree with the
-search exactly, and the test suite holds it to bit-identical polynomial
-equality.
+search in :func:`_matchings`, whose docstring states what its outcome table
+may hold.  Each route picks the labels the search sums with ``+``: a tiling
+mask, a tuple of vertex pairs, an integer key, or, for a count, none.  The
+bijections never call it: they read paths with :meth:`Tiling.walk` and replay
+them with :meth:`Tiling.from_paths`.  The weighted sum, :func:`matching_genfun`,
+folds integer keys only, counted per key, and never packs a value, so the
+search shares no arithmetic with the DP.  The DP is the fast path; it must
+agree with the search exactly, and the test suite holds it to bit-identical
+polynomial equality.
 
 The DP has one core, :func:`_genfun_dp`, which sweeps vertices in the order
 given.  :func:`tiling_genfun_dp` sweeps cells in
@@ -198,15 +189,18 @@ def _matchings(adj, unit):
     one free partner takes it: a forced run, whose end depends on its
     starting free set alone.  Before the first yield, a stack fills ``runs``
     children first, mapping each run's free set to None when no perfect
-    matching follows, else to (free set at its branch, the partners a
-    matching follows, the branch vertex, the run's label sum), with no
-    partners at a leaf.  A branch with one such partner is spliced into its
-    run, so the search never enters a dead end; the first item waits for the
-    fill.  Sums start from ``unit``, the labels' zero (0 or ()); on tiling
-    masks ``+`` is ``|``.  With ``unit`` None the number of perfect matchings
-    is yielded once, at the end, and a last branch, whose partners' runs all
-    end at a leaf, is stored with vertex ``~i`` and adds a leaf per partner
-    at once.  No count or sum over a subtree is stored.
+    matching follows, else to its entry: one flat tuple of the run's label
+    sum, then a child entry and the branch edge's label for each partner a
+    matching follows, ascending; a leaf has no partners.  A branch with one
+    such partner is spliced into its run, so the search never enters a dead
+    end.  The walk follows the links on a stack of (entry, index, sum) and
+    hashes no free set.  Sums start from ``unit``, the labels' zero (0 or
+    ()); on tiling masks ``+`` is ``|``.  With ``unit`` None the number of
+    perfect matchings is yielded once, at the end: an entry is then the
+    tuple of its children, a leaf is 1 and a last branch, whose children
+    are all leaves, is its leaf count.  No count or sum over a deeper
+    subtree is stored, so every perfect matching is still reached once, in
+    the same order, and the search does not become a second DP.
     """
     fold = unit is not None
     if len(adj) % 2:
@@ -222,18 +216,20 @@ def _matchings(adj, unit):
         start = todo.pop()
         if start.__class__ is tuple:  # a branch whose partners' runs are all filled
             start, free, opts, i, total = start
-            live = deep = 0
+            links = []
             while opts:
                 b = opts & -opts
                 opts ^= b
-                if run := runs[free ^ b]:
-                    live |= b
-                    deep |= run[1]
-            if live & (live - 1) or not live:  # a count marks a last branch, whose live partners all end at leaves
-                runs[start] = (free, live, i if fold or deep else ~i, total) if live else None
-            else:  # one live partner: splice its run into this one
-                free, opts, j, sub = runs[free ^ live]
-                runs[start] = (free, opts, j, total + label[i][live] + sub if fold else None)
+                if (child := runs[free ^ b]) is not None:
+                    links += (child, label[i][b]) if fold else (child,)
+            if not links:
+                runs[start] = None
+            elif not fold:  # a lone child is spliced in, and a last branch is its leaf count
+                runs[start] = len(links) if links.count(1) == len(links) else tuple(links) if links[1:] else links[0]
+            elif len(links) == 2:  # one live partner: splice its run into this one
+                runs[start] = (total + links[1] + links[0][0], *links[0][1:])
+            else:
+                runs[start] = (total, *links)
         elif start not in runs:
             free, total = start, unit
             while free:
@@ -254,28 +250,28 @@ def _matchings(adj, unit):
                     if free ^ b not in runs:
                         todo.append(free ^ b)
             else:
-                runs[start] = None if free else (0, 0, 0, total)
-    leaves = 0
-    stack = [runs[full]] if runs[full] else []
-    while stack:
-        free, opts, i, acc = stack.pop()
-        while opts:  # take the lowest partner, stack the others
-            b = opts & -opts
-            if opts != b:
-                stack.append((free, opts ^ b, i, acc))
-            free, opts, j, total = runs[free ^ b]
-            if fold:
-                acc += label[i][b] + total
-            elif j < 0:  # a last branch: one leaf per partner
-                leaves += opts.bit_count() - 1
-                break
-            i = j
-        if fold:
-            yield acc
-        else:
-            leaves += 1
+                runs[start] = None if free else (total,) if fold else 1
+    root = runs[full]
     if not fold:
+        leaves, stack = 0, [root] if root else []
+        while stack:  # in any order: a count only adds
+            entry = stack.pop()
+            if entry.__class__ is int:
+                leaves += entry
+            else:
+                stack += entry
         yield leaves
+        return
+    stack = [(root, 1, root[0])] if root else []
+    while stack:
+        links, k, acc = stack.pop()
+        while k < len(links):  # take the lowest partner, stack the others
+            if k + 2 < len(links):
+                stack.append((links, k + 2, acc))
+            child = links[k]
+            acc += links[k + 1] + child[0]
+            links, k = child, 1
+        yield acc
 
 
 def enumerate_tilings(region: Region):
@@ -326,11 +322,11 @@ def matching_genfun(graph: WeightedGraph):
     the fields are sized from n / 2 so that no sum carries into the next
     field.  :func:`_matchings` sums the labels, so it still visits every
     perfect matching, and the leaves are counted per key.  Each distinct key
-    adds its count times the product of its contents, shifted by its summed
-    shifts, and the total is divided by (L * D)^(n / 2) once at the end; the
-    result is a ``LaurentPoly2`` unless it is a true quotient.
-    Values are never packed: this oracle shares no arithmetic with the DP it
-    checks.
+    adds its count times the product of its contents' powers, each power
+    built once per call, shifted by its summed shifts, and the total is
+    divided by (L * D)^(n / 2) once at the end; the result is a
+    ``LaurentPoly2`` unless it is a true quotient.  Values are never packed:
+    this oracle shares no arithmetic with the DP it checks.
     """
     rows = [[(j, (w.num, w.den) if isinstance(w, FracWeight) else w) for j, w in row]
             for row in graph.adjacency_indexed()]
@@ -353,25 +349,27 @@ def matching_genfun(graph: WeightedGraph):
     labels = {w: (a - q0) | (b - t0) << qbits | 1 << (qbits + tbits + i * cbits)
               for w, (a, b, i) in shifts.items()}
     adj = [[(j, labels[w]) for j, w in row] for row in rows]
-    total = {}
+    powers = [[{(0, 0): 1}, {(eq, et): c for eq, et, c in content}] for content in contents]
+    total, base = {}, scale ** half
     for key, count in Counter(_matchings(adj, 0)).items():
         acc = {(half * q0 + (key & (1 << qbits) - 1), half * t0 + (key >> qbits & (1 << tbits) - 1)): count}
         key >>= qbits + tbits
-        for content in contents:
-            for _ in range(key & (1 << cbits) - 1):
-                acc = _times(acc, content)
+        for power in powers:  # power[k] is its content to the k-th, built once from the (k - 1)-th
+            while len(power) <= (k := key & (1 << cbits) - 1):
+                power.append(_times(power[-1], power[1]))
+            acc = _times(acc, power[k]) if k else acc
             key >>= cbits
         for e, c in acc.items():
             total[e] = total.get(e, 0) + c
-    result = LaurentPoly2({e: Fraction(c, scale ** half) for e, c in total.items()})
+    result = LaurentPoly2({e: Fraction(c, base) for e, c in total.items()})
     return result if common == _ONE else FracWeight(result, common ** half)
 
 
-def _times(acc, label):
-    """The term dict ``acc`` times the integer terms ``label``, as a new dict."""
+def _times(acc, other):
+    """The product of two term dicts, (e_q, e_t) -> int, as a new dict."""
     out = {}
     for (aq, at), ac in acc.items():
-        for bq, bt, bc in label:
+        for (bq, bt), bc in other.items():
             e = (aq + bq, at + bt)
             if e in out:
                 out[e] += ac * bc

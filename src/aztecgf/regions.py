@@ -42,7 +42,7 @@ positions ``s_1 < ... < s_a``.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 from .errors import (InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
@@ -491,15 +491,14 @@ def weighted_ar_graph(m: int, n: int, s, a, b, c, d) -> WeightedGraph:
 
 
 def _face_weight(a, b, c, d):
-    """Domino -> a, b, c*q^row or d*q^row by its :func:`domino_class`."""
-    by_class = {"up": (a, False), "plain": (b, False), "level": (c, True), "down": (d, True)}
+    """Domino -> a, b, c*q^row or d*q^row by its :func:`domino_class`, one shared weight per class."""
+    by_kind = {"up": a, "plain": b, "level": c, "down": d}
 
-    def weight(dom):
-        kind, row = domino_class(dom)
-        w, rises = by_class[kind]
-        return w.shift(dq=row) if rises else w
+    @cache
+    def by_class(kind, row):
+        return by_kind[kind].shift(dq=row) if kind in ("level", "down") else by_kind[kind]
 
-    return weight
+    return lambda dom: by_class(*domino_class(dom))
 
 
 def domino_class(dom) -> tuple:

@@ -27,6 +27,8 @@ PINS = {"closed F text sha256": "to_text on both sides of a comparison cannot se
 AR15 = ((4, "7,11,13,15"), (5, "10,12,13,14,15"))  # 2^18 and 163,840 tilings: brute force's limit is 2^18
 EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 24, 32)}  # n -> "2,4,...,n"
 RATIO = "-c from aztecgf.poly import falling_ratio; print(*{} * [falling_ratio(({},))], sep='\\n')"  # times, s
+WEIGHTED = "-c from fractions import Fraction as F; from aztecgf import engine, formulas, regions; print({}.to_text())"
+ABCD = "4, 15, (7, 11, 13, 15), F(2, 3), F(5, 4), F(3, 7), F(1, 2)"  # m, n, s, a, b, c, d
 ROUND_TRIP = f"""-c from aztecgf.lozenge import cspp_shape, cspp_to_tiling, enumerate_cspp, tiling_to_cspp
 from aztecgf.regions import semihexagon_with_dents
 s = ({EVENS[12]},)
@@ -43,6 +45,9 @@ ROWS = (
      "count --region semihex --a 6 --b 6 --dents 1,2,5,8,11,12", RATIO.format(1, "1,2,5,8,11,12")),
     *((("brute F vs closed F",), f"AR({m}, 15; {s}), genfun brute vs closed",
        *(f"genfun --m {m} --n 15 --holes {s} --method {method}" for method in ("brute", "closed"))) for m, s in AR15),
+    (("weighted closed form vs oracle",), "AR(4, 15; 7,11,13,15) at (a, b, c, d) = (2/3, 5/4, 3/7, 1/2)",
+     WEIGHTED.format(f"engine.matching_genfun(regions.weighted_ar_graph({ABCD}))"),
+     WEIGHTED.format(f"formulas.weighted_rectangle_matching_genfun({ABCD})")),
     (("weighted-DP F vs closed F",), "AR(8, 16; 2,4,...,16), genfun dp vs closed",
      *(f"genfun --m 8 --n 16 --holes {EVENS[16]} --method {method}" for method in ("dp", "closed"))),
     *((("weighted-DP F vs diamond product",), f"order-{n} diamond, genfun dp vs aztec_diamond_genfun",
