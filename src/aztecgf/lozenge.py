@@ -32,6 +32,9 @@ Two path systems read a tiling, each a plain-dict step table (``TOP_STEPS``,
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+from operator import lt
+
 from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
@@ -148,8 +151,11 @@ def cspp_shape(m: int, s) -> tuple:
 def enumerate_cspp(shape, max_entry: int):
     """All column-strict plane partitions of the given shape, exactly once.
 
-    Rows are generated top-down, entries left-to-right and descending, which
-    fixes the stream order.  This enumerator is independent of the lozenge
+    Rows are generated top-down: row i is each ``combinations_with_replacement``
+    of the entries below the first entry of the row above, largest first, kept
+    when it lies strictly below that row column by column.  The stream is thus in
+    descending order, and the recursion is over rows only, so its depth is the
+    number of rows, not of entries.  This enumerator is independent of the lozenge
     bijection and serves as its oracle.  A shape that is no sequence of ints
     (bools refused), empty, negative or not weakly decreasing is no
     ``cspp_shape(m, s)``, and so is a ``max_entry`` that is not an int >= 1:
@@ -164,27 +170,16 @@ def enumerate_cspp(shape, max_entry: int):
     check_positions(len(shape), NO_BOUND, dents, InvalidDents)
     check_size("max_entry", max_entry, InvalidDents)
 
-    def gen_row(length, above):
-        def rec(j, prev):
-            if j == length:
-                yield ()
-                return
-            hi = min(prev, above[j] - 1 if above is not None else max_entry)
-            for v in range(hi, 0, -1):
-                for rest in rec(j + 1, v):
-                    yield (v,) + rest
-
-        yield from rec(0, max_entry)
-
     def rows_from(i, above):
         if i == len(shape):
             yield ()
             return
-        for row in gen_row(shape[i], above):
-            for rest in rows_from(i + 1, row):
-                yield (row,) + rest
+        for row in combinations_with_replacement(range(above[0] - 1 if above else max_entry, 0, -1), shape[i]):
+            if all(map(lt, row, above)):
+                for rest in rows_from(i + 1, row):
+                    yield (row,) + rest
 
-    return (ColumnStrictPlanePartition(shape, rows, max_entry) for rows in rows_from(0, None))
+    return (ColumnStrictPlanePartition(shape, rows, max_entry) for rows in rows_from(0, ()))
 
 
 def tiling_to_cspp(tiling: Tiling) -> ColumnStrictPlanePartition:

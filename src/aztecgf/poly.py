@@ -14,7 +14,8 @@ The hot paths -- the weighted frontier DP, the diamond product and the
 q-ratio product -- run on :class:`PackedPoly`: non-negative integer polynomials,
 one big int per power of ``t`` with the ``q``-coefficients in whole-byte slots
 (Kronecker substitution, ``q = 2**bits``).  Each result leaves through one
-:meth:`PackedPoly.decode`, which reads all its slots in one C call, into a
+:meth:`PackedPoly.decode`, which reads all its slots in one ``struct.unpack`` of
+little-endian 8-byte lanes, the same on every platform, into a
 ``LaurentPoly2`` in print order whose equal coefficients share one ``Fraction``.
 
 A :class:`FracWeight` is a true quotient of two ``LaurentPoly2`` values: the
@@ -31,9 +32,9 @@ across threads.
 
 from __future__ import annotations
 
-import sys
+import struct
 from fractions import Fraction
-from itertools import compress, product, repeat
+from itertools import combinations, compress, product, repeat
 from math import prod
 from operator import lshift, or_
 
@@ -399,15 +400,15 @@ class PackedPoly:
         """This polynomial divided by ``den``, as a LaurentPoly2 with its terms
         inserted in (e_q, e_t) order and one Fraction per distinct coefficient.
         One strided copy per slot byte lays every row's n slots out (e_q, e_t) ascending,
-        each in its own native 8-byte lanes, and one ``memoryview.cast`` reads them all."""
+        slot byte j at byte j % 8 of little-endian lane j // 8, and one ``struct.unpack`` reads them all."""
         w, rows = bits // 8, sorted(self.rows.items())
         n, lanes = -(-max((x.bit_length() for _, x in rows), default=0) // bits), -(-w // 8)
-        stride, flip = 8 * lanes * len(rows), 7 if sys.byteorder == "big" else 0
+        stride = 8 * lanes * len(rows)
         buf = bytearray(stride * n)
         for r, raw in enumerate(x.to_bytes(n * w, "little") for _, x in rows):
-            for j in range(w):  # slot byte j is byte j % 8 of lane j // 8, counted from the high end if big-endian
-                buf[8 * lanes * r + (j ^ flip)::stride] = raw[j::w]
-        words = memoryview(buf).cast("Q").tolist()
+            for j in range(w):
+                buf[8 * lanes * r + j::stride] = raw[j::w]
+        words = struct.unpack(f"<{len(buf) // 8}Q", buf)
         slots = words[::lanes]
         for k in range(1, lanes):
             slots = list(map(or_, slots, map(lshift, words[k::lanes], repeat(64 * k))))
@@ -481,8 +482,7 @@ def q_ratio_packed(s, alpha: int, bits: int) -> tuple:
     evaluated at q = 2**bits, where the polynomial quotient is the exact
     integer quotient.
     """
-    m = len(s)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = list(combinations(range(len(s)), 2))
     low = alpha * sum(s[i] - (i + 1) for i, _ in pairs)
     num = prod((1 << bits * alpha * (s[j] - s[i])) - 1 for i, j in pairs)
     den = prod((1 << bits * alpha * (j - i)) - 1 for i, j in pairs)
@@ -499,7 +499,4 @@ def falling_ratio(s) -> Fraction:
     q = 1 and as the closed-form tiling count of dented semihexagons.
     """
     s = tuple(s)
-    m = len(s)
-    num = prod(s[j] - s[i] for i in range(m) for j in range(i + 1, m))
-    den = prod(j - i for i in range(m) for j in range(i + 1, m))
-    return Fraction(num, den if den else 1)
+    return Fraction(prod(b - a for a, b in combinations(s, 2)), prod(j - i for i, j in combinations(range(len(s)), 2)))

@@ -34,8 +34,10 @@ def _fmt(v) -> str:
 
 
 def render_svg(region: Region, tiling: Tiling | None = None, paths: bool = False) -> bytes:
+    # read before the lattice dispatch: a lozenge tiling has no Schröder paths, and tiling_to_paths says so
+    family = tiling_to_paths(tiling) if paths and tiling is not None else None
     if region.lattice == "square":
-        body, width, height = _square_svg(region, tiling, paths)
+        body, width, height = _square_svg(region, tiling, family)
     else:
         body, width, height = _triangle_svg(region, tiling)
     head = (
@@ -54,7 +56,7 @@ def _box(region):
     return min(xs), max(xs) + 1, min(ys), max(ys) + 1
 
 
-def _square_svg(region, tiling, paths):
+def _square_svg(region, tiling, family):
     x0, x1, y0, y1 = _box(region)
 
     def px(x):
@@ -80,8 +82,7 @@ def _square_svg(region, tiling, paths):
                 f'<rect x="{_fmt(px(c1.x))}" y="{_fmt(py(c2.y + 1))}" width="{_fmt(w)}" height="{_fmt(h)}" '
                 f'fill="{color}" stroke="#303030" stroke-width="2" rx="3"/>\n'
             )
-    if paths and tiling is not None:
-        family = tiling_to_paths(tiling)
+    if family is not None:
         for i, path in enumerate(family.paths, start=1):
             x, y = 1 - i, i - 1
             pts = [(px(x), py(y) - UNIT / 2)]

@@ -252,15 +252,11 @@ def _random_weight(rng):
 
 def _random_graph(rng, nverts):
     """Random weighted graph with a guaranteed perfect matching skeleton."""
-    verts = list(range(nverts))
-    edges = {}
-    for k in range(0, nverts, 2):
-        edges[(k, k + 1)] = _random_weight(rng)
-    for u in range(nverts):
-        for v in range(u + 1, nverts):
-            if (u, v) not in edges and rng.random() < 0.35:
-                edges[(u, v)] = _random_weight(rng)
-    return WeightedGraph(verts, edges)
+    edges = {(k, k + 1): _random_weight(rng) for k in range(0, nverts, 2)}
+    for u, v in combinations(range(nverts), 2):
+        if (u, v) not in edges and rng.random() < 0.35:
+            edges[(u, v)] = _random_weight(rng)
+    return WeightedGraph(range(nverts), edges)
 
 
 def suite_rewrite():
@@ -326,23 +322,18 @@ def row_reduction_sides(m: int, n: int, a, b, c, d):
 def _random_spider_host(rng):
     """A random graph with a renewal site glued onto four of its vertices, and the site's 4-cycle.
 
-    Edges between cyclically consecutive plugs are dropped so the replacement
-    never collides with an existing edge.
+    The site, weight-1 legs from four plugs to a random 4-cycle, is glued on by
+    :func:`~aztecgf.rewrite.connected_sum` after the host drops its edges between
+    cyclically consecutive plugs, so the replacement never collides with an existing edge.
     """
     base = _random_graph(rng, rng.randrange(6, 11, 2))
     outer = rng.sample(base.vertices, 4)
     inner = [("inner", k) for k in range(4)]
-    verts = list(base.vertices) + inner
-    edges = base.edge_dict()
-    for k in range(4):
-        u, v = outer[k], outer[(k + 1) % 4]
-        edges.pop((u, v), None)
-        edges.pop((v, u), None)
-    for o, i in zip(outer, inner):
-        edges[(o, i)] = LaurentPoly2.one()
-    for k in range(4):
-        edges[(inner[k], inner[(k + 1) % 4])] = _random_weight(rng)
-    return WeightedGraph(verts, edges), tuple(inner)
+    ring = [{outer[k - 1], outer[k]} for k in range(4)]
+    host = WeightedGraph(base.vertices, [(e, w) for e, w in base.edge_items() if set(e) not in ring])
+    site = WeightedGraph(outer + inner, {**dict.fromkeys(zip(outer, inner), LaurentPoly2.one()),
+                                         **{(inner[k], inner[(k + 1) % 4]): _random_weight(rng) for k in range(4)}})
+    return rewrite.connected_sum(host, site, zip(outer, outer)), tuple(inner)
 
 
 def suite_pipeline():

@@ -34,6 +34,7 @@ from aztecgf.regions import semihexagon_with_dents
 s = ({EVENS[12]},)
 region, partitions = semihexagon_with_dents(6, 6, s), list(enumerate_cspp(cspp_shape(6, s), 6))
 print(sum(tiling_to_cspp(cspp_to_tiling(pi, region)) == pi for pi in partitions), len(partitions), sep="\\n")"""
+WIDE = (2, 3, 4, 10, 11, 12)  # shape (6, 6, 6, 1, 1, 1): 14,112 partitions, three rows wider than the rest
 # (check names, what the row runs, a side, the other side or a byte pin)
 ROWS = (
     (("DP count vs diamond count",), "order-16 diamond, count --method dp vs 2^136",
@@ -66,6 +67,11 @@ ROWS = (
     (("cspp bijection round trip", "cspp enumeration vs cspp product"),
      "SH(6, 6; 2,4,...,12), its 2^15 partitions back from their tilings, and their number vs falling_ratio",
      ROUND_TRIP, RATIO.format(2, EVENS[12])),
+    (("cspp enumeration vs cspp product",),
+     "SH(6, 6; 2,3,4,10,11,12), every partition's q-weight summed vs cspp_genfun_product",
+     "-c from aztecgf.lozenge import cspp_shape, enumerate_cspp; from aztecgf.poly import LaurentPoly2; "
+     f"print(sum((pi.q_weight() for pi in enumerate_cspp(cspp_shape(6, {WIDE}), 6)), LaurentPoly2.zero()).to_text())",
+     f"-c from aztecgf.formulas import cspp_genfun_product; print(cspp_genfun_product({WIDE}, 6).to_text())"),
 )
 LABELS = tuple(f"{', '.join(names)}: {what}" for names, what, _, _ in ROWS)
 

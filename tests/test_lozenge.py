@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aztecgf import engine
@@ -77,6 +77,46 @@ def test_cspp_sum_matches_product():
         for pi in enumerate_cspp(cspp_shape(m, s), m):
             total = total + pi.q_weight()
         assert total == cspp_genfun_product(s, m)
+
+
+def per_cell_stream(shape, max_entry):
+    """The plain oracle: fill cell by cell in reading order, each entry from its largest allowed value down."""
+    cells = [(i, j) for i, length in enumerate(shape) for j in range(length)]
+
+    def rec(k, rows):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        i, j = cells[k]
+        hi = min(max_entry, rows[i][j - 1] if j else max_entry, rows[i - 1][j] - 1 if i else max_entry)
+        for v in range(hi, 0, -1):
+            rows[i].append(v)
+            yield from rec(k + 1, rows)
+            rows[i].pop()
+
+    return list(rec(0, [[] for _ in shape]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=4).map(lambda parts: sorted(parts, reverse=True)),
+       st.integers(1, 5))
+@example([1, 1, 1], 2)  # a column of 3 cells with entries at most 2: the stream is empty
+@example([0, 0], 3)  # no cells: one empty partition
+@example([4, 1], 4)  # a short row under a long one
+def test_enumerate_cspp_streams_the_per_cell_recursion(shape, max_entry):
+    # each row from combinations_with_replacement, kept when it sits below the one above, in the same order
+    assert [pi.rows for pi in enumerate_cspp(shape, max_entry)] == per_cell_stream(shape, max_entry)
+
+
+def test_enumerate_cspp_recursion_depth_is_the_number_of_rows():
+    # SH(2, 1200; 1, 1202) has shape (1200, 0): a row of 1,200 entries is no deeper than a row of one
+    assert len(list(enumerate_cspp(cspp_shape(2, (1, 1202)), 2))) == 1201
+
+
+def test_a_1200_entry_partition_round_trips_through_its_tiling():
+    region = semihexagon_with_dents(1, 1200, (1201,))
+    (pi,) = enumerate_cspp(cspp_shape(1, (1201,)), 1)
+    assert tiling_to_cspp(cspp_to_tiling(pi, region)) == pi
 
 
 def test_dent_complete_region_has_empty_partition():
