@@ -32,9 +32,9 @@ wider than ``MAX_FRONTIER`` bits is refused before any state is swept.
 Weighted sweeps keep each state's polynomial Kronecker-packed
 (:class:`~aztecgf.poly.PackedPoly`): a monomial weight only updates the
 value's pending shift, and two states that merge cost one shift and one
-integer add per power of t.  The integer sweep relabels states instead of
-rebuilding the dict at most cells, through a ``flip`` mask that every
-stored key is XORed with (:func:`_sweep`).
+integer add per power of t.  Both sweeps update a layer in place instead of
+rebuilding the dict at all but a few cells, through a ``flip`` mask that
+every stored key is XORed with (:func:`_sweep`).
 """
 
 from __future__ import annotations
@@ -496,46 +496,55 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
     edge index) for vertex k's earlier neighbours.  Returns the value of the
     empty final profile, or None when no matching reaches it.
 
-    Each state is stored at its mask XOR ``flip``.  Where vertex k frees one
-    slot r and takes it back (most cells of a diamond, a holey rectangle or
-    a semihexagon), and its edge to r's vertex weighs the int 1, every state
-    either clears r (k meets r's vertex) or sets r (k waits) with its value
-    unchanged: toggling r in ``flip`` does both without touching the dict.
-    Only a state without r that also meets another earlier neighbour p
-    moves, by one in-place add.  Every other vertex, and every packed sweep,
-    first stores each state at its mask (``flip`` = 0) and rebuilds the
-    dict.  So the keys of a layer taken mid-sweep are relative to ``flip``:
-    a generator of layers must XOR them with ``flip`` before it yields one.
+    Each state is stored at its mask XOR ``flip``.  Vertex k takes slot r =
+    ``bit[k]`` and frees ``last_mask[k]``, whose vertices must meet it.  Where
+    r is set, k frees at most one slot o besides r, and each freed slot's edge
+    weighs the unit (the int 1, or ``((0, 1, 0),)`` packed), k updates the
+    layer in place.  Toggling r in ``flip`` moves each state without r to its
+    mask with r, k's wait at weight 1, and each state with r (a freed r) to its
+    mask without r, k's match with r's vertex at the unit; no state holds a
+    fresh r.  The states with o are then popped: one without r moves on to its
+    mask without o, one with r is dead.  A state with neither that holds the
+    slot p of another neighbour also meets p's vertex: its value times that
+    edge's weight is added in place at its mask without p.  No target of a
+    move is the source of another, so each list of sources is taken once.
+    Every other vertex first stores each state at its mask (``flip`` = 0) and
+    rebuilds the dict.  So the keys of a layer taken mid-sweep are relative to
+    ``flip``: a generator of layers must XOR them with ``flip`` first.
     """
+    unit = 1 if type(one) is int else ((0, 1, 0),)
     states, flip = {0: one}, 0
     for k, nbrs in enumerate(nbr_earlier):
         if not states:
             break
         nbrs = [(pb, weights[i]) for pb, i in nbrs]
-        r = last_mask[k]
-        if r and r == bit[k] and (r, 1) in nbrs:
+        r, lm = bit[k], last_mask[k]
+        if r and not (o := lm & ~r) & (o - 1) and (r & ~lm or (r, unit) in nbrs) and (not o or (o, unit) in nbrs):
             get = states.get
             for pb, w in nbrs:
-                if pb != r:  # a mask with pb and without r, stored at u, moves to u ^ pb ^ r
-                    both = r | pb
-                    want = (flip & both) ^ pb
-                    sources = [u for u in states if u & both == want]  # no target lacks r, so none is a source
+                if not pb & lm:  # a mask with pb and without r or o, stored at u, moves to u ^ pb ^ r
+                    need, move = lm | r | pb, r | pb
+                    want = (flip & need) ^ pb
+                    sources = [u for u in states if u & need == want]  # no target lacks r, so none is a source
                     if w == 1:  # one loop multiplying by w made an order-16 count 12-21% slower
                         for u in sources:
-                            t = u ^ both
+                            t = u ^ move
                             states[t] = get(t, 0) + states[u]
                     else:
                         for u in sources:
-                            t = u ^ both
-                            states[t] = get(t, 0) + states[u] * w
+                            cur, val = get(t := u ^ move), states[u] * w
+                            states[t] = val if cur is None else cur + val
+            for u in [u for u in states if u & o != flip & o] if o else ():  # o's vertex must meet k
+                val = states.pop(u)
+                if u & r == flip & r:  # without r it moves to u ^ o ^ r; with r it is dead
+                    cur = get(t := u ^ o ^ r)
+                    states[t] = val if cur is None else cur + val
             flip ^= r
             continue
         if flip:
             states, flip = {u ^ flip: val for u, val in states.items()}, 0
         nxt = {}
         get = nxt.get
-        lm = last_mask[k]
-        bit_k = bit[k]
         for s, val in states.items():
             req = s & lm
             if req:
@@ -551,8 +560,8 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
                     if s & pb:
                         cur = get(key := s ^ pb)
                         nxt[key] = val * w if cur is None else cur + val * w
-                if bit_k:
-                    cur = get(key := s | bit_k)
+                if r:
+                    cur = get(key := s | r)
                     nxt[key] = val if cur is None else cur + val
         states = nxt
     return states.get(0)  # the last vertex takes no slot, so it stored every state at its mask

@@ -33,7 +33,7 @@ Two path systems read a tiling, each a plain-dict step table (``TOP_STEPS``,
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from operator import lt
+from operator import ge, lt
 
 from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
@@ -153,9 +153,11 @@ def enumerate_cspp(shape, max_entry: int):
 
     Rows are generated top-down: row i is each ``combinations_with_replacement``
     of the entries below the first entry of the row above, largest first, kept
-    when it lies strictly below that row column by column.  The stream is thus in
-    descending order, and the recursion is over rows only, so its depth is the
-    number of rows, not of entries.  This enumerator is independent of the lozenge
+    when it lies strictly below that row column by column and no entry is under
+    its lower bound, the number of rows from its own down that reach its column.
+    Every row kept thus extends to a partition, so the walk enters no dead branch.
+    The stream is in descending order, and the recursion is over rows only, so its
+    depth is the number of rows, not of entries.  This enumerator is independent of the lozenge
     bijection and serves as its oracle.  A shape that is no sequence of ints
     (bools refused), empty, negative or not weakly decreasing is no
     ``cspp_shape(m, s)``, and so is a ``max_entry`` that is not an int >= 1:
@@ -170,12 +172,16 @@ def enumerate_cspp(shape, max_entry: int):
     check_positions(len(shape), NO_BOUND, dents, InvalidDents)
     check_size("max_entry", max_entry, InvalidDents)
 
+    columns = [sum(n > j for n in shape) for j in range(shape[0])]  # column j's length
+    low = [tuple(c - i for c in columns[:n]) for i, n in enumerate(shape)]  # entry (i, j) >= rows i.. in column j
+
     def rows_from(i, above):
         if i == len(shape):
             yield ()
             return
-        for row in combinations_with_replacement(range(above[0] - 1 if above else max_entry, 0, -1), shape[i]):
-            if all(map(lt, row, above)):
+        least = low[i][-1] if low[i] else 1
+        for row in combinations_with_replacement(range(above[0] - 1 if above else max_entry, least - 1, -1), shape[i]):
+            if all(map(lt, row, above)) and all(map(ge, row, low[i])):
                 for rest in rows_from(i + 1, row):
                     yield (row,) + rest
 

@@ -64,6 +64,10 @@ ROWS = (
     (("closed F text sha256",), "AR(16, 32; 2,4,...,32), genfun closed, 33-byte slots in five 8-byte lanes",
      f"genfun --m 16 --n 32 --holes {EVENS[32]} --method closed",
      "sha256 b78c65e81ed69f9f3eec898913d6e2fd24b1338d193881972caf18e0e8dcef39"),
+    (("semihexagon DP vs cspp product",), "SH(16, 16; 2,4,...,32), semihex_q_genfun vs cspp_genfun_product",
+     "-c from aztecgf.lozenge import semihex_q_genfun; from aztecgf.regions import semihexagon_with_dents; "
+     f"print(semihex_q_genfun(semihexagon_with_dents(16, 16, ({EVENS[32]},))).to_text())",
+     f"-c from aztecgf.formulas import cspp_genfun_product; print(cspp_genfun_product(({EVENS[32]},), 16).to_text())"),
     (("cspp bijection round trip", "cspp enumeration vs cspp product"),
      "SH(6, 6; 2,4,...,12), its 2^15 partitions back from their tilings, and their number vs falling_ratio",
      ROUND_TRIP, RATIO.format(2, EVENS[12])),

@@ -636,8 +636,8 @@ def vertex_kinds(order, edges):
 
 
 def test_relabelled_sweep_equals_the_search_in_any_order():
-    # the integer sweep relabels a vertex that frees one slot and takes it
-    # back; shuffled and reversed orders mix such vertices with every other kind
+    # the integer sweep updates a layer in place where a vertex frees one slot and
+    # takes it back; shuffled and reversed orders mix such vertices with every other kind
     rng = random.Random(2718)
     kinds, relabelled = Counter(), 0
     cases = []
@@ -666,6 +666,55 @@ def test_relabelled_sweep_equals_the_search_in_any_order():
         relabelled += count > 0 and case_kinds["frees one slot and takes it back"] > 0
     assert len(kinds) == 6 and min(kinds.values()) >= 100, kinds
     assert relabelled >= 300
+
+
+Q, T = LaurentPoly2.term(1, q=1), LaurentPoly2.term(1, t=1)
+# graphs swept in vertex order 0, 1, ...: their edges, the step kinds they hold as (slots freed, slot taken,
+# earlier neighbours) of a vertex, slot bits as _frontier_slots gives them, and the edges to the freed slots
+STEP_KIND_GRAPHS = (
+    # vertices 0, 1 and 2 take a fresh slot with 0, 1 and 2 earlier neighbours
+    (((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4), (3, 5), (4, 5)), {(0, 1, 0), (0, 2, 1), (0, 4, 2)}, ()),
+    # vertex 3 frees the slots of 0 and 1, takes 0's back and meets 2, which waits on; 4 takes 1's slot afresh
+    (((0, 1), (0, 3), (1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (4, 5), (4, 6), (4, 7), (5, 7), (6, 7)),
+     {(3, 1, 3), (0, 2, 0)}, ((0, 3), (1, 3))),
+    # vertex 4 frees 2's slot, takes the lower slot 3 freed, and meets 0, which waits on
+    (((0, 4), (0, 5), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)), {(4, 2, 2)},
+     ((2, 4),)),
+)
+
+
+def step_kinds(order, edges):
+    pos = {v: k for k, v in enumerate(order)}
+    earlier = Counter(max(pos[a], pos[b]) for a, b in edges)
+    bit, last_mask, _ = _frontier_slots(last_neighbours(order, edges))
+    return {(freed, taken, earlier[k]) for k, (freed, taken) in enumerate(zip(last_mask, bit))}
+
+
+def test_each_in_place_step_kind_equals_the_oracle():
+    # every weight at 1, a weight 2 on one edge to a freed slot (the rebuild's case), and polynomial weights
+    # (the packed sweep, whose unit edges still update in place) on each graph that holds the kind
+    for edges, kinds, freed in STEP_KIND_GRAPHS:
+        n = 1 + max(map(max, edges))
+        assert kinds <= step_kinds(range(n), edges)
+        for weights in ({}, *({e: 2} for e in freed), {edges[-1]: Q, edges[-2]: 1 + Q, edges[-3]: T}):
+            graph = WeightedGraph(range(n), {e: weights.get(e, 1) for e in edges})
+            assert graph_genfun_dp(graph) == matching_genfun(graph) != 0, (edges, weights)
+
+
+@st.composite
+def weighted_small_graphs(draw):
+    # a small graph whose vertices are swept in a random order, with int weights 1-3 or polynomial ones
+    labels, edges = draw(small_graphs())
+    pool = (1, 2, 3) if draw(st.booleans()) else (1, Q, 1 + Q, T)
+    weights = {(labels[u], labels[v]): draw(st.sampled_from(pool)) for u, v in edges}
+    return WeightedGraph(draw(st.permutations(labels)), weights)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_small_graphs())
+def test_graph_dp_equals_the_oracle_on_small_weighted_graphs(graph):
+    # the sweep takes every step kind, in place or by the rebuild, on the int and the packed values
+    assert graph_genfun_dp(graph) == matching_genfun(graph)
 
 
 def test_frontier_slots_match_the_width_count():

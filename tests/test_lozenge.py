@@ -113,6 +113,13 @@ def test_enumerate_cspp_recursion_depth_is_the_number_of_rows():
     assert len(list(enumerate_cspp(cspp_shape(2, (1, 1202)), 2))) == 1201
 
 
+def test_enumerate_cspp_walks_no_dead_branch_down_a_tall_column():
+    # SH(40, 1; 2, ..., 41) has shape (1,) * 40 and one partition: each entry's lower bound, the rows below it,
+    # leaves one value per row, where an unbounded walk doubles its dead branches with each row
+    (pi,) = enumerate_cspp(cspp_shape(40, range(2, 42)), 40)
+    assert pi.rows == tuple((e,) for e in range(40, 0, -1))
+
+
 def test_a_1200_entry_partition_round_trips_through_its_tiling():
     region = semihexagon_with_dents(1, 1200, (1201,))
     (pi,) = enumerate_cspp(cspp_shape(1, (1201,)), 1)
