@@ -38,7 +38,7 @@ from operator import ge, lt
 from .engine import Tiling, enumerate_tilings, tiling_genfun_dp
 from .errors import BijectionViolation, InvalidDents, WrongRegionKind
 from .poly import LaurentPoly2
-from .regions import NO_BOUND, Record, Region, check_positions, check_rows, check_size, dw, up
+from .regions import NO_BOUND, Record, Region, check_positions, check_rows, check_size, dw, edge_weight, up
 
 LEFT = "left"
 RIGHT = "right"
@@ -73,13 +73,17 @@ def weighted_sh_genfun(region: Region, left_weight, right_weight):
 
     A left lozenge at level k weighs ``left_weight(k)``, a right one the
     constant ``right_weight`` and a vertical one 1.  The sum is by the DP,
-    :func:`tiling_genfun_dp`.
+    :func:`tiling_genfun_dp`.  Each (kind, level) is read once per call, checked by
+    :func:`~aztecgf.regions.edge_weight` naming its first lozenge in pool order.
     """
-    a = region.semihex_params[0]
+    a, shared = region.semihex_params[0], {}
 
     def weight(pair):
-        kind, level = classify_lozenge(pair, a)
-        return left_weight(level) if kind == LEFT else right_weight if kind == RIGHT else 1
+        kind, level = key = classify_lozenge(pair, a)
+        if (w := shared.get(key)) is None:
+            w = left_weight(level) if kind == LEFT else right_weight if kind == RIGHT else 1
+            w = shared[key] = edge_weight(pair, w)
+        return w
 
     return tiling_genfun_dp(region, weight)
 

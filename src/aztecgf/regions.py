@@ -69,6 +69,11 @@ def dw(x: int, y: int) -> Cell:
     return tuple.__new__(Cell, (x, y, TRI_DOWN))
 
 
+# kind -> (dx, dy, kind) of each side-sharing neighbour that sorts after a cell (x, y), in ascending order
+LATER_STEPS = {SQUARE: ((0, 1, SQUARE), (1, 0, SQUARE)), TRI_DOWN: ((0, 0, TRI_UP), (1, 0, TRI_UP)),
+               TRI_UP: ((0, 1, TRI_DOWN),)}
+
+
 class Record:
     """A frozen record, as a frozen dataclass would be, built from one value per
     name in ``FIELDS``: :meth:`_checked`, where a subclass's invariants live, checks
@@ -145,18 +150,23 @@ class Region(Record):
 
     @cached_property
     def all_dominoes(self) -> tuple:
-        """Every side-adjacent cell pair inside the region, canonically ordered.
+        """Every side-adjacent cell pair (c, d) inside the region, c < d, ascending.
 
         This is the domino pool: a tiling is a subset of it, and the fast
-        enumeration kernels address dominoes by their index here.
+        enumeration kernels address dominoes by their index here, so this order
+        fixes every tiling mask.  It is read off in :attr:`sorted_cells` order,
+        each cell paired with its later neighbours in ``LATER_STEPS`` order; a
+        cell of another kind than those three raises WrongRegionKind naming it.
         """
-        cells = self.cells
-        out = []
+        cells, out = self.cells, []
         for c in self.sorted_cells:
-            for d in cell_neighbors(c):
-                if d in cells and c < d:
+            x, y, kind = c
+            if (steps := LATER_STEPS.get(kind)) is None:
+                raise WrongRegionKind(f"cell {c} is of kind {kind!r}, not {SQUARE!r}, {TRI_UP!r} or {TRI_DOWN!r}")
+            for dx, dy, later in steps:
+                if (d := tuple.__new__(Cell, (x + dx, y + dy, later))) in cells:
                     out.append((c, d))
-        return tuple(sorted(out))
+        return tuple(out)
 
     @cached_property
     def domino_index(self) -> dict:
@@ -164,16 +174,14 @@ class Region(Record):
 
     @cached_property
     def adjacency(self) -> list:
-        """For each cell index, the ascending list of (neighbor index, domino
-        bit ``1 << domino index``): the dual graph as the oracle searches it."""
+        """For each cell index, its (neighbor index, domino bit ``1 << domino index``) pairs, ascending as
+        filled in pool order: the dual graph as the oracle searches it."""
         cindex = {c: i for i, c in enumerate(self.sorted_cells)}
         adj = [[] for _ in self.sorted_cells]
         for di, (c1, c2) in enumerate(self.all_dominoes):
             i, j = cindex[c1], cindex[c2]
             adj[i].append((j, 1 << di))
             adj[j].append((i, 1 << di))
-        for row in adj:
-            row.sort()
         return adj
 
     def to_json_obj(self) -> dict:
@@ -202,15 +210,6 @@ def region_from_json(obj) -> Region:
         return builders[kind](*params)
     except TypeError as exc:  # wrong number or type of parameters
         raise InvalidRegionFile(f"bad parameters {obj['params']!r} for region kind {kind!r}: {exc}") from None
-
-
-def cell_neighbors(c: Cell):
-    """All potential side-sharing neighbors of a cell (lattice geometry only)."""
-    if c.kind == SQUARE:
-        return (sq(c.x - 1, c.y), sq(c.x + 1, c.y), sq(c.x, c.y - 1), sq(c.x, c.y + 1))
-    if c.kind == TRI_UP:
-        return (dw(c.x - 1, c.y), dw(c.x, c.y), dw(c.x, c.y + 1))
-    return (up(c.x, c.y), up(c.x + 1, c.y), up(c.x, c.y - 1))
 
 
 def sweep_key(c: Cell):
@@ -318,14 +317,9 @@ def semihexagon_with_dents(a: int, b: int, s) -> Region:
     """
     size, s = region_size(("semihexagon", a, b, s))
     _check_cells(size, InvalidDents)
-    cells = set()
-    for y in range(1, a + 1):
-        for x in range(1, b + y + 1):
-            cells.add(up(x, y))
-        for x in range(1, b + y):
-            cells.add(dw(x, y))
-    for x in s:
-        cells.remove(up(x, a))
+    cells = {up(x, y) for y in range(1, a + 1) for x in range(1, b + y + 1)}
+    cells.difference_update(up(x, a) for x in s)
+    cells.update(dw(x, y) for y in range(1, a + 1) for x in range(1, b + y))
     return Region("triangular", ("semihexagon", a, b, s), frozenset(cells))
 
 
@@ -508,11 +502,12 @@ def domino_class(dom) -> tuple:
     bottom cell).  On AR_{m,n} these are the southwest, northeast, northwest
     and southeast sides of one face (i, j), and row = i + j - 2.
     """
-    c1, c2 = sorted(dom)  # the left or the bottom cell first
-    black = not is_white(c1)
-    if c1.y == c2.y:
-        return ("level", c1.y) if black else ("plain", c1.y - 1)
-    return ("up" if black else "down"), c1.y
+    c1, c2 = dom
+    (x, y, _), (_, y2, _) = (c1, c2) if c1 < c2 else (c2, c1)  # the left or the bottom cell first
+    black = not (x + y) % 2  # is_white's rule
+    if y == y2:
+        return ("level", y) if black else ("plain", y - 1)
+    return ("up" if black else "down"), y
 
 
 def checkerboard_coloring(region: Region) -> dict:

@@ -324,8 +324,8 @@ def test_region_builders_refuse_oversized_regions_from_their_parameters(monkeypa
     def no_build(*args):
         raise AssertionError("built a region it refuses")
 
-    monkeypatch.setattr(regions, "ar_face_cells", no_build)
-    monkeypatch.setattr(regions, "up", no_build)
+    for helper in ("sq", "up", "dw", "ar_face_cells"):  # every cell of every region is built by one of these
+        monkeypatch.setattr(regions, helper, no_build)
     for argv, cells in ((["count", "--region", "semihex", "--a", "1", "--b", "131073", "--dents", "1"], 262146),
                         (["count", "--region", "rect", "--m", "1", "--n", "1000000", "--holes", "1"], 2000002),
                         (["count", "--region", "semihex", "--a", "1", "--b", "1000000", "--dents", "1"], 2000000),

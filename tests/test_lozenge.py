@@ -1,6 +1,7 @@
 """Lozenge tilings, the plane-partition bijection, and the q-weighting."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import islice
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from aztecgf import engine
 from aztecgf.engine import Tiling, count_tilings, tiling_genfun_dp
-from aztecgf.errors import BijectionViolation, InvalidDents
+from aztecgf.errors import BijectionViolation, InvalidDents, InvalidWeight
 from aztecgf.formulas import cspp_genfun_product
 from aztecgf.lozenge import (
     LEFT,
@@ -223,6 +224,37 @@ def test_weighted_genfun():
     a, b = Fraction(3), Fraction(5)
     weighted = weighted_sh_genfun(region, lambda k: LaurentPoly2.const(a), LaurentPoly2.const(b))
     assert weighted == LaurentPoly2.const(2 * a * b)  # one left, one right per tiling
+
+
+def test_weighted_genfun_reads_each_level_once_and_names_the_first_bad_lozenge():
+    # each (kind, level) is read and checked once per call and shared by its lozenges; the sum is
+    # that of a fresh weight per lozenge, and a bad weight is named at its first lozenge in pool order
+    a, s = 4, (1, 3, 6, 8)
+    region = semihexagon_with_dents(a, 4, s)
+    levels = []
+
+    def left(k):
+        levels.append(k)
+        return LaurentPoly2.term(2, q=k + 1)
+
+    def fresh(pair):
+        kind, level = classify_lozenge(pair, a)
+        return LaurentPoly2.term(2, q=level + 1) if kind == LEFT else LaurentPoly2.const(3) if kind == RIGHT else 1
+
+    expected = tiling_genfun_dp(region, fresh)
+    for _ in range(2):
+        levels.clear()
+        assert weighted_sh_genfun(region, left, 3) == expected
+        assert sorted(levels) == [0, 1, 2, 3]
+    assert weighted_sh_genfun(region, lambda k: LaurentPoly2.term(1, q=k + 1), 1) == cspp_genfun_product(s, a)
+    pool = [(pair, *classify_lozenge(pair, a)) for pair in region.all_dominoes]
+    first_right = next(pair for pair, kind, _ in pool if kind == RIGHT)
+    first_left_at_2 = next(pair for pair, kind, level in pool if kind == LEFT and level == 2)
+    for bad, reason in (("3", "is '3', not an int"), (LaurentPoly2.const(-1), "has a negative coefficient")):
+        with pytest.raises(InvalidWeight, match=re.escape(f"weight of {first_right} {reason}")):
+            weighted_sh_genfun(region, left, bad)
+        with pytest.raises(InvalidWeight, match=re.escape(f"weight of {first_left_at_2} {reason}")):
+            weighted_sh_genfun(region, lambda k: bad if k == 2 else 1, 1)
 
 
 def test_top_bottom_path_counts():

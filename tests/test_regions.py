@@ -1,26 +1,33 @@
 """Region constructions, dual graphs, weights, and the coloring."""
 
+import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aztecgf.engine import matching_genfun
-from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, InvalidRegionFile, InvalidWeight
+from aztecgf.errors import InvalidDents, InvalidHoles, InvalidOrder, InvalidRegionFile, InvalidWeight, WrongRegionKind
 from aztecgf.formulas import peel_target_factor, weighted_rectangle_matching_genfun
 from aztecgf.poly import FracWeight, LaurentPoly2
 from aztecgf.lozenge import ColumnStrictPlanePartition, cspp_to_tiling, tiling_to_cspp
 from aztecgf.regions import (
+    Cell,
     Region,
     WeightedGraph,
     aztec_diamond,
     aztec_rectangle_with_holes,
     checkerboard_coloring,
+    domino_class,
     dual_graph,
     full_weighted_rectangle,
     is_white,
     region_from_json,
     semihexagon_with_dents,
     sq,
+    up,
     weighted_ar_graph,
 )
 from aztecgf.rewrite import PipelineResult, reduce_rectangle_to_semihexagon
@@ -126,6 +133,69 @@ def test_dual_graph_marks_southeast_side():
     weighted = dual_graph(region, lambda dom: dom[0].y + 1)
     assert weighted.vertices == g.vertices == region.sorted_cells
     assert weighted.edge_dict() == {d: LaurentPoly2.const(d[0].y + 1) for d in region.all_dominoes}
+
+
+@st.composite
+def pool_regions(draw):
+    # holey rectangles (m <= 5, n <= 9), dented semihexagons (a <= 5, a + b <= 10) and diamonds (order <= 8)
+    kind = draw(st.sampled_from(("rectangle", "semihexagon", "diamond")))
+    if kind == "diamond":
+        return aztec_diamond(draw(st.integers(1, 8)))
+    if kind == "rectangle":
+        m = draw(st.integers(1, 5))
+        n = draw(st.integers(m, 9))
+        return aztec_rectangle_with_holes(m, n, sorted(draw(st.sets(st.integers(1, n), min_size=m, max_size=m))))
+    a = draw(st.integers(1, 5))
+    b = draw(st.integers(0, 10 - a))
+    return semihexagon_with_dents(a, b, sorted(draw(st.sets(st.integers(1, a + b), min_size=a, max_size=a))))
+
+
+def shares_a_side(c, d) -> bool:
+    """The module docstring's adjacency rules: squares one unit apart, and
+    up(x, y) beside dw(x, y), dw(x - 1, y) and dw(x, y + 1)."""
+    if c.kind == d.kind == "sq":
+        return abs(c.x - d.x) + abs(c.y - d.y) == 1
+    if {c.kind, d.kind} != {"up", "dw"}:
+        return False
+    u, w = (c, d) if c.kind == "up" else (d, c)
+    return (w.x, w.y) in ((u.x, u.y), (u.x - 1, u.y), (u.x, u.y + 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(pool_regions())
+def test_the_pool_and_adjacency_read_every_side_sharing_pair_in_sorted_order(region):
+    # the pool's order fixes every tiling mask: it must be every side-sharing pair (c, d), c < d, sorted
+    pool = region.all_dominoes
+    assert pool == tuple((c, d) for c, d in combinations(region.sorted_cells, 2) if shares_a_side(c, d))
+    index = {c: i for i, c in enumerate(region.sorted_cells)}
+    for cell, row in zip(region.sorted_cells, region.adjacency):
+        assert row == sorted((index[d if c == cell else c], 1 << k) for k, (c, d) in enumerate(pool) if cell in (c, d))
+
+
+def test_a_cell_of_no_lattice_kind_is_refused_by_name():
+    # a hand-built region's cells must be "sq", "up" or "dw": a "tri" cell is no down-triangle
+    # that pairs with up-triangles, and a "square" one is no square with an empty pool
+    for bad, other in ((Cell(1, 1, "tri"), up(1, 1)), (Cell(0, 0, "square"), Cell(0, 1, "square"))):
+        region = Region("square", ("hand-built", bad), frozenset({bad, other}))
+        with pytest.raises(WrongRegionKind, match=re.escape(f"cell {bad!r}")):
+            region.all_dominoes
+
+
+def sorted_domino_class(dom) -> tuple:
+    """domino_class as it read a domino through sorted() and the cells' named fields."""
+    c1, c2 = sorted(dom)
+    black = not is_white(c1)
+    if c1.y == c2.y:
+        return ("level", c1.y) if black else ("plain", c1.y - 1)
+    return ("up" if black else "down"), c1.y
+
+
+def test_domino_class_reads_either_cell_order_as_the_sorted_pair():
+    regions = [aztec_rectangle_with_holes(m, n, s) for m in range(1, 5) for n in range(m, 8)
+               for s in combinations(range(1, n + 1), m)]
+    for region in regions + [aztec_diamond(n) for n in range(1, 7)]:
+        for dom in region.all_dominoes:
+            assert domino_class(dom) == domino_class(dom[::-1]) == sorted_domino_class(dom)
 
 
 def test_semihexagon_dual_matchings():
