@@ -205,24 +205,23 @@ class LaurentPoly2:
         """Return u with u * d == self, or raise :class:`InexactDivision`.
 
         Division runs in the Laurent ring: quotient exponents are allowed to
-        be negative.  Candidate quotient exponents are confined to the box
-        implied by degree arithmetic (the q- and t-degree spans of self minus
-        those of d), so a failed division is detected, not looped on.
+        be negative, so a one-term d = c q^a t^b always divides: its quotient
+        shifts each exponent by (-a, -b) and divides each coefficient by c.
+        Any other d runs long division, its candidate quotient exponents
+        confined to the box implied by degree arithmetic (the q- and t-degree
+        spans of self minus those of d), so a failed division is detected,
+        not looped on.
         """
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
+        if len(d._terms) == 1:
+            ((mq, mt), mc), = d._terms.items()
+            return LaurentPoly2._of({(eq - mq, et - mt): c / mc for (eq, et), c in self._terms.items()})
         if not self:
             return LaurentPoly2.zero()
-
-        def spans(p):
-            qs, ts = zip(*p._terms)
-            return min(qs), max(qs), min(ts), max(ts)
-
-        nq0, nq1, nt0, nt1 = spans(self)
-        dq0, dq1, dt0, dt1 = spans(d)
-        # exponent box any true quotient must live in
-        uq0, uq1 = nq0 - dq0, nq1 - dq1
-        ut0, ut1 = nt0 - dt0, nt1 - dt1
+        (nq, nt), (dq, dt) = zip(*self._terms), zip(*d._terms)  # the q- and t-exponents of self and of d
+        # the exponent box any true quotient must live in
+        uq0, uq1, ut0, ut1 = min(nq) - min(dq), max(nq) - max(dq), min(nt) - min(dt), max(nt) - max(dt)
         if uq0 > uq1 or ut0 > ut1:
             raise InexactDivision("degree spans rule out any quotient")
 

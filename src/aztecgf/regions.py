@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cache, cached_property
-from itertools import chain
 
 from .errors import (InvalidDents, InvalidGraph, InvalidHoles, InvalidOrder,
                      InvalidRegionFile, InvalidWeight, WrongRegionKind)
@@ -402,10 +401,19 @@ class WeightedGraph:
     def derive(self, drop=(), vertices=(), edges=()):
         """A new graph: this one without the vertices in ``drop`` and their
         edges, with ``vertices`` appended and the ``((u, v), w)`` pairs in
-        ``edges`` added.  An added edge that already exists raises InvalidGraph."""
+        ``edges`` added.  Only the added edges go through the constructor's
+        checks; each kept vertex then takes a copy of its row, less the dropped
+        neighbours, ahead of its added edges.  An added edge that already
+        exists raises InvalidGraph."""
         drop = set(drop)
-        kept = (((u, v), w) for (u, v), w in self.edge_items() if u not in drop and v not in drop)
-        return WeightedGraph([v for v in self.vertices if v not in drop] + list(vertices), chain(kept, edges))
+        kept = [v for v in self.vertices if v not in drop]
+        g = WeightedGraph(kept + list(vertices), edges)
+        for v in kept:
+            row, added = {u: w for u, w in self._adj[v].items() if u not in drop}, g._adj[v]
+            if clash := [u for u in added if u in row]:
+                raise InvalidGraph(f"duplicate edge {(v, clash[0])!r}, parallel to one given before")
+            g._adj[v] = row | added
+        return g
 
     def __eq__(self, other):
         if not isinstance(other, WeightedGraph):

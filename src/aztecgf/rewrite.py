@@ -72,8 +72,7 @@ def vertex_split(graph: WeightedGraph, splits) -> WeightedGraph:
     edges = {(end(a_, b_), end(b_, a_)): w for (a_, b_), w in graph.edge_items()}
     for v in halves:
         verts += [("vk", v), ("x", v)]
-        edges[(("vh", v), ("x", v))] = LaurentPoly2.one()
-        edges[(("vk", v), ("x", v))] = LaurentPoly2.one()
+        edges[(("vh", v), ("x", v))] = edges[(("vk", v), ("x", v))] = _ONE
     return WeightedGraph(verts, edges)
 
 
@@ -181,12 +180,12 @@ def connected_sum(g1: WeightedGraph, g2: WeightedGraph, pairs) -> WeightedGraph:
     Other labels of g2 must be disjoint from g1's; the identified vertices
     keep their g1 labels.  Arity or collision problems raise InvalidGraph.
     """
-    ident = {}
+    ident, back = {}, {}
     for v1, v2 in pairs:
         if v1 not in g1.index or v2 not in g2.index:
             raise InvalidGraph(f"identification {(v1, v2)!r} names missing vertices")
-        ident[v2] = v1
-    if len(set(ident.values())) != len(ident):
+        ident[v2], back[v1] = v1, v2
+    if len(back) != len(ident) or any(ident[v2] != v1 for v1, v2 in back.items()):  # not one-to-one
         raise InvalidGraph("identifications collapse distinct vertices of the first summand")
     extra = [v for v in g2.vertices if v not in ident]
     if any(v in g1.index for v in extra):

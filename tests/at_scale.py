@@ -27,8 +27,10 @@ PINS = {"closed F text sha256": "to_text on both sides of a comparison cannot se
 AR15 = ((4, "7,11,13,15"), (5, "10,12,13,14,15"))  # 2^18 and 163,840 tilings: brute force's limit is 2^18
 EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 24, 32)}  # n -> "2,4,...,n"
 RATIO = "-c from aztecgf.poly import falling_ratio; print(*{} * [falling_ratio(({},))], sep='\\n')"  # times, s
-WEIGHTED = "-c from fractions import Fraction as F; from aztecgf import engine, formulas, regions; print({}.to_text())"
-ABCD = "4, 15, (7, 11, 13, 15), F(2, 3), F(5, 4), F(3, 7), F(1, 2)"  # m, n, s, a, b, c, d
+WEIGHTED = ("-c from fractions import Fraction as F; from aztecgf import engine, formulas, regions, rewrite; "
+            "print({}.to_text())")
+FACES = "F(2, 3), F(5, 4), F(3, 7), F(1, 2)"  # a, b, c, d
+ABCD = f"4, 15, (7, 11, 13, 15), {FACES}"  # m, n, s, a, b, c, d
 ROUND_TRIP = f"""-c from aztecgf.lozenge import cspp_shape, cspp_to_tiling, enumerate_cspp, tiling_to_cspp
 from aztecgf.regions import semihexagon_with_dents
 s = ({EVENS[12]},)
@@ -49,6 +51,9 @@ ROWS = (
     (("weighted closed form vs oracle",), "AR(4, 15; 7,11,13,15) at (a, b, c, d) = (2/3, 5/4, 3/7, 1/2)",
      WEIGHTED.format(f"engine.matching_genfun(regions.weighted_ar_graph({ABCD}))"),
      WEIGHTED.format(f"formulas.weighted_rectangle_matching_genfun({ABCD})")),
+    (("pipeline factor vs target",), "AR(12, 24; 2,4,...,24) at (a, b, c, d) = (2/3, 5/4, 3/7, 1/2)",
+     WEIGHTED.format(f"rewrite.reduce_rectangle_to_semihexagon(12, 24, ({EVENS[24]},), {FACES}).factor"),
+     WEIGHTED.format(f"formulas.peel_target_factor(12, {FACES})")),
     (("weighted-DP F vs closed F",), "AR(8, 16; 2,4,...,16), genfun dp vs closed",
      *(f"genfun --m 8 --n 16 --holes {EVENS[16]} --method {method}" for method in ("dp", "closed"))),
     *((("weighted-DP F vs diamond product",), f"order-{n} diamond, genfun dp vs aztec_diamond_genfun",

@@ -97,6 +97,30 @@ def test_exact_div_roundtrip_randomized():
         assert (p * d).exact_div(d) == p
 
 
+_FRACTIONS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+_NONZERO = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+_PAIRS = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(_PAIRS, _FRACTIONS, max_size=6).map(LaurentPoly2), st.builds(
+    lambda c, e: LaurentPoly2({e: c}), _NONZERO, _PAIRS), st.dictionaries(_PAIRS, _NONZERO, min_size=2, max_size=2))
+def test_exact_div_by_a_monomial_shifts_and_by_anything_else_divides_long(p, m, two):
+    # a one-term divisor always divides in the Laurent ring, and its quotient holds no zero coefficient
+    quotients = p.exact_div(m), (p * m).exact_div(m)
+    assert quotients[0] * m == p and quotients[1] == p
+    assert all(c for u in quotients for _, c in u.sorted_terms())
+    assert LaurentPoly2.zero().exact_div(m) == 0
+    with pytest.raises(ZeroDivisionError):
+        p.exact_div(LaurentPoly2.zero())
+    # a two-term divisor still runs the long division: it divides its own multiples and never a monomial
+    d = LaurentPoly2(two)
+    assert (p * d).exact_div(d) == p
+    with pytest.raises(InexactDivision):
+        m.exact_div(d)
+    assert isinstance(FracWeight(m, d), FracWeight)
+
+
 def test_eval():
     assert (1 + TQ).evaluate(1, 1) == 2
     assert ((1 + TQ) ** 2 * (1 + LaurentPoly2.term(1, q=3, t=1))).evaluate(1, 1) == 8

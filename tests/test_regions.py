@@ -266,6 +266,50 @@ def test_derive_drops_appends_and_adds_in_one_graph():
         g.derive(drop=[2], edges=[((1, 2), 1)])
 
 
+_Q = LaurentPoly2.term(1, q=1)
+_WEIGHTS = st.sampled_from([LaurentPoly2.term(2, q=1), 1 + _Q, LaurentPoly2.const(Fraction(3, 4)),
+                            FracWeight(_Q, 1 + _Q), FracWeight(1, 2 + _Q * _Q)])
+
+
+@st.composite
+def _derivations(draw):
+    """A graph on at most 10 vertices, the vertices to drop, the labels to append and the edges to add."""
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))), unique=True)) if n > 1 else []
+    g = WeightedGraph(range(n), [(e, draw(_WEIGHTS)) for e in pairs])
+    drop = draw(st.sets(st.integers(0, n - 1)))
+    appended = [("new", i) for i in range(draw(st.integers(0, 3)))]
+    after = [v for v in g.vertices if v not in drop] + appended
+    free = [(u, v) for u, v in combinations(after, 2) if not g.has_edge(u, v)]
+    added = [((u, v) if draw(st.booleans()) else (v, u), draw(_WEIGHTS))
+             for u, v in (draw(st.lists(st.sampled_from(free), unique=True)) if free else [])]
+    return g, drop, appended, added
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_derivations())
+def test_derive_equals_building_the_kept_and_added_edges_afresh(case):
+    g, drop, appended, added = case
+    before = WeightedGraph(g.vertices, g.edge_items())
+    kept = [v for v in g.vertices if v not in drop]
+    kept_edges = [((u, v), w) for (u, v), w in g.edge_items() if u not in drop and v not in drop]
+    h = g.derive(drop, appended, added)
+    want = WeightedGraph(kept + appended, kept_edges + added)
+    assert h == want and h.vertices == want.vertices
+    assert g == before and g.vertices == before.vertices
+    assert all(h._adj[v] is not g._adj[v] for v in kept)
+    for (u, v), w in kept_edges[:1]:  # an added edge parallel to a kept one, in either orientation
+        for edge in ((u, v), (v, u)):
+            with pytest.raises(ValueError, match="duplicate edge"):
+                g.derive(drop, appended, [*added, (edge, w)])
+    for gone in sorted(drop)[:1]:
+        with pytest.raises(ValueError, match="not a vertex"):
+            g.derive(drop, appended, [*added, (((kept + appended + [gone])[0], gone), 1)])
+    for v in kept[:1]:
+        with pytest.raises(ValueError, match="duplicate vertex labels"):
+            g.derive(drop, [*appended, v], added)
+
+
 def test_weighted_graph_all_ones_pure_q():
     g = weighted_ar_graph(3, 4, (1, 2, 4), 1, 1, 1, 1)
     for _, w in g.edge_items():

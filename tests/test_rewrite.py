@@ -166,6 +166,10 @@ def test_connected_sum():
         connected_sum(g1, g2, [(5, "a")])
     with pytest.raises(ValueError, match="collapse"):
         connected_sum(g1, g2, [(1, "a"), (1, "b")])
+    for pairs in ([(0, "a"), (1, "a")], [(0, "a"), (1, "b"), (1, "a")]):  # one vertex of g2 glued to both 0 and 1
+        with pytest.raises(ValueError, match="collapse distinct vertices of the first summand"):
+            connected_sum(g1, g2, pairs)
+    assert connected_sum(g1, g2, [(1, "a"), (1, "a")]) == glued  # a pair given twice is one identification
     with pytest.raises(ValueError, match="collision"):
         connected_sum(g1, WeightedGraph([1, "b"], {(1, "b"): ONE}), [(0, "b")])
     with pytest.raises(ValueError, match="parallel"):
