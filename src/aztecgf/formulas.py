@@ -43,8 +43,7 @@ def prefactor_exponent(m: int, s) -> int:
     """q-exponent of the monomial prefactor in the rectangle generating function.
 
     -2 * sum (m - i)(s_i - i): always <= 0, and exactly cancelled by the
-    lowest term of the alpha=2 q-ratio product, so the assembled generating
-    function is a genuine polynomial.
+    lowest term of the q-ratio product in q^2, so F is a genuine polynomial.
     """
     s = check_positions(m, NO_BOUND, s, InvalidHoles)
     return -2 * sum((m - i) * (x - i) for i, x in enumerate(s, start=1))
@@ -58,18 +57,16 @@ def aztec_diamond_genfun(n: int) -> LaurentPoly2:
     """
     check_size("order", n, InvalidOrder)
     bits = slot_bits(2 ** (n * (n + 1) // 2))
-    return _diamond_product(n, bits).decode(bits)
+    return _diamond_product(n, bits).decode(bits, step=2)
 
 
 def _diamond_product(n: int, bits: int) -> PackedPoly:
-    """prod_{k=0}^{n-1} (1 + t*q^(2k+1))^(n-k), packed at ``bits``.
-
-    Each factor is one weight ``1 + t*q^(2k+1)``: the product so far plus
-    its rows moved up one power of t and shifted by 2k+1 slots.
-    """
+    """prod_{k=0}^{n-1} (1 + u*Q^k)^(n-k), packed at ``bits``: the diamond
+    product at Q = q^2, u = t*q, so each factor is the product so far plus
+    its rows moved up one power of u and shifted by k slots."""
     out = PackedPoly.one()
     for k in range(n):
-        factor = packed_weight(1 + LaurentPoly2.term(1, q=2 * k + 1, t=1), bits)
+        factor = packed_weight(1 + LaurentPoly2.term(1, q=k, t=1), bits)
         for _ in range(n - k):
             out = out * factor
     return out
@@ -78,18 +75,17 @@ def _diamond_product(n: int, bits: int) -> PackedPoly:
 def rectangle_genfun(m: int, n: int, s) -> LaurentPoly2:
     """Closed form of F(q, t) = sum over tilings of q^rank * t^vstat.
 
-    Assembled as the packed diamond-style product times two one-monomial
-    weights, the alpha=2 q-ratio product and the prefactor, all at the slot
-    width of the tiling count (the value at q = t = 1, which bounds every
-    coefficient): one big-int product per power of t, then one decode.
-    Checked to be a polynomial (a negative exponent surviving would mean a
-    transcription bug, and raises).
+    Every term q^a t^j has a = j mod 2, so F(q, t) = G(q^2, t*q): G, the
+    diamond product times the q-ratio product and Q^(e/2) for the prefactor
+    q^e, is packed at the slot width of the tiling count (which bounds every
+    coefficient) and decoded with ``step=2``.  Checked to be a polynomial (a
+    negative exponent surviving would mean a transcription bug, and raises).
     """
     s = check_positions(m, n, s, InvalidHoles)
     bits = slot_bits(count_product(m, s))
-    prefactor = packed_weight(LaurentPoly2.term(1, q=prefactor_exponent(m, s)), bits)
-    out = _diamond_product(m, bits) * q_ratio_packed(s, 2, bits) * prefactor
-    return out.decode(bits).require_polynomial()
+    prefactor = packed_weight(LaurentPoly2.term(1, q=prefactor_exponent(m, s) // 2), bits)
+    out = _diamond_product(m, bits) * q_ratio_packed(s, bits) * prefactor
+    return out.decode(bits, step=2).require_polynomial()
 
 
 def peel_target_factor(m: int, a, b, c, d) -> LaurentPoly2:

@@ -395,24 +395,30 @@ class PackedPoly:
     def one(cls) -> "PackedPoly":
         return cls({0: 1})
 
-    def decode(self, bits: int, den: int = 1) -> LaurentPoly2:
-        """This polynomial divided by ``den``, as a LaurentPoly2 with its terms
-        inserted in (e_q, e_t) order and one Fraction per distinct coefficient.
-        One strided copy per slot byte lays every row's n slots out (e_q, e_t) ascending,
-        slot byte j at byte j % 8 of little-endian lane j // 8, and one ``struct.unpack`` reads them all."""
+    def decode(self, bits: int, den: int = 1, step: int = 1) -> LaurentPoly2:
+        """This polynomial divided by ``den``, as a LaurentPoly2 with its terms inserted in (e_q, e_t)
+        order and one Fraction per distinct coefficient; slot k of the row of t^e is q^(step*k + (step-1)*e),
+        so ``step=2`` reads G(Q, u) as G(q^2, t*q).  One strided copy per slot byte lays every row's slots out
+        (e_q, e_t) ascending, row e's (step-1)*(e-e0) q-powers in, slot byte j at byte j % 8 of little-endian lane
+        j // 8, and one ``struct.unpack`` reads them all; the lanes left between rows stay zero and drop out."""
         w, rows = bits // 8, sorted(self.rows.items())
         n, lanes = -(-max((x.bit_length() for _, x in rows), default=0) // bits), -(-w // 8)
-        stride = 8 * lanes * len(rows)
-        buf = bytearray(stride * n)
+        ets = [et + self.dt for et, _ in rows]
+        lags = [(step - 1) * (e - ets[0]) for e in ets]  # q-powers from the first row's slot 0 to row e's
+        span = step * (n - 1) + lags[-1] + 1 if n else 0  # the q-powers the rows reach
+        stride = 8 * lanes * len(rows)  # bytes per q-power
+        buf = bytearray(stride * span)
         for r, raw in enumerate(x.to_bytes(n * w, "little") for _, x in rows):
             for j in range(w):
-                buf[8 * lanes * r + j::stride] = raw[j::w]
+                start = stride * lags[r] + 8 * lanes * r + j
+                buf[start:start + stride * step * n:stride * step] = raw[j::w]
         words = struct.unpack(f"<{len(buf) // 8}Q", buf)
         slots = words[::lanes]
         for k in range(1, lanes):
             slots = list(map(or_, slots, map(lshift, words[k::lanes], repeat(64 * k))))
         shared = {c: Fraction(c) if den == 1 else Fraction(c, den) for c in set(slots)}
-        keys = product(range(self.shift // bits, self.shift // bits + n), [et + self.dt for et, _ in rows])
+        low = step * (self.shift // bits) + (step - 1) * ets[0] if n else 0
+        keys = product(range(low, low + span), ets)
         return LaurentPoly2._of(dict(zip(compress(keys, slots), map(shared.__getitem__, filter(None, slots)))))
 
     def __add__(self, other: "PackedPoly") -> "PackedPoly":
@@ -467,24 +473,22 @@ def q_ratio_product(s) -> LaurentPoly2:
     if any(type(x) is not int or x <= 0 for x in s) or any(a >= b for a, b in zip(s, s[1:])):
         raise InvalidDents("s must be a strictly increasing sequence of positive integers")
     bits = slot_bits(int(falling_ratio(s)))
-    return (PackedPoly.one() * q_ratio_packed(s, 1, bits)).decode(bits)
+    return (PackedPoly.one() * q_ratio_packed(s, bits)).decode(bits)
 
 
-def q_ratio_packed(s, alpha: int, bits: int) -> tuple:
-    """prod_{i<j} (q^(alpha*s_j) - q^(alpha*s_i)) / (q^(alpha*j) - q^(alpha*i))
-    for a valid ``s`` (see :func:`q_ratio_product`), as the one-monomial
-    right operand of ``PackedPoly * ...`` at ``bits``, which must exceed
-    every coefficient.
+def q_ratio_packed(s, bits: int) -> tuple:
+    """prod_{i<j} (q^s_j - q^s_i) / (q^j - q^i) for a valid ``s`` (see
+    :func:`q_ratio_product`), as the one-monomial right operand of
+    ``PackedPoly * ...`` at ``bits``, which must exceed every coefficient.
 
-    Each factor q^(alpha*b) - q^(alpha*a) is q^(alpha*a) (q^(alpha*(b-a)) - 1):
-    the powers of q collect into the monomial's shift and the rest is
-    evaluated at q = 2**bits, where the polynomial quotient is the exact
-    integer quotient.
+    Each factor q^b - q^a is q^a (q^(b-a) - 1): the powers of q collect into
+    the monomial's shift and the rest is evaluated at q = 2**bits, where the
+    polynomial quotient is the exact integer quotient.
     """
     pairs = list(combinations(range(len(s)), 2))
-    low = alpha * sum(s[i] - (i + 1) for i, _ in pairs)
-    num = prod((1 << bits * alpha * (s[j] - s[i])) - 1 for i, j in pairs)
-    den = prod((1 << bits * alpha * (j - i)) - 1 for i, j in pairs)
+    low = sum(s[i] - (i + 1) for i, _ in pairs)
+    num = prod((1 << bits * (s[j] - s[i])) - 1 for i, j in pairs)
+    den = prod((1 << bits * (j - i)) - 1 for i, j in pairs)
     value, rem = divmod(num, den)
     if rem:
         raise InexactDivision("q-ratio numerator is not divisible by its denominator")

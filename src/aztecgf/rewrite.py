@@ -241,7 +241,7 @@ def reduce_rectangle_to_semihexagon(m: int, n: int, s, a, b, c, d) -> PipelineRe
         # q * (a face's own delta) at its east corner clears every quotient; the last column's deltas stay behind
         scales = {("x", faces[(i, j)][2]): delta[(i, j)].shift(dq=1) for i in range(1, mu + 1) for j in range(1, nu)}
         g = star_scale(g, scales)
-        factor = prod((delta[(i, nu)] for i in range(1, mu + 1)), start=factor).shift(dq=-len(scales))
+        factor = (factor * prod(delta[(i, nu)] for i in range(1, mu + 1))).shift(dq=-len(scales))
         if any(isinstance(w, FracWeight) for _, w in g.edge_items()):
             raise InexactDivision(f"round {r} left a quotient edge weight")
         faces = {

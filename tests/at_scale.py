@@ -25,7 +25,7 @@ PINS = {"closed F text sha256": "to_text on both sides of a comparison cannot se
 
 
 AR15 = ((4, "7,11,13,15"), (5, "10,12,13,14,15"))  # 2^18 and 163,840 tilings: brute force's limit is 2^18
-EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 24, 32)}  # n -> "2,4,...,n"
+EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 20, 24, 32)}  # n -> "2,4,...,n"
 RATIO = "-c from aztecgf.poly import falling_ratio; print(*{} * [falling_ratio(({},))], sep='\\n')"  # times, s
 WEIGHTED = ("-c from fractions import Fraction as F; from aztecgf import engine, formulas, regions, rewrite; "
             "print({}.to_text())")
@@ -54,8 +54,9 @@ ROWS = (
     (("pipeline factor vs target",), "AR(12, 24; 2,4,...,24) at (a, b, c, d) = (2/3, 5/4, 3/7, 1/2)",
      WEIGHTED.format(f"rewrite.reduce_rectangle_to_semihexagon(12, 24, ({EVENS[24]},), {FACES}).factor"),
      WEIGHTED.format(f"formulas.peel_target_factor(12, {FACES})")),
-    (("weighted-DP F vs closed F",), "AR(8, 16; 2,4,...,16), genfun dp vs closed",
-     *(f"genfun --m 8 --n 16 --holes {EVENS[16]} --method {method}" for method in ("dp", "closed"))),
+    *((("weighted-DP F vs closed F",), f"AR({m}, {2 * m}; 2,4,...,{2 * m}), genfun dp vs closed",
+       *(f"genfun --m {m} --n {2 * m} --holes {EVENS[2 * m]} --method {method}" for method in ("dp", "closed")))
+      for m in (8, 10)),
     *((("weighted-DP F vs diamond product",), f"order-{n} diamond, genfun dp vs aztec_diamond_genfun",
        f"genfun --m {n} --n {n} --holes {','.join(map(str, range(1, n + 1)))} --method dp",
        f"-c from aztecgf.formulas import aztec_diamond_genfun; print(aztec_diamond_genfun({n}).to_text())")

@@ -16,7 +16,6 @@ from aztecgf.poly import (
     PackedPoly,
     falling_ratio,
     packed_weight,
-    q_ratio_packed,
     q_ratio_product,
     slot_bits,
 )
@@ -130,12 +129,8 @@ def test_eval():
 
 
 def q_ratio(s, alpha):
-    """The q-ratio product in q^alpha: ``q_ratio_product`` at alpha = 1, and
-    otherwise the packed weight that ``rectangle_genfun`` multiplies by."""
-    if alpha == 1:
-        return q_ratio_product(s)
-    bits = slot_bits(int(falling_ratio(s)))  # the coefficients do not depend on alpha
-    return (PackedPoly.one() * q_ratio_packed(s, alpha, bits)).decode(bits)
+    """The q-ratio product in q^alpha: ``q_ratio_product`` with every q-exponent times alpha."""
+    return LaurentPoly2({(alpha * eq, et): c for (eq, et), c in q_ratio_product(s).sorted_terms()})
 
 
 def test_q_ratio_product():
@@ -348,6 +343,16 @@ def test_decode_equals_the_slot_by_slot_reference(case):
     packed, bits, den = case
     got = packed.decode(bits, den)
     assert got._terms == reference_decode(packed, bits, den)
+    check_decoded(got)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(packed_cases())
+def test_decode_in_steps_of_two_reads_slot_k_of_row_e_as_q_to_the_2k_plus_e(case):
+    # G(Q, u) packed in Q = q^2 and u = t*q decodes to G(q^2, t*q), still in print order
+    packed, bits, den = case
+    got = packed.decode(bits, den, step=2)
+    assert got._terms == {(2 * eq + et, et): c for (eq, et), c in reference_decode(packed, bits, den).items()}
     check_decoded(got)
 
 
