@@ -8,7 +8,10 @@ Exit codes: 0 success, 1 a failure in ``verify`` only (a suite that raises is on
 ``main(argv)`` may be called repeatedly in one process: the argument parser
 is built once, when this module is imported, and every call parses with it.
 ``verify``, ``render`` and ``json`` are imported only where they are used, so
-``genfun`` and ``count`` start without compiling or loading them.
+``genfun`` and ``count`` start without compiling or loading them.  The
+package namespace loads each module on first use, so importing this module
+loads ``engine``, ``errors``, ``formulas``, ``poly``, ``regions`` and ``stats``
+besides it, and not ``lozenge`` or ``rewrite``.
 """
 
 from __future__ import annotations

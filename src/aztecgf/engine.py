@@ -498,13 +498,14 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
 
     Each state is stored at its mask XOR ``flip``.  Vertex k takes slot r =
     ``bit[k]`` and frees ``last_mask[k]``, whose vertices must meet it.  Where
-    r is set, k frees at most one slot o besides r, and each freed slot's edge
-    weighs the unit (the int 1, or ``((0, 1, 0),)`` packed), k updates the
-    layer in place.  Toggling r in ``flip`` moves each state without r to its
-    mask with r, k's wait at weight 1, and each state with r (a freed r) to its
-    mask without r, k's match with r's vertex at the unit; no state holds a
-    fresh r.  The states with o are then popped: one without r moves on to its
-    mask without o, one with r is dead.  A state with neither that holds the
+    r is set and k frees at most one slot o besides r, k updates the layer in
+    place.  Toggling r in ``flip`` moves each state without r to its mask with
+    r, k's wait at weight 1, and each state with r (a freed r) to its mask
+    without r, k's match with r's vertex, whose edge weight multiplies it
+    before any move adds to it, unless that is the unit (the int 1, or
+    ``((0, 1, 0),)`` packed); no state holds a fresh r.  The states with o
+    are then popped: one without r moves on to its mask without o, times o's
+    edge weight, and one with r is dead.  A state with neither that holds the
     slot p of another neighbour also meets p's vertex: its value times that
     edge's weight is added in place at its mask without p.  No target of a
     move is the source of another, so each list of sources is taken once.
@@ -519,8 +520,13 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
             break
         nbrs = [(pb, weights[i]) for pb, i in nbrs]
         r, lm = bit[k], last_mask[k]
-        if r and not (o := lm & ~r) & (o - 1) and (r & ~lm or (r, unit) in nbrs) and (not o or (o, unit) in nbrs):
+        if r and not (o := lm & ~r) & (o - 1):
             get = states.get
+            if r & lm and (r, unit) not in nbrs:  # each state that holds r meets r's vertex at that edge's weight
+                w = dict(nbrs)[r]
+                for u, val in states.items():
+                    if u & r != flip & r:
+                        states[u] = val * w
             for pb, w in nbrs:
                 if not pb & lm:  # a mask with pb and without r or o, stored at u, moves to u ^ pb ^ r
                     need, move = lm | r | pb, r | pb
@@ -534,11 +540,13 @@ def _sweep(nbr_earlier, last_mask, bit, weights, one):
                         for u in sources:
                             cur, val = get(t := u ^ move), states[u] * w
                             states[t] = val if cur is None else cur + val
-            for u in [u for u in states if u & o != flip & o] if o else ():  # o's vertex must meet k
-                val = states.pop(u)
-                if u & r == flip & r:  # without r it moves to u ^ o ^ r; with r it is dead
-                    cur = get(t := u ^ o ^ r)
-                    states[t] = val if cur is None else cur + val
+            if o:  # o's vertex must meet k
+                w = None if (o, unit) in nbrs else dict(nbrs)[o]
+                for u in [u for u in states if u & o != flip & o]:
+                    val = states.pop(u)
+                    if u & r == flip & r:  # without r it moves to u ^ o ^ r at o's edge weight; with r it is dead
+                        cur, val = get(t := u ^ o ^ r), val if w is None else val * w
+                        states[t] = val if cur is None else cur + val
             flip ^= r
             continue
         if flip:

@@ -318,7 +318,7 @@ MAX_BRUTE_TILINGS = 2**18  # brute F(q, t) at the limit, AR(4, 15; 7, 11, 13, 15
 MAX_BRUTE_CELLS = 4096  # each search step costs time linear in the cell count
 # route -> the most its predicted cost (see _refusal) may be: each lies above the largest size timed under a minute
 # and below the next size timed, on a 2-core x86_64 with Python 3.11.7 (README has the table)
-CAPS = {"count DP": 750_000_000_000, "weighted DP": 1 << 45, "closed product": 2_150_000_000}
+CAPS = {"count DP": 750_000_000_000, "weighted DP": 1 << 45, "closed product": 2_500_000_000}
 # command -> method -> the route it runs (render --tiling INDEX walks the enumeration)
 ROUTES = {"count": {"enumerate": "brute force", "dp": "count DP"}, "render": {"enumerate": "brute force"},
           "genfun": {"brute": "brute force", "dp": "weighted DP", "closed": "closed product"}}
@@ -357,7 +357,7 @@ def _refusal(route: str, key: tuple) -> str:
     if builds and width > MAX_FRONTIER:  # _genfun_dp holds SH(a, b; s) to its exact width once it is built
         return f"DP frontier would be at least {width} bits wide, over {MAX_FRONTIER}"
     # a DP: cells x largest layer C(w, w // 2) x value bits (the count's, or packed F's: t-rows x q-slots x slot bits).
-    # The closed product pays packed F with the q-ratio product's slots four times: it multiplies every row by them.
+    # The closed product packs F in q^2, half its slots, and pays the q-ratio product's slots 4 times: every row x them.
     diamond, qratio = m * (m + 1) * (2 * m + 1) // 6 + 1, 2 * sum(
         (x - i) * (2 * i - m - 1) for i, x in enumerate(s or (), 1))
     layer = cells * comb(width, width // 2)
@@ -365,7 +365,7 @@ def _refusal(route: str, key: tuple) -> str:
     def over(bits):  # the cost at a count of ``bits`` bits, if it is over the cap; it grows with ``bits``
         per_q = (m * (m + 1) // 2 + 1) * -(-bits // 8) * 8
         cost = {"count DP": layer * bits, "weighted DP": layer * per_q * (diamond + qratio),
-                "closed product": per_q * (diamond + 4 * qratio)}[route]
+                "closed product": per_q * (diamond + 4 * qratio) // 2}[route]
         return cost > CAPS[route] and f"a predicted {route} cost of {cost}, over its limit of {CAPS[route]}"
     # a count on AR(m, n; s) has at least the diamond's m(m + 1)/2 + 1 bits (its ratio is >= 1), so a cost refused
     # at that many is refused before the count is taken: with many holes, falling_ratio takes seconds

@@ -25,7 +25,7 @@ PINS = {"closed F text sha256": "to_text on both sides of a comparison cannot se
 
 
 AR15 = ((4, "7,11,13,15"), (5, "10,12,13,14,15"))  # 2^18 and 163,840 tilings: brute force's limit is 2^18
-EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 20, 24, 32)}  # n -> "2,4,...,n"
+EVENS = {n: ",".join(map(str, range(2, n + 1, 2))) for n in (12, 16, 20, 24, 28, 32)}  # n -> "2,4,...,n"
 RATIO = "-c from aztecgf.poly import falling_ratio; print(*{} * [falling_ratio(({},))], sep='\\n')"  # times, s
 WEIGHTED = ("-c from fractions import Fraction as F; from aztecgf import engine, formulas, regions, rewrite; "
             "print({}.to_text())")
@@ -57,6 +57,14 @@ ROWS = (
     *((("weighted-DP F vs closed F",), f"AR({m}, {2 * m}; 2,4,...,{2 * m}), genfun dp vs closed",
        *(f"genfun --m {m} --n {2 * m} --holes {EVENS[2 * m]} --method {method}" for method in ("dp", "closed")))
       for m in (8, 10)),
+    # M(q, t) at (3, 2) is F(3, 1/2) * 3^beta * 2^(m(m + 1)/2); the sweep meets freed tiles of weight > 1 in place
+    (("weighted-DP F vs closed F",), "AR(14, 28; 2,4,...,28) at (3, 1/2), the DP's weights taken at (3, 2)",
+     "-c from aztecgf.engine import tiling_genfun_dp as dp; from aztecgf.regions import aztec_rectangle_with_holes "
+     f"as ar; from aztecgf.stats import domino_weight as w; print(dp(ar(14, 28, ({EVENS[28]},)), "
+     "lambda d: w(d).evaluate(3, 2)).evaluate(1, 1))",
+     "-c from fractions import Fraction; from aztecgf import formulas; "
+     f"print(formulas.rectangle_genfun(14, 28, ({EVENS[28]},)).evaluate(3, Fraction(1, 2))"
+     f" * 3 ** formulas.shifted_content_exponent(14, ({EVENS[28]},)) * 2 ** 105)"),
     *((("weighted-DP F vs diamond product",), f"order-{n} diamond, genfun dp vs aztec_diamond_genfun",
        f"genfun --m {n} --n {n} --holes {','.join(map(str, range(1, n + 1)))} --method dp",
        f"-c from aztecgf.formulas import aztec_diamond_genfun; print(aztec_diamond_genfun({n}).to_text())")

@@ -1,5 +1,6 @@
 """CLI surface: golden outputs, determinism, exit codes."""
 
+import importlib
 import io
 import json
 import os
@@ -360,7 +361,7 @@ def test_count_dp_refuses_a_wide_diamond_before_building_it(monkeypatch, capsys)
 
 
 def test_genfun_refuses_past_the_closed_and_weighted_dp_caps_before_the_work(monkeypatch, capsys):
-    # closed F on 24x48 and the weighted DP on 14x28 would each run for minutes; every genfun route is patched
+    # closed F on 26x52 and the weighted DP on 14x28 would each run for minutes; every genfun route is patched
     # to raise, so a refusal that came after the work would fail here instead of hanging
     from aztecgf import cli, formulas, stats
 
@@ -370,7 +371,7 @@ def test_genfun_refuses_past_the_closed_and_weighted_dp_caps_before_the_work(mon
     for module, name in ((formulas, "rectangle_genfun"), (stats, "genfun_via_weights"), (stats, "genfun_bruteforce")):
         monkeypatch.setattr(module, name, no_work)
     for m, method, reason in (
-            (24, "closed", "a predicted closed product cost of 4095942984, over its limit of 2150000000;"
+            (26, "closed", "a predicted closed product cost of 3542767360, over its limit of 2500000000;"
                            " no other method admits it"),
             (14, "dp", "a predicted weighted DP cost of 119477121603840, over its limit of 35184372088832;"
                        " the closed method has no such limit")):
@@ -397,7 +398,7 @@ def test_a_refusal_takes_no_tiling_count_of_a_region_brute_force_refuses_by_its_
             (["genfun", "--m", "360", "--n", "363", "--holes", holes, "--method", "dp"],
              "DP frontier would be at least 361 bits wide, over 24"),
             (["genfun", "--m", "360", "--n", "363", "--holes", holes, "--method", "closed"],
-             "a predicted closed product cost of 65982097114970008, over its limit of 2150000000")):
+             "a predicted closed product cost of 32991048557485004, over its limit of 2500000000")):
         assert cli_exit(capsys, *argv) == (2, "", f"error: {reason}; no other method admits it\n")
 
 
@@ -567,6 +568,47 @@ def test_start_up_loads_neither_verify_render_nor_dataclasses():
              " if m in sys.modules))")
     out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, check=True)
     assert out.stdout == b"[]\n"
+
+
+def test_importing_the_cli_loads_only_the_modules_count_and_genfun_run():
+    # the package namespace imports a module when one of its names is first looked up, not when it is imported
+    probe = (f"import sys; sys.path.insert(0, {SRC!r}); import aztecgf.cli; "
+             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'aztecgf'))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True, check=True)
+    assert out.stdout.decode().split() == ["aztecgf", *(f"aztecgf.{m}" for m in (
+        "cli", "engine", "errors", "formulas", "poly", "regions", "stats"))]
+
+
+# the names the package exported while it imported every module up front, by defining module
+EXPORTS = {
+    "engine": "Tiling count_matchings count_tilings enumerate_matchings enumerate_tilings graph_genfun_dp "
+              "matching_genfun tiling_genfun_dp",
+    "formulas": "aztec_diamond_genfun cspp_genfun_product count_product prefactor_exponent rectangle_genfun "
+                "shifted_content_exponent weighted_rectangle_matching_genfun",
+    "lozenge": "ColumnStrictPlanePartition cspp_to_tiling enumerate_cspp enumerate_lozenge_tilings tiling_to_cspp "
+               "weighted_sh_genfun",
+    "poly": "LaurentPoly2 q_ratio_product",
+    "regions": "Cell Region WeightedGraph aztec_diamond aztec_rectangle_with_holes checkerboard_coloring dual_graph "
+               "semihexagon_with_dents weighted_ar_graph",
+    "rewrite": "connected_sum reduce_rectangle_to_semihexagon remove_forced spider_replace star_scale vertex_split",
+    "stats": "SchroderPathFamily elementary_moves genfun_bruteforce genfun_via_weights minimal_tiling path_stats "
+             "paths_to_tiling rank_bfs rank_via_paths tiling_to_paths vstat",
+}
+
+
+def test_each_package_name_resolves_to_its_defining_module():
+    import aztecgf
+
+    names = {name: module for module, listed in EXPORTS.items() for name in listed.split()}
+    assert sorted(aztecgf.__all__) == sorted(names) and len(names) == 49
+    for name, module in names.items():
+        assert getattr(aztecgf, name) is getattr(importlib.import_module(f"aztecgf.{module}"), name), name
+    star = {}
+    exec("from aztecgf import *", star)
+    assert {name: star[name] for name in names} == {name: getattr(aztecgf, name) for name in names}
+    assert set(names) <= set(dir(aztecgf))
+    with pytest.raises(AttributeError, match="no attribute 'tiling_genfun'"):
+        aztecgf.tiling_genfun
 
 
 def test_suite_choices_are_the_verify_suites():

@@ -691,12 +691,14 @@ def step_kinds(order, edges):
 
 
 def test_each_in_place_step_kind_equals_the_oracle():
-    # every weight at 1, a weight 2 on one edge to a freed slot (the rebuild's case), and polynomial weights
-    # (the packed sweep, whose unit edges still update in place) on each graph that holds the kind
+    # every weight at 1; an int, a Fraction (which scales every unit edge by its denominator) and a polynomial
+    # weight on one edge to a freed slot, which the vertex meets in place at any weight; and polynomial weights
+    # elsewhere (the packed sweep), on each graph that holds the kind
     for edges, kinds, freed in STEP_KIND_GRAPHS:
         n = 1 + max(map(max, edges))
         assert kinds <= step_kinds(range(n), edges)
-        for weights in ({}, *({e: 2} for e in freed), {edges[-1]: Q, edges[-2]: 1 + Q, edges[-3]: T}):
+        for weights in ({}, *({e: w} for e in freed for w in (2, Fraction(3, 2), 1 + Q)),
+                        {edges[-1]: Q, edges[-2]: 1 + Q, edges[-3]: T}):
             graph = WeightedGraph(range(n), {e: weights.get(e, 1) for e in edges})
             assert graph_genfun_dp(graph) == matching_genfun(graph) != 0, (edges, weights)
 

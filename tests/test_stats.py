@@ -78,9 +78,9 @@ def test_admit_gives_every_case_of_the_cap_table_its_verdict(monkeypatch):
              ("count", "dp", key("semihexagon", 24, 48, 3, 72, 3), False),
              ("genfun", "dp", key("aztec_rectangle", 12, 24, 2, 24), True),
              ("genfun", "dp", key("aztec_rectangle", 13, 26, 2, 26), False),
-             ("genfun", "closed", key("aztec_rectangle", 21, 42, 2, 42), True),
-             ("genfun", "closed", key("aztec_rectangle", 30, 30, 1, 30, 1), True),
-             ("genfun", "closed", key("aztec_rectangle", 22, 44, 2, 44), False)]
+             ("genfun", "closed", key("aztec_rectangle", 24, 48, 2, 48), True),
+             ("genfun", "closed", key("aztec_rectangle", 34, 34, 1, 34, 1), True),
+             ("genfun", "closed", key("aztec_rectangle", 26, 52, 2, 52), False)]
     for command, method, region, admitted in table:
         if admitted:
             stats.admit(command, method, region)
